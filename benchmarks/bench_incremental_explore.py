@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.farm.campaign import sweep_campaign
 from repro.pipeline import clear_compile_cache
+from repro.spec import ExploreSpec
 
 # Unseq pairs and triples: wide, quick-to-replay state spaces whose
 # exploration dwarfs record deserialisation.
@@ -54,7 +55,7 @@ def _campaign(store_root):
         CORPUS, models=MODELS, jobs=1, mode="explore",
         store=store_root / "artifacts",
         explore_store=store_root / "artifacts",
-        max_paths=MAX_PATHS, max_steps=500_000)
+        spec=ExploreSpec(max_paths=MAX_PATHS, max_steps=500_000))
     return results, campaign
 
 

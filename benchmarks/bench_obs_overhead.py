@@ -32,6 +32,7 @@ from repro.dynamics.driver import Driver
 from repro.dynamics.explore import Explorer
 from repro.obs import ObsContext
 from repro.pipeline import compile_c
+from repro.spec import ExploreSpec
 
 MODEL = "concrete"
 MAX_PATHS = 200
@@ -55,8 +56,8 @@ int main(void) {
 def _workload(program):
     def make_driver(oracle):
         return Driver(program.core, program.make_model(MODEL), oracle)
-    result = Explorer(make_driver, max_paths=MAX_PATHS,
-                      entry="main").run()
+    result = Explorer(make_driver,
+                      ExploreSpec(max_paths=MAX_PATHS)).run()
     assert result.paths_run > 1, "workload must actually explore"
     return result
 

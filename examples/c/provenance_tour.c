@@ -1,7 +1,7 @@
 /* A well-defined tour of the pointer-provenance questions: adjacent
  * objects, one-past pointers, and round-trips through (char *) — all
  * behaviour every memory object model agrees on.  `cerberus-py lint`
- * reports nothing here; `cerberus-py --explore` shows one behaviour
+ * reports nothing here; `cerberus-py --exhaustive` shows one behaviour
  * under every model. */
 #include <stdio.h>
 

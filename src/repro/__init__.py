@@ -12,6 +12,9 @@ the De Facto Standards* (PLDI 2016). The public surface:
   :class:`repro.pipeline.CompiledProgram`;
 * :func:`repro.pipeline.run_many` / :func:`repro.pipeline.explore_many`
   — execute one compiled program across many memory object models;
+* :class:`repro.spec.RunSpec` / :class:`repro.spec.ExploreSpec` — the
+  semantic knobs of a run or an exploration as one value (every
+  keyword API above builds one);
 * :mod:`repro.memory` — the pluggable memory object models
   (concrete / provenance / strict / cheri);
 * :mod:`repro.testsuite` — the 85 design-space questions and the
@@ -29,8 +32,10 @@ from .pipeline import (
     CompiledProgram, compile_c, explore_c, explore_many, run_c,
     run_many,
 )
+from .spec import ExploreSpec, RunSpec
 
 __version__ = "1.0.0"
 
-__all__ = ["CompiledProgram", "compile_c", "explore_c", "explore_many",
-           "obs", "run_c", "run_many", "__version__"]
+__all__ = ["CompiledProgram", "ExploreSpec", "RunSpec", "compile_c",
+           "explore_c", "explore_many", "obs", "run_c", "run_many",
+           "__version__"]

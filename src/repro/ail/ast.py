@@ -16,26 +16,20 @@ Expression nodes carry a ``ty`` annotation slot which the type checker
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..ctypes.types import QualType, TagEnv
 from ..source import Loc
 
-_sym_counter = itertools.count(1)
-
-
 @dataclass(frozen=True)
 class Symbol:
-    """A resolved identifier: source name plus a globally unique id."""
+    """A resolved identifier: source name plus an id unique within its
+    translation unit (numbered by the desugarer, so one source always
+    gets the same symbols)."""
 
     name: str
     uid: int
-
-    @staticmethod
-    def fresh(name: str) -> "Symbol":
-        return Symbol(name, next(_sym_counter))
 
     def __str__(self) -> str:
         return f"{self.name}_{self.uid}"

@@ -11,6 +11,7 @@ violated.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..cabs import ast as C
@@ -106,6 +107,11 @@ class Desugarer:
         # Flushed into the statement stream by _declare_object; other
         # declarator contexts must reject or discard them.
         self._vla_pending: List[Tuple[A.Symbol, A.Expr, Loc]] = []
+        self._uids = itertools.count(1)
+
+    def _fresh(self, name: str) -> A.Symbol:
+        """A symbol unique within this translation unit."""
+        return A.Symbol(name, next(self._uids))
 
     # -- scope helpers --------------------------------------------------------
 
@@ -199,7 +205,7 @@ class Desugarer:
                     and old.qty.ty.no_proto:
                 old.qty = qty  # a prototype refines an old-style decl
             return
-        sym = A.Symbol.fresh(name)
+        sym = self._fresh(name)
         self.bind(name, ("function", sym, qty))
         assert isinstance(qty.ty, Function)
         self.program.functions[sym] = A.FunctionDef(
@@ -220,7 +226,7 @@ class Desugarer:
                 raise DesugarError(
                     f"variable length array '{name}' may not be "
                     "initialised", idecl.loc, iso="6.7.9p3")
-            sym = A.Symbol.fresh(name)
+            sym = self._fresh(name)
             self.bind(name, ("object", sym, qty))
             out = [A.SDecl(psym, QualType(Integer(IntKind.LONG)),
                            A.InitScalar(size_expr, loc=loc), loc=loc)
@@ -240,7 +246,7 @@ class Desugarer:
                 if isinstance(obj.qty.ty, Array) and obj.qty.ty.size is None:
                     obj.qty = qty
                 return []
-            sym = A.Symbol.fresh(name)
+            sym = self._fresh(name)
             self.bind(name, ("object", sym, qty))
             is_extern_decl = "extern" in storage and init is None
             if not is_extern_decl:
@@ -249,7 +255,7 @@ class Desugarer:
                 if file_scope:
                     self._file_scope_objects[name] = obj
             return []
-        sym = A.Symbol.fresh(name)
+        sym = self._fresh(name)
         self.bind(name, ("object", sym, qty))
         if isinstance(qty.ty, Array) and qty.ty.size is None:
             raise DesugarError(f"array '{name}' has incomplete type",
@@ -522,7 +528,7 @@ class Desugarer:
                     # the elaboration will load.  Erroneous *constant*
                     # sizes (division by zero, a float size) keep
                     # their specific DesugarError.
-                    sym = A.Symbol.fresh("vla.size")
+                    sym = self._fresh("vla.size")
                     self._vla_pending.append((sym, size_expr, decl.loc))
                     self._sym_types[sym] = QualType(
                         Integer(IntKind.LONG))
@@ -829,7 +835,7 @@ class Desugarer:
         if existing is not None and existing[0] == "function":
             sym = existing[1]
         else:
-            sym = A.Symbol.fresh(name)
+            sym = self._fresh(name)
         self.bind(name, ("function", sym, qty))
         # Parameter scope.
         self.push()
@@ -846,7 +852,7 @@ class Desugarer:
             if pname is None:
                 raise DesugarError("unnamed parameter in definition",
                                    fdef.loc, iso="6.9.1p5")
-            psym = A.Symbol.fresh(pname)
+            psym = self._fresh(pname)
             self.bind(pname, ("object", psym, fty.params[i]))
             param_syms.append(psym)
         self._labels = {}
@@ -900,7 +906,7 @@ class Desugarer:
                 raise DesugarError("case outside switch", s.loc,
                                    iso="6.8.4.2p2")
             value = self.const_expr(self.expr(s.expr))
-            sym = A.Symbol.fresh(f"case_{value}")
+            sym = self._fresh(f"case_{value}")
             sw = self._switch_stack[-1]
             if any(v == value for v, _ in sw.cases):
                 raise DesugarError(f"duplicate case value {value}", s.loc,
@@ -916,7 +922,7 @@ class Desugarer:
             if sw.default is not None:
                 raise DesugarError("duplicate default label", s.loc,
                                    iso="6.8.4.2p3")
-            sym = A.Symbol.fresh("default")
+            sym = self._fresh("default")
             sw.default = sym
             return A.SBlock([A.SCaseMarker(sym, loc=s.loc),
                              self.stmt(s.body)], loc=s.loc)
@@ -924,12 +930,12 @@ class Desugarer:
             if s.label in self._defined_labels:
                 raise DesugarError(f"duplicate label '{s.label}'", s.loc,
                                    iso="6.8.1p3")
-            sym = self._labels.setdefault(s.label, A.Symbol.fresh(s.label))
+            sym = self._labels.setdefault(s.label, self._fresh(s.label))
             self._defined_labels.add(s.label)
             return A.SLabel(sym, self.stmt(s.body), loc=s.loc)
         if isinstance(s, C.SGoto):
             self._gotos.append((s.label, s.loc))
-            sym = self._labels.setdefault(s.label, A.Symbol.fresh(s.label))
+            sym = self._labels.setdefault(s.label, self._fresh(s.label))
             return A.SGoto(sym, loc=s.loc)
         if isinstance(s, C.SBreak):
             return A.SBreak(loc=s.loc)
@@ -1036,7 +1042,7 @@ class Desugarer:
             qty = self.type_name(e.type_name)
             qty = self._complete_from_init(qty, e.init)
             init = self.normalize_init(qty, e.init)
-            sym = A.Symbol.fresh("compound_literal")
+            sym = self._fresh("compound_literal")
             return A.ECompound(sym, qty, init, loc=e.loc)
         if isinstance(e, C.EGeneric):
             raise UnsupportedError(
@@ -1050,7 +1056,7 @@ class Desugarer:
             raise UnsupportedError("wide string literals", e.loc)
         sym = self._string_cache.get(e.value)
         if sym is None:
-            sym = A.Symbol.fresh("string_literal")
+            sym = self._fresh("string_literal")
             self._string_cache[e.value] = sym
             char = Integer(IntKind.CHAR)
             qty = QualType(Array(QualType(char), len(e.value) + 1))

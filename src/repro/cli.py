@@ -64,6 +64,7 @@ from .pipeline import (
     MODELS, compile_c, explore_many, lint_c, run_many,
     set_artifact_store,
 )
+from .spec import BACKENDS, ExploreSpec, SpecError
 
 
 def _parse_shard(text: Optional[str]) -> Tuple[int, int]:
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "never re-explored (zero paths re-run on a "
                         "warm hit) and an interrupted exploration "
                         "resumes from its persisted frontier")
-    p.add_argument("--backend", choices=["compiled", "tree"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default="compiled",
                    help="evaluator back end: 'compiled' (default) "
                         "runs slotted lowered code, 'tree' walks the "
@@ -223,18 +224,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _main_identity(args, source: str) -> str:
+def _spec(args) -> ExploreSpec:
+    """The one spec an invocation means: every spec field the parser
+    has a flag for (the rest keep their defaults).  An invalid value
+    is a usage error (exit 2), like argparse's own."""
+    try:
+        return ExploreSpec(**{k: getattr(args, k)
+                              for k in ExploreSpec.field_names()
+                              if hasattr(args, k)})
+    except SpecError as exc:
+        print(f"cerberus-py: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _main_identity(args, source: str, spec: ExploreSpec) -> str:
     """The content identity of one ``cerberus-py file.c`` invocation:
-    the source plus every *semantic* flag.  Output paths (--trace,
-    --profile) and cache locations (--store, --explore-store) are
-    deliberately excluded so they never perturb the run id."""
+    the source, every spec field, and the flags that pick the mode
+    and fan-out.  Output paths (--trace, --profile) and cache
+    locations (--store, --explore-store) are deliberately excluded so
+    they never perturb the run id."""
     return "\x00".join([
         "run", args.file, source, args.impl, args.model,
-        str(args.models), str(args.exhaustive), args.strategy,
-        str(args.por), str(args.static_prune), str(args.explore_jobs),
-        str(args.max_steps), str(args.max_paths), str(args.seed),
+        str(args.models), str(args.exhaustive), str(args.explore_jobs),
         str(args.jobs), str(args.shard), str(args.pp_core),
-        str(args.backend)])
+        json.dumps(spec.to_json(), sort_keys=True)])
 
 
 def main(argv=None) -> int:
@@ -258,19 +271,20 @@ def main(argv=None) -> int:
         print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
     impl = LP64 if args.impl == "LP64" else ILP32
+    spec = _spec(args)
     if args.store:
         from .farm.store import ArtifactStore
         set_artifact_store(ArtifactStore(args.store))
-    with _obs_scope(args, _main_identity(args, source)) as ctx:
-        code = _dispatch_main(args, source, impl)
+    with _obs_scope(args, _main_identity(args, source, spec)) as ctx:
+        code = _dispatch_main(args, source, impl, spec)
     if args.metrics:
         _print_metrics(ctx)
     return code
 
 
-def _dispatch_main(args, source: str, impl) -> int:
+def _dispatch_main(args, source: str, impl, spec) -> int:
     if args.models and not args.pp_core:
-        return _run_batch(args, source, impl)
+        return _run_batch(args, source, impl, spec)
     try:
         pipeline = compile_c(source, impl, name=args.file)
     except CerberusError as exc:
@@ -287,26 +301,15 @@ def _dispatch_main(args, source: str, impl) -> int:
             explore_store = ExploreStore(args.explore_store)
         if args.explore_jobs > 1:
             from .farm.frontier import explore_farm
-            result = explore_farm(source, model=args.model, impl=impl,
-                                  max_paths=args.max_paths,
-                                  max_steps=args.max_steps,
-                                  strategy=args.strategy,
-                                  por=args.por, seed=args.seed,
+            result = explore_farm(source, args.model, impl, spec,
                                   jobs=args.explore_jobs,
                                   store=args.store,
                                   explore_store=explore_store,
-                                  name=args.file,
-                                  backend=args.backend)
+                                  name=args.file)
         else:
-            result = pipeline.explore(args.model,
-                                      max_paths=args.max_paths,
-                                      max_steps=args.max_steps,
-                                      strategy=args.strategy,
-                                      por=args.por, seed=args.seed,
+            result = pipeline.explore(args.model, spec,
                                       store=explore_store,
-                                      name=args.file,
-                                      static_prune=args.static_prune,
-                                      backend=args.backend)
+                                      name=args.file)
         pruned = f", {result.pruned} pruned" if result.pruned else ""
         print(f"executions explored: {result.paths_run} "
               f"({'complete' if result.exhausted else 'budget hit'}"
@@ -319,8 +322,7 @@ def _dispatch_main(args, source: str, impl) -> int:
         for outcome in result.distinct():
             print(f"  {outcome.summary()}")
         return 1 if result.has_ub() else 0
-    outcome = pipeline.run(args.model, max_steps=args.max_steps,
-                           seed=args.seed, backend=args.backend)
+    outcome = pipeline.run(args.model, spec)
     sys.stdout.write(outcome.stdout)
     if outcome.status == "ub":
         print(f"\nUndefined behaviour: {outcome.ub} "
@@ -347,7 +349,7 @@ def _exit_code_for(statuses, any_ub: bool) -> int:
     return 0
 
 
-def _run_batch(args, source: str, impl) -> int:
+def _run_batch(args, source: str, impl, spec) -> int:
     """--models: one front-end translation, a verdict per model
     (``--jobs``/``--shard`` fan the models out across farm workers)."""
     try:
@@ -369,18 +371,12 @@ def _run_batch(args, source: str, impl) -> int:
               file=sys.stderr)
         return 2
     if args.jobs > 1:
-        return _run_batch_farm(args, source, impl, models)
+        return _run_batch_farm(args, source, impl, spec, models)
     try:
         if args.exhaustive:
-            results = explore_many(source, models=models, impl=impl,
-                                   max_paths=args.max_paths,
-                                   max_steps=args.max_steps,
+            results = explore_many(source, models, impl, spec,
                                    name=args.file,
-                                   strategy=args.strategy,
-                                   por=args.por, seed=args.seed,
-                                   store=args.explore_store,
-                                   static_prune=args.static_prune,
-                                   backend=args.backend)
+                                   store=args.explore_store)
             for model, res in results.items():
                 behaviours = " | ".join(o.summary()
                                         for o in res.distinct())
@@ -388,9 +384,8 @@ def _run_batch(args, source: str, impl) -> int:
                       f"{behaviours}")
             return 1 if any(r.has_ub() for r in results.values()) \
                 else 0
-        outcomes = run_many(source, models=models, impl=impl,
-                            max_steps=args.max_steps, seed=args.seed,
-                            name=args.file, backend=args.backend)
+        outcomes = run_many(source, models, impl, spec,
+                            name=args.file)
     except CerberusError as exc:
         print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
@@ -400,19 +395,14 @@ def _run_batch(args, source: str, impl) -> int:
                           any(o.is_ub for o in outcomes.values()))
 
 
-def _run_batch_farm(args, source: str, impl, models) -> int:
+def _run_batch_farm(args, source: str, impl, spec, models) -> int:
     """The --models sweep across worker processes: one task per model
     (a warm --store makes every worker execution-only)."""
     from .farm.pool import SweepTask, run_tasks
     mode = "explore" if args.exhaustive else "run"
     tasks = [SweepTask(index=i, name=args.file, kind=mode,
                        source=source, models=(model,), impl=impl,
-                       max_steps=args.max_steps,
-                       max_paths=args.max_paths, seed=args.seed,
-                       strategy=args.strategy, por=args.por,
-                       explore_store=args.explore_store,
-                       static_prune=args.static_prune,
-                       backend=args.backend)
+                       spec=spec, explore_store=args.explore_store)
              for i, model in enumerate(models)]
     results = run_tasks(tasks, jobs=args.jobs, store=args.store)
     statuses, any_ub = set(), False
@@ -553,7 +543,7 @@ def build_farm_parser() -> argparse.ArgumentParser:
                             "with --exhaustive, a definite finding "
                             "skips that program's exploration "
                             "(pre-exploration filter)")
-    sweep.add_argument("--backend", choices=["compiled", "tree"],
+    sweep.add_argument("--backend", choices=BACKENDS,
                        default="compiled",
                        help="evaluator back end for every task "
                             "(default: compiled; 'tree' is the "
@@ -685,13 +675,10 @@ def _dispatch_farm(args, models) -> int:
             return 2
     results, campaign = sweep_campaign(
         programs, models=models, jobs=args.jobs,
-        mode="explore" if args.exhaustive else "run",
+        mode="explore" if args.exhaustive else "run", spec=_spec(args),
         store=args.store, shard=args.shard,
-        max_steps=args.max_steps, max_paths=args.max_paths,
-        strategy=args.strategy, por=args.por, seed=args.seed,
         explore_store=args.explore_store, resume=args.resume,
-        static_prune=args.static_prune, lint=args.lint,
-        backend=args.backend, task_timeout=args.task_timeout,
+        lint=args.lint, task_timeout=args.task_timeout,
         server=args.server)
     for entry in campaign.results:
         for model, verdict in entry.get("verdicts", {}).items():
@@ -822,7 +809,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
                    default="dfs")
     p.add_argument("--por", action="store_true")
     p.add_argument("--static-prune", action="store_true")
-    p.add_argument("--backend", choices=["compiled", "tree"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default="compiled")
     p.add_argument("--max-steps", type=int, default=2_000_000)
     p.add_argument("--max-paths", type=int, default=500)
@@ -872,12 +859,9 @@ def submit_main(argv) -> int:
                         wait_timeout=args.timeout)
     try:
         response = client.submit(
-            source, name=args.file, models=models,
+            source, _spec(args), name=args.file, models=models,
             mode="explore" if args.exhaustive else "run",
-            impl=args.impl, strategy=args.strategy, por=args.por,
-            static_prune=args.static_prune, backend=args.backend,
-            max_steps=args.max_steps, max_paths=args.max_paths,
-            seed=args.seed, lint=args.lint, wait=not args.no_wait)
+            impl=args.impl, lint=args.lint, wait=not args.no_wait)
     except ServerError as exc:
         print(f"cerberus-py submit: {exc.code}: {exc.detail}",
               file=sys.stderr)

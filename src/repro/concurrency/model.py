@@ -21,7 +21,7 @@ reports the set of observable outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from ..pipeline import explore_c
 

@@ -17,96 +17,13 @@ parameters accordingly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..ctypes.types import CType, QualType, TagEnv
 from ..ctypes.implementation import Implementation
 from ..source import Loc
 from ..ub import UBName
-
-_name_counter = itertools.count(1)
-
-
-def fresh_name(base: str) -> str:
-    """E.fresh_symbol of the paper's elaboration monad (Fig. 3)."""
-    return f"{base}.{next(_name_counter)}"
-
-
-# --------------------------------------------------------------------------
-# Core base types (bTy of Fig. 2) — used by the Core type checker.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoreTy:
-    pass
-
-
-@dataclass(frozen=True)
-class TyUnit(CoreTy):
-    def __str__(self) -> str:
-        return "unit"
-
-
-@dataclass(frozen=True)
-class TyBoolean(CoreTy):
-    def __str__(self) -> str:
-        return "boolean"
-
-
-@dataclass(frozen=True)
-class TyCtype(CoreTy):
-    def __str__(self) -> str:
-        return "ctype"
-
-
-@dataclass(frozen=True)
-class TyList(CoreTy):
-    elem: CoreTy
-
-    def __str__(self) -> str:
-        return f"[{self.elem}]"
-
-
-@dataclass(frozen=True)
-class TyTuple(CoreTy):
-    elems: Tuple[CoreTy, ...]
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(t) for t in self.elems) + ")"
-
-
-@dataclass(frozen=True)
-class TyObject(CoreTy):
-    """oTy: a C object value (integer/floating/pointer/array/...)."""
-
-    kind: str  # "integer"|"floating"|"pointer"|"cfunction"|"array"|
-    #            "struct"|"union"
-
-    def __str__(self) -> str:
-        return self.kind
-
-
-@dataclass(frozen=True)
-class TyLoaded(CoreTy):
-    """``loaded oTy``: an oTy or an unspecified value."""
-
-    obj: TyObject
-
-    def __str__(self) -> str:
-        return f"loaded {self.obj}"
-
-
-@dataclass(frozen=True)
-class TyEff(CoreTy):
-    """``eff bTy``: the type of effectful expressions."""
-
-    result: CoreTy
-
-    def __str__(self) -> str:
-        return f"eff {self.result}"
-
 
 # --------------------------------------------------------------------------
 # Patterns

@@ -13,9 +13,8 @@ raise ``InternalError``.)
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
-from ..errors import CoreTypeError
 from . import ast as K
 
 _ACTION_ARITY = {"create": (3, 4), "alloc": (2, 2), "kill": (2, 2),

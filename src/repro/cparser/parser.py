@@ -17,7 +17,6 @@ from typing import List, Optional, Set, Tuple, Union
 from ..cabs import ast as C
 from ..errors import ParseError
 from ..lex.tokens import KEYWORDS, Token, TokenKind
-from ..source import Loc
 
 _TYPE_SPEC_KEYWORDS = frozenset({
     "void", "char", "short", "int", "long", "float", "double", "signed",

@@ -12,7 +12,7 @@ paper §4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import InternalError
 from .types import (

@@ -338,20 +338,12 @@ def is_integer(ty: CType) -> bool:
     return isinstance(ty, Integer)
 
 
-def is_floating(ty: CType) -> bool:
-    return isinstance(ty, Floating)
-
-
 def is_arithmetic(ty: CType) -> bool:
     return isinstance(ty, (Integer, Floating))
 
 
 def is_scalar(ty: CType) -> bool:
     return isinstance(ty, (Integer, Floating, Pointer))
-
-
-def is_pointer(ty: CType) -> bool:
-    return isinstance(ty, Pointer)
 
 
 def is_character(ty: CType) -> bool:

@@ -14,8 +14,7 @@ through every seam up to ``cerberus-py --backend``:
   each Core procedure once into linear, closure-threaded instruction
   sequences over slot-indexed frames — pure sub-expressions become
   pre-resolved opcode closures with no per-step isinstance dispatch
-  or dict lookups, and the lowered layout is cached in the
-  :class:`~repro.farm.store.ArtifactStore` as a ``"lowered"`` record
+  or dict lookups, and the lowering is cached once per program
   (≥3× steps/sec on straight-line code,
   ``benchmarks/perf_step_loop.json``);
 * ``"tree"`` walks the Core AST directly and is the **oracle of

@@ -34,13 +34,12 @@ Round 2 (the raw-speed work) added three layers on top of that base:
   (see the :mod:`.lower` module docstring for the exact gate).
 
 Closure-cache lifecycle: lowering is cached per program object
-(:func:`ensure_lowered`); the serializable frame/instruction layout
-persists in the farm :class:`~repro.farm.store.ArtifactStore` as a
-``"lowered"`` record; and the rebuilt closures themselves persist
-per process in :data:`repro.farm.store.WARM_CLOSURES`, keyed by the
-same content address (artifact + ``LOWERED_VERSION`` + store schema),
-so repeat explorations of one artifact skip re-lowering entirely
-(see :meth:`repro.pipeline.CompiledProgram.lowered`).
+(:func:`ensure_lowered`), and the closures persist per process in
+:data:`repro.farm.store.WARM_CLOSURES`, keyed by the artifact's
+content address (+ ``LOWERED_VERSION`` + store schema), so repeat
+explorations of one artifact skip re-lowering entirely (see
+:meth:`repro.pipeline.CompiledProgram.lowered`).  Closures are not
+serialisable, so nothing is persisted across processes.
 """
 
 from .evaluator import CompiledEvaluator

@@ -68,15 +68,14 @@ instruction captures its positional index in
 the persisted ``"statics"`` tables use), and resolves footprint hulls
 through a slot-backed environment view at run time.
 
-Lowering is cached on the program object (``program._lowered``); the
-serializable frame/instruction layout is persisted separately as a
-``"lowered"`` artifact-store record by
+Lowering is cached on the program object (``program._lowered``) and,
+per process, in the warm-closure cache behind
 :meth:`repro.pipeline.CompiledProgram.lowered`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ...core import ast as K
 from ...ctypes.types import IntKind, Integer
@@ -97,9 +96,9 @@ from ..values import (
     VUnspecified, core_to_mem, truthy,
 )
 
-# Version of the lowering scheme itself: bump when the slot layout,
-# instruction-id basis, or closure protocol changes so persisted
-# "lowered" store records from older lowerings stop validating.
+# Version of the lowering scheme itself, folded into warm-closure
+# keys: bump when the slot layout, instruction-id basis, or closure
+# protocol changes.
 #   1: PR 8 — slotted closure-threaded linear code.
 #   2: PR 9 — specialized call protocol, fusion counters and the
 #      threads_possible gate join the serialized layout.
@@ -257,22 +256,13 @@ class LoweredProgram:
     the positional ``unseq`` instruction table that re-keys static
     annotations onto stable ids."""
 
-    __slots__ = ("procs", "funs", "globs", "glob_names",
-                 "unseq_nodes", "threads_possible", "fused")
+    __slots__ = ("procs", "funs", "globs", "unseq_nodes",
+                 "threads_possible", "fused")
 
     def __init__(self):
         self.procs: Dict[str, LoweredProc] = {}
         self.funs: Dict[str, LoweredFun] = {}
         self.globs: Dict[str, LoweredGlob] = {}
-        #: Every file-scope object of the source program, in
-        #: definition order — including the uninitialised ones, which
-        #: never get a ``LoweredGlob``.  File-scope objects carry
-        #: process-unique Core names (``a_17`` vs ``a_53`` for the
-        #: same source compiled twice), and the lowered closures bake
-        #: those names into their ``global_env`` lookups: a lowering
-        #: may only be adopted by a program whose glob names match
-        #: exactly (see ``CompiledProgram.lowered``).
-        self.glob_names: Tuple[str, ...] = ()
         #: ``collect_unseqs`` order: position == stable instruction id.
         self.unseq_nodes: List[K.EUnseq] = []
         #: Lower-time gate for run mode: True when any ``par``/``wait``
@@ -285,10 +275,9 @@ class LoweredProgram:
         self.fused: Dict[str, int] = {}
 
     def layout(self) -> dict:
-        """The serializable positional layout (frame sizes, arity,
-        instruction counts) — the payload of a ``"lowered"`` store
-        record, and the cross-process agreement check for stable
-        instruction ids and frame shapes."""
+        """The positional layout (frame sizes, arity, instruction
+        counts): two lowerings of one Core program agree on it, which
+        pins stable instruction ids and frame shapes."""
         return {
             "procs": {name: (p.frame_size, p.n_instr, len(p.params),
                              p.variadic)
@@ -337,7 +326,6 @@ class _Lowerer:
 
     def lower(self) -> LoweredProgram:
         out = self.out
-        out.glob_names = tuple(g.name for g in self.program.globs)
         # Definitions are registered before their bodies are lowered so
         # (mutually) recursive calls resolve to the in-progress object.
         for name, fun in self.program.funs.items():

@@ -23,18 +23,16 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core import ast as K
-from ..ctypes.types import Array, Integer, IntKind, Pointer, QualType, Void
-from ..errors import CerberusError, InternalError, StaticError
+from ..ctypes.types import Array, QualType
+from ..errors import InternalError, StaticError
 from ..memory.base import (
     Footprint, MemoryError_, MemoryModel, VLA_CAP_BYTES,
 )
-from ..memory.values import (
-    AByte, IntegerValue, MemValue, PointerValue, PROV_EMPTY,
-)
+from ..memory.values import IntegerValue, PointerValue, PROV_EMPTY
 from .. import ub as UB
 from ..ub import UndefinedBehaviour
 from ..source import Loc
@@ -43,8 +41,8 @@ from .evaluator import (
     Evaluator, ProcReturn, ProgramExit, RunSignal,
 )
 from .values import (
-    UNIT, Value, VBool, VCtype, VFunction, VInteger, VPointer, VSpecified,
-    VTuple, VUnspecified, core_to_mem, mem_to_core,
+    UNIT, Value, VBool, VCtype, VInteger, VPointer, VSpecified, VUnspecified,
+    core_to_mem, mem_to_core,
 )
 
 

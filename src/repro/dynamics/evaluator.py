@@ -27,9 +27,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core import ast as K
 from ..ctypes import convert
-from ..ctypes.types import (
-    CType, Floating, Integer, IntKind, Pointer, QualType,
-)
+from ..ctypes.types import CType, Integer, IntKind
 from ..errors import InternalError, StaticError
 from ..memory.base import MemoryError_, MemoryModel
 from ..memory.values import (
@@ -39,9 +37,9 @@ from .. import ub as UB
 from ..ub import UndefinedBehaviour
 from .actions import ActionSummary, find_unsequenced_race
 from .values import (
-    FALSE, TRUE, UNIT, Value, VBool, VCtype, VFloating, VFunction,
-    VInteger, VList, VPointer, VScopeList, VSpecified, VTuple, VUnit,
-    VUnspecified, match_pattern, truthy,
+    FALSE, TRUE, UNIT, Value, VBool, VCtype, VFloating, VFunction, VInteger,
+    VList, VPointer, VScopeList, VSpecified, VTuple, VUnspecified,
+    match_pattern, truthy,
 )
 
 # The Core-environment key under which the innermost EScope exposes its

@@ -54,7 +54,9 @@ interrupted pop order.
 
 from __future__ import annotations
 
-from .engine import Explorer, explore_all, explore_program
+from .engine import (
+    Explorer, driver_factory, explore_all, explore_program,
+)
 from .por import PathNode
 from .result import ExplorationResult
 from .strategies import (
@@ -64,6 +66,7 @@ from .strategies import (
 
 __all__ = [
     "Explorer",
+    "driver_factory",
     "explore_all",
     "explore_program",
     "PathNode",

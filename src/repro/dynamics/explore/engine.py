@@ -37,6 +37,7 @@ import time
 from typing import Callable, List, Optional, Sequence
 
 from ... import obs
+from ...spec import ExploreSpec
 from ..driver import Driver, Oracle
 from .por import PathNode, generate_branches
 from .result import ExplorationResult
@@ -47,21 +48,15 @@ class Explorer:
     """One exploration campaign over a single program + model."""
 
     def __init__(self, make_driver: Callable[[Oracle], Driver],
-                 max_paths: int = 2000,
-                 entry: str = "main",
+                 spec: ExploreSpec = ExploreSpec(),
                  deadline_s: Optional[float] = None,
-                 strategy="dfs",
-                 por: bool = False,
-                 seed: Optional[int] = None,
                  initial: Optional[Sequence[PathNode]] = None,
                  frontier_target: Optional[int] = None,
                  requeue_interrupted: bool = False):
         self.make_driver = make_driver
-        self.max_paths = max_paths
-        self.entry = entry
+        self.spec = spec
         self.deadline_s = deadline_s
-        self.strategy = make_strategy(strategy, seed)
-        self.por = por
+        self.strategy = make_strategy(spec.strategy, spec.seed)
         self.initial = list(initial) if initial is not None else None
         self.frontier_target = frontier_target
         # Resumable-interruption mode: a path the wall-clock deadline
@@ -84,7 +79,7 @@ class Explorer:
         ctx = obs.active()
         if ctx is None:
             return self._run(None)
-        with ctx.span("explore", por=self.por,
+        with ctx.span("explore", por=self.spec.por,
                       strategy=type(self.strategy).__name__):
             result = self._run(ctx)
         ctx.inc("explore.paths", result.paths_run)
@@ -107,7 +102,7 @@ class Explorer:
                 node = PathNode(tuple(node))
             self.strategy.push(node)
         while len(self.strategy):
-            if result.paths_run >= self.max_paths or \
+            if result.paths_run >= self.spec.max_paths or \
                     (deadline is not None and
                      time.monotonic() >= deadline):
                 result.exhausted = False
@@ -120,12 +115,12 @@ class Explorer:
                 break
             node = self.strategy.pop()
             oracle = Oracle(list(node.choices),
-                            sleep=node.sleep if self.por else (),
+                            sleep=node.sleep if self.spec.por else (),
                             record_events=True)
             driver = self.make_driver(oracle)
             if deadline is not None:
                 driver.deadline = deadline   # cooperative in-path stop
-            outcome = driver.run(self.entry)
+            outcome = driver.run(self.spec.entry)
             if (self.requeue_interrupted
                     and outcome.status == "timeout"
                     and deadline is not None
@@ -178,8 +173,8 @@ class Explorer:
             # LIFO dfs strategy the earliest flip pops next — exactly
             # the historical DFS order.
             completed = outcome.status in ("done", "exit")
-            points = generate_branches(node, oracle.events, self.por,
-                                       completed)
+            points = generate_branches(node, oracle.events,
+                                       self.spec.por, completed)
             if ctx is not None and points:
                 ctx.inc("explore.choice_points", len(points))
             for point in reversed(points):
@@ -195,26 +190,22 @@ class Explorer:
 
 
 def explore_all(make_driver: Callable[[Oracle], Driver],
-                max_paths: int = 2000,
-                entry: str = "main",
+                spec: ExploreSpec = ExploreSpec(),
                 deadline_s: Optional[float] = None,
-                strategy="dfs",
-                por: bool = False,
-                seed: Optional[int] = None,
                 initial: Optional[Sequence[PathNode]] = None,
                 store=None,
                 resume: bool = True,
                 cache_key: Optional[str] = None) -> ExplorationResult:
-    """Run ``make_driver`` over every oracle path (up to ``max_paths``).
+    """Run ``make_driver`` over every oracle path ``spec`` admits (up
+    to ``spec.max_paths``, in ``spec.strategy`` order, with sleep-set
+    partial-order reduction when ``spec.por``).
 
     ``make_driver`` must build a *fresh* driver (and fresh memory
     model) for the given oracle — runs are independent replays.
     ``deadline_s`` is a cooperative wall-clock budget for the whole
-    enumeration *and* for each path inside it.  ``strategy`` picks the
-    frontier order (see :data:`~.strategies.STRATEGIES`), ``seed``
-    seeds the random/coverage strategies, ``por`` enables sleep-set
-    partial-order reduction, and ``initial`` restricts the search to
-    the subtrees rooted at the given prefixes (farm shards).
+    enumeration *and* for each path inside it, and ``initial``
+    restricts the search to the subtrees rooted at the given prefixes
+    (farm shards).
 
     ``store`` (anything :func:`repro.farm.explorestore.ExploreStore`
     wraps — an ``ExploreStore``, an ``ArtifactStore``, or a directory
@@ -229,30 +220,39 @@ def explore_all(make_driver: Callable[[Oracle], Driver],
                              "frontier; initial= cannot be combined "
                              "with store=/cache_key=")
         from ...farm.explorestore import ExploreStore, cached_explore
-        return cached_explore(make_driver, store=ExploreStore.wrap(store),
+        return cached_explore(make_driver, spec,
+                              store=ExploreStore.wrap(store),
                               key=cache_key, resume=resume,
-                              max_paths=max_paths, entry=entry,
-                              deadline_s=deadline_s, strategy=strategy,
-                              por=por, seed=seed)
-    return Explorer(make_driver, max_paths=max_paths, entry=entry,
-                    deadline_s=deadline_s, strategy=strategy, por=por,
-                    seed=seed, initial=initial).run()
+                              deadline_s=deadline_s)
+    return Explorer(make_driver, spec, deadline_s=deadline_s,
+                    initial=initial).run()
+
+
+def driver_factory(program, make_model: Callable[[], object],
+                   spec: ExploreSpec) -> Callable[[Oracle], Driver]:
+    """Fresh drivers of a *pre-compiled* Core program under ``spec``:
+    each call builds a fresh memory model (``make_model()``) and a
+    driver with the spec's step budget, back end and static pruning
+    (whose :mod:`repro.statics` annotations are attached first)."""
+    if spec.static_prune:
+        from ...statics import ensure_annotated
+        ensure_annotated(program)
+
+    def make_driver(oracle: Oracle) -> Driver:
+        return Driver(program, make_model(), oracle, spec.max_steps,
+                      static_prune=spec.static_prune,
+                      backend=spec.backend)
+
+    return make_driver
 
 
 def explore_program(program, make_model: Callable[[], object],
-                    max_paths: int = 500,
-                    max_steps: int = 500_000,
-                    entry: str = "main",
+                    spec: ExploreSpec = ExploreSpec(),
                     deadline_s: Optional[float] = None,
-                    strategy="dfs",
-                    por: bool = False,
-                    seed: Optional[int] = None,
                     initial: Optional[Sequence[PathNode]] = None,
                     store=None,
                     resume: bool = True,
-                    cache_key: Optional[str] = None,
-                    static_prune: bool = False,
-                    backend: str = "compiled"
+                    cache_key: Optional[str] = None
                     ) -> ExplorationResult:
     """Enumerate oracle paths of a *pre-compiled* Core program.
 
@@ -263,24 +263,11 @@ def explore_program(program, make_model: Callable[[], object],
     re-exploration seam through (see :func:`explore_all`); the Core
     program itself carries no content address, so the caller supplies
     the key (:meth:`repro.pipeline.CompiledProgram.explore` does).
-    ``static_prune`` consumes :mod:`repro.statics` footprint
-    annotations (computing them on first use): statically-commuting
-    ``unseq`` nodes are never branched and sleep sets are seeded from
-    precomputed footprint hulls where the event log has no exact
-    transition.  ``backend`` selects the evaluator back end per path
-    (``"compiled"`` slotted linear code, or the ``"tree"`` oracle of
-    record) — the two enumerate identical choice trees, but cache
-    keys include the backend so persisted frontiers never cross.
+    ``spec.static_prune`` consumes :mod:`repro.statics` footprint
+    annotations: statically-commuting ``unseq`` nodes are never
+    branched and sleep sets are seeded from precomputed footprint
+    hulls where the event log has no exact transition.
     """
-    if static_prune:
-        from ...statics import ensure_annotated
-        ensure_annotated(program)
-
-    def make_driver(oracle: Oracle) -> Driver:
-        return Driver(program, make_model(), oracle, max_steps,
-                      static_prune=static_prune, backend=backend)
-
-    return explore_all(make_driver, max_paths=max_paths, entry=entry,
-                       deadline_s=deadline_s, strategy=strategy,
-                       por=por, seed=seed, initial=initial,
+    return explore_all(driver_factory(program, make_model, spec), spec,
+                       deadline_s=deadline_s, initial=initial,
                        store=store, resume=resume, cache_key=cache_key)

@@ -42,7 +42,7 @@ by the POR soundness tests (identical ``distinct()`` behaviour sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..actions import footprints_conflict

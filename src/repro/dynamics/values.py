@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.ast import Pattern, PatCtor, PatSym, PatWild
-from ..ctypes.types import CType, Floating, Integer, Pointer, QualType
+from ..ctypes.types import CType, Floating, Integer, Pointer
 from ..errors import InternalError
 from ..memory.values import (
     FloatingValue, IntegerValue, MemValue, MVArray, MVFloating, MVInteger,

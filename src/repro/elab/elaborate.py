@@ -19,32 +19,30 @@ map to ``EScope`` (create-at-block-entry / kill-at-exit, §5.7-5.8).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..ail import ast as A
 from ..core import ast as K
-from ..core.ast import (
-    fresh_name, PatCtor, PatSym, PatWild, Pattern,
-)
+from ..core.ast import PatCtor, PatSym, PatWild, Pattern
 from ..ctypes import convert
 from ..ctypes.implementation import Implementation
 from ..ctypes.implementation import FieldLayout
 from ..ctypes.types import (
     Array, CType, Floating, Function, Integer, IntKind, Pointer, QualType,
-    StructRef, UnionRef, VarArray, Void, is_character, is_integer,
+    StructRef, UnionRef, VarArray, Void, is_integer,
 )
 from ..memory.base import VLA_CAP_BYTES
-from ..errors import ElabError, InternalError, UnsupportedError
+from ..errors import InternalError, UnsupportedError
 from ..memory.values import (
-    FloatingValue, IntegerValue, MemValue, MVArray, MVInteger, NULL_POINTER,
-    zero_value,
+    FloatingValue, IntegerValue, MemValue, MVArray, MVInteger, zero_value,
 )
 from ..source import Loc
 from .. import ub as UB
 from ..dynamics.values import (
-    FALSE, TRUE, UNIT, VBool, VCtype, VFloating, VInteger, VMemStruct,
-    VPointer, VSpecified, VTuple, VUnit, VUnspecified,
+    FALSE, TRUE, UNIT, VCtype, VFloating, VInteger, VMemStruct, VPointer,
+    VSpecified, VUnit, VUnspecified,
 )
 
 _INT = Integer(IntKind.INT)
@@ -109,6 +107,13 @@ class Elaborator:
         # Function symbols -> Core proc names.
         self.fn_names: Dict[A.Symbol, str] = {
             sym: sym.name for sym in ail.functions}
+        self._names = itertools.count(1)
+
+    def fresh_name(self, base: str) -> str:
+        """E.fresh_symbol of the paper's elaboration monad (Fig. 3),
+        numbered per translation unit so Core is a deterministic
+        function of its source."""
+        return f"{base}.{next(self._names)}"
 
     # ================== program structure ==================================
 
@@ -144,7 +149,7 @@ class Elaborator:
                 "(paper §1: only printf-style library variadics)",
                 fdef.loc)
         is_main = fdef.sym.name == "main"
-        ret_label = fresh_name("ret")
+        ret_label = self.fresh_name("ret")
         self._fn = _FnCtx(ret_ty=fty.ret, ret_label=ret_label,
                           is_main=is_main)
         # Parameter objects: create & store the argument values (§5.6
@@ -206,7 +211,7 @@ class Elaborator:
                 segments[-1][1].append(item)
         fn = self._fn
         assert fn is not None
-        fn.goto_label = fresh_name("goto")
+        fn.goto_label = self.fresh_name("goto")
         for i, (sym, _) in enumerate(segments):
             if sym is not None:
                 fn.label_indices[str(sym)] = i
@@ -326,7 +331,7 @@ class Elaborator:
                 "§6.8.6.1p1; see ROADMAP.md 'Fragment gaps')", item.loc)
         esize = self.impl.sizeof(vty.of.ty, self.tags)
         max_elems = max(VLA_CAP_BYTES // esize, 1)
-        nv = fresh_name("vla.n")
+        nv = self.fresh_name("vla.n")
         n = nv + ".v"
         create = K.EVlaCreate(vty.of.ty, K.PSym(n), item.sym.name,
                               loc=item.loc)
@@ -350,7 +355,7 @@ class Elaborator:
         cond = self.rv(s.cond)
         then = self.stmt(s.then)
         els = self.stmt(s.els) if s.els is not None else K.ESkip()
-        v = fresh_name("if.cond")
+        v = self.fresh_name("if.cond")
         return _sseq(
             PatSym(v), cond,
             K.ECase(K.PSym(v), [
@@ -377,14 +382,14 @@ class Elaborator:
         fn = self._fn
         assert fn is not None
         saved = (fn.break_label, fn.continue_label)
-        brk = fresh_name("brk")
-        cont = fresh_name("cont")
-        loop = fresh_name("loop")
+        brk = self.fresh_name("brk")
+        cont = self.fresh_name("cont")
+        loop = self.fresh_name("loop")
         fn.break_label, fn.continue_label = brk, cont
         body = self.stmt(s.body)
         fn.break_label, fn.continue_label = saved
 
-        cond_v = fresh_name("while.cond")
+        cond_v = self.fresh_name("while.cond")
         body_wrap = K.ESave(cont, [("cont.skip", _pv(FALSE))],
                             K.EIf(K.PSym("cont.skip"), K.ESkip(), body),
                             loc=s.loc)
@@ -442,7 +447,7 @@ class Elaborator:
         marker_index = {str(sym): i for i, (sym, _) in
                         enumerate(segments) if sym is not None}
         saved_brk = fn.break_label
-        brk = fresh_name("swbrk")
+        brk = self.fresh_name("swbrk")
         fn.break_label = brk
         seg_exprs = []
         for i, (_, stmts) in enumerate(segments):
@@ -480,13 +485,13 @@ class Elaborator:
                          _pv(VInteger(IntegerValue(converted)))),
                 _pv(VInteger(IntegerValue(marker_index[str(sym)]))),
                 match_pe)
-        v = fresh_name("sw.cond")
+        v = self.fresh_name("sw.cond")
         segs = _seq_all(seg_exprs[:-1], seg_exprs[-1]) if seg_exprs \
             else K.ESkip()
         if decls:
             segs = K.EScope(decls, segs)
         dispatch = K.ESave(
-            "sw.dispatch." + fresh_name("n"),
+            "sw.dispatch." + self.fresh_name("n"),
             [("sw.target", K.PLet(PatSym("sw.v.raw"), K.PSym(v),
                                   K.PCase(K.PSym("sw.v.raw"), [
                                       (PatCtor("Specified",
@@ -514,7 +519,7 @@ class Elaborator:
                 fn.ret_ty.ty, Void) else _pv(VUnspecified(fn.ret_ty.ty)))
         else:
             rv = self.rv(s.expr)
-        v = fresh_name("ret.v")
+        v = self.fresh_name("ret.v")
         return _sseq(PatSym(v), rv,
                      K.ERun(fn.ret_label, [_pv(TRUE), K.PSym(v)],
                             loc=s.loc), loc=s.loc)
@@ -538,7 +543,7 @@ class Elaborator:
                            init: A.Init) -> List[K.Expr]:
         ty = qty.ty
         if isinstance(init, A.InitScalar):
-            v = fresh_name("init.v")
+            v = self.fresh_name("init.v")
             return [_sseq(PatSym(v), self.rv(init.expr),
                           self.act_store(ty, ptr, K.PSym(v), init.loc),
                           loc=init.loc)]
@@ -598,7 +603,7 @@ class Elaborator:
             raise InternalError("non-scalar bit-field initialiser",
                                 sub.loc)
         f = self.impl.field_layout(tag, name, self.tags)
-        v = fresh_name("init.bf")
+        v = self.fresh_name("init.bf")
         return _sseq(PatSym(v), self.rv(sub.expr),
                      self.act_store_bits(f, mptr, K.PSym(v), sub.loc),
                      loc=sub.loc)
@@ -673,7 +678,7 @@ class Elaborator:
 
     def _rv_EConv(self, e: A.EConv) -> K.Expr:
         if e.kind == "lvalue":
-            p = fresh_name("lv")
+            p = self.fresh_name("lv")
             assert e.operand.ty is not None
             bf = self._member_bitfield(e.operand)
             if bf is not None:
@@ -684,7 +689,7 @@ class Elaborator:
                          self.act_load(e.operand.ty.ty, K.PSym(p),
                                        e.loc), loc=e.loc)
         if e.kind in ("decay", "fn-decay"):
-            p = fresh_name("decay")
+            p = self.fresh_name("decay")
             return _sseq(PatSym(p), self.lv(e.operand),
                          _pure(K.PCtor("Specified", [K.PSym(p)]),
                                e.loc), loc=e.loc)
@@ -729,7 +734,7 @@ class Elaborator:
                 return _sseq(PatSym("f"), self.rv(e.operand),
                              _pure(K.PCtor("Specified", [K.PSym("f")])),
                              loc=e.loc)
-            p = fresh_name("addr")
+            p = self.fresh_name("addr")
             return _sseq(PatSym(p), self.lv(e.operand),
                          _pure(K.PCtor("Specified", [K.PSym(p)])),
                          loc=e.loc)
@@ -745,7 +750,7 @@ class Elaborator:
                 # §6.5.3.4p2: sizeof of a VLA is a runtime value — the
                 # element count lives in the hidden size variable.
                 esize = self.impl.sizeof(oty.of.ty, self.tags)
-                v = fresh_name("vla.sz")
+                v = self.fresh_name("vla.sz")
                 load = self.act_load(Integer(IntKind.LONG),
                                      K.PSym(str(oty.size_sym)), e.loc)
                 return _sseq(PatSym(v), load, self._case_specified(
@@ -761,7 +766,7 @@ class Elaborator:
         rty = e.ty.ty
         operand = self.rv(e.operand)
         if e.op == "!":
-            v = fresh_name("not")
+            v = self.fresh_name("not")
             return _sseq(PatSym(v), operand, self._case_specified(
                 K.PSym(v), rty, lambda pv: K.PCtor("Specified", [
                     K.PIf(self._nonzero_pe(pv, oty),
@@ -769,7 +774,7 @@ class Elaborator:
                           _pv(VInteger(IntegerValue(1))))]),
                 unspec_is_ub=True, loc=e.loc), loc=e.loc)
         if isinstance(rty, Floating):
-            v = fresh_name("funop")
+            v = self.fresh_name("funop")
             ops = {"+": lambda pv: pv,
                    "-": lambda pv: K.PBinop(
                        "-", _pv(VFloating(FloatingValue(0.0))), pv)}
@@ -778,7 +783,7 @@ class Elaborator:
                 lambda pv: K.PCtor("Specified", [ops[e.op](pv)]),
                 unspec_is_ub=True, loc=e.loc), loc=e.loc)
         assert isinstance(rty, Integer)
-        v = fresh_name("unop")
+        v = self.fresh_name("unop")
 
         def build(pv: K.Pexpr) -> K.Pexpr:
             prom = K.PCall("conv_int", [_ctype(rty), pv])
@@ -811,7 +816,7 @@ class Elaborator:
         """Wrap a mathematical result into type ty: unsigned wrap
         (§6.2.5p9), signed representability check (§6.5p5)."""
         if self.impl.is_signed(ty.kind):
-            tmp = fresh_name("r")
+            tmp = self.fresh_name("r")
             return K.PLet(
                 PatSym(tmp), pe,
                 K.PIf(K.PCall("is_representable",
@@ -826,7 +831,7 @@ class Elaborator:
                         loc: Loc) -> K.Expr:
         """case scrut of Specified(v) => build(v) | Unspecified =>
         undef or propagate (§2.4 daemonic treatment, Fig. 3)."""
-        v = fresh_name("sv")
+        v = self.fresh_name("sv")
         unspec: K.Pexpr
         if unspec_is_ub:
             unspec = K.PUndef(UB.EXCEPTIONAL_CONDITION, loc=loc)
@@ -844,7 +849,7 @@ class Elaborator:
             return self._logical(e)
         assert e.lhs.ty is not None and e.rhs.ty is not None
         lt, rt = e.lhs.ty.ty, e.rhs.ty.ty
-        a, b = fresh_name("e1"), fresh_name("e2")
+        a, b = self.fresh_name("e1"), self.fresh_name("e2")
         pair = K.EUnseq([self.rv(e.lhs), self.rv(e.rhs)], loc=e.loc)
         body = self._binary_body(e, K.PSym(a), K.PSym(b), lt, rt)
         return _wseq(PatCtor("Tuple", (PatSym(a), PatSym(b))), pair,
@@ -864,7 +869,7 @@ class Elaborator:
         if op in ("<<", ">>"):
             return self._shift(e, pa, pb, lt, rt)
         common = convert.usual_arithmetic_conversions(lt, rt, self.impl)
-        va, vb = fresh_name("v1"), fresh_name("v2")
+        va, vb = self.fresh_name("v1"), self.fresh_name("v2")
 
         def specified_case() -> K.Pexpr:
             ca = K.PCall("conv_int", [_ctype(common), K.PSym(va)])
@@ -912,11 +917,11 @@ class Elaborator:
         impl = self.impl
         result_ty = convert.integer_promotion(lt, impl)
         prm_rt = convert.integer_promotion(rt, impl)
-        va, vb = fresh_name("obj1"), fresh_name("obj2")
+        va, vb = self.fresh_name("obj1"), self.fresh_name("obj2")
         prm1 = K.PCall("conv_int", [_ctype(result_ty), K.PSym(va)])
         prm2 = K.PCall("conv_int", [_ctype(prm_rt), K.PSym(vb)])
-        p1, p2 = fresh_name("prm1"), fresh_name("prm2")
-        res = fresh_name("res")
+        p1, p2 = self.fresh_name("prm1"), self.fresh_name("prm2")
+        res = self.fresh_name("res")
         unsigned = not impl.is_signed(result_ty.kind)
         if e.op == "<<":
             if unsigned:
@@ -990,7 +995,7 @@ class Elaborator:
     def _float_binary(self, e: A.EBinary, pa: K.Pexpr, pb: K.Pexpr,
                       lt: CType, rt: CType) -> K.Expr:
         op = e.op
-        va, vb = fresh_name("f1"), fresh_name("f2")
+        va, vb = self.fresh_name("f1"), self.fresh_name("f2")
         fa = K.PCall("float_of", [K.PSym(va)])
         fb = K.PCall("float_of", [K.PSym(vb)])
         if op in ("==", "!=", "<", ">", "<=", ">="):
@@ -1010,14 +1015,14 @@ class Elaborator:
     def _pointer_binary(self, e: A.EBinary, pa: K.Pexpr, pb: K.Pexpr,
                         lt: CType, rt: CType) -> K.Expr:
         op = e.op
-        va, vb = fresh_name("p1"), fresh_name("p2")
+        va, vb = self.fresh_name("p1"), self.fresh_name("p2")
         both = K.PCase(K.PCtor("Tuple", [pa, pb]), [
             (PatCtor("Tuple", (PatCtor("Specified", (PatSym(va),)),
                                PatCtor("Specified", (PatSym(vb),)))),
              K.PCtor("Tuple", [K.PSym(va), K.PSym(vb)])),
             (PatWild(), K.PUndef(UB.EXCEPTIONAL_CONDITION, loc=e.loc)),
         ])
-        x, y = fresh_name("x"), fresh_name("y")
+        x, y = self.fresh_name("x"), self.fresh_name("y")
 
         def with_both(body: K.Expr) -> K.Expr:
             return K.ELet(PatCtor("Tuple", (PatSym(x), PatSym(y))),
@@ -1039,7 +1044,7 @@ class Elaborator:
         if op == "-" and isinstance(lt, Pointer) and \
                 isinstance(rt, Pointer):
             elem = lt.to.ty
-            d = fresh_name("diff")
+            d = self.fresh_name("diff")
             return with_both(_sseq(
                 PatSym(d),
                 K.EPtrOp("ptrdiff", [px, py], aux=elem, loc=e.loc),
@@ -1052,12 +1057,12 @@ class Elaborator:
             def as_ptr(pe: K.Pexpr, ty: CType, body_fn):
                 if isinstance(ty, Pointer):
                     return body_fn(pe)
-                q = fresh_name("np")
+                q = self.fresh_name("np")
                 return _sseq(PatSym(q),
                              K.EPtrOp("ptrFromInt", [pe], loc=e.loc),
                              body_fn(K.PSym(q)))
 
-            r = fresh_name("cmp")
+            r = self.fresh_name("cmp")
 
             def finish(pl: K.Pexpr):
                 def finish2(pr: K.Pexpr):
@@ -1074,8 +1079,8 @@ class Elaborator:
         """&& and || (§6.5.13-14): sequence point after the first
         operand; result is int 0/1."""
         assert e.lhs.ty is not None and e.rhs.ty is not None
-        a = fresh_name("land1")
-        b = fresh_name("land2")
+        a = self.fresh_name("land1")
+        b = self.fresh_name("land2")
         one = _pv(VInteger(IntegerValue(1)))
         zero = _pv(VInteger(IntegerValue(0)))
         rhs_eval = _sseq(PatSym(b), self.rv(e.rhs), self._case_specified(
@@ -1083,7 +1088,7 @@ class Elaborator:
             lambda pv: K.PCtor("Specified", [
                 K.PIf(self._nonzero_pe(pv, e.rhs.ty.ty), one, zero)]),
             unspec_is_ub=True, loc=e.loc))
-        v = fresh_name("lv1")
+        v = self.fresh_name("lv1")
         return _sseq(PatSym(a), self.rv(e.lhs), K.ECase(K.PSym(a), [
             (PatCtor("Unspecified", (PatWild(),)),
              _pure(K.PUndef(UB.UNSPECIFIED_VALUE_CONTROL_FLOW,
@@ -1103,7 +1108,7 @@ class Elaborator:
         lty = e.lhs.ty
         bf = self._member_bitfield(e.lhs)
         if e.op == "=":
-            p, v = fresh_name("ap"), fresh_name("av")
+            p, v = self.fresh_name("ap"), self.fresh_name("av")
             pair = K.EUnseq([self.lv(e.lhs), self.rv(e.rhs)], loc=e.loc)
             if bf is not None:
                 # The assignment's value is the value *stored in* the
@@ -1123,9 +1128,9 @@ class Elaborator:
                       _pure(K.PSym(v), e.loc)), loc=e.loc)
         # compound assignment: lv once, load, op, store (§6.5.16.2p3)
         binop = e.op[:-1]
-        p = fresh_name("cp")
-        old = fresh_name("cold")
-        new = fresh_name("cnew")
+        p = self.fresh_name("cp")
+        old = self.fresh_name("cold")
+        new = self.fresh_name("cnew")
         fake = A.EBinary(binop,
                          _typed_hole(e.lhs.ty.unqualified(), old),
                          _typed_hole(e.rhs.ty, "__rhs_hole__"),
@@ -1173,8 +1178,8 @@ class Elaborator:
         assert e.base.ty is not None
         ty = e.base.ty.ty
         delta = 1 if e.op == "++" else -1
-        p = fresh_name("ip")
-        old = fresh_name("iold")
+        p = self.fresh_name("ip")
+        old = self.fresh_name("iold")
         if isinstance(ty, Pointer):
             new_pe: K.Pexpr = K.PCase(K.PSym(old), [
                 (PatCtor("Specified", (PatSym("ipv"),)),
@@ -1228,7 +1233,7 @@ class Elaborator:
                                      e.loc)
             atomic = K.EAtomicSeq(old, load_act, store_act, loc=e.loc)
             return _wseq(PatSym(p), self.lv(e.base), atomic, loc=e.loc)
-        new = fresh_name("inew")
+        new = self.fresh_name("inew")
         if bf is not None:
             return _wseq(
                 PatSym(p), self.lv(e.base),
@@ -1257,8 +1262,8 @@ class Elaborator:
         assert isinstance(fty, Pointer) and isinstance(fty.to.ty,
                                                        Function)
         fn = fty.to.ty
-        f = fresh_name("fn")
-        arg_syms = [fresh_name(f"arg{i}") for i in range(len(e.args))]
+        f = self.fresh_name("fn")
+        arg_syms = [self.fresh_name(f"arg{i}") for i in range(len(e.args))]
         arg_exprs = []
         for i, a in enumerate(e.args):
             ae = self.rv(a)
@@ -1304,7 +1309,7 @@ class Elaborator:
         els = self.conv(self.rv(e.els), e.els.ty, e.ty, e.loc) \
             if e.els.ty is not None and not isinstance(e.ty.ty, Void) \
             else self.rv(e.els)
-        v = fresh_name("cond")
+        v = self.fresh_name("cond")
         return _sseq(PatSym(v), self.rv(e.cond), K.ECase(K.PSym(v), [
             (PatCtor("Unspecified", (PatWild(),)),
              _pure(K.PUndef(UB.UNSPECIFIED_VALUE_CONTROL_FLOW,
@@ -1342,7 +1347,7 @@ class Elaborator:
         fty, tty = fr.ty, to.ty
         if fty == tty:
             return core_e
-        v = fresh_name("cv")
+        v = self.fresh_name("cv")
         if isinstance(tty, Integer) and isinstance(fty, Integer):
             if tty.kind is IntKind.BOOL:
                 build = lambda pv: K.PCtor("Specified", [
@@ -1359,7 +1364,7 @@ class Elaborator:
         if isinstance(tty, Pointer) and isinstance(fty, Pointer):
             return core_e  # representation unchanged; checks at access
         if isinstance(tty, Pointer) and isinstance(fty, Integer):
-            q = fresh_name("p")
+            q = self.fresh_name("p")
             return _sseq(PatSym(v), core_e, K.ECase(K.PSym(v), [
                 (PatCtor("Specified", (PatSym(v + ".i"),)),
                  _sseq(PatSym(q),
@@ -1370,7 +1375,7 @@ class Elaborator:
                  _pure(K.PCtor("Unspecified", [_ctype(tty)]), loc)),
             ]), loc=loc)
         if isinstance(tty, Integer) and isinstance(fty, Pointer):
-            q = fresh_name("i")
+            q = self.fresh_name("i")
             if tty.kind is IntKind.BOOL:
                 return _sseq(PatSym(v), core_e, self._case_specified(
                     K.PSym(v), tty,
@@ -1421,7 +1426,7 @@ class Elaborator:
         if isinstance(e, A.EString):
             return _pure(K.PSym(str(e.sym)), e.loc)
         if isinstance(e, A.EUnary) and e.op == "*":
-            v = fresh_name("deref")
+            v = self.fresh_name("deref")
             return _sseq(PatSym(v), self.rv(e.operand),
                          _pure(K.PCase(K.PSym(v), [
                              (PatCtor("Specified", (PatSym(v + ".p"),)),
@@ -1434,7 +1439,7 @@ class Elaborator:
             assert e.base.ty is not None
             bty = e.base.ty.ty
             assert isinstance(bty, Pointer)
-            p, i = fresh_name("bp"), fresh_name("bi")
+            p, i = self.fresh_name("bp"), self.fresh_name("bi")
             pair = K.EUnseq([self.rv(e.base), self.rv(e.index)],
                             loc=e.loc)
             body = _pure(K.PCase(K.PCtor("Tuple", [K.PSym(p),
@@ -1456,7 +1461,7 @@ class Elaborator:
                 bty = e.base.ty.ty
                 assert isinstance(bty, Pointer)
                 rec = bty.to.ty
-                v = fresh_name("mb")
+                v = self.fresh_name("mb")
                 return _sseq(PatSym(v), self.rv(e.base),
                              _pure(K.PCase(K.PSym(v), [
                                  (PatCtor("Specified",
@@ -1470,7 +1475,7 @@ class Elaborator:
                              ]), e.loc), loc=e.loc)
             rec = e.base.ty.ty
             assert isinstance(rec, (StructRef, UnionRef))
-            p = fresh_name("mv")
+            p = self.fresh_name("mv")
             return _sseq(PatSym(p), self.lv(e.base),
                          _pure(K.PMemberShift(K.PSym(p), rec.tag,
                                               e.member, loc=e.loc),

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .. import obs
 from ..obs.metrics import merge_metric_dicts
 from ..pipeline import MODELS
+from ..spec import ExploreSpec
 from .pool import (
     SweepTask, TaskResult, merge_stats, run_tasks, shard_select, sweep,
 )
@@ -196,8 +197,9 @@ def suite_campaign(models: Sequence[str],
 
     all_names = list(names) if names is not None else sorted(TESTS)
     sharded = shard_select(all_names, *shard)
+    spec = ExploreSpec(max_steps=max_steps)
     tasks = [SweepTask(index=i, name=name, kind="suite",
-                       models=tuple(models), max_steps=max_steps,
+                       models=tuple(models), spec=spec,
                        lint=lint, collect_metrics=True)
              for i, name in enumerate(sharded)]
     start = time.perf_counter()
@@ -266,8 +268,9 @@ def csmith_campaign(seeds: Optional[Sequence[int]] = None,
     seeds = resolve_seeds(count, seeds, seed_base)
     model_list = list(models) if models else ["concrete"]
     sharded = shard_select(list(seeds), *shard)
+    spec = ExploreSpec(max_steps=max_steps)
     tasks = [SweepTask(index=i, name=f"csmith-{seed}", kind="csmith",
-                       models=tuple(model_list), max_steps=max_steps,
+                       models=tuple(model_list), spec=spec,
                        csmith_seed=seed, csmith_size=size,
                        collect_metrics=True)
              for i, seed in enumerate(sharded)]
@@ -316,40 +319,26 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
                    models: Optional[Sequence[str]] = None,
                    jobs: int = 1,
                    mode: str = "run",
+                   spec: ExploreSpec = ExploreSpec(),
                    store=None,
                    shard: Tuple[int, int] = (0, 1),
-                   max_steps: int = 2_000_000,
-                   max_paths: int = 500,
-                   strategy: str = "dfs",
-                   por: bool = False,
-                   seed: Optional[int] = None,
                    explore_store=None,
                    resume: bool = True,
-                   static_prune: bool = False,
                    lint: bool = False,
-                   backend: str = "compiled",
                    task_timeout: Optional[float] = None,
                    server=None):
-    """Sweep an ad-hoc ``(name, source)`` corpus; returns
-    ``(task_results, CampaignReport)``.  ``strategy``/``por``/``seed``
-    select the search strategy, partial-order reduction, and the
-    random/coverage strategy seed for ``mode="explore"`` tasks (the
-    seed makes random-strategy campaigns reproducible).
-    ``explore_store`` (a directory, :class:`~repro.farm.store.
-    ArtifactStore`, or :class:`~repro.farm.explorestore.ExploreStore`)
-    persists per-program × per-model exploration records: shards
-    publish what they explore, warm re-sweeps re-run zero paths (the
-    report's ``metrics["explore"]`` block shows it), and ``resume``
-    continues interrupted explorations from their persisted frontier.
-    ``backend`` selects the per-path evaluator for every task
-    (``"compiled"`` default, ``"tree"`` the Core-walking oracle of
-    record).  ``static_prune`` turns on static
-    pre-pruning of ``unseq`` choice points (:mod:`repro.statics`) for
-    explore tasks; ``lint`` runs the definite-UB linter per program
-    and, in explore mode, acts as a *pre-exploration filter*: a
-    program with a definite finding reports the finding instead of
-    being path-enumerated (its report entry carries
-    ``lint_filtered``).
+    """Sweep an ad-hoc ``(name, source)`` corpus under one ``spec``;
+    returns ``(task_results, CampaignReport)``.  ``explore_store`` (a
+    directory, :class:`~repro.farm.store.ArtifactStore`, or
+    :class:`~repro.farm.explorestore.ExploreStore`) persists
+    per-program × per-model exploration records: shards publish what
+    they explore, warm re-sweeps re-run zero paths (the report's
+    ``metrics["explore"]`` block shows it), and ``resume`` continues
+    interrupted explorations from their persisted frontier.  ``lint``
+    runs the definite-UB linter per program and, in explore mode,
+    acts as a *pre-exploration filter*: a program with a definite
+    finding reports the finding instead of being path-enumerated (its
+    report entry carries ``lint_filtered``).
 
     ``server`` (a unix socket path) routes the sweep through a running
     farm daemon (``cerberus-py serve``) instead of a local pool: jobs
@@ -363,21 +352,15 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
         from .client import server_sweep
         sharded = shard_select(list(programs), *shard)
         task_results = server_sweep(
-            server, sharded, models=model_list, mode=mode,
-            max_steps=max_steps, max_paths=max_paths, seed=seed,
-            strategy=strategy, por=por, static_prune=static_prune,
-            lint=lint, backend=backend, timeout=task_timeout)
+            server, sharded, spec=spec, models=model_list, mode=mode,
+            lint=lint, timeout=task_timeout)
     else:
         task_results = sweep(programs, models=model_list, jobs=jobs,
-                             mode=mode, store=store,
+                             mode=mode, spec=spec, store=store,
                              shard_index=shard[0],
                              shard_count=shard[1],
-                             max_steps=max_steps, max_paths=max_paths,
-                             seed=seed, strategy=strategy, por=por,
                              explore_store=explore_store,
-                             resume=resume,
-                             static_prune=static_prune, lint=lint,
-                             backend=backend,
+                             resume=resume, lint=lint,
                              task_timeout=task_timeout)
     wall = time.perf_counter() - start
 

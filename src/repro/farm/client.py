@@ -30,8 +30,9 @@ from __future__ import annotations
 import json
 import socket
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ..spec import ExploreSpec
 from .server import PROTOCOL_VERSION
 
 
@@ -112,24 +113,24 @@ class FarmClient:
 
     # -- ops ------------------------------------------------------------------
 
-    def submit(self, source: str, *, name: str = "<submit>",
-               models="all", mode: str = "run",
-               impl: str = "LP64", strategy: str = "dfs",
-               por: bool = False, static_prune: bool = False,
-               backend: str = "compiled",
-               max_steps: int = 2_000_000, max_paths: int = 500,
-               seed: Optional[int] = None, lint: bool = False,
-               wait: bool = True, label: Optional[str] = None,
-               client: Optional[str] = None) -> dict:
+    def submit(self, source: str,
+               spec: Optional[ExploreSpec] = None, *,
+               name: str = "<submit>", models="all",
+               mode: str = "run", impl: str = "LP64",
+               lint: bool = False, wait: bool = True,
+               label: Optional[str] = None,
+               client: Optional[str] = None, **knobs) -> dict:
+        """Submit one job: the envelope (``name``, ``models``,
+        ``mode``, ``impl``, ``lint``, ``wait``, ``label``,
+        ``client``) plus every field of ``spec`` with ``knobs``
+        applied (see :class:`~repro.spec.ExploreSpec`)."""
+        spec = ExploreSpec.build(spec, **knobs)
         message = {"op": "submit", "source": source, "name": name,
                    "models": models if models == "all"
                    else list(models),
-                   "mode": mode, "impl": impl, "strategy": strategy,
-                   "por": por, "static_prune": static_prune,
-                   "backend": backend, "max_steps": max_steps,
-                   "max_paths": max_paths, "seed": seed,
-                   "lint": lint, "wait": wait,
-                   "client": client or self.client}
+                   "mode": mode, "impl": impl, "lint": lint,
+                   "wait": wait, "client": client or self.client,
+                   **spec.to_json()}
         if label is not None:
             message["label"] = label
         return self.request(message, timeout=self.wait_timeout
@@ -187,18 +188,15 @@ class FarmClient:
 
 
 def server_sweep(socket_path, programs: Sequence[Tuple[str, str]],
-                 *, models="all", mode: str = "run",
-                 impl: str = "LP64", strategy: str = "dfs",
-                 por: bool = False, static_prune: bool = False,
-                 backend: str = "compiled",
-                 max_steps: int = 2_000_000, max_paths: int = 500,
-                 seed: Optional[int] = None, lint: bool = False,
+                 *, spec: ExploreSpec = ExploreSpec(),
+                 models="all", mode: str = "run",
+                 impl: str = "LP64", lint: bool = False,
                  client: str = "sweep", poll_s: float = 0.05,
                  timeout: Optional[float] = None) -> List:
-    """Run an ad-hoc ``(name, source)`` corpus through a live daemon:
-    submit everything without waiting (the server interleaves jobs
-    across its pre-warmed pool and coalesces duplicates), then
-    collect each payload in corpus order as farm
+    """Run an ad-hoc ``(name, source)`` corpus through a live daemon
+    under one ``spec``: submit everything without waiting (the server
+    interleaves jobs across its pre-warmed pool and coalesces
+    duplicates), then collect each payload in corpus order as farm
     :class:`~repro.farm.pool.TaskResult` objects — the server-backed
     twin of :func:`repro.farm.pool.sweep`, consumed by
     :func:`repro.farm.campaign.sweep_campaign(server=...)
@@ -209,13 +207,8 @@ def server_sweep(socket_path, programs: Sequence[Tuple[str, str]],
     for index, (name, source) in enumerate(programs):
         while True:
             try:
-                ack = fc.submit(source, name=name, models=models,
-                                mode=mode, impl=impl,
-                                strategy=strategy, por=por,
-                                static_prune=static_prune,
-                                backend=backend,
-                                max_steps=max_steps,
-                                max_paths=max_paths, seed=seed,
+                ack = fc.submit(source, spec, name=name,
+                                models=models, mode=mode, impl=impl,
                                 lint=lint, wait=False)
                 break
             except ServerError as exc:

@@ -11,8 +11,8 @@ resumable artifact, the way PR 1/2 did for translation:
   accounting) is persisted as an :class:`ExplorationRecord` in the
   content-addressed :class:`~repro.farm.store.ArtifactStore`, keyed on
   everything that determines the exploration — source text,
-  implementation environment, memory model, entry procedure, step
-  budget, search strategy, seed, partial-order reduction, and the
+  implementation environment, memory model, every
+  :class:`~repro.spec.ExploreSpec` field but the path budget, and the
   store schema version.  A warm hit returns the recorded result with
   **zero** paths re-run;
 * an **interrupted** exploration (wall-clock deadline, path budget,
@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..dynamics.explore import ExplorationResult, Explorer, PathNode
+from ..spec import ExploreSpec
 from .store import ArtifactStore
 
 #: The record kind folded into every exploration content address.
@@ -138,40 +139,18 @@ class ExploreStore:
 
     def key(self, source: str, impl, model: str,
             name: str = "<string>",
-            entry: str = "main",
-            max_steps: int = 500_000,
-            strategy="dfs",
-            seed: Optional[int] = None,
-            por: bool = False,
-            options=None,
-            model_kwargs: Optional[Dict] = None,
-            static_prune: bool = False,
-            backend: str = "compiled") -> str:
-        """The content address of one exploration *space*: everything
-        that determines which paths exist and what they do — the
-        memory-model ``options`` and extra model constructor kwargs
-        included (both are dataclass/plain values with deterministic
-        reprs), or explorations under different semantic knobs would
-        alias to one record.  ``static_prune`` is part of the key
-        because it changes which choice points exist (statically
-        commuting ``unseq`` nodes are not branched), hence the
-        accounting and frontier shape, even though the behaviour set
-        is invariant.  ``backend`` is part of the key for the same
-        reason: the two evaluator back ends are behaviourally
-        interchangeable, but a frontier persisted by one is never
-        resumed by the other — each backend re-keys to its own
-        record.  Budgets (``max_paths``, ``deadline_s``) are
-        deliberately excluded — they decide how much of the space one
-        invocation walks, and live in the record as accounting
-        instead."""
-        strategy_name = strategy if isinstance(strategy, str) \
-            else getattr(strategy, "name", strategy.__class__.__name__)
+            spec: ExploreSpec = ExploreSpec()) -> str:
+        """The content address of one exploration *space*: the
+        program (source, implementation, name — source locations
+        embed it), the memory model, and :meth:`ExploreSpec.key
+        <repro.spec.RunSpec.key>` — every spec field except the path
+        budget.  The budget (like ``deadline_s``) decides how much of
+        the space one invocation walks, and lives in the record as
+        accounting instead.  ``static_prune`` and ``backend`` change
+        which choice points exist and who replays them, so a frontier
+        persisted under one is never resumed under the other."""
         return self.store.record_key(
-            RECORD_KIND, source, repr(impl), model, name, entry,
-            str(max_steps), str(strategy_name), str(seed), str(por),
-            repr(options),
-            repr(sorted((model_kwargs or {}).items())),
-            str(static_prune), str(backend))
+            RECORD_KIND, source, repr(impl), model, name, spec.key())
 
     # -- record round-trip ----------------------------------------------------
 
@@ -204,8 +183,7 @@ class ExploreStore:
         store, plus this handle's resume and live-path counters.
         Reads the per-``"exploration"``-kind counters, not the flat
         record totals — the backing store also holds ``"statics"``
-        and ``"lowered"`` records whose traffic must not be billed to
-        exploration."""
+        records whose traffic must not be billed to exploration."""
         ss = self.store.stats()
         per = ss.get("by_kind", {}).get(RECORD_KIND, {})
         return {"hits": per.get("hits", 0),
@@ -239,20 +217,17 @@ def plan_cached(store: ExploreStore, key: str,
     return rec, True
 
 
-def cached_explore(make_driver, *, store: ExploreStore, key: str,
+def cached_explore(make_driver, spec: ExploreSpec, *,
+                   store: ExploreStore, key: str,
                    resume: bool = True,
-                   max_paths: int = 500,
-                   entry: str = "main",
-                   deadline_s: Optional[float] = None,
-                   strategy="dfs",
-                   por: bool = False,
-                   seed: Optional[int] = None) -> ExplorationResult:
+                   deadline_s: Optional[float] = None
+                   ) -> ExplorationResult:
     """The incremental exploration loop behind every ``store=`` seam.
 
     * complete record within the budget -> returned as-is, **zero**
       paths re-run;
-    * record covering *more* paths than ``max_paths`` -> ignored (a
-      warm hit would return behaviours a cold bounded run cannot
+    * record covering *more* paths than ``spec.max_paths`` -> ignored
+      (a warm hit would return behaviours a cold bounded run cannot
       see), the request is explored live, and the fuller record is
       left intact — not clobbered by the smaller result;
     * partial record + ``resume`` -> the engine restarts from the
@@ -265,6 +240,7 @@ def cached_explore(make_driver, *, store: ExploreStore, key: str,
     * no / unusable record -> a cold exploration, persisted afterwards
       (complete, or partial with its frontier if interrupted).
     """
+    max_paths = spec.max_paths
     rec, publish = plan_cached(store, key, max_paths)
     if rec is not None and rec.complete:
         return rec.to_result()
@@ -279,9 +255,8 @@ def cached_explore(make_driver, *, store: ExploreStore, key: str,
             base.exhausted = False
             return base
         store.note_resume()
-    explorer = Explorer(make_driver, max_paths=budget, entry=entry,
-                        deadline_s=deadline_s, strategy=strategy,
-                        por=por, seed=seed, initial=initial,
+    explorer = Explorer(make_driver, replace(spec, max_paths=budget),
+                        deadline_s=deadline_s, initial=initial,
                         requeue_interrupted=True)
     fresh = explorer.run()
     store.note_live(fresh.paths_run)

@@ -48,13 +48,16 @@ exactly what an uninterrupted serial run would have produced.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from .. import obs
 from ..ctypes.implementation import Implementation, LP64
-from ..dynamics.driver import Driver
-from ..dynamics.explore import ExplorationResult, Explorer, PathNode
+from ..dynamics.explore import (
+    ExplorationResult, Explorer, PathNode, driver_factory,
+)
 from ..pipeline import compile_for_model
+from ..spec import ExploreSpec
 from .explorestore import (
     ExplorationRecord, ExploreStore, plan_cached,
 )
@@ -64,11 +67,7 @@ from .pool import SweepTask, run_tasks
 def explore_farm(source: str,
                  model: str = "provenance",
                  impl: Implementation = LP64,
-                 max_paths: int = 500,
-                 max_steps: int = 500_000,
-                 strategy: str = "dfs",
-                 por: bool = False,
-                 seed: Optional[int] = None,
+                 spec: ExploreSpec = ExploreSpec(),
                  jobs: int = 1,
                  store=None,
                  explore_store=None,
@@ -76,49 +75,37 @@ def explore_farm(source: str,
                  deadline_s: Optional[float] = None,
                  frontier_factor: int = 4,
                  name: str = "<string>",
-                 entry: str = "main",
-                 task_timeout: Optional[float] = None,
-                 backend: str = "compiled"
+                 task_timeout: Optional[float] = None
                  ) -> ExplorationResult:
-    """Explore one program's state space across ``jobs`` farm workers.
+    """Explore one program's state space under ``spec`` across
+    ``jobs`` farm workers.
 
-    ``jobs <= 1`` degrades to a plain in-process exploration with the
-    requested strategy — one code path for every caller.  Otherwise
-    the frontier is seeded breadth-first, split into per-prefix shard
-    tasks (each running ``strategy``/``por`` on its subtree), and the
-    shard results merged with correct ``exhausted``/``paths_run``
-    accounting.  ``store`` is the compiled-artifact store workers
-    share; ``explore_store`` persists the exploration itself (warm
-    hit = zero paths re-run, interruption = resumable frontier)."""
+    ``jobs <= 1`` degrades to a plain in-process
+    :meth:`~repro.pipeline.CompiledProgram.explore` — one code path
+    for every caller.  Otherwise the frontier is seeded
+    breadth-first, split into per-prefix shard tasks (each running
+    ``spec`` on its subtree), and the shard results merged with
+    correct ``exhausted``/``paths_run`` accounting.  ``store`` is the
+    compiled-artifact store workers share; ``explore_store`` persists
+    the exploration itself (warm hit = zero paths re-run,
+    interruption = resumable frontier) under the same record key as
+    the serial seam."""
     program = compile_for_model(source, model, impl, name=name)
-
-    def make_model():
-        return program.make_model(model)
-
-    def make_driver(oracle):
-        return Driver(program.core, make_model(), oracle, max_steps,
-                      backend=backend)
-
     es = None if explore_store is None \
         else ExploreStore.wrap(explore_store)
+    if jobs <= 1:
+        return program.explore(model, spec, deadline_s=deadline_s,
+                               store=es, resume=resume, name=name)
     key = None
     if es is not None:
-        key = es.key(source, program.impl, model, name=name,
-                     entry=entry, max_steps=max_steps,
-                     strategy=strategy, seed=seed, por=por,
-                     backend=backend)
-
-    if jobs <= 1:
-        if es is not None:
-            from .explorestore import cached_explore
-            return cached_explore(make_driver, store=es, key=key,
-                                  resume=resume, max_paths=max_paths,
-                                  entry=entry, deadline_s=deadline_s,
-                                  strategy=strategy, por=por,
-                                  seed=seed)
-        return Explorer(make_driver, max_paths=max_paths, entry=entry,
-                        deadline_s=deadline_s, strategy=strategy,
-                        por=por, seed=seed).run()
+        key = es.key(source, program.impl, model, name, spec)
+    if spec.static_prune:
+        # Seeding and shards must resolve choice points alike, or
+        # replayed prefixes would diverge: the same annotations.
+        program.statics(es, name=name)
+    max_paths = spec.max_paths
+    make_driver = driver_factory(
+        program.core, lambda: program.make_model(model, spec), spec)
 
     ctx = obs.active()
     with obs.maybe_span(ctx, "explore_farm", jobs=jobs, model=model):
@@ -141,9 +128,8 @@ def explore_farm(source: str,
             recorded_paths = base.paths_run
             frontier = list(rec.frontier)
         else:
-            seeder = Explorer(make_driver, max_paths=max_paths,
-                              entry=entry, deadline_s=deadline_s,
-                              strategy="bfs", por=por,
+            seeder = Explorer(make_driver, replace(spec, strategy="bfs"),
+                              deadline_s=deadline_s,
                               frontier_target=max(
                                   2, jobs * frontier_factor),
                               requeue_interrupted=es is not None)
@@ -181,16 +167,15 @@ def explore_farm(source: str,
         if resumed:
             es.note_resume()
         per_shard = -(-remaining // len(frontier))      # ceiling split
+        shard_spec = replace(spec, max_paths=per_shard)
         tasks = [SweepTask(index=i, name=f"{name}#shard{i}",
                            kind="explore_shard", source=source,
                            models=(model,), impl=impl,
-                           max_steps=max_steps, max_paths=per_shard,
-                           deadline_s=shard_deadline, strategy=strategy,
-                           por=por, seed=seed, entry=entry,
+                           spec=shard_spec,
+                           deadline_s=shard_deadline,
                            prefix=tuple(node.choices),
                            sleep=tuple(node.sleep),
                            requeue_interrupted=es is not None,
-                           backend=backend,
                            collect_metrics=ctx is not None)
                  for i, node in enumerate(frontier)]
         if ctx is not None:

@@ -41,6 +41,7 @@ from ..pipeline import (
     MODELS, compile_cache_stats, clear_compile_cache,
     explore_many, get_artifact_store, run_many, set_artifact_store,
 )
+from ..spec import ExploreSpec
 from .store import ArtifactStore
 
 _STAT_KEYS = ("translations", "memory_hits", "memory_misses",
@@ -95,14 +96,15 @@ class ExploreSummary:
 
 @dataclass
 class SweepTask:
-    """One unit of farm work.  ``kind`` selects the worker recipe:
+    """One unit of farm work under one :class:`~repro.spec.ExploreSpec`
+    (``run``/``csmith`` tasks read only its run fields).  ``kind``
+    selects the worker recipe:
 
     * ``"run"`` — run ``source`` once per model (:func:`run_many`);
-    * ``"explore"`` — explore per model (``strategy``/``por`` select
-      the search strategy and partial-order reduction;
-      ``explore_store`` — a record-store directory — publishes and
-      reuses per-model exploration records, ``resume`` continuing
-      interrupted ones from their persisted frontier);
+    * ``"explore"`` — explore per model (``explore_store`` — a
+      record-store directory — publishes and reuses per-model
+      exploration records, ``resume`` continuing interrupted ones
+      from their persisted frontier);
     * ``"explore_shard"`` — explore only the subtree rooted at the
       oracle choice ``prefix`` (with its POR ``sleep`` set) under
       ``models[0]`` — one shard of a farm-split frontier, returning a
@@ -121,32 +123,18 @@ class SweepTask:
     source: str = ""
     models: Tuple[str, ...] = ()
     impl: Implementation = LP64
-    max_steps: int = 2_000_000
-    max_paths: int = 500
-    seed: Optional[int] = None          # "run": oracle seed
+    spec: ExploreSpec = ExploreSpec()
     csmith_seed: int = 0                # "csmith": generator seed
     csmith_size: int = 12
     deadline_s: Optional[float] = None  # cooperative in-task deadline
-    strategy: str = "dfs"               # explore*: search strategy
-    por: bool = False                   # explore*: partial-order red.
     prefix: Tuple[int, ...] = ()        # explore_shard: subtree root
     sleep: Tuple = ()                   # explore_shard: POR sleep set
-    entry: str = "main"                 # explore_shard: entry proc
     explore_store: Optional[str] = None  # explore: record store dir
     resume: bool = True                 # explore: resume partials
     # explore_shard: requeue deadline-aborted paths uncounted (set
     # when the parent persists frontiers; off, the serial behaviour —
     # the timeout outcome is counted — is preserved).
     requeue_interrupted: bool = False
-    # explore*: consume repro.statics footprint annotations (never
-    # branch statically-commuting unseq points, seed sleep sets from
-    # precomputed footprint hulls).
-    static_prune: bool = False
-    # run/explore/explore_shard/csmith: the per-path evaluator back
-    # end ("compiled" slotted linear code, or the "tree" oracle of
-    # record) — part of exploration record keys, so persisted
-    # frontiers never cross back ends.
-    backend: str = "compiled"
     # run/explore/suite: attach static lint findings to the result
     # ("lint" data key); campaign layers use definite findings as a
     # pre-exploration filter.
@@ -333,11 +321,8 @@ def _execute_task(task: SweepTask) -> TaskResult:
         explore_store = ExploreStore(task.explore_store)
     try:
         if task.kind == "run":
-            outcomes = run_many(task.source, models=task.models,
-                                impl=task.impl,
-                                max_steps=task.max_steps,
-                                seed=task.seed, name=task.name,
-                                backend=task.backend)
+            outcomes = run_many(task.source, task.models, task.impl,
+                                task.spec, name=task.name)
             result.data["verdicts"] = {
                 m: Verdict.from_outcome(o) for m, o in outcomes.items()}
         elif task.kind == "explore":
@@ -353,18 +338,9 @@ def _execute_task(task: SweepTask) -> TaskResult:
                 result.data["explorations"] = {}
             else:
                 explorations = explore_many(
-                    task.source, models=task.models,
-                    impl=task.impl,
-                    max_paths=task.max_paths,
-                    max_steps=task.max_steps,
-                    name=task.name,
-                    deadline_s=task.deadline_s,
-                    strategy=task.strategy,
-                    por=task.por, seed=task.seed,
-                    store=explore_store,
-                    resume=task.resume,
-                    static_prune=task.static_prune,
-                    backend=task.backend)
+                    task.source, task.models, task.impl, task.spec,
+                    name=task.name, deadline_s=task.deadline_s,
+                    store=explore_store, resume=task.resume)
                 result.data["explorations"] = {
                     m: ExploreSummary(r.paths_run, r.exhausted,
                                       r.behaviours(), r.has_ub(),
@@ -379,7 +355,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
             from ..testsuite.programs import TESTS
             from ..testsuite.runner import run_test_many
             results = run_test_many(TESTS[task.name], list(task.models),
-                                    max_steps=task.max_steps)
+                                    max_steps=task.spec.max_steps)
             result.data["results"] = results
             if task.lint:
                 lint_task = SweepTask(task.index, task.name,
@@ -393,11 +369,9 @@ def _execute_task(task: SweepTask) -> TaskResult:
             program = generate_program(task.csmith_seed,
                                        task.csmith_size)
             try:
-                outcomes = run_many(program.source, models=task.models,
-                                    impl=task.impl,
-                                    max_steps=task.max_steps,
-                                    name=task.name,
-                                    backend=task.backend)
+                outcomes = run_many(program.source, task.models,
+                                    task.impl, task.spec,
+                                    name=task.name)
             except CerberusError as exc:
                 result.data["category"] = "failed"
                 result.data["verdicts"] = {}
@@ -438,8 +412,9 @@ def _lint_findings(task: SweepTask, explore_store=None):
 
 def _explore_shard(task: SweepTask):
     """Worker recipe for one frontier shard: compile (store-warm),
-    explore the subtree rooted at the task's prefix, and slim the
-    result for IPC (distinct outcomes only, traces stripped).
+    explore the subtree rooted at the task's prefix under
+    ``task.spec``, and slim the result for IPC (distinct outcomes
+    only, traces stripped).
 
     Returns ``(result, pending)``: the nodes a budget or deadline left
     unexplored travel back as plain ``(choices, sleep)`` tuples so
@@ -451,30 +426,19 @@ def _explore_shard(task: SweepTask):
     timeout outcome is counted) keeps sharded results identical to a
     serial run's."""
     from dataclasses import replace
-    from ..dynamics.driver import Driver
     from ..dynamics.explore import (
-        ExplorationResult, Explorer, PathNode,
+        ExplorationResult, Explorer, PathNode, driver_factory,
     )
     from ..pipeline import compile_for_model
     model = task.models[0]
     program = compile_for_model(task.source, model, task.impl,
                                 name=task.name)
     node = PathNode(tuple(task.prefix), tuple(task.sleep))
-
-    if task.static_prune:
-        # Shards must resolve choice points exactly like the seeding
-        # phase or replayed prefixes would diverge: same annotations.
-        program.statics(task.explore_store, name=task.name)
-
-    def make_driver(oracle):
-        return Driver(program.core, program.make_model(model), oracle,
-                      task.max_steps, static_prune=task.static_prune,
-                      backend=task.backend)
-
     explorer = Explorer(
-        make_driver, max_paths=task.max_paths, entry=task.entry,
-        deadline_s=task.deadline_s, strategy=task.strategy,
-        por=task.por, seed=task.seed, initial=[node],
+        driver_factory(program.core,
+                       lambda: program.make_model(model, task.spec),
+                       task.spec),
+        task.spec, deadline_s=task.deadline_s, initial=[node],
         requeue_interrupted=task.requeue_interrupted)
     r = explorer.run()
     slim = [replace(o, trace=[]) for o in r.distinct()]
@@ -648,26 +612,22 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
           jobs: int = 1,
           impl: Implementation = LP64,
           mode: str = "run",
+          spec: ExploreSpec = ExploreSpec(),
           store=None,
           shard_index: int = 0, shard_count: int = 1,
-          max_steps: int = 2_000_000, max_paths: int = 500,
-          seed: Optional[int] = None,
-          strategy: str = "dfs", por: bool = False,
           explore_store=None, resume: bool = True,
-          static_prune: bool = False, lint: bool = False,
-          backend: str = "compiled",
+          lint: bool = False,
           task_timeout: Optional[float] = None,
           collect_metrics: bool = True) -> List[TaskResult]:
-    """Sweep a corpus of C programs across memory object models.
+    """Sweep a corpus of C programs across memory object models under
+    one ``spec``.
 
     ``programs`` is an iterable of ``(name, source)`` pairs (bare
     source strings get positional names).  Returns one
     :class:`TaskResult` per (sharded) program, in corpus order.
     ``explore_store`` (a directory path) persists ``mode="explore"``
-    results as exploration records workers publish and reuse.
-    ``static_prune`` turns on static pre-pruning of ``unseq`` choice
-    points for ``mode="explore"``; ``lint`` attaches the static
-    findings to each task result."""
+    results as exploration records workers publish and reuse;
+    ``lint`` attaches the static findings to each task result."""
     model_list = tuple(MODELS) if models is None else tuple(models)
     named = []
     for i, entry in enumerate(programs):
@@ -679,13 +639,9 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
     named = shard_select(named, shard_index, shard_count)
     explore_store = explore_store_path(explore_store)
     tasks = [SweepTask(index=i, name=name, kind=mode, source=source,
-                       models=model_list, impl=impl,
-                       max_steps=max_steps, max_paths=max_paths,
-                       seed=seed, strategy=strategy, por=por,
+                       models=model_list, impl=impl, spec=spec,
                        explore_store=explore_store, resume=resume,
-                       static_prune=static_prune, lint=lint,
-                       backend=backend,
-                       collect_metrics=collect_metrics)
+                       lint=lint, collect_metrics=collect_metrics)
              for i, (name, source) in enumerate(named)]
     return run_tasks(tasks, jobs=jobs, store=store,
                      task_timeout=task_timeout)

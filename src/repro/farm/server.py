@@ -6,18 +6,19 @@ is the service seam the ROADMAP (and PRs 2 and 5) named next: one
 persistent asyncio daemon owns one :class:`~repro.farm.store.
 ArtifactStore` (and, through it, the exploration-record store) plus a
 pre-warmed forked worker pool, and serves C-semantics verdicts over a
-small JSON protocol on a unix socket.  Clients POST C source plus the
-semantic knobs (impl, models, mode, strategy, por, static_prune,
-backend, budgets) and get campaign-report payloads back.
+small JSON protocol on a unix socket.  Clients POST C source, the job
+envelope (impl, models, mode, lint) and the fields of one
+:class:`~repro.spec.ExploreSpec`, and get campaign-report payloads
+back.
 
 Robustness properties
 =====================
 
 * **In-flight dedup** — every request is content-addressed by its
-  *semantic* identity (:meth:`JobSpec.identity`, hashed with
-  :func:`repro.obs.run_id_for` exactly like trace run ids): source
-  text + every behaviour-determining knob, with client names, labels,
-  wait flags, and any output/cache paths excluded.  Two identical
+  *semantic* identity (:meth:`JobSpec.job_id`, hashed with
+  :func:`repro.obs.run_id_for` exactly like trace run ids): the
+  envelope + every spec field, with client names, labels, wait flags,
+  and any output/cache paths excluded.  Two identical
   submissions — concurrent or not — coalesce into **one**
   computation; later waiters attach to the in-flight job
   (``server.dedup_coalesced``), and finished payloads are persisted
@@ -73,10 +74,11 @@ Requests::
 
     {"op": "submit", "v": 1, "source": "int main(void){...}",
      "name": "t.c", "impl": "LP64", "models": ["concrete", ...]|"all",
-     "mode": "run"|"explore", "strategy": "dfs", "por": false,
-     "static_prune": false, "backend": "compiled"|"tree",
-     "max_steps": 2000000, "max_paths": 500, "seed": null,
-     "lint": false,
+     "mode": "run"|"explore", "lint": false,
+     "backend": "compiled"|"tree", "seed": null, "max_steps": 500000,
+     "options": null, "exact_equality": false, "strategy": "dfs",
+     "por": false, "static_prune": false, "entry": "main",
+     "max_paths": 500,
      "client": "ci", "label": "anything", "wait": true}
     {"op": "status", "job": JOB_ID}
     {"op": "result", "job": JOB_ID}
@@ -84,8 +86,15 @@ Requests::
     {"op": "health"}
     {"op": "shutdown", "drain": true}
 
-``submit`` semantic fields (everything except ``client`` / ``label``
-/ ``wait``) form the job identity; only ``source`` is required.
+``submit`` takes the request framing (``op``, ``v``, ``client``,
+``label``, ``wait``), the job envelope (:data:`ENVELOPE_FIELDS`:
+``source``, ``name``, ``impl``, ``models``, ``mode``, ``lint``), and
+exactly the fields of :class:`repro.spec.ExploreSpec` (shown above
+with their defaults; a run job reads only the
+:class:`~repro.spec.RunSpec` ones).  ``options`` is null or a
+:class:`~repro.memory.base.MemoryOptions` field map meaning
+``MemoryOptions(**map)``, as in the library.  Everything but the
+framing forms the job identity; only ``source`` is required.
 Responses (success)::
 
     submit, wait=false: {"ok": true, "job": ID, "state": "queued"|
@@ -154,6 +163,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from .. import obs
 from ..obs.trace import run_id_for
+from ..spec import ExploreSpec, SpecError
 from .pool import (
     SweepTask, _init_worker, _store_spec, execute_task,
     task_result_to_json,
@@ -198,15 +208,13 @@ def error_payload(code: str, detail: str,
 
 # -- request identity ----------------------------------------------------------
 
-#: submit fields that determine behaviour — and ONLY those: they form
-#: the job identity.  ``client`` / ``label`` / ``wait`` (and any
-#: future output-path or cache-dir field) are deliberately excluded,
-#: mirroring the discipline of ``repro.cli._main_identity``: two
-#: clients differing only in who they are or where they want their
-#: trace written must coalesce to one computation.
-SEMANTIC_FIELDS = ("source", "name", "impl", "models", "mode",
-                   "strategy", "por", "static_prune", "backend",
-                   "max_steps", "max_paths", "seed", "lint")
+#: The job envelope: the program and models a spec applies to, the
+#: job's mode, and its lint flag.  With the :class:`ExploreSpec`
+#: fields it forms the job identity; the request framing (``op``,
+#: ``v``, ``client``, ``label``, ``wait``) never does, so two clients
+#: differing only in who they are or where they want their trace
+#: written coalesce to one computation.
+ENVELOPE_FIELDS = ("source", "name", "impl", "models", "mode", "lint")
 
 
 @dataclass(frozen=True)
@@ -218,44 +226,29 @@ class JobSpec:
     impl: str = "LP64"
     models: Tuple[str, ...] = ()
     mode: str = "run"
-    strategy: str = "dfs"
-    por: bool = False
-    static_prune: bool = False
-    backend: str = "compiled"
-    max_steps: int = 2_000_000
-    max_paths: int = 500
-    seed: Optional[int] = None
     lint: bool = False
-
-    def identity(self) -> str:
-        """The semantic identity string — hashed into the job id the
-        same way trace run ids are derived
-        (:func:`repro.obs.run_id_for`): content only, never client
-        names, wait flags, output paths, or cache directories."""
-        return "\x00".join([
-            "farm-job", str(PROTOCOL_VERSION), self.source, self.name,
-            self.impl, ",".join(self.models), self.mode,
-            self.strategy, str(self.por), str(self.static_prune),
-            self.backend, str(self.max_steps), str(self.max_paths),
-            str(self.seed), str(self.lint)])
+    spec: ExploreSpec = ExploreSpec()
 
     def job_id(self) -> str:
-        return run_id_for(self.identity())
+        """Hashed like trace run ids (:func:`repro.obs.run_id_for`)
+        from every envelope and spec field — never from client names,
+        wait flags, output paths, or cache directories."""
+        return run_id_for("\x00".join([
+            "farm-job", str(PROTOCOL_VERSION),
+            json.dumps(self.to_dict(), sort_keys=True)]))
 
     def to_dict(self) -> dict:
         return {"source": self.source, "name": self.name,
                 "impl": self.impl, "models": list(self.models),
-                "mode": self.mode, "strategy": self.strategy,
-                "por": self.por, "static_prune": self.static_prune,
-                "backend": self.backend, "max_steps": self.max_steps,
-                "max_paths": self.max_paths, "seed": self.seed,
-                "lint": self.lint}
+                "mode": self.mode, "lint": self.lint,
+                **self.spec.to_json()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobSpec":
         d = dict(d)
-        d["models"] = tuple(d.get("models") or ())
-        return cls(**d)
+        envelope = {k: d.pop(k) for k in ENVELOPE_FIELDS if k in d}
+        envelope["models"] = tuple(envelope.get("models") or ())
+        return cls(spec=ExploreSpec.from_json(d), **envelope)
 
 
 # -- request validation --------------------------------------------------------
@@ -287,8 +280,8 @@ def _field(msg: dict, name: str, types, default,
     return value
 
 
-_SUBMIT_FIELDS = frozenset(
-    SEMANTIC_FIELDS) | {"op", "v", "client", "label", "wait"}
+_SUBMIT_FIELDS = frozenset(ENVELOPE_FIELDS) \
+    | ExploreSpec.field_names() | {"op", "v", "client", "label", "wait"}
 _OP_FIELDS = {
     "submit": _SUBMIT_FIELDS,
     "status": frozenset({"op", "v", "job"}),
@@ -313,8 +306,9 @@ def _check_fields(msg: dict, op: str) -> None:
 def validate_submit(msg: dict, max_source_bytes: int) -> JobSpec:
     """The full submit schema check: types, value domains, the source
     size cap, and unknown-field rejection — every failure a distinct
-    structured error code."""
-    from ..dynamics.explore import STRATEGIES
+    structured error code.  The spec fields are checked by
+    :meth:`ExploreSpec.from_json <repro.spec.RunSpec.from_json>`'s
+    walk over the spec's field types."""
     from ..pipeline import MODELS
     _check_fields(msg, "submit")
     source = _field(msg, "source", str, None, required=True)
@@ -336,18 +330,12 @@ def validate_submit(msg: dict, max_source_bytes: int) -> JobSpec:
         raise ProtocolError(
             "bad-field", f"unknown model(s): {', '.join(unknown)} "
             f"(choose from {', '.join(sorted(MODELS))})", "models")
-    seed = msg.get("seed")
-    if seed is not None and (not isinstance(seed, int)
-                             or isinstance(seed, bool)):
-        raise ProtocolError("bad-field", "'seed' must be an integer "
-                            "or null", "seed")
-    max_steps = _field(msg, "max_steps", int, 2_000_000)
-    max_paths = _field(msg, "max_paths", int, 500)
-    if max_steps <= 0 or max_paths <= 0:
-        raise ProtocolError("bad-field",
-                            "budgets must be positive integers",
-                            "max_steps" if max_steps <= 0
-                            else "max_paths")
+    try:
+        spec = ExploreSpec.from_json(
+            {k: v for k, v in msg.items()
+             if k in ExploreSpec.field_names()})
+    except SpecError as exc:
+        raise ProtocolError("bad-field", str(exc), exc.field) from None
     return JobSpec(
         source=source,
         name=_field(msg, "name", str, "<submit>"),
@@ -356,16 +344,8 @@ def validate_submit(msg: dict, max_source_bytes: int) -> JobSpec:
         models=tuple(models),
         mode=_field(msg, "mode", str, "run",
                     choices={"run", "explore"}),
-        strategy=_field(msg, "strategy", str, "dfs",
-                        choices=set(STRATEGIES)),
-        por=_field(msg, "por", bool, False),
-        static_prune=_field(msg, "static_prune", bool, False),
-        backend=_field(msg, "backend", str, "compiled",
-                       choices={"compiled", "tree"}),
-        max_steps=max_steps,
-        max_paths=max_paths,
-        seed=seed,
-        lint=_field(msg, "lint", bool, False))
+        lint=_field(msg, "lint", bool, False),
+        spec=spec)
 
 
 # -- the worker side -----------------------------------------------------------
@@ -397,17 +377,14 @@ def _execute_job(spec_dict: dict, explore_dir: Optional[str],
     API, with the job's explorations persisted as records in the
     server's store (``explore_dir``) — that persistence is what makes
     a SIGKILL'd campaign resumable."""
-    spec = JobSpec.from_dict(spec_dict)
+    job = JobSpec.from_dict(spec_dict)
     from ..ctypes.implementation import ILP32, LP64
     task = SweepTask(
-        index=0, name=spec.name, kind=spec.mode, source=spec.source,
-        models=spec.models,
-        impl=LP64 if spec.impl == "LP64" else ILP32,
-        max_steps=spec.max_steps, max_paths=spec.max_paths,
-        seed=spec.seed, strategy=spec.strategy, por=spec.por,
-        static_prune=spec.static_prune, backend=spec.backend,
-        lint=spec.lint, deadline_s=deadline_s,
-        explore_store=explore_dir if spec.mode == "explore" else None,
+        index=0, name=job.name, kind=job.mode, source=job.source,
+        models=job.models,
+        impl=LP64 if job.impl == "LP64" else ILP32,
+        spec=job.spec, lint=job.lint, deadline_s=deadline_s,
+        explore_store=explore_dir if job.mode == "explore" else None,
         resume=True, collect_metrics=True)
     return task_result_to_json(execute_task(task))
 
@@ -898,8 +875,3 @@ class FarmServer:
         self._gauge_depth()
         job.done.set()
 
-
-def serve_forever(socket_path, store_dir, **kwargs) -> None:
-    """Blocking entry point used by ``cerberus-py serve``."""
-    server = FarmServer(socket_path, store_dir, **kwargs)
-    asyncio.run(server.serve())

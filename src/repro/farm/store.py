@@ -67,7 +67,13 @@ from .. import obs
 #    layout tables, repro.pipeline.LoweredRecord) join the store, and
 #    exploration keys gain a backend part — version-4 exploration
 #    records predate the compiled back end and are invalidated.
-STORE_SCHEMA_VERSION = 5
+# 6: Core is a deterministic function of (source, impl, name) — per
+#    translation Symbol and fresh-name counters — so no artifact
+#    pickled under process-global names may load beside it; the
+#    "lowered" record kind is gone; exploration keys and daemon job
+#    records carry one repro.spec.ExploreSpec (options and
+#    exact_equality included).
+STORE_SCHEMA_VERSION = 6
 
 _MAGIC = "cerberus-farm-artifact"
 
@@ -82,25 +88,24 @@ class StoreCorruptionWarning(UserWarning):
 
 
 class WarmCache:
-    """A process-local keyed cache of rebuilt per-artifact objects —
-    the in-memory layer of the two-level persistence scheme for
-    compiled-back-end lowerings.
+    """A process-local keyed cache of rebuilt per-artifact objects:
+    compiled-back-end lowerings, whose closures cannot be pickled.
 
-    The artifact store persists only the serializable *layout* of a
-    lowering (``"lowered"`` records); the closures themselves are
-    process-local and were, before this cache, rebuilt once per
-    :class:`~repro.pipeline.CompiledProgram` instance.  The warm cache
-    keeps the rebuilt :class:`~repro.dynamics.compile.LoweredProgram`
-    keyed by the *same* content address as its store record — source,
-    implementation, name, ``LOWERED_VERSION``, and (via
+    A lowering is cached on its Core term, so each
+    :class:`~repro.pipeline.CompiledProgram` instance would rebuild
+    it; the warm cache keeps the rebuilt
+    :class:`~repro.dynamics.compile.LoweredProgram` keyed by its
+    artifact's content address — source, implementation, name,
+    ``LOWERED_VERSION``, and (via
     :meth:`ArtifactStore.record_key`) ``STORE_SCHEMA_VERSION`` — so
     repeat explorations of the same artifact in one process skip
     re-lowering entirely, and a schema or lowering-version bump
-    invalidates the warm entries exactly as it invalidates the
-    persisted ones.  Lowered closures read the memory model and
-    global environment through the evaluator at run time, so one
-    entry soundly serves every memory model; only the compiled back
-    end reads or writes it (``backend="tree"`` has no lowerings).
+    invalidates the warm entries.  Core is a deterministic function
+    of (source, impl, name), and lowered closures read the memory
+    model and global environment through the evaluator at run time,
+    so one entry soundly serves every compile of the artifact under
+    every memory model; only the compiled back end reads or writes it
+    (``backend="tree"`` has no lowerings).
 
     Entries are LRU-bounded by count.  Hit/miss counters mirror to
     the active obs context as ``store.warm_closures.{hits,misses}``.
@@ -119,16 +124,8 @@ class WarmCache:
         if ctx is not None:
             ctx.inc(f"store.{self.kind}.{event}")
 
-    def get(self, key: str, validate=None):
+    def get(self, key: str):
         entry = self._entries.pop(key, None)
-        if entry is not None and validate is not None \
-                and not validate(entry):
-            # An entry the caller can never use — e.g. a lowering
-            # whose baked-in uniquified symbol names belong to a
-            # different compile of the same source.  Evict it (it can
-            # serve no future caller either) and report a miss; the
-            # caller's fresh rebuild re-populates the slot.
-            entry = None
         if entry is None:
             self.misses += 1
             self._event("misses")

@@ -9,7 +9,6 @@ the candidate de facto model prescribes for pointer copying (§2.3).
 
 from __future__ import annotations
 
-from typing import List
 
 from ..ctypes.types import Integer, IntKind
 from ..memory.values import AByte, IntegerValue, PointerValue

@@ -22,9 +22,8 @@ from ..ctypes.types import (
 from ..errors import InternalError
 from .. import ub
 from .values import (
-    AByte, IntegerValue, MemValue, MVInteger, MVPointer, MVStruct,
-    MVUnion, MVUnspecified, NULL_POINTER, PointerValue, PROV_EMPTY,
-    PROV_WILDCARD, Provenance, UNSPEC_BYTE, ValueCodec, zero_value,
+    AByte, IntegerValue, MemValue, MVInteger, MVUnspecified, NULL_POINTER,
+    PointerValue, PROV_EMPTY, PROV_WILDCARD, UNSPEC_BYTE, ValueCodec,
 )
 
 

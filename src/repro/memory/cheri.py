@@ -24,14 +24,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..ctypes.implementation import CHERI128, Implementation
-from ..ctypes.types import CType, Integer, IntKind, QualType, TagEnv
+from ..ctypes.types import CType, Integer, IntKind, TagEnv
 from .. import ub
-from .base import (
-    Allocation, MemoryError_, MemoryModel, MemoryOptions, Footprint,
-)
-from .values import (
-    IntegerValue, MemValue, NULL_POINTER, PointerValue, PROV_EMPTY,
-)
+from .base import Allocation, MemoryError_, MemoryModel, MemoryOptions
+from .values import IntegerValue, NULL_POINTER, PointerValue, PROV_EMPTY
 
 
 @dataclass(frozen=True)

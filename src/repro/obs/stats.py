@@ -14,10 +14,9 @@ from .metrics import MetricsRegistry
 from .trace import read_trace
 
 #: Record kinds the store families report under ``store.<kind>.*``.
-#: ``warm_closures`` is the process-local rebuilt-lowering cache
-#: layered over the persisted ``lowered`` layout records.
-STORE_KINDS = ("compiled", "exploration", "statics", "lowered",
-               "warm_closures", "record")
+#: ``warm_closures`` is the process-local rebuilt-lowering cache.
+STORE_KINDS = ("compiled", "exploration", "statics", "warm_closures",
+               "record")
 
 
 def summarize_trace(path) -> dict:

@@ -52,11 +52,12 @@ from .dynamics.driver import Oracle, Outcome, run_program
 from .dynamics.explore import ExplorationResult, explore_program
 from .elab import elaborate
 from .errors import CoreTypeError
-from .memory.base import MemoryModel, MemoryOptions
+from .memory.base import MemoryModel
 from .memory.cheri import CheriModel
 from .memory.concrete import ConcreteModel
 from .memory.provenance import GccPersonaModel, ProvenanceModel
 from .memory.strict import StrictIsoModel
+from .spec import ExploreSpec, RunSpec
 from .typing import typecheck
 
 MODELS: Dict[str, type] = {
@@ -69,23 +70,6 @@ MODELS: Dict[str, type] = {
 
 #: The artifact-store record kind of cached static analyses.
 STATICS_RECORD_KIND = "statics"
-
-#: The artifact-store record kind of cached back-end lowerings.
-LOWERED_RECORD_KIND = "lowered"
-
-
-@dataclass
-class LoweredRecord:
-    """One persisted back-end lowering
-    (:mod:`repro.dynamics.compile`): the positional frame/instruction
-    layout of every lowered procedure, pure function, and global —
-    enough to validate that a cached lowering still matches what
-    :func:`~repro.dynamics.compile.lower_program` produces for this
-    artifact (closures themselves are rebuilt per process; they are
-    not serialisable)."""
-
-    version: int
-    layout: dict
 
 
 @dataclass
@@ -130,30 +114,29 @@ class CompiledProgram:
     core: K.Program
 
     def make_model(self, model: str = "provenance",
-                   options: Optional[MemoryOptions] = None,
-                   **model_kwargs) -> MemoryModel:
+                   spec: RunSpec = RunSpec()) -> MemoryModel:
+        """A fresh ``model`` memory under ``spec.options`` (and, for
+        the cheri model, ``spec.exact_equality``)."""
         cls = MODELS[model]
         if model == "cheri":
-            return cls(self.impl, self.core.tags, options,
-                       **model_kwargs)
-        return cls(self.impl, self.core.tags, options)
+            return cls(self.impl, self.core.tags, spec.options,
+                       exact_equality=spec.exact_equality)
+        return cls(self.impl, self.core.tags, spec.options)
 
     def run(self, model: str = "provenance",
-            options: Optional[MemoryOptions] = None,
+            spec: Optional[RunSpec] = None,
             oracle: Optional[Oracle] = None,
-            max_steps: int = 2_000_000,
-            seed: Optional[int] = None,
-            backend: str = "compiled",
-            **model_kwargs) -> Outcome:
-        """Execute one path (default oracle choices, or a seeded random
-        exploration when ``seed`` is given).  ``backend`` selects the
-        evaluator: ``"compiled"`` (default) runs the slotted lowered
-        code, ``"tree"`` walks the Core AST (the oracle of record)."""
-        if oracle is None and seed is not None:
-            oracle = Oracle(rng=random.Random(seed))
-        mem = self.make_model(model, options, **model_kwargs)
-        return run_program(self.core, mem, oracle, max_steps,
-                           backend=backend)
+            **knobs) -> Outcome:
+        """Execute one path under ``spec`` with ``knobs`` applied (the
+        :class:`~repro.spec.RunSpec` fields: ``backend``, ``seed``,
+        ``max_steps``, ``options``, ``exact_equality``).  The default
+        oracle takes the first choice everywhere; a ``seed`` makes it
+        a seeded random one."""
+        spec = RunSpec.build(spec, **knobs)
+        if oracle is None and spec.seed is not None:
+            oracle = Oracle(rng=random.Random(spec.seed))
+        return run_program(self.core, self.make_model(model, spec),
+                           oracle, spec.max_steps, backend=spec.backend)
 
     def lowered(self, store=None, name: str = "<string>"):
         """The compiled back end's lowering of this artifact
@@ -161,52 +144,29 @@ class CompiledProgram:
         the Core term.
 
         With ``store`` (an artifact store or directory path) the
-        lowering is persisted in two layers sharing one content
-        address (artifact key + ``LOWERED_VERSION`` + schema):
-
-        * the serializable frame/instruction layout as a ``"lowered"``
-          store record (cross-process; a mismatched or corrupt record
-          is silently replaced by a fresh lowering), and
-        * the rebuilt closures themselves in the process-local
-          :data:`repro.farm.store.WARM_CLOSURES` cache, so repeat
-          explorations of the same artifact — even through a fresh
-          ``CompiledProgram`` instance — skip re-lowering entirely.
-          Adopted lowerings are safe across equivalent program
-          objects: closures resolve the evaluator, model, and global
-          environment at run time, and static annotations are keyed
-          positionally (see ``CompiledEvaluator``).  One caveat:
-          file-scope objects carry process-unique Core names, and the
-          closures bake those names into their ``global_env``
-          lookups — so a warm entry is adopted only when its glob
-          names match this program's exactly; a recompile of the same
-          source (fresh names) rejects the stale entry as a miss and
-          re-lowers."""
-        from .dynamics.compile import (
-            LOWERED_VERSION, ensure_lowered,
-        )
+        lowering is also kept in the process-local
+        :data:`repro.farm.store.WARM_CLOSURES` cache, keyed on the
+        artifact's content address (source, implementation, name,
+        ``LOWERED_VERSION``, store schema), so repeat explorations of
+        the same artifact — even through a fresh ``CompiledProgram``
+        instance — skip re-lowering entirely.  Adoption is sound
+        because Core is a deterministic function of (source, impl,
+        name): closures resolve the evaluator, model, and global
+        environment at run time, and static annotations are keyed
+        positionally (see ``CompiledEvaluator``)."""
+        from .dynamics.compile import LOWERED_VERSION, ensure_lowered
         from .farm.store import WARM_CLOSURES
         store = _as_artifact_store(store)
         key = None
         if store is not None:
             key = store.record_key(
-                LOWERED_RECORD_KIND, self.source, repr(self.impl),
-                name, str(LOWERED_VERSION))
+                WARM_CLOSURES.kind, self.source, repr(self.impl), name,
+                str(LOWERED_VERSION))
             if getattr(self.core, "_lowered", None) is None:
-                glob_names = tuple(g.name for g in self.core.globs)
-                warm = WARM_CLOSURES.get(
-                    key,
-                    validate=lambda lp: lp.glob_names == glob_names)
+                warm = WARM_CLOSURES.get(key)
                 if warm is not None:
                     self.core._lowered = warm
                     return warm
-            record = store.get_record(key, LoweredRecord,
-                                      kind=LOWERED_RECORD_KIND)
-            if record is not None \
-                    and record.version == LOWERED_VERSION:
-                lowered = ensure_lowered(self.core)
-                if record.layout == lowered.layout():
-                    WARM_CLOSURES.put(key, lowered)
-                    return lowered
         ctx = obs.active()
         with obs.maybe_span(ctx, "pipeline.lower", profile=True,
                             file=name):
@@ -215,10 +175,7 @@ class CompiledProgram:
             for fkind, count in lowered.fused.items():
                 if count:
                     ctx.inc(f"compile.fused.{fkind}", count)
-        if store is not None and key is not None:
-            store.put_record(
-                key, LoweredRecord(LOWERED_VERSION, lowered.layout()),
-                kind=LOWERED_RECORD_KIND)
+        if key is not None:
             WARM_CLOSURES.put(key, lowered)
         return lowered
 
@@ -268,71 +225,46 @@ class CompiledProgram:
         return self.statics(store, name).findings
 
     def explore(self, model: str = "provenance",
-                options: Optional[MemoryOptions] = None,
-                max_paths: int = 500,
-                max_steps: int = 500_000,
+                spec: Optional[ExploreSpec] = None, *,
                 deadline_s: Optional[float] = None,
-                strategy: str = "dfs",
-                por: bool = False,
-                seed: Optional[int] = None,
                 store=None,
                 resume: bool = True,
                 name: str = "<string>",
-                static_prune: bool = False,
-                backend: str = "compiled",
-                **model_kwargs) -> ExplorationResult:
+                **knobs) -> ExplorationResult:
         """Explore the allowed executions (the paper's test-oracle
-        mode, §5.1).  ``deadline_s`` bounds the whole enumeration by
-        wall-clock (farm per-task timeouts); ``strategy`` picks the
-        frontier order (``dfs``/``bfs``/``random``/``coverage``,
-        ``seed`` seeding the latter two) and ``por`` enables sleep-set
-        partial-order reduction at unseq scheduling points.
+        mode, §5.1) under ``spec`` with ``knobs`` applied (the
+        :class:`~repro.spec.ExploreSpec` fields: the run knobs plus
+        ``strategy``, ``por``, ``static_prune``, ``entry`` and the
+        path budget ``max_paths``).  ``deadline_s`` bounds the whole
+        enumeration by wall-clock (farm per-task timeouts).
 
         ``store`` (an :class:`~repro.farm.explorestore.ExploreStore`,
         an :class:`~repro.farm.store.ArtifactStore`, or a directory
         path) makes exploration incremental: a completed result for
-        this ``(source, impl, model, entry, max_steps, strategy,
-        seed, por)`` space is returned with zero paths re-run, an
-        interrupted one persists its frontier, and ``resume=True``
-        picks it up where it stopped.  ``name`` is folded into the
-        record key (source locations embed it).  ``backend`` selects
-        the per-path evaluator (``"compiled"`` default, ``"tree"``
-        oracle of record); it is folded into the record key, so a
-        frontier persisted by one backend is never resumed by the
-        other."""
+        this ``(source, impl, model, name, spec.key())`` space is
+        returned with zero paths re-run, an interrupted one persists
+        its frontier, and ``resume=True`` picks it up where it
+        stopped.  ``name`` is folded into the record key (source
+        locations embed it)."""
+        spec = ExploreSpec.build(spec, **knobs)
         cache_key = None
         if store is not None:
             from .farm.explorestore import ExploreStore
             store = ExploreStore.wrap(store)
-            cache_key = store.key(self.source, self.impl, model,
-                                  name=name, entry="main",
-                                  max_steps=max_steps,
-                                  strategy=strategy, seed=seed,
-                                  por=por, options=options,
-                                  model_kwargs=model_kwargs,
-                                  static_prune=static_prune,
-                                  backend=backend)
-        if static_prune and store is not None:
-            # Attach (store-cached) footprint annotations ahead of the
-            # engine's own ensure_annotated fallback.
-            self.statics(store, name=name)
-        if backend == "compiled" and store is not None:
-            # Pre-warm (and persist the layout of) the lowering so
-            # per-path drivers find the cached artifact on the Core
-            # term instead of each racing to lower it.
-            self.lowered(store, name=name)
+            cache_key = store.key(self.source, self.impl, model, name,
+                                  spec)
+            if spec.static_prune:
+                # Attach (store-cached) footprint annotations ahead of
+                # the engine's own ensure_annotated fallback.
+                self.statics(store, name=name)
+            if spec.backend == "compiled":
+                # Pre-warm the lowering so per-path drivers find it on
+                # the Core term instead of each racing to lower it.
+                self.lowered(store, name=name)
         return explore_program(
-            self.core,
-            lambda: self.make_model(model, options, **model_kwargs),
-            max_paths=max_paths, max_steps=max_steps,
-            deadline_s=deadline_s, strategy=strategy, por=por,
-            seed=seed, store=store, resume=resume,
-            cache_key=cache_key, static_prune=static_prune,
-            backend=backend)
-
-
-# Historical name for the compiled artifact.
-Pipeline = CompiledProgram
+            self.core, lambda: self.make_model(model, spec), spec,
+            deadline_s=deadline_s, store=store, resume=resume,
+            cache_key=cache_key)
 
 
 # -- the content-addressed compile cache --------------------------------------
@@ -500,51 +432,38 @@ def compile_for_model(source: str, model: str,
 
 def run_c(source: str, model: str = "provenance",
           impl: Implementation = LP64,
-          options: Optional[MemoryOptions] = None,
-          max_steps: int = 2_000_000,
-          seed: Optional[int] = None,
-          backend: str = "compiled",
-          **model_kwargs) -> Outcome:
+          spec: Optional[RunSpec] = None,
+          **knobs) -> Outcome:
     """One-shot: compile (memoised) and run a C program on the chosen
-    memory object model, returning the observable Outcome."""
+    memory object model, returning the observable Outcome (``knobs``
+    as for :meth:`CompiledProgram.run`)."""
     return compile_for_model(source, model, impl).run(
-        model, options, max_steps=max_steps, seed=seed,
-        backend=backend, **model_kwargs)
+        model, RunSpec.build(spec, **knobs))
 
 
 def explore_c(source: str, model: str = "provenance",
               impl: Implementation = LP64,
-              options: Optional[MemoryOptions] = None,
-              max_paths: int = 500,
-              max_steps: int = 500_000,
-              strategy: str = "dfs",
-              por: bool = False,
-              seed: Optional[int] = None,
+              spec: Optional[ExploreSpec] = None, *,
+              deadline_s: Optional[float] = None,
               store=None,
               resume: bool = True,
-              static_prune: bool = False,
-              backend: str = "compiled",
-              **model_kwargs) -> ExplorationResult:
-    """One-shot: compile (memoised) and explore a C program under the
-    chosen search strategy, optionally with partial-order reduction.
-    ``store``/``resume`` persist and reuse exploration results and
-    ``static_prune`` pre-prunes statically-commuting ``unseq`` points
-    (see :meth:`CompiledProgram.explore`)."""
+              **knobs) -> ExplorationResult:
+    """One-shot: compile (memoised) and explore a C program (``knobs``
+    as for :meth:`CompiledProgram.explore`)."""
     return compile_for_model(source, model, impl).explore(
-        model, options, max_paths=max_paths, max_steps=max_steps,
-        strategy=strategy, por=por, seed=seed, store=store,
-        resume=resume, static_prune=static_prune, backend=backend,
-        **model_kwargs)
+        model, ExploreSpec.build(spec, **knobs), deadline_s=deadline_s,
+        store=store, resume=resume)
 
 
-def _compile_per_impl(source: str, models: Iterable[str],
+def _compile_per_impl(source: str, models: Optional[Iterable[str]],
                       impl: Implementation, name: str,
                       use_cache: bool) -> Dict[str, CompiledProgram]:
     """One front-end translation per distinct implementation
-    environment, shared by every model that runs under it."""
+    environment, shared by every model that runs under it (default:
+    every registered model)."""
     compiled: Dict[str, CompiledProgram] = {}
     by_model: Dict[str, CompiledProgram] = {}
-    for model in models:
+    for model in (MODELS if models is None else models):
         m_impl = impl_for_model(model, impl)
         if m_impl.name not in compiled:
             compiled[m_impl.name] = compile_c(source, m_impl, name=name,
@@ -555,67 +474,44 @@ def _compile_per_impl(source: str, models: Iterable[str],
 
 def run_many(source: str, models: Optional[Iterable[str]] = None,
              impl: Implementation = LP64,
-             options: Optional[MemoryOptions] = None,
-             max_steps: int = 2_000_000,
-             seed: Optional[int] = None,
+             spec: Optional[RunSpec] = None, *,
              name: str = "<string>",
              use_cache: bool = True,
-             backend: str = "compiled",
-             **model_kwargs) -> Dict[str, Outcome]:
+             **knobs) -> Dict[str, Outcome]:
     """Run one program under many memory object models (default: all
     registered), compiling once per distinct implementation
     environment. Returns ``{model: Outcome}`` in request order, with
     verdicts identical to per-model :func:`run_c` calls."""
-    programs = _compile_per_impl(source,
-                                 tuple(MODELS) if models is None
-                                 else tuple(models),
-                                 impl, name, use_cache)
-    return {model: program.run(model, options, max_steps=max_steps,
-                               seed=seed, backend=backend,
-                               **model_kwargs)
+    spec = RunSpec.build(spec, **knobs)
+    programs = _compile_per_impl(source, models, impl, name, use_cache)
+    return {model: program.run(model, spec)
             for model, program in programs.items()}
 
 
 def explore_many(source: str, models: Optional[Iterable[str]] = None,
                  impl: Implementation = LP64,
-                 options: Optional[MemoryOptions] = None,
-                 max_paths: int = 500,
-                 max_steps: int = 500_000,
+                 spec: Optional[ExploreSpec] = None, *,
                  name: str = "<string>",
                  use_cache: bool = True,
                  deadline_s: Optional[float] = None,
-                 strategy: str = "dfs",
-                 por: bool = False,
-                 seed: Optional[int] = None,
                  store=None,
                  resume: bool = True,
-                 static_prune: bool = False,
-                 backend: str = "compiled",
-                 **model_kwargs) -> Dict[str, ExplorationResult]:
+                 **knobs) -> Dict[str, ExplorationResult]:
     """Explore one program under many memory object models (default:
     all registered), compiling once per distinct implementation
     environment.  ``deadline_s`` is a per-model wall-clock budget for
-    the enumeration; ``strategy``/``por``/``seed`` select the search
-    strategy and partial-order reduction per model; ``store``/
-    ``resume`` persist and reuse per-model exploration records (see
-    :meth:`CompiledProgram.explore`)."""
+    the enumeration; ``store``/``resume`` persist and reuse per-model
+    exploration records (see :meth:`CompiledProgram.explore`)."""
+    spec = ExploreSpec.build(spec, **knobs)
     if store is not None:
         from .farm.explorestore import ExploreStore
         store = ExploreStore.wrap(store)
-    programs = _compile_per_impl(source,
-                                 tuple(MODELS) if models is None
-                                 else tuple(models),
-                                 impl, name, use_cache)
-    return {model: program.explore(model, options, max_paths=max_paths,
-                                   max_steps=max_steps,
-                                   deadline_s=deadline_s,
-                                   strategy=strategy, por=por,
-                                   seed=seed, store=store,
-                                   resume=resume, name=name,
-                                   static_prune=static_prune,
-                                   backend=backend,
-                                   **model_kwargs)
+    programs = _compile_per_impl(source, models, impl, name, use_cache)
+    return {model: program.explore(model, spec, deadline_s=deadline_s,
+                                   store=store, resume=resume,
+                                   name=name)
             for model, program in programs.items()}
+
 
 def lint_c(source: str, impl: Implementation = LP64,
            name: str = "<string>", store=None,

@@ -24,7 +24,7 @@ the golden verdicts of all five models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core import ast as K
 from ..source import Loc

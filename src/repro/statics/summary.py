@@ -22,13 +22,12 @@ contract.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core import ast as K
-from ..ctypes.types import Array, CType, Floating, Integer, Pointer
+from ..ctypes.types import CType, Integer
 from ..source import Loc
 from .. import ub as UB
 from ..ub import UndefinedBehaviour

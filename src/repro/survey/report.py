@@ -7,7 +7,7 @@ from typing import List
 from ..testsuite.questions import (
     CATEGORIES, QUESTIONS, category_counts, clarity_split,
 )
-from .data import EXPERTISE, RESPONSES_TOTAL, SURVEY_15, SurveyQuestion
+from .data import EXPERTISE, RESPONSES_TOTAL, SURVEY_15
 
 
 def expertise_table() -> str:

@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from ..pipeline import MODELS
+from ..spec import ExploreSpec
 from .goldens import (
     compute_verdicts, default_golden_path, diff_goldens, load_goldens,
     update_goldens,
@@ -82,7 +83,8 @@ def main(argv=None) -> int:
     live = compute_verdicts(
         models=models if models is not None else doc["models"],
         names=names,
-        max_paths=doc["max_paths"], max_steps=doc["max_steps"],
+        spec=ExploreSpec(max_paths=doc["max_paths"],
+                         max_steps=doc["max_steps"]),
         store=store)
     lines = diff_goldens(doc, live)
     if lines:

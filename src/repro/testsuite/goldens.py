@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import CerberusError
 from ..pipeline import MODELS, compile_for_model
+from ..spec import ExploreSpec
 from .programs import TESTS
 
 #: Bump when the golden document layout (not the verdicts) changes.
@@ -38,6 +39,8 @@ GOLDEN_SCHEMA = 1
 #: The bounded deterministic exploration every golden cell records.
 GOLDEN_MAX_PATHS = 64
 GOLDEN_MAX_STEPS = 400_000
+GOLDEN_SPEC = ExploreSpec(max_paths=GOLDEN_MAX_PATHS,
+                          max_steps=GOLDEN_MAX_STEPS)
 
 Verdicts = Dict[str, Dict[str, List[str]]]
 
@@ -50,22 +53,18 @@ def default_golden_path() -> Path:
 
 
 def behaviour_set(source: str, model: str,
-                  max_paths: int = GOLDEN_MAX_PATHS,
-                  max_steps: int = GOLDEN_MAX_STEPS,
-                  store=None,
-                  backend: str = "compiled") -> List[str]:
+                  spec: ExploreSpec = GOLDEN_SPEC,
+                  store=None) -> List[str]:
     """The golden form of one test × model cell: the sorted distinct
-    behaviour summaries of a bounded dfs exploration (UB name + site
-    included), or a one-element ``error:<Type>`` list when the front
-    end rejects the program under that model's environment.
-    ``backend`` selects the per-path evaluator — goldens are pinned to
-    be byte-identical under both back ends, which is exactly what
+    behaviour summaries of a bounded exploration under ``spec`` (UB
+    name + site included), or a one-element ``error:<Type>`` list
+    when the front end rejects the program under that model's
+    environment.  Goldens are pinned to be byte-identical under both
+    back ends (``spec.backend``), which is exactly what
     ``tests/test_compile_backend.py`` checks."""
     try:
         program = compile_for_model(source, model)
-        result = program.explore(model, max_paths=max_paths,
-                                 max_steps=max_steps, store=store,
-                                 backend=backend)
+        result = program.explore(model, spec, store=store)
     except CerberusError as exc:
         return [f"error:{type(exc).__name__}"]
     return sorted(o.summary() for o in result.distinct())
@@ -73,36 +72,30 @@ def behaviour_set(source: str, model: str,
 
 def compute_verdicts(models: Optional[Sequence[str]] = None,
                      names: Optional[Sequence[str]] = None,
-                     max_paths: int = GOLDEN_MAX_PATHS,
-                     max_steps: int = GOLDEN_MAX_STEPS,
-                     store=None,
-                     backend: str = "compiled") -> Verdicts:
+                     spec: ExploreSpec = GOLDEN_SPEC,
+                     store=None) -> Verdicts:
     """Live verdicts for ``names`` × ``models`` (default: the whole
-    suite across all registered memory models).  ``store`` optionally
-    routes the explorations through an exploration-record store
-    (:mod:`repro.farm.explorestore`), so golden regeneration rides the
-    incremental re-exploration seam too; ``backend`` selects the
-    evaluator back end for every cell."""
+    suite across all registered memory models) under ``spec``.
+    ``store`` optionally routes the explorations through an
+    exploration-record store (:mod:`repro.farm.explorestore`), so
+    golden regeneration rides the incremental re-exploration seam
+    too."""
     model_list = list(models) if models is not None else list(MODELS)
     out: Verdicts = {}
     for name in (sorted(TESTS) if names is None else names):
         test = TESTS[name]
-        out[name] = {
-            model: behaviour_set(test.source, model,
-                                 max_paths=max_paths,
-                                 max_steps=max_steps, store=store,
-                                 backend=backend)
-            for model in model_list}
+        out[name] = {model: behaviour_set(test.source, model, spec,
+                                          store=store)
+                     for model in model_list}
     return out
 
 
 def golden_document(verdicts: Verdicts,
-                    max_paths: int = GOLDEN_MAX_PATHS,
-                    max_steps: int = GOLDEN_MAX_STEPS) -> dict:
+                    spec: ExploreSpec = GOLDEN_SPEC) -> dict:
     models = sorted({m for cells in verdicts.values() for m in cells})
     return {"schema": GOLDEN_SCHEMA,
-            "max_paths": max_paths,
-            "max_steps": max_steps,
+            "max_paths": spec.max_paths,
+            "max_steps": spec.max_steps,
             "models": models,
             "verdicts": verdicts}
 

@@ -18,8 +18,8 @@ model), "strict" (the strict ISO-leaning model) and optionally "cheri".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)

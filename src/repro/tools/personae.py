@@ -19,12 +19,12 @@ de facto test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..memory.base import MemoryOptions
-from ..testsuite.programs import TESTS, TestCase
-from ..testsuite.runner import TestResult, _matches, _verdict_of
+from ..testsuite.programs import TESTS
+from ..testsuite.runner import _verdict_of
 from ..errors import CerberusError
 from ..pipeline import run_c
 

@@ -11,7 +11,7 @@ refinement against Cerberus is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 _INT_MIN = -(1 << 31)
 _INT_MAX = (1 << 31) - 1

@@ -9,10 +9,10 @@ assignments, arithmetic, if/while, return. Anything else raises
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ail import ast as A
-from ..ctypes.types import Function, Integer, IntKind, QualType
+from ..ctypes.types import Function, Integer, IntKind
 from .minir import IRBlock, IRFunction, IRInstr
 
 

@@ -8,7 +8,7 @@ from typing import List, Optional
 
 from ..ctypes.implementation import LP64
 from ..pipeline import compile_c
-from .minir import IRFunction, IRTrap, run_ir
+from .minir import IRTrap, run_ir
 from .translate import translate_main, TvcUnsupported
 
 

@@ -22,8 +22,8 @@ from ..ctypes import convert
 from ..ctypes.implementation import Implementation
 from ..ctypes.types import (
     Array, CType, Floating, FloatKind, Function, Integer, IntKind, Pointer,
-    QualType, StructRef, UnionRef, VarArray, Void, NO_QUALS,
-    is_arithmetic, is_integer, is_scalar,
+    QualType, StructRef, UnionRef, VarArray, Void, is_arithmetic, is_integer,
+    is_scalar,
 )
 from ..errors import TypeCheckError, UnsupportedError
 from ..source import Loc

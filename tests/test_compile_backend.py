@@ -18,13 +18,15 @@ Three layers of evidence:
   re-keys to a fresh record instead of corrupting accounting).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.farm.explorestore import ExploreStore
 from repro.pipeline import MODELS, compile_for_model, run_many
+from repro.spec import ExploreSpec
 from repro.testsuite.goldens import (
-    GOLDEN_MAX_PATHS, GOLDEN_MAX_STEPS, behaviour_set,
-    compute_verdicts,
+    GOLDEN_SPEC, behaviour_set, compute_verdicts,
 )
 from repro.testsuite.programs import TESTS
 
@@ -102,8 +104,9 @@ class TestExplorationEquivalence:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_behaviour_sets_identical_on_subset(self, model):
         for name in _subset_names():
-            cells = {backend: behaviour_set(TESTS[name].source, model,
-                                            backend=backend)
+            cells = {backend: behaviour_set(
+                         TESTS[name].source, model,
+                         replace(GOLDEN_SPEC, backend=backend))
                      for backend in BACKENDS}
             assert cells["compiled"] == cells["tree"], (name, model)
 
@@ -134,19 +137,16 @@ class TestFullSuiteConformance:
             diff_goldens, load_goldens,
         )
         doc = load_goldens()
-        live = compute_verdicts(max_paths=doc["max_paths"],
-                                max_steps=doc["max_steps"],
-                                backend=backend)
+        live = compute_verdicts(spec=ExploreSpec(
+            max_paths=doc["max_paths"], max_steps=doc["max_steps"],
+            backend=backend))
         mismatches = diff_goldens(doc, live)
         assert not mismatches, "\n".join(mismatches)
 
     def test_backends_byte_identical_everywhere(self):
-        compiled = compute_verdicts(max_paths=GOLDEN_MAX_PATHS,
-                                    max_steps=GOLDEN_MAX_STEPS,
-                                    backend="compiled")
-        tree = compute_verdicts(max_paths=GOLDEN_MAX_PATHS,
-                                max_steps=GOLDEN_MAX_STEPS,
-                                backend="tree")
+        compiled = compute_verdicts(
+            spec=replace(GOLDEN_SPEC, backend="compiled"))
+        tree = compute_verdicts(spec=replace(GOLDEN_SPEC, backend="tree"))
         assert compiled == tree
 
 
@@ -161,9 +161,9 @@ class TestCrossBackendRecords:
         es = ExploreStore(tmp_path / "s")
         program = compile_for_model(self.SRC, "concrete")
         k_compiled = es.key(self.SRC, program.impl, "concrete",
-                            backend="compiled")
+                            spec=ExploreSpec(backend="compiled"))
         k_tree = es.key(self.SRC, program.impl, "concrete",
-                        backend="tree")
+                        spec=ExploreSpec(backend="tree"))
         assert k_compiled != k_tree
         assert k_compiled == es.key(self.SRC, program.impl, "concrete")
 

@@ -7,6 +7,7 @@ from repro.dynamics.driver import Driver, Oracle
 from repro.farm.frontier import explore_farm
 from repro.farm.pool import SweepTask, execute_task
 from repro.pipeline import compile_c, explore_c
+from repro.spec import ExploreSpec
 
 # One unseq pair: a 576-path space, wide enough to shard yet quick
 # to exhaust serially for exact-accounting comparisons.
@@ -24,7 +25,8 @@ class TestFrontierHandoff:
             return Driver(program.core, program.make_model("concrete"),
                           oracle, 500_000)
 
-        ex = Explorer(make_driver, max_paths=10_000, strategy="bfs",
+        ex = Explorer(make_driver,
+                      ExploreSpec(max_paths=10_000, strategy="bfs"),
                       frontier_target=4)
         result = ex.run()
         assert result.exhausted            # handed off, not truncated
@@ -40,13 +42,16 @@ class TestFrontierHandoff:
             return Driver(program.core, program.make_model("concrete"),
                           oracle, 500_000)
 
-        serial = Explorer(make_driver, max_paths=100_000).run()
-        seeder = Explorer(make_driver, max_paths=100_000,
-                          strategy="bfs", frontier_target=4)
+        serial = Explorer(make_driver,
+                          ExploreSpec(max_paths=100_000)).run()
+        seeder = Explorer(make_driver,
+                          ExploreSpec(max_paths=100_000, strategy="bfs"),
+                          frontier_target=4)
         seed_result = seeder.run()
         parts = [seed_result]
         for node in seeder.pending:
-            parts.append(Explorer(make_driver, max_paths=100_000,
+            parts.append(Explorer(make_driver,
+                                  ExploreSpec(max_paths=100_000),
                                   initial=[node]).run())
         merged = ExplorationResult.merge(parts)
         assert merged.paths_run == serial.paths_run
@@ -58,7 +63,7 @@ class TestExploreShardTask:
     def test_shard_task_runs_subtree(self):
         task = SweepTask(index=0, name="shard", kind="explore_shard",
                          source=PAIR, models=("concrete",),
-                         max_paths=100_000, max_steps=500_000,
+                         spec=ExploreSpec(max_paths=100_000),
                          prefix=(1,), sleep=())
         result = execute_task(task)
         assert result.ok, result.error
@@ -72,8 +77,8 @@ class TestExploreShardTask:
     def test_explore_task_strategy_and_por(self):
         task = SweepTask(index=0, name="t", kind="explore",
                          source=PAIR, models=("concrete",),
-                         max_paths=100_000, max_steps=500_000,
-                         strategy="bfs", por=True)
+                         spec=ExploreSpec(max_paths=100_000,
+                                          strategy="bfs", por=True))
         result = execute_task(task)
         assert result.ok, result.error
         summary = result.data["explorations"]["concrete"]
@@ -86,16 +91,16 @@ class TestExploreFarm:
     def test_jobs1_matches_plain_exploration(self):
         serial = explore_c(PAIR, model="concrete",
                            max_paths=100_000)
-        farm = explore_farm(PAIR, model="concrete",
-                            max_paths=100_000, jobs=1)
+        farm = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=100_000), jobs=1)
         assert farm.paths_run == serial.paths_run
         assert farm.behaviour_keys() == serial.behaviour_keys()
 
     def test_sharded_merge_accounting(self):
         serial = explore_c(PAIR, model="concrete",
                            max_paths=100_000)
-        farm = explore_farm(PAIR, model="concrete",
-                            max_paths=100_000, jobs=2)
+        farm = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=100_000), jobs=2)
         # Seeding plus shards pop exactly the serial node set: the
         # merged accounting is equal, not merely similar.
         assert farm.paths_run == serial.paths_run
@@ -105,8 +110,9 @@ class TestExploreFarm:
     def test_sharded_por_matches_serial_por(self):
         serial = explore_c(PAIR, model="concrete",
                            max_paths=100_000, por=True)
-        farm = explore_farm(PAIR, model="concrete",
-                            max_paths=100_000, jobs=2, por=True)
+        farm = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=100_000, por=True),
+                            jobs=2)
         assert farm.paths_run == serial.paths_run
         assert farm.pruned == serial.pruned
         assert farm.exhausted
@@ -116,8 +122,8 @@ class TestExploreFarm:
         # The global budget is split across shards (ceiling), so the
         # merged total stays in the budget's ballpark — and a shard
         # hitting its slice marks the merge non-exhausted.
-        farm = explore_farm(PAIR, model="concrete",
-                            max_paths=40, jobs=2)
+        farm = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=40), jobs=2)
         assert not farm.exhausted
         assert 0 < farm.paths_run < 576    # well short of the space
 
@@ -128,11 +134,11 @@ class TestExploreFarm:
                "int main(void){ return go(); }")
         from repro.dynamics.explore import explore_program
         program = compile_c(src)
+        spec = ExploreSpec(entry="go", max_paths=100_000)
         serial = explore_program(program.core,
                                  lambda: program.make_model("concrete"),
-                                 entry="go", max_paths=100_000)
-        farm = explore_farm(src, model="concrete", entry="go", jobs=2,
-                            max_paths=100_000)
+                                 spec)
+        farm = explore_farm(src, "concrete", spec=spec, jobs=2)
         assert farm.paths_run == serial.paths_run
         assert farm.diverged == 0
         assert farm.behaviour_keys() == serial.behaviour_keys()

@@ -17,6 +17,7 @@ import pytest
 from repro.farm.explorestore import ExplorationRecord, ExploreStore
 from repro.farm.frontier import explore_farm
 from repro.pipeline import compile_c
+from repro.spec import ExploreSpec
 
 # One unseq pair: 576 paths unreduced, 41 with POR — wide enough to
 # interrupt anywhere, quick to exhaust for exact comparisons.
@@ -212,7 +213,7 @@ class TestPartialRecordShape:
         program.explore("concrete", max_paths=50, strategy="dfs",
                         seed=11, store=store)
         key = store.key(PAIR, program.impl, "concrete",
-                        strategy="dfs", seed=11)
+                        spec=ExploreSpec(strategy="dfs", seed=11))
         rec = store.get(key)
         assert isinstance(rec, ExplorationRecord)
         assert not rec.complete
@@ -329,7 +330,7 @@ class TestDeadlineTooSmallForOnePath:
         # The permanent loss survives the record round-trip: a later
         # warm/resumed result can never claim exhaustion.
         key = store.key(slow, program.impl, "concrete",
-                        max_steps=10_000_000)
+                        spec=ExploreSpec(max_steps=10_000_000))
         rec = store.get(key)
         assert rec is not None and not rec.exhausted
 
@@ -390,10 +391,12 @@ class TestFarmResume:
     def test_farm_warm_hit(self, tmp_path, serial):
         reference = serial[("dfs", False)]
         es = ExploreStore(tmp_path / "store")
-        cold = explore_farm(PAIR, model="concrete", max_paths=BIG,
+        cold = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=BIG),
                             jobs=2, explore_store=es)
         _same(cold, reference)
-        warm = explore_farm(PAIR, model="concrete", max_paths=BIG,
+        warm = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=BIG),
                             jobs=2, explore_store=es)
         _same(warm, reference)
         assert es.stats()["live_paths"] == reference.paths_run
@@ -404,7 +407,8 @@ class TestFarmResume:
         es = ExploreStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
                         store=es)
-        full = explore_farm(PAIR, model="concrete", max_paths=BIG,
+        full = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=BIG),
                             jobs=2, explore_store=es)
         _same(full, reference)
         assert es.stats()["resumes"] == 1
@@ -414,7 +418,8 @@ class TestFarmResume:
                                           serial):
         reference = serial[("dfs", False)]
         es = ExploreStore(tmp_path / "store")
-        part = explore_farm(PAIR, model="concrete", max_paths=120,
+        part = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=120),
                             jobs=2, explore_store=es)
         assert not part.exhausted
         full = program.explore("concrete", max_paths=BIG,
@@ -429,7 +434,8 @@ class TestFarmResume:
         es = ExploreStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
                         store=es)
-        again = explore_farm(PAIR, model="concrete", max_paths=150,
+        again = explore_farm(PAIR, "concrete",
+                             spec=ExploreSpec(max_paths=150),
                              jobs=2, explore_store=es)
         assert not again.exhausted
         assert again.paths_run == 150      # served from the record
@@ -453,15 +459,18 @@ class TestFarmResume:
         overshot = ExplorationResult(
             outcomes=list(reference.outcomes), exhausted=False,
             paths_run=110)                 # 110 paths from budget 100
-        key = es.key(PAIR, program.impl, "concrete", strategy="dfs")
+        key = es.key(PAIR, program.impl, "concrete",
+                     spec=ExploreSpec(strategy="dfs"))
         es.put(key, ExplorationRecord.from_result(overshot,
                                                   budget=100))
-        again = explore_farm(PAIR, model="concrete", max_paths=100,
+        again = explore_farm(PAIR, "concrete",
+                             spec=ExploreSpec(max_paths=100),
                              jobs=2, explore_store=es)
         assert again.paths_run == 110      # served, not re-explored
         assert es.stats()["live_paths"] == 0
         # ... while a strictly smaller budget still refuses it.
-        small = explore_farm(PAIR, model="concrete", max_paths=50,
+        small = explore_farm(PAIR, "concrete",
+                             spec=ExploreSpec(max_paths=50),
                              jobs=2, explore_store=es)
         assert small.paths_run < 110
         assert es.stats()["live_paths"] > 0
@@ -476,24 +485,28 @@ class TestFarmResume:
         es = ExploreStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
                         store=es)
-        small = explore_farm(PAIR, model="concrete", max_paths=60,
+        small = explore_farm(PAIR, "concrete",
+                             spec=ExploreSpec(max_paths=60),
                              jobs=2, explore_store=es)
         assert not small.exhausted
         # Ran live near its budget (the ceiling split can overshoot
         # by at most one path per shard), not the record's 150.
         assert small.paths_run < 100
         assert es.stats()["stores"] == 1   # record not clobbered
-        full = explore_farm(PAIR, model="concrete", max_paths=BIG,
+        full = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=BIG),
                             jobs=2, explore_store=es)
         _same(full, reference)             # resumed from the record
 
     def test_farm_por_resume(self, tmp_path, serial):
         reference = serial[("dfs", True)]
         es = ExploreStore(tmp_path / "store")
-        part = explore_farm(PAIR, model="concrete", max_paths=15,
-                            jobs=2, por=True, explore_store=es)
+        part = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=15, por=True),
+                            jobs=2, explore_store=es)
         assert not part.exhausted
-        full = explore_farm(PAIR, model="concrete", max_paths=BIG,
-                            jobs=2, por=True, explore_store=es)
+        full = explore_farm(PAIR, "concrete",
+                            spec=ExploreSpec(max_paths=BIG, por=True),
+                            jobs=2, explore_store=es)
         _same(full, reference)
         assert es.stats()["live_paths"] == reference.paths_run

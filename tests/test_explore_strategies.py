@@ -9,6 +9,7 @@ from repro.dynamics.explore.strategies import (
     BfsStrategy, CoverageStrategy, DfsStrategy, RandomStrategy,
 )
 from repro.pipeline import MODELS, compile_c, explore_c, explore_many
+from repro.spec import ExploreSpec
 
 TWO_ORDERS = r'''
 #include <stdio.h>
@@ -132,7 +133,7 @@ class TestDivergenceDiscard:
                 self.oracle.diverged = True
                 return Outcome("done", exit_code=0, diverged=True)
 
-        res = explore_all(FakeDriver, max_paths=10)
+        res = explore_all(FakeDriver, ExploreSpec(max_paths=10))
         assert res.paths_run == 1
         assert res.diverged == 1
         assert res.outcomes == []       # discarded, not mis-reported

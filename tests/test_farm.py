@@ -12,6 +12,7 @@ from repro.farm.pool import (
     SweepTask, run_tasks, shard_select, sweep,
 )
 from repro.pipeline import MODELS, clear_compile_cache, compile_c
+from repro.spec import ExploreSpec
 from repro.testsuite import TESTS, run_suite_many
 
 HELLO = ('#include <stdio.h>\n'
@@ -86,7 +87,8 @@ class TestSweep:
         spin = "int main(void){ while (1) ; return 0; }"
         programs = [("spin", spin), ("quick", HELLO)]
         results = sweep(programs, models=["concrete"], jobs=2,
-                        max_steps=2_000_000_000, task_timeout=1.0)
+                        spec=ExploreSpec(max_steps=2_000_000_000),
+                        task_timeout=1.0)
         spin_r, quick_r = results
         assert spin_r.timed_out and not spin_r.ok
         assert "1s" in spin_r.error
@@ -101,7 +103,8 @@ class TestSweep:
         programs = [("spin-a", spin), ("spin-b", spin),
                     ("quick", HELLO)]
         results = sweep(programs, models=["concrete"], jobs=2,
-                        max_steps=2_000_000_000, task_timeout=1.0)
+                        spec=ExploreSpec(max_steps=2_000_000_000),
+                        task_timeout=1.0)
         by_name = {r.name: r for r in results}
         assert by_name["spin-a"].timed_out
         assert by_name["spin-b"].timed_out

@@ -10,6 +10,7 @@ artifacts *and* for the exploration records
 
 import os
 import pickle
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 from repro.ctypes.implementation import ILP32, LP64
 from repro.farm.explorestore import ExplorationRecord, ExploreStore
 from repro.farm.store import ArtifactStore, STORE_SCHEMA_VERSION
+from repro.spec import ExploreSpec
 from repro.pipeline import (
     clear_compile_cache, compile_c, compile_cache_stats,
     set_artifact_store,
@@ -292,8 +294,6 @@ class TestExplorationRecords:
 
     def test_corrupt_record_re_explores_silently(self, tmp_path):
         es, program, cold = self._explore(tmp_path)
-        # The store also holds the backend's "lowered" record now;
-        # corrupt specifically the exploration record.
         key = es.key(UNSEQ, program.impl, "concrete")
         [path] = [p for p in _entry_paths(es.store)
                   if p.name == f"{key}.pkl"]
@@ -333,37 +333,31 @@ class TestExplorationRecords:
 
     def test_record_key_discriminates_the_space(self, tmp_path):
         es = ExploreStore(tmp_path / "k")
-        base = dict(name="<string>", entry="main", max_steps=500_000,
-                    strategy="dfs", seed=None, por=False)
-        k = es.key(UNSEQ, LP64, "concrete", **base)
-        assert k != es.key(UNSEQ, LP64, "provenance", **base)
-        assert k != es.key(UNSEQ, ILP32, "concrete", **base)
-        assert k != es.key(UNSEQ + " ", LP64, "concrete", **base)
+        base = ExploreSpec(entry="main", max_steps=500_000,
+                           strategy="dfs", seed=None, por=False)
+        k = es.key(UNSEQ, LP64, "concrete", "<string>", base)
+        assert k != es.key(UNSEQ, LP64, "provenance", "<string>", base)
+        assert k != es.key(UNSEQ, ILP32, "concrete", "<string>", base)
+        assert k != es.key(UNSEQ + " ", LP64, "concrete", "<string>",
+                           base)
+        assert k != es.key(UNSEQ, LP64, "concrete", "other.c", base)
         for twist in (dict(strategy="bfs"), dict(seed=3),
                       dict(por=True), dict(entry="go"),
-                      dict(max_steps=1000), dict(name="other.c")):
-            assert k != es.key(UNSEQ, LP64, "concrete",
-                               **{**base, **twist}), twist
-        assert k == es.key(UNSEQ, LP64, "concrete", **base)
+                      dict(max_steps=1000)):
+            assert k != es.key(UNSEQ, LP64, "concrete", "<string>",
+                               replace(base, **twist)), twist
+        assert k == es.key(UNSEQ, LP64, "concrete", "<string>", base)
 
     def test_eviction_counts_exploration_bytes(self, tmp_path):
         probe = ArtifactStore(tmp_path / "probe")
         es_probe = ExploreStore(probe)
         program = compile_c(UNSEQ, use_cache=False)
-        # Size the lowered record (put once per store) and one
-        # exploration record separately, so the bound below leaves
-        # room for the lowering plus ~2 exploration records.
-        program.lowered(probe)
-        lowered_size = probe.size_bytes()
         program.explore("concrete", max_paths=100_000, store=es_probe)
-        record_size = probe.size_bytes() - lowered_size
+        record_size = probe.size_bytes()
         assert record_size > 0
-        # Room for ~2 records: the third put must evict the oldest
-        # exploration record (the lowered record is touched by every
-        # explore, so it stays recent).
+        # Room for ~2 records: the third put must evict the oldest.
         store = ArtifactStore(tmp_path / "bounded",
-                              max_bytes=lowered_size
-                              + int(record_size * 2.5))
+                              max_bytes=int(record_size * 2.5))
         es = ExploreStore(store)
         keys = []
         for i, model in enumerate(["concrete", "provenance", "gcc"]):
@@ -382,20 +376,15 @@ class TestExplorationRecords:
                   compile_c(SRC, use_cache=False))
         artifact_size = probe.size_bytes()
         program = compile_c(UNSEQ, use_cache=False)
-        program.lowered(probe)
-        lowered_size = probe.size_bytes() - artifact_size
         program.explore("concrete", max_paths=100_000,
                         store=ExploreStore(probe))
-        record_size = probe.size_bytes() - artifact_size \
-            - lowered_size
+        record_size = probe.size_bytes() - artifact_size
         assert record_size > 0
-        # Room for the artifact, the lowering, plus ~2 exploration
-        # records: the record flood below must push the (older)
-        # artifact out.
+        # Room for the artifact plus ~2 exploration records: the
+        # record flood below must push the (older) artifact out.
         store = ArtifactStore(
             tmp_path / "shared",
-            max_bytes=artifact_size + lowered_size
-            + int(record_size * 2.5))
+            max_bytes=artifact_size + int(record_size * 2.5))
         store.put(SRC, LP64, "<string>", True,
                   compile_c(SRC, use_cache=False))
         assert store.get(SRC, LP64) is not None
@@ -436,94 +425,6 @@ class TestExplorationRecords:
                                      "concrete")) is not None
 
 
-class TestLoweredRecords:
-    """Back-end lowering records (the ``"lowered"`` kind,
-    :meth:`repro.pipeline.CompiledProgram.lowered`) ride the same
-    store: a corrupt record falls back to a silent re-lower, lowered
-    bytes count against the shared LRU budget, and a schema bump
-    invalidates them with everything else."""
-
-    def _lowered_key(self, store, program, name="<string>"):
-        from repro.dynamics.compile import LOWERED_VERSION
-        from repro.pipeline import LOWERED_RECORD_KIND
-        return store.record_key(LOWERED_RECORD_KIND, program.source,
-                                repr(program.impl), name,
-                                str(LOWERED_VERSION))
-
-    def test_record_round_trip_validates(self, tmp_path,
-                                         warm_closures):
-        store = ArtifactStore(tmp_path / "s")
-        compile_c(SRC, use_cache=False).lowered(store)
-        per = store.stats()["by_kind"]["lowered"]
-        assert per["stores"] == 1 and per["misses"] == 1
-        # A fresh artifact (fresh Core term, e.g. a new process —
-        # modelled by dropping the process-local warm closures)
-        # validates against the persisted layout instead of
-        # re-putting.
-        warm_closures.clear()
-        compile_c(SRC, use_cache=False).lowered(store)
-        per = store.stats()["by_kind"]["lowered"]
-        assert per["hits"] == 1
-        assert per["stores"] == 1
-
-    def test_corrupt_record_re_lowers_silently(self, tmp_path,
-                                               warm_closures):
-        store = ArtifactStore(tmp_path / "s")
-        program = compile_c(SRC, use_cache=False)
-        program.lowered(store)
-        [path] = _entry_paths(store)
-        path.write_bytes(b"\x00garbage, not a lowering")
-        warm_closures.clear()        # force the on-disk record path
-        fresh = compile_c(SRC, use_cache=False)
-        assert fresh.lowered(store) is not None    # must not raise
-        per = store.stats()["by_kind"]["lowered"]
-        assert per["corrupt"] == 1
-        assert per["stores"] == 2        # damaged entry replaced
-        # ... and the replacement validates for the next consumer.
-        warm_closures.clear()
-        compile_c(SRC, use_cache=False).lowered(store)
-        assert store.stats()["by_kind"]["lowered"]["hits"] == 1
-
-    def test_eviction_counts_lowered_bytes(self, tmp_path):
-        probe = ArtifactStore(tmp_path / "probe")
-        sources = [f"int main(void){{ return {i}; }}"
-                   for i in range(3)]
-        programs = [compile_c(s, use_cache=False) for s in sources]
-        programs[0].lowered(probe)
-        entry_size = probe.size_bytes()
-        assert entry_size > 0
-        # Room for ~2 lowered records: the third put must evict the
-        # oldest one.
-        store = ArtifactStore(tmp_path / "bounded",
-                              max_bytes=int(entry_size * 2.5))
-        for program in programs:
-            program.lowered(store)
-        assert store.stats()["evictions"] >= 1
-        assert store.size_bytes() <= store.max_bytes
-        assert store.get_record(
-            self._lowered_key(store, programs[0])) is None
-        assert store.get_record(
-            self._lowered_key(store, programs[2])) is not None
-
-    def test_schema_bump_invalidates_lowered_records(self, tmp_path,
-                                                     warm_closures):
-        root = tmp_path / "versioned"
-        old = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
-        compile_c(SRC, use_cache=False).lowered(old)
-        assert old.stats()["by_kind"]["lowered"]["stores"] == 1
-        new = ArtifactStore(root,
-                            schema_version=STORE_SCHEMA_VERSION + 1)
-        compile_c(SRC, use_cache=False).lowered(new)
-        per = new.stats()["by_kind"]["lowered"]
-        assert per["hits"] == 0 and per["stores"] == 1  # re-lowered
-        # The old-schema handle still validates its own record.
-        warm_closures.clear()
-        old2 = ArtifactStore(root,
-                             schema_version=STORE_SCHEMA_VERSION)
-        compile_c(SRC, use_cache=False).lowered(old2)
-        assert old2.stats()["by_kind"]["lowered"]["hits"] == 1
-
-
 class TestSchemaVersion:
     def test_schema_bump_invalidates_old_entries(self, tmp_path):
         root = tmp_path / "versioned"
@@ -559,12 +460,11 @@ class TestSchemaVersion:
 
 class TestWarmClosureCache:
     """The process-local warm-closure cache
-    (:data:`repro.farm.store.WARM_CLOSURES`): the in-memory layer of
-    the two-level lowering persistence.  Entries are keyed on the same
-    content address as the ``"lowered"`` store records, one entry
-    soundly serves every memory model, a schema bump invalidates warm
-    entries exactly as it invalidates persisted ones, and only the
-    compiled back end ever touches it."""
+    (:data:`repro.farm.store.WARM_CLOSURES`): lowerings keyed on the
+    artifact's content address, one entry soundly serves every
+    compile of the artifact under every memory model, a schema bump
+    invalidates warm entries exactly as it invalidates persisted
+    records, and only the compiled back end ever touches it."""
 
     @pytest.fixture
     def warm(self, warm_closures):
@@ -612,32 +512,13 @@ class TestWarmClosureCache:
         assert warm.stats()["entries"] == 2
         assert warm.stats()["hits"] == 0
 
-    def test_warm_hit_shields_corrupt_record(self, tmp_path, warm):
-        store = ArtifactStore(tmp_path / "s")
-        compile_c(SRC, use_cache=False).lowered(store)
-        [path] = _entry_paths(store)
-        path.write_bytes(b"\x00garbage, not a lowering")
-        # While the warm entry lives, the damaged on-disk record is
-        # never even read.
-        assert compile_c(SRC, use_cache=False).lowered(store) \
-            is not None
-        assert warm.stats()["hits"] == 1
-        assert store.stats()["by_kind"]["lowered"]["corrupt"] == 0
-        # Once it is gone, the corrupt record falls back to a silent
-        # re-lower that re-warms the cache.
-        warm.clear()
-        assert compile_c(SRC, use_cache=False).lowered(store) \
-            is not None
-        assert store.stats()["by_kind"]["lowered"]["corrupt"] == 1
-        assert warm.stats()["entries"] == 1
-
-    def test_stale_glob_names_reject_adoption(self, tmp_path, warm):
-        # File-scope objects get process-unique Core names (a_17 in
-        # one compile, a_53 in the next), and the lowered closures
-        # bake those names into their global_env lookups.  A fresh
-        # compile of the same source must therefore NOT adopt the
-        # warm entry — doing so crashed with "unbound Core symbol"
-        # the moment main touched a global.
+    def test_recompile_adopts_warm_lowering_with_globals(self, tmp_path,
+                                                         warm):
+        # Core is a deterministic function of (source, impl, name):
+        # file-scope objects get the same Core names in every compile,
+        # so the closures' baked-in global_env lookups stay valid and
+        # a fresh compile adopts the warm entry — and runs a program
+        # that touches globals correctly.
         src = ("int a, b; int main(void)"
                "{ (a = 1) + (b = 2); return a + b - 3; }")
         store = ArtifactStore(tmp_path / "s")
@@ -646,13 +527,10 @@ class TestWarmClosureCache:
         assert first.run("concrete",
                          backend="compiled").exit_code == 0
         fresh = compile_c(src, use_cache=False)
-        relowered = fresh.lowered(store)
-        assert relowered is not seeded
+        assert fresh.lowered(store) is seeded
         out = fresh.run("concrete", backend="compiled")
         assert out.status == "done" and out.exit_code == 0
-        # The stale entry reads as a miss (and is evicted, so the
-        # fresh lowering takes over its slot).
-        assert warm.stats() == {"hits": 0, "misses": 2, "entries": 1}
+        assert warm.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_tree_backend_never_touches_warm_cache(self, tmp_path,
                                                    warm):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline import MODELS
+from repro.spec import ExploreSpec
 from repro.testsuite.goldens import (
     GOLDEN_SCHEMA, compute_verdicts, diff_goldens, load_goldens,
     update_goldens,
@@ -56,9 +57,10 @@ class TestGoldenFile:
 class TestConformance:
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_live_verdicts_match_goldens(self, goldens, model):
-        live = compute_verdicts(models=[model],
-                                max_paths=goldens["max_paths"],
-                                max_steps=goldens["max_steps"])
+        live = compute_verdicts(
+            models=[model],
+            spec=ExploreSpec(max_paths=goldens["max_paths"],
+                             max_steps=goldens["max_steps"]))
         lines = diff_goldens(goldens, live)
         assert not lines, "\n".join(lines)
 
@@ -114,9 +116,10 @@ class TestRegeneration:
         doc = json.loads(json.dumps(goldens))  # deep copy
         name = sorted(doc["verdicts"])[0]
         doc["verdicts"][name]["concrete"] = ["exit=99 stdout='nope'"]
-        live = compute_verdicts(models=["concrete"], names=[name],
-                                max_paths=doc["max_paths"],
-                                max_steps=doc["max_steps"])
+        live = compute_verdicts(
+            models=["concrete"], names=[name],
+            spec=ExploreSpec(max_paths=doc["max_paths"],
+                             max_steps=doc["max_steps"]))
         lines = diff_goldens(doc, live)
         assert len(lines) == 1
         assert name in lines[0] and "concrete" in lines[0]

@@ -23,6 +23,7 @@ from repro.obs.trace import read_trace, run_id_for
 from repro.pipeline import (
     MODELS, clear_compile_cache, compile_c, set_artifact_store,
 )
+from repro.spec import ExploreSpec
 
 SRC_OK = r'''
 int main(void) { int a = 40; return a + 2; }
@@ -199,7 +200,7 @@ def _deterministic_totals(metric_dict):
 class TestFarmMetrics:
     def test_worker_merge_equals_serial_totals(self, tmp_path):
         kw = dict(models=["concrete", "provenance"], mode="explore",
-                  max_paths=50, seed=7)
+                  spec=ExploreSpec(max_paths=50, seed=7))
         serial = sweep(CORPUS, jobs=1,
                        store=tmp_path / "s1", **kw)
         parallel = sweep(CORPUS, jobs=2,
@@ -219,7 +220,7 @@ class TestFarmMetrics:
     def test_campaign_report_metrics_block(self, tmp_path):
         results, report = sweep_campaign(
             CORPUS, models=["concrete"], jobs=2, mode="explore",
-            max_paths=50, store=tmp_path / "store")
+            spec=ExploreSpec(max_paths=50), store=tmp_path / "store")
         doc = report.to_json()
         m = doc["metrics"]
         assert set(m) >= {"compile", "explore", "farm", "workers"}
@@ -242,7 +243,8 @@ class TestFarmMetrics:
         trace = tmp_path / "t.jsonl"
         with obs.tracing(str(trace)):
             sweep_campaign(CORPUS, models=["concrete"], jobs=2,
-                           mode="explore", max_paths=50,
+                           mode="explore",
+                           spec=ExploreSpec(max_paths=50),
                            store=tmp_path / "store")
         summary = summarize_trace(str(trace))
         # per-phase timings crossed the process boundary as span.*
@@ -320,7 +322,8 @@ class TestSemanticsUnchanged:
             Path(__file__).parent / "goldens" / "verdicts.json")
         with obs.tracing(str(tmp_path / "t.jsonl")):
             from repro.testsuite.goldens import compute_verdicts
-            live = compute_verdicts(models=list(MODELS),
-                                    max_paths=goldens["max_paths"],
-                                    max_steps=goldens["max_steps"])
+            live = compute_verdicts(
+                models=list(MODELS),
+                spec=ExploreSpec(max_paths=goldens["max_paths"],
+                                 max_steps=goldens["max_steps"]))
         assert diff_goldens(goldens, live) == []

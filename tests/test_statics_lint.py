@@ -32,6 +32,7 @@ from repro.pipeline import (
     MODELS, StaticsRecord, clear_compile_cache, compile_c,
     compile_for_model, lint_c,
 )
+from repro.spec import ExploreSpec
 from repro.statics import (
     STATICS_VERSION, analyze_program, apply_annotations,
     collect_unseqs, lint_program, serialize_unseq_info,
@@ -285,7 +286,8 @@ class TestStaticsStore:
         es = ExploreStore(ArtifactStore(tmp_path))
         from repro.ctypes.implementation import LP64
         k_off = es.key(DISJOINT, LP64, "concrete")
-        k_on = es.key(DISJOINT, LP64, "concrete", static_prune=True)
+        k_on = es.key(DISJOINT, LP64, "concrete",
+                      spec=ExploreSpec(static_prune=True))
         assert k_off != k_on
 
     def test_store_backed_static_explore(self, tmp_path):
@@ -310,8 +312,8 @@ class TestStaticsStore:
 class TestFarmLintFilter:
     def test_definite_finding_skips_exploration(self):
         task = SweepTask(0, "race", kind="explore", source=RACE,
-                         models=("concrete",), max_paths=50,
-                         lint=True)
+                         models=("concrete",),
+                         spec=ExploreSpec(max_paths=50), lint=True)
         result = execute_task(task)
         assert result.ok
         assert result.data["lint_filtered"]
@@ -322,8 +324,9 @@ class TestFarmLintFilter:
     def test_clean_program_still_explored(self):
         task = SweepTask(0, "disjoint", kind="explore",
                          source=DISJOINT, models=("concrete",),
-                         max_paths=200, lint=True,
-                         static_prune=True)
+                         spec=ExploreSpec(max_paths=200,
+                                          static_prune=True),
+                         lint=True)
         result = execute_task(task)
         assert result.ok
         assert "lint_filtered" not in result.data
