@@ -1,13 +1,20 @@
 """Compiled back end vs tree evaluator on straight-line-heavy loops.
 
 The compiled back end (:mod:`repro.dynamics.compile`) lowers each
-Core procedure once into slot-threaded closures; the tree evaluator —
-the oracle of record — re-dispatches on Core AST nodes every step.
-On straight-line-heavy programs (tight loops of pure arithmetic,
-array traffic, chained assignments) the lowering should buy at least
-a 3× throughput win, and this benchmark pins that floor so a
-regression in the lowering or the inline-request fast path fails CI
-instead of silently eroding the back end's reason to exist.
+Core procedure once into linear code for an explicit-stack machine;
+the tree evaluator — the oracle of record — re-dispatches on Core AST
+nodes every step.  On straight-line-heavy programs (tight loops of
+pure arithmetic, array traffic, chained assignments) the lowering
+should buy at least a 3× throughput win, and this benchmark pins that
+floor so a regression in the lowering or the machine fails CI instead
+of silently eroding the back end's reason to exist.
+
+Exploration runs the same machine, with every ``unseq`` interleaved
+through the oracle and every action logged for partial-order
+reduction.  One explored path (a driver with an event-logging oracle
+and an empty prefix — the explorer's first path) is timed next to the
+plain run of each shape, and the aggregate explored/run ratio must
+stay at or below ``MAX_EXPLORED_RATIO``.
 
 PR 7's telemetry is the measuring stick: each timed run executes
 under ``obs.collecting()`` and the numbers come from the driver's own
@@ -28,8 +35,9 @@ it, next to the warm steady-state runs the assertion uses.
 The JSON perf record is printed on the ``-s`` stream and written to
 ``benchmarks/perf_step_loop.json``; per-shape ratios must clear
 ``MIN_SHAPE_RATIO`` (or their entry in ``SHAPE_FLOORS`` — the call
-shapes pin the round-2 specialized call protocol at 3×) and the
-aggregate must clear ``MIN_RATIO`` (3.5×).
+shapes pin the specialized call protocol at 3×), the aggregate must
+clear ``MIN_RATIO`` (3.5×), and the aggregate explored/run ratio must
+not exceed ``MAX_EXPLORED_RATIO`` (2×).
 """
 
 import gc
@@ -40,13 +48,13 @@ from pathlib import Path
 
 from repro import obs
 from repro.dynamics.compile import lower_program
+from repro.dynamics.driver import Driver, Oracle
 from repro.pipeline import compile_for_model
 
 MODEL = "concrete"
 ROUNDS = 3
 #: The headline floor: aggregate work-normalized steps/s, compiled
-#: over tree, across every shape.  Raised from 3.0 when round 2
-#: (specialized calls, fused instructions, run mode) landed.
+#: over tree, across every shape.
 MIN_RATIO = 3.5
 #: Per-shape sanity floor (a single shape collapsing below this is a
 #: lowering regression even if the aggregate still clears the
@@ -58,13 +66,16 @@ MIN_SHAPE_RATIO = 2.0
 #: per call); with pre-resolved callee layouts and direct slot-write
 #: argument passing they must hold >= 3×.
 SHAPE_FLOORS = {"call_heavy": 3.0, "ptr_call": 3.0}
+#: The ceiling on one explored path's cost over a plain run of the
+#: same program, aggregated across every shape.
+MAX_EXPLORED_RATIO = 2.0
 
 # Straight-line-heavy step loops: no I/O, no nondeterminism — one
 # path, thousands of evaluator steps.  Unsigned arithmetic keeps
 # every operation defined under all models.
 SHAPES = {
     # chained assignments: four stores per iteration, each a small
-    # pure expression — the inline-request fast path's home turf
+    # pure expression
     "arith_unrolled": r'''
 unsigned acc;
 int main(void) {
@@ -150,9 +161,17 @@ int main(void) {
 }
 
 
-def _observed_run(program, backend):
-    """One run under a fresh metrics scope; returns the outcome plus
-    the driver's own telemetry (steps, instrumented wall seconds).
+def _explored_path(program):
+    """The explorer's first path: an event-logging oracle, no prefix."""
+    return Driver(program.core, program.make_model(MODEL),
+                  Oracle(record_events=True)).run()
+
+
+def _observed_run(program, backend, explored=False):
+    """One run (or, with ``explored``, one explored path on the
+    compiled back end) under a fresh metrics scope; returns the
+    outcome plus the driver's own telemetry (steps, instrumented
+    wall seconds).
 
     Two pieces of measurement hygiene isolate the run from harness
     state that would otherwise skew the ratio:
@@ -177,7 +196,8 @@ def _observed_run(program, backend):
         gc.disable()
         try:
             with obs.collecting() as registry:
-                result["outcome"] = program.run(MODEL, backend=backend)
+                result["outcome"] = _explored_path(program) if explored \
+                    else program.run(MODEL, backend=backend)
         finally:
             if was_enabled:
                 gc.enable()
@@ -198,7 +218,7 @@ def _outcome_key(o):
 
 def test_step_loop(benchmark):
     entries = {}
-    agg = {"tree_s": 0.0, "compiled_s": 0.0}
+    agg = {"tree_s": 0.0, "compiled_s": 0.0, "explored_s": 0.0}
     for name, source in SHAPES.items():
         program = compile_for_model(source, MODEL)
 
@@ -218,10 +238,13 @@ def test_step_loop(benchmark):
         assert _outcome_key(cold_out) == _outcome_key(tree_out), name
         assert tree_out.status == "done" and \
             tree_out.exit_code == 0, name
+        explored_out, explored_steps, _ = \
+            _observed_run(program, "compiled", explored=True)
+        assert _outcome_key(explored_out) == _outcome_key(tree_out), name
 
         # Warm steady state: min-of-ROUNDS, back ends interleaved so
         # load spikes hit both sides.
-        walls = {"tree": [], "compiled": []}
+        walls = {"tree": [], "compiled": [], "explored": []}
         if name == "array_stencil":
             out = benchmark.pedantic(
                 lambda: _observed_run(program, "compiled"),
@@ -231,8 +254,11 @@ def test_step_loop(benchmark):
             for backend in ("tree", "compiled"):
                 walls[backend].append(
                     _observed_run(program, backend)[2])
+            walls["explored"].append(
+                _observed_run(program, "compiled", explored=True)[2])
         tree_s = min(walls["tree"])
         compiled_s = min(walls["compiled"])
+        explored_s = min(walls["explored"])
 
         # Work-normalized steps/s: both sides charged the tree step
         # count for the identical program (the compiled evaluator
@@ -252,15 +278,20 @@ def test_step_loop(benchmark):
                              round(cold_steps / compiled_s, 1),
                          "work_normalized_steps_per_s":
                              round(normalized_sps, 1)},
+            "explored": {"wall_s": round(explored_s, 4),
+                         "steps": explored_steps},
             "ratio": ratio,
+            "explored_over_run": round(explored_s / compiled_s, 2),
         }
         agg["tree_s"] += tree_s
         agg["compiled_s"] += compiled_s
+        agg["explored_s"] += explored_s
         floor = SHAPE_FLOORS.get(name, MIN_SHAPE_RATIO)
         entries[name]["min_ratio_asserted"] = floor
         assert ratio >= floor, (name, entries)
 
     aggregate_ratio = round(agg["tree_s"] / agg["compiled_s"], 2)
+    explored_ratio = round(agg["explored_s"] / agg["compiled_s"], 2)
     record = {
         "benchmark": "step_loop",
         "model": MODEL,
@@ -269,10 +300,14 @@ def test_step_loop(benchmark):
         "shapes": entries,
         "aggregate": {"tree_s": round(agg["tree_s"], 4),
                       "compiled_s": round(agg["compiled_s"], 4),
-                      "steps_per_s_ratio": aggregate_ratio},
+                      "explored_s": round(agg["explored_s"], 4),
+                      "steps_per_s_ratio": aggregate_ratio,
+                      "explored_over_run": explored_ratio},
         "min_ratio_asserted": MIN_RATIO,
+        "max_explored_ratio_asserted": MAX_EXPLORED_RATIO,
     }
     out_path = Path(__file__).with_name("perf_step_loop.json")
     out_path.write_text(json.dumps(record, indent=2) + "\n")
     print("\n" + json.dumps(record))
     assert aggregate_ratio >= MIN_RATIO, record
+    assert explored_ratio <= MAX_EXPLORED_RATIO, record

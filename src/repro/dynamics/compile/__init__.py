@@ -1,37 +1,33 @@
-"""The compiled back end: Core → slotted, closure-threaded linear code.
+"""The compiled back end: Core → linear code for one explicit-stack
+machine.
 
 This package mirrors the compile-once front end with a compile-once
-*back end*.  :func:`lower_program` flattens each Core procedure, pure
-function, and global initialiser into pre-resolved closures over
-slot-indexed frames (no per-step isinstance dispatch, no dict
-environments); :class:`CompiledEvaluator` executes them behind the
-same generator request protocol the driver, explorer, and
-partial-order reduction already consume, so the two back ends are
-interchangeable per :class:`repro.dynamics.driver.Driver` instance
+*back end*.  :func:`lower_program` turns each Core procedure and
+global initialiser into one flat instruction list over slot-indexed
+frames, and each pure function into a pre-resolved closure (no
+per-step isinstance dispatch, no dict environments).
+:class:`CompiledEvaluator` is the machine that runs them: a context is
+a pc, a frame and a stack of heap-allocated caller frames; ``save``/
+``run`` loops are jumps; interleaved ``unseq`` children and C11
+threads are contexts, so an interleaving choice or a thread switch is
+a pick among plain data.  Requests go to the driver's one service by
+a direct call, and control returns to the driver's thread scheduler
+only where a thread switch is possible.  The two back ends are
+interchangeable per :class:`repro.dynamics.driver.Driver`
 (``backend="compiled"`` is the default; ``backend="tree"`` is the
 oracle of record and settles any behavioural dispute).
 
-Round 2 (the raw-speed work) added three layers on top of that base:
-
-* **The specialized call protocol** — every C call (``ECcall``)
-  resolves its callee through a one-element per-site inline cache,
-  writes arguments directly into a preallocated callee frame (no
-  generic ``call_proc`` dispatch), and completes statically pure
-  callees with no generator suspension at all.  Fast-path vs
-  generic-fallback dispatch is counted per run (``compile.call_fast``
-  / ``compile.call_generic`` in traces and ``cerberus-py stats``).
-* **The fusion pass** — recurring sequences collapse into single
-  pre-resolved instructions at lower time: comparison/arithmetic
-  operands that are slots or constants are read directly, irrefutable
-  spine steps become direct slot-write instructions, and the C
-  assignment ``load → compute → store`` triple becomes one fused
-  instruction in the run-mode spine plan.  Hit counts live in
-  ``LoweredProgram.fused`` (``compile.fused.*`` counters).
-* **Run mode** — thread-free programs on plain single-path runs
-  execute through direct ``run(ev, fr)`` closures serviced by the
-  driver's inline request callback instead of a suspended generator
-  stack; exploration and threaded programs keep the full protocol
-  (see the :mod:`.lower` module docstring for the exact gate).
+The same code serves single runs, exploration and threads.  When the
+oracle always takes the first candidate (a plain single run) every
+``unseq`` runs its children in program order without consulting it;
+otherwise the machine replays the tree evaluator's scheduling
+algorithm and choice metadata exactly, so explorations enumerate the
+same paths.  C calls resolve through a per-site callee cache
+(``compile.call_fast`` / ``compile.call_generic`` count the direct
+and the native route), and lower-time operand fusions are counted in
+``LoweredProgram.fused`` (``compile.fused.*``).  See the
+:mod:`.lower` and :mod:`.evaluator` module docstrings for the
+instruction protocol and the scheduling rules.
 
 Closure-cache lifecycle: lowering is cached per program object
 (:func:`ensure_lowered`), and the closures persist per process in

@@ -1,72 +1,62 @@
-"""Core → slotted, closure-threaded linear code (the compiled back
-end's lowering pass).
+"""Core → linear code for the compiled back end's explicit-stack
+machine (:class:`repro.dynamics.compile.evaluator.CompiledEvaluator`).
 
-One pass over an elaborated :class:`repro.core.ast.Program` flattens
-every procedure, pure function, and global initialiser into
-pre-resolved closures:
+One pass over an elaborated :class:`repro.core.ast.Program` lowers
+every procedure, pure function and global initialiser:
 
-* **Pure expressions** become plain closures ``p(ev, fr) -> Value``:
-  per-node ``isinstance`` dispatch is resolved at lower time (each
-  AST node becomes exactly the code it needs), and every name is
-  resolved to a **frame slot** — frames are flat Python lists, one
-  per procedure/function invocation, with a fresh slot allocated per
+* **Pure expressions** become closures ``p(ev, fr) -> Value``.  The
+  per-node ``isinstance`` dispatch is resolved at lower time, and
+  every name is resolved to a **frame slot**: frames are flat Python
+  lists, one per procedure/function invocation, with a fresh slot per
   binder (compile-time alpha-renaming), so shadowing is safe and no
-  ``dict(env)`` copy ever happens at a ``let``/``case``/``sseq``
-  boundary.  Names with no lexical binder compile to a
-  ``global_env`` lookup, matching the tree evaluator's
+  environment is ever copied.  Names with no lexical binder compile
+  to a ``global_env`` lookup, matching the tree evaluator's
   env-then-global fallback.
-* **Effectful expressions** become generator closures ``e(ev, fr)``
-  yielding the *exact* request protocol of
-  :class:`repro.dynamics.evaluator.Evaluator` — ``("action", ...)``
-  with scheduling chains, ``("choose", "unseq", n, (frame, cands[,
-  hulls]))`` metadata, locks, ticks, spawns — so the driver, the
-  explorer, and partial-order reduction consume compiled code with
-  byte-identical traces and behaviour sets.  Statically effect-free
-  subtrees additionally carry a non-generator fast path (``LE.pure``)
-  that the sequencing combinators use to skip generator construction
-  entirely on the hot ``let strong <pure>`` spine.
-* **Run mode** (``LE.run``): every effectful form *also* carries a
-  direct, non-generator executor ``run(ev, fr) -> (value, summary)``
-  that services requests through the driver's inline callback
-  (``ev._inline``) instead of suspending a generator stack.  The
-  driver enters it through :meth:`CompiledEvaluator.call_proc` only
-  on plain single-path runs of **thread-free** programs
-  (``LoweredProgram.threads_possible`` is the lower-time gate: any
-  ``par``/``wait`` node or any reference to a thread native keeps
-  the program on the generator protocol).  Exploration always
-  records events, so run mode never touches behaviour sets, path
-  accounting, or the POR machinery — it is exactly the single-path
-  hot loop.
+* **Effectful expressions** become one flat instruction list per
+  procedure (``LoweredProc.code``).  An instruction is a closure
+  ``i(ev, fr) -> pc`` returning the next pc, or a machine status
+  (``RELOAD``/``YIELD``/``BLOCK``/``DONE``/``GEN``) after storing its
+  resume pc in the running context.  Every value lands in a frame
+  slot; ``if``/``case``/``nd`` branch by pc; ``save``/``run`` loops
+  are jumps (a ``run`` first kills the objects of the scopes it
+  leaves); a C call pushes a heap frame onto the context's stack
+  instead of a Python frame; an ``unseq`` lays its children out as
+  code regions that run one after the other when the oracle cannot
+  tell interleavings apart, and that the machine interleaves
+  otherwise (as contexts of their own, or inline in the parent when
+  only one child is effectful).
 
-**The specialized call protocol.**  Every C call elaborates to
-``ECcall``; its lowering resolves the callee through a one-element
-per-site inline cache (function value identity → lowered callee),
-pre-builds the callee frame by direct slot writes — no generic
-``call_proc`` dispatch, no intermediate generator — and, for
-statically pure callee bodies, completes the call entirely on the
-closure fast path with no suspension at all.  Generic fallbacks
-(natives, unknown/indirect targets the cache misses on) are counted
-against the fast path via ``ev.call_fast`` / ``ev.call_generic`` —
-surfaced as ``compile.call_fast`` / ``compile.call_generic`` obs
-counters.
+Requests reach the driver by a direct call (``ev.handle`` is
+:meth:`repro.dynamics.driver.Driver._handle`) with the exact shapes
+the tree evaluator yields — actions with their scheduling chain,
+``("choose", "unseq", n, (frame, cands[, hulls]))`` — so the
+explorer and partial-order reduction see byte-identical traces.
 
-**The fusion pass.**  During lowering, recurring sequences collapse
-into single pre-resolved instructions, counted in
-``LoweredProgram.fused``: comparison and arithmetic operands that
-are frame slots or constants are read directly (no operand-closure
-calls — the compare half of every compare-branch), spine steps with
-irrefutable patterns become direct slot-writing instructions, and
-the ``load → compute → store`` triple every C assignment elaborates
-to becomes one fused load-op-store instruction in the run-mode
-spine plan (the generator path keeps the unfused step list — the
-explorer's request protocol is untouched).
+Action records are only kept where a race check reads them: the
+children of an ``unseq`` with two or more recording children, and
+both halves of a ``let weak`` whose first half performs a negative
+action.  A C call's records are never kept: the tree evaluator tags
+them with a fresh indeterminate-sequencing region, and a tagged
+record can only race with one carrying the same regions, which lies
+in the same call and so in the same group of every check.
+
+**The call protocol.**  An ``ECcall`` resolves its callee through a
+one-element per-site cache and writes the arguments straight into
+the callee frame; natives fall back to the generic route (a request
+generator the machine drives).  Both routes are counted
+(``compile.call_fast`` / ``compile.call_generic``).
+
+**Operand fusion.**  Comparison and arithmetic operands that are
+frame slots or constants are read directly; an ``unseq`` destructured
+by a tuple of binders writes its children's values straight into the
+binders' slots; ``let x = y`` of a slot-bound ``y`` aliases the slot.
+Hit counts live in ``LoweredProgram.fused``.
 
 Static-analysis annotations (:mod:`repro.statics`) are re-keyed from
 AST node identity onto **stable instruction ids**: every ``unseq``
-instruction captures its positional index in
-:func:`repro.statics.collect_unseqs` order (the same positional basis
-the persisted ``"statics"`` tables use), and resolves footprint hulls
-through a slot-backed environment view at run time.
+captures its positional index in :func:`repro.statics.collect_unseqs`
+order (the basis the persisted ``"statics"`` tables use), and
+resolves footprint hulls through a slot-backed environment view.
 
 Lowering is cached on the program object (``program._lowered``) and,
 per process, in the warm-closure cache behind
@@ -86,10 +76,8 @@ from ...memory.values import (
 )
 from ... import ub as UB
 from ...ub import UndefinedBehaviour
-from ..actions import ActionSummary, find_unsequenced_race
-from ..evaluator import (
-    ProcReturn, RunSignal, _SCOPE_CREATED, _region_counter,
-)
+from ..actions import find_unsequenced_race
+from ..evaluator import ProcReturn, RunSignal, _SCOPE_CREATED
 from ..values import (
     FALSE, TRUE, UNIT, VBool, VCtype, VFloating, VInteger, VList,
     VMemStruct, VPointer, VScopeList, VSpecified, VTuple, VUnit,
@@ -99,106 +87,30 @@ from ..values import (
 # Version of the lowering scheme itself, folded into warm-closure
 # keys: bump when the slot layout, instruction-id basis, or closure
 # protocol changes.
-#   1: PR 8 — slotted closure-threaded linear code.
-#   2: PR 9 — specialized call protocol, fusion counters and the
-#      threads_possible gate join the serialized layout.
-LOWERED_VERSION = 2
+#   1: slotted closure-threaded code.
+#   2: the specialized call protocol and fusion counters.
+#   3: one explicit-stack machine runs linear instruction lists.
+LOWERED_VERSION = 3
 
-# Natives that suspend into the thread scheduler (spawn / wait
-# requests).  Any lexical reference to one of these names — or any
-# `par`/`wait` Core node — marks the program "threads possible" and
-# keeps it off run mode: run-mode execution cannot suspend.
-_THREAD_NATIVES = frozenset(("thrd_create", "thrd_join"))
+# Machine statuses an instruction may return instead of a pc.
+RELOAD = -1   # the context's code, frame and pc changed (call/return)
+YIELD = -2    # an action was performed: a scheduling point
+BLOCK = -3    # the context blocked on an interleaved unseq
+DONE = -4     # the context's base computation finished
+GEN = -5      # the context now drives a request generator
 
 # Shared singleton request for loop-tick accounting.
 _TICK = ("tick",)
 
-# One shared empty summary for compiled fast paths.  ActionSummary is
-# never mutated in place anywhere (union / tag_region build new
-# objects), so sharing the empty is safe — the tree evaluator already
-# relies on this with its `[empty()] * n` unseq seeding.
-_EMPTY = ActionSummary()
+# Actions whose records never take part in a race (``conflicting``
+# exempts them), so no check ever needs them kept.
+_LIFETIME = frozenset(("create", "create_vla", "kill", "alloc"))
 
 _CMP_OPS = {
     "==": lambda a, b: a == b, "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
 }
-
-# The statics resolver is imported lazily (statics itself lazily
-# imports the dynamics package) and only when an annotation is
-# actually consumed.
-_resolve_hull = None
-
-
-def _hull_resolver():
-    global _resolve_hull
-    if _resolve_hull is None:
-        from ...statics import resolve_hull
-        _resolve_hull = resolve_hull
-    return _resolve_hull
-
-
-class _SlotEnvView:
-    """A read-only ``env.get(name)`` adapter over a slot frame, fed to
-    :func:`repro.statics.resolve_hull` so static footprint hulls
-    resolve against live frame values exactly as they would against
-    the tree evaluator's dict environment."""
-
-    __slots__ = ("fr", "slots")
-
-    def __init__(self, fr, slots):
-        self.fr = fr
-        self.slots = slots
-
-    def get(self, name):
-        i = self.slots.get(name)
-        return None if i is None else self.fr[i]
-
-
-class LE:
-    """One lowered effectful expression: ``gen(ev, fr)`` builds the
-    request generator; ``pure`` (when the subtree is statically
-    effect-free — it cannot yield) evaluates directly to the value;
-    ``run(ev, fr) -> (value, summary)`` executes directly through the
-    driver's inline request service (only entered when ``ev._inline``
-    is installed and the program is thread-free — see the module
-    docstring's run-mode contract)."""
-
-    __slots__ = ("gen", "pure", "run")
-
-    def __init__(self, gen, pure=None, run=None):
-        self.gen = gen
-        self.pure = pure
-        self.run = run
-
-
-def _pure_le(p) -> LE:
-    def gen(ev, fr):
-        return p(ev, fr), _EMPTY
-        yield  # pragma: no cover - makes this a generator function
-
-    def run(ev, fr, _p=p):
-        return _p(ev, fr), _EMPTY
-
-    return LE(gen, p, run)
-
-
-def _drive_inline(ev, gen):
-    """Run-mode pump for request generators that stay generic (native
-    procedures, the generic ``call_proc`` path): every yielded request
-    is serviced by the driver's inline callback — same step
-    accounting, same deadline checks as a scheduler round-trip."""
-    inline = ev._inline
-    response = None
-    started = False
-    while True:
-        try:
-            request = gen.send(response) if started else next(gen)
-            started = True
-        except StopIteration as stop:
-            return stop.value
-        response = inline(request)
 
 
 class _FrameAlloc:
@@ -217,7 +129,7 @@ class _FrameAlloc:
 
 class LoweredProc:
     __slots__ = ("name", "params", "param_slots", "varargs_slot",
-                 "variadic", "frame_size", "body", "n_instr")
+                 "variadic", "frame_size", "code")
 
     def __init__(self, name, params, variadic):
         self.name = name
@@ -226,8 +138,7 @@ class LoweredProc:
         self.param_slots: List[int] = []
         self.varargs_slot: Optional[int] = None
         self.frame_size = 0
-        self.body: Optional[LE] = None
-        self.n_instr = 0
+        self.code: List[Callable] = []
 
 
 class LoweredFun:
@@ -241,37 +152,40 @@ class LoweredFun:
         self.body: Optional[Callable] = None
 
 
-class LoweredGlob:
-    __slots__ = ("name", "frame_size", "body")
+class UnseqSite:
+    """What the machine needs to interleave one ``unseq``: its stable
+    instruction id, per child a ``(closure, result slot)`` pair when it
+    is pure or its start pc when it is not, the mode slot, the join pc,
+    and the scope for hull resolution."""
 
-    def __init__(self, name):
-        self.name = name
-        self.frame_size = 0
-        self.body: Optional[LE] = None
+    __slots__ = ("uidx", "kids", "eff", "us", "join", "env_slots")
+
+    def __init__(self, uidx, kids, us, join, env_slots):
+        self.uidx = uidx
+        self.kids = kids
+        self.eff = tuple(i for i, k in enumerate(kids)
+                         if k.__class__ is int)
+        self.us = us
+        self.join = join
+        self.env_slots = env_slots
 
 
 class LoweredProgram:
-    """The compiled back end of one Core program: slot-threaded
-    closures per procedure / pure function / global initialiser, plus
+    """The compiled back end of one Core program: linear code per
+    procedure and global initialiser, pure closures per function, plus
     the positional ``unseq`` instruction table that re-keys static
     annotations onto stable ids."""
 
-    __slots__ = ("procs", "funs", "globs", "unseq_nodes",
-                 "threads_possible", "fused")
+    __slots__ = ("procs", "funs", "globs", "unseq_nodes", "fused")
 
     def __init__(self):
         self.procs: Dict[str, LoweredProc] = {}
         self.funs: Dict[str, LoweredFun] = {}
-        self.globs: Dict[str, LoweredGlob] = {}
+        #: Global initialisers, lowered as parameterless procedures.
+        self.globs: Dict[str, LoweredProc] = {}
         #: ``collect_unseqs`` order: position == stable instruction id.
         self.unseq_nodes: List[K.EUnseq] = []
-        #: Lower-time gate for run mode: True when any ``par``/``wait``
-        #: node or any lexical reference to a thread native exists —
-        #: such a program can suspend into the thread scheduler, which
-        #: direct (non-generator) execution cannot do.
-        self.threads_possible = False
-        #: Fusion-pass hit counts (lower-time): how many recurring
-        #: sequences collapsed into single pre-resolved instructions.
+        #: Fusion hit counts (lower-time).
         self.fused: Dict[str, int] = {}
 
     def layout(self) -> dict:
@@ -279,15 +193,14 @@ class LoweredProgram:
         counts): two lowerings of one Core program agree on it, which
         pins stable instruction ids and frame shapes."""
         return {
-            "procs": {name: (p.frame_size, p.n_instr, len(p.params),
+            "procs": {name: (p.frame_size, len(p.code), len(p.params),
                              p.variadic)
                       for name, p in sorted(self.procs.items())},
             "funs": {name: (f.frame_size, len(f.params))
                      for name, f in sorted(self.funs.items())},
-            "globs": {name: g.frame_size
+            "globs": {name: (g.frame_size, len(g.code))
                       for name, g in sorted(self.globs.items())},
             "n_unseqs": len(self.unseq_nodes),
-            "threads_possible": self.threads_possible,
             "fused": dict(sorted(self.fused.items())),
         }
 
@@ -317,12 +230,19 @@ class _Lowerer:
         self.out.unseq_nodes = collect_unseqs(program)
         self._unseq_ids = {id(node): i for i, node
                            in enumerate(self.out.unseq_nodes)}
-        self._n_instr = 0
-        self._threads = False
         self.fused: Dict[str, int] = {
-            "cmp_operand": 0, "arith_operand": 0, "slot_instr": 0,
-            "load_op_store": 0,
+            "cmp_operand": 0, "arith_operand": 0, "unseq_bind": 0,
+            "slot_alias": 0,
         }
+        # Per-node static facts, memoised by node identity.
+        self._facts: Dict[int, tuple] = {}
+        # The code list being emitted, and the lexically enclosing
+        # saves ``(label, slots, body_pc, scope_depth)`` and scopes
+        # (their created-list slots) of the current definition.
+        self.code: List[Callable] = []
+        self._saves: List[tuple] = []
+        self._scopes: List[tuple] = []
+        self._in_par = 0
 
     def lower(self) -> LoweredProgram:
         out = self.out
@@ -354,22 +274,28 @@ class _Lowerer:
             if proc.variadic:
                 lp.varargs_slot = falloc.alloc()
                 scope["__varargs__"] = lp.varargs_slot
-            self._n_instr = 0
-            lp.body = self._expr(proc.body, scope, falloc)
+            self._body(lp.code, proc.body, scope, falloc)
             lp.frame_size = falloc.n
-            lp.n_instr = self._n_instr
         for g in self.program.globs:
             if g.init is None:
                 continue
-            lg = LoweredGlob(g.name)
+            lg = LoweredProc(g.name, [], False)
             falloc = _FrameAlloc()
-            self._n_instr = 0
-            lg.body = self._expr(g.init, {}, falloc)
+            self._body(lg.code, g.init, {}, falloc)
             lg.frame_size = falloc.n
             out.globs[g.name] = lg
-        out.threads_possible = self._threads
         out.fused = self.fused
         return out
+
+    def _body(self, code, e, scope, falloc) -> None:
+        """Emit one definition's code: its body, then a return of the
+        body's value (the end of the context at the base frame)."""
+        self.code = code
+        self._saves = []
+        self._scopes = []
+        slot = falloc.alloc()
+        self._emit(e, scope, falloc, slot, False)
+        code.append(_ret(slot))
 
     # ==================== patterns =========================================
 
@@ -524,12 +450,6 @@ class _Lowerer:
     def _pure(self, pe: K.Pexpr, scope: Dict[str, int],
               falloc: _FrameAlloc):
         if isinstance(pe, K.PSym):
-            if pe.name in _THREAD_NATIVES:
-                # A lexical reference to a thread native: the only way
-                # spawn/wait requests can ever be reached (natives are
-                # invoked by name or through a function value taken
-                # from that name).  Keeps the program off run mode.
-                self._threads = True
             slot = scope.get(pe.name)
             if slot is not None:
                 def p_slot(ev, fr, _s=slot, _n=pe.name, _l=pe.loc):
@@ -1049,955 +969,553 @@ class _Lowerer:
         return None
 
     # ==================== effect lowering ==================================
+    #
+    # ``self.code`` is the instruction list being emitted.  ``dest`` is
+    # the slot an expression's value goes to (None: dropped); ``rec``
+    # says an enclosing race check reads the records its actions make.
 
-    def _expr_list(self, exprs, scope, falloc):
-        return [self._expr(e, scope, falloc) for e in exprs]
+    def _fact(self, kind: int, e: K.Expr) -> bool:
+        """A static fact of ``e``: :data:`_PURE` — it lowers to one pure
+        closure; :data:`_RECORDS` — it performs a non-lifetime action
+        outside any call; :data:`_NEG` — it performs a negative one.
+        Computed for a whole subtree at once, children first, with an
+        explicit stack (statement spines are as long as the function)."""
+        facts = self._facts.get(id(e))
+        if facts is None:
+            order = []
+            stack = [e]
+            while stack:
+                node = stack.pop()
+                order.append(node)
+                stack += _children(node)
+            for node in reversed(order):
+                kids = [self._facts[id(c)] for c in _children(node)]
+                acts = _actions(node)
+                self._facts[id(node)] = (
+                    isinstance(node, _PURE_FORMS)
+                    and all(k[_PURE] for k in kids),
+                    any(a.kind not in _LIFETIME for a in acts)
+                    or any(k[_RECORDS] for k in kids),
+                    any(a.polarity == "neg" for a in acts)
+                    or any(k[_NEG] for k in kids))
+            facts = self._facts[id(e)]
+        return facts[kind]
 
-    def _expr(self, e: K.Expr, scope: Dict[str, int],
-              falloc: _FrameAlloc) -> LE:
-        self._n_instr += 1
-        if isinstance(e, K.EPure):
-            return _pure_le(self._pure(e.pe, scope, falloc))
-        if isinstance(e, K.ESkip):
-            return _pure_le(lambda ev, fr: UNIT)
-        if isinstance(e, K.EReturn):
-            p = self._pure(e.pe, scope, falloc)
+    def _hole(self) -> int:
+        self.code.append(None)
+        return len(self.code) - 1
 
-            def p_ret(ev, fr, _p=p):
-                raise ProcReturn(_p(ev, fr))
+    def _emit(self, e: K.Expr, scope: Dict[str, int],
+              falloc: _FrameAlloc, dest: Optional[int],
+              rec: bool) -> None:
+        while isinstance(e, (K.EIndet, K.EBound)):
+            e = e.body
+        code = self.code
+        if self._fact(_PURE, e):
+            code.append(_store(self._pure_expr(e, scope, falloc), dest,
+                               len(code) + 1))
+        elif isinstance(e, K.EAction):
+            a = e.action
+            code.append(_act(a.kind, self._pure_list(a.args, scope,
+                                                     falloc),
+                             a.polarity, a.order, a.loc, dest,
+                             rec and a.kind not in _LIFETIME,
+                             len(code) + 1))
+        elif isinstance(e, (K.ESseq, K.EWseq)):
+            self._seq(e, scope, falloc, dest, rec)
+        elif isinstance(e, K.EUnseq):
+            self._unseq(e, scope, falloc, dest, rec)
+        elif isinstance(e, (K.ECcall, K.EProc)):
+            self._call(e, scope, falloc, dest)
+        elif isinstance(e, K.ELet):
+            s2 = dict(scope)
+            self._bind(self._pure(e.bound, scope, falloc), e.pat, s2,
+                       falloc, "refutable let pattern", e.loc,
+                       _alias(e.bound, scope))
+            self._emit(e.body, s2, falloc, dest, rec)
+        elif isinstance(e, K.EIf):
+            cond = self._pure(e.cond, scope, falloc)
+            at = self._hole()
+            then, els = self._branches([(e.then, scope), (e.els, scope)],
+                                       falloc, dest, rec)
 
-            return _pure_le(p_ret)
-        if isinstance(e, K.ERun):
+            def i_if(ev, fr, _c=cond, _t=then, _e=els):
+                return _t if truthy(_c(ev, fr)) else _e
+
+            code[at] = i_if
+        elif isinstance(e, K.ECase):
+            scrut = self._pure(e.scrutinee, scope, falloc)
+            at = self._hole()
+            matchers = []
+            bodies = []
+            for pat, body in e.branches:
+                s2 = dict(scope)
+                matchers.append(self._pattern(pat, s2, falloc))
+                bodies.append((body, s2))
+            starts = self._branches(bodies, falloc, dest, rec)
+
+            def i_case(ev, fr, _s=scrut, _l=e.loc,
+                       _arms=tuple(zip(matchers, starts))):
+                v = _s(ev, fr)
+                for m, pc in _arms:
+                    if m(v, fr):
+                        return pc
+                raise InternalError(f"no matching case branch for {v!r}",
+                                    _l)
+
+            code[at] = i_case
+        elif isinstance(e, K.ENd) and len(e.exprs) > 1:
+            at = self._hole()
+            starts = self._branches([(sub, scope) for sub in e.exprs],
+                                    falloc, dest, rec)
+
+            def i_nd(ev, fr, _starts=tuple(starts), _n=len(starts)):
+                return _starts[ev.handle(("choose", "nd", _n),
+                                         ev.thread)]
+
+            code[at] = i_nd
+        elif isinstance(e, K.ENd):
+            self._emit(e.exprs[0], scope, falloc, dest, rec)
+        elif isinstance(e, K.ESave):
+            self._save(e, scope, falloc, dest, rec)
+        elif isinstance(e, K.ERun):
+            self._run(e, scope, falloc)
+        elif isinstance(e, K.EReturn):
+            slot = falloc.alloc()
+            code.append(_store(self._pure(e.pe, scope, falloc), slot,
+                               len(code) + 1))
+            if self._in_par:
+                def i_escape(ev, fr, _s=slot):
+                    raise ProcReturn(fr[_s])
+
+                code.append(i_escape)
+                return
+            for cslot, loc in reversed(self._scopes):
+                self._kill(cslot, loc)
+            code.append(_ret(slot))
+        elif isinstance(e, K.EScope):
+            self._scope(e, scope, falloc, dest, rec)
+        elif isinstance(e, K.EVlaCreate):
+            self._vla(e, scope, falloc, dest)
+        elif isinstance(e, K.EPtrOp):
             args = self._pure_list(e.args, scope, falloc)
 
-            def p_run(ev, fr, _label=e.label, _args=args):
-                raise RunSignal(_label, [a(ev, fr) for a in _args])
+            def i_ptrop(ev, fr, _op=e.op, _args=args, _aux=e.aux,
+                        _l=e.loc, _d=dest, _n=len(code) + 1):
+                v = ev.handle(("ptrop", _op, [a(ev, fr) for a in _args],
+                               _aux, _l), ev.thread)
+                if _d is not None:
+                    fr[_d] = v
+                return _n
 
-            return _pure_le(p_run)
-        if isinstance(e, K.EAction):
-            return self._action(e.action, scope, falloc)
-        if isinstance(e, K.EPtrOp):
-            args = self._pure_list(e.args, scope, falloc)
-
-            def g_ptrop(ev, fr, _op=e.op, _args=args, _aux=e.aux,
-                        _l=e.loc):
-                vals = [a(ev, fr) for a in _args]
-                inline = ev._inline
-                if inline is not None:
-                    value = inline(("ptrop", _op, vals, _aux, _l))
-                else:
-                    value = yield ("ptrop", _op, vals, _aux, _l)
-                return value, _EMPTY
-
-            def r_ptrop(ev, fr, _op=e.op, _args=args, _aux=e.aux,
-                        _l=e.loc):
-                vals = [a(ev, fr) for a in _args]
-                return ev._inline(("ptrop", _op, vals, _aux, _l)), \
-                    _EMPTY
-
-            return LE(g_ptrop, run=r_ptrop)
-        if isinstance(e, K.ECase):
-            return self._ecase(e, scope, falloc)
-        if isinstance(e, K.ELet):
-            return self._elet(e, scope, falloc)
-        if isinstance(e, K.EIf):
-            return self._eif(e, scope, falloc)
-        if isinstance(e, K.EProc):
-            if e.name in _THREAD_NATIVES:
-                self._threads = True
-            args = self._pure_list(e.args, scope, falloc)
-
-            def g_proc(ev, fr, _n=e.name, _args=args, _l=e.loc):
-                vals = [a(ev, fr) for a in _args]
-                return (yield from ev.call_proc(_n, vals, _l))
-
-            def r_proc(ev, fr, _n=e.name, _args=args, _l=e.loc):
-                vals = [a(ev, fr) for a in _args]
-                # call_proc itself takes the direct path when the
-                # callee is lowered; the pump only turns for natives.
-                return _drive_inline(ev, ev.call_proc(_n, vals, _l))
-
-            return LE(g_proc, run=r_proc)
-        if isinstance(e, K.ECcall):
-            return self._ccall(e, scope, falloc)
-        if isinstance(e, K.EUnseq):
-            return self._unseq(e, scope, falloc)
-        if isinstance(e, (K.EWseq, K.ESseq)):
-            return self._spine(e, scope, falloc)
-        if isinstance(e, K.EAtomicSeq):
-            return self._atomic_seq(e, scope, falloc)
-        if isinstance(e, (K.EIndet, K.EBound)):
-            return self._expr(e.body, scope, falloc)
-        if isinstance(e, K.ENd):
-            les = self._expr_list(e.exprs, scope, falloc)
-
-            def g_nd(ev, fr, _les=les, _n=len(les)):
-                idx = 0
-                if _n > 1:
-                    idx = yield ("choose", "nd", _n)
-                le = _les[idx]
-                if le.pure is not None:
-                    return le.pure(ev, fr), _EMPTY
-                return (yield from le.gen(ev, fr))
-
-            def r_nd(ev, fr, _les=les, _n=len(les)):
-                idx = 0
-                if _n > 1:
-                    idx = ev._inline(("choose", "nd", _n))
-                le = _les[idx]
-                if le.pure is not None:
-                    return le.pure(ev, fr), _EMPTY
-                return le.run(ev, fr)
-
-            return LE(g_nd, run=r_nd)
-        if isinstance(e, K.ESave):
-            return self._save(e, scope, falloc)
-        if isinstance(e, K.EScope):
-            return self._scope(e, scope, falloc)
-        if isinstance(e, K.EVlaCreate):
-            return self._vla_create(e, scope, falloc)
-        if isinstance(e, K.EPar):
-            # par spawns threads: the whole program stays off run mode.
-            self._threads = True
-            les = self._expr_list(e.exprs, scope, falloc)
-
-            def g_par(ev, fr, _les=les):
-                tids = []
-                for le in _les:
-                    tid = yield ("spawn", le.gen(ev, fr))
-                    tids.append(tid)
-                results = []
-                for tid in tids:
-                    value = yield ("wait", tid)
-                    results.append(value)
-                return VTuple(tuple(results)), _EMPTY
-
-            return LE(g_par)
-        if isinstance(e, K.EWait):
-            # wait suspends into the thread scheduler: no run mode.
-            self._threads = True
+            code.append(i_ptrop)
+        elif isinstance(e, K.EAtomicSeq):
+            self._atomic(e, scope, falloc, dest, rec)
+        elif isinstance(e, K.EPar):
+            self._par(e, scope, falloc, dest)
+        elif isinstance(e, K.EWait):
             th = self._pure(e.thread, scope, falloc)
 
-            def g_wait(ev, fr, _th=th, _l=e.loc):
+            def i_wait(ev, fr, _th=th, _l=e.loc, _d=dest,
+                       _n=len(code) + 1):
                 tid = ev._as_integer(_th(ev, fr), _l).value
-                value = yield ("wait", tid)
-                return value, _EMPTY
+                return ev.drive(_wait(tid), _d, _n, 0)
 
-            return LE(g_wait)
-        raise InternalError(
-            f"lower: unhandled expr {type(e).__name__}", e.loc)
+            code.append(i_wait)
+        else:
+            raise InternalError(
+                f"lower: unhandled expr {type(e).__name__}", e.loc)
 
-    # ---- actions ---------------------------------------------------------
+    def _branches(self, bodies, falloc, dest, rec) -> List[int]:
+        """Emit alternative ``(body, scope)`` pairs one after another,
+        each but the last jumping past the rest; their start pcs."""
+        code = self.code
+        starts = []
+        jumps = []
+        for k, (body, scope) in enumerate(bodies):
+            starts.append(len(code))
+            self._emit(body, scope, falloc, dest, rec)
+            if k + 1 < len(bodies):
+                jumps.append(self._hole())
+        for j in jumps:
+            code[j] = _jump(len(code))
+        return starts
 
-    def _action(self, action: K.Action, scope, falloc) -> LE:
-        args = self._pure_list(action.args, scope, falloc)
-        # Lifetime actions (create / kill / alloc) can never be one
-        # side of an unsequenced race — ``conflicting`` exempts them
-        # unconditionally — so their summaries are statically empty:
-        # no per-action ActionSummary allocation, and every enclosing
-        # union / tag_region walks fewer records.  The driver still
-        # logs the full record (POR barriers need it when exploring).
-        lifetime = action.kind in ("create", "create_vla", "kill",
-                                   "alloc")
-
-        def g_action(ev, fr, _args=args, _k=action.kind,
-                     _p=action.polarity, _o=action.order,
-                     _l=action.loc, _life=lifetime):
-            vals = [a(ev, fr) for a in _args]
-            # Single-threaded plain runs service hot requests through
-            # the driver's inline callback instead of suspending the
-            # whole generator stack (see CompiledEvaluator._inline).
-            inline = ev._inline
-            if inline is not None:
-                value, record = inline(("action", _k, vals, _p, _o,
-                                        _l, ()))
-            else:
-                value, record = yield ("action", _k, vals, _p, _o,
-                                       _l, ())
-            return value, _EMPTY if _life else ActionSummary([record])
-
-        def r_action(ev, fr, _args=args, _k=action.kind,
-                     _p=action.polarity, _o=action.order,
-                     _l=action.loc, _life=lifetime):
-            vals = [a(ev, fr) for a in _args]
-            value, record = ev._inline(("action", _k, vals, _p, _o,
-                                        _l, ()))
-            return value, _EMPTY if _life else ActionSummary([record])
-
-        return LE(g_action, run=r_action)
-
-    # ---- C function calls (the specialized call protocol) ----------------
-
-    def _ccall(self, e: K.ECcall, scope, falloc) -> LE:
-        """Every C call elaborates to ``ECcall``; this lowering
-        replaces the generic ``call_proc`` path with a specialized
-        protocol: a one-element per-site inline cache resolves the
-        function value to its lowered callee (function values are
-        per-driver objects, so a fresh run's first call through a
-        site re-resolves once and re-primes), arguments are written
-        directly into a preallocated callee frame, and a statically
-        pure callee body completes with no generator suspension at
-        all.  Natives and cache-missing indirect targets fall back to
-        the generic path; both sides are counted (``ev.call_fast`` /
-        ``ev.call_generic``).  The lock bracket and region tagging
-        are byte-identical to the tree evaluator's ``_ccall``."""
-        fn = self._pure(e.fn, scope, falloc)
-        args = self._pure_list(e.args, scope, falloc)
-        procs = self.out.procs
-        site: list = [None, None, None]  # f, name, lowered-or-None
-
-        def g_ccall(ev, fr, _fn=fn, _args=args, _l=e.loc,
-                    _site=site, _procs=procs):
-            f = _fn(ev, fr)
-            vals = [a(ev, fr) for a in _args]
-            if f is _site[0]:
-                name = _site[1]
-                lp = _site[2]
-            else:
-                name = ev._function_name(f, _l)
-                lp = _procs.get(name)
-                _site[0] = f
-                _site[1] = name
-                _site[2] = lp
-            region = next(_region_counter)
-            # The lock bracket only gates unseq interleaving, and
-            # the driver's per-thread lock counter is write-only:
-            # on the inline fast path the bracket is vacuous.
-            locked = ev._inline is None
-            if locked:
-                yield ("lock", 1)
-            # No unlock on exception — same teardown contract as
-            # the tree evaluator's _ccall.
-            if lp is None:
-                # Native or unknown name: the generic protocol
-                # (call_proc raises the canonical diagnostic).
-                ev.call_generic += 1
-                value, summary = yield from ev.call_proc(name, vals,
-                                                         _l)
-            else:
-                ev.call_fast += 1
-                nparams = len(lp.params)
-                if len(vals) != nparams and not lp.variadic:
-                    raise InternalError(
-                        f"arity mismatch calling {name}: {len(vals)} "
-                        f"args for {nparams} params", _l)
-                ffr = [None] * lp.frame_size
-                for slot, v in zip(lp.param_slots, vals):
-                    ffr[slot] = v
-                if lp.variadic:
-                    ffr[lp.varargs_slot] = VList(
-                        tuple(vals[nparams:]))
-                body = lp.body
-                try:
-                    if body.pure is not None:
-                        value = body.pure(ev, ffr)
-                        summary = _EMPTY
-                    else:
-                        value, summary = yield from body.gen(ev, ffr)
-                except ProcReturn as r:
-                    value = r.value
-                    summary = _EMPTY
-            if locked:
-                yield ("lock", -1)
-            return value, summary.tag_region(region)
-
-        def r_ccall(ev, fr, _fn=fn, _args=args, _l=e.loc,
-                    _site=site, _procs=procs):
-            # No region tagging on this path: a tagged record is inert
-            # in every later race check (cross-group pairs from
-            # *different* calls carry different chains and the
-            # indeterminate-sequencing exemption skips them; records of
-            # one dynamic call can never straddle two groups), so the
-            # callee summary is dropped here instead of being rebuilt
-            # record-by-record only to be exempted.  The generator path
-            # keeps the tagging — the tree evaluator is the oracle for
-            # exploration and the two must stay structurally aligned.
-            f = _fn(ev, fr)
-            vals = [a(ev, fr) for a in _args]
-            if f is _site[0]:
-                name = _site[1]
-                lp = _site[2]
-            else:
-                name = ev._function_name(f, _l)
-                lp = _procs.get(name)
-                _site[0] = f
-                _site[1] = name
-                _site[2] = lp
-            if lp is None:
-                ev.call_generic += 1
-                value, _ = _drive_inline(
-                    ev, ev.call_proc(name, vals, _l))
-            else:
-                ev.call_fast += 1
-                nparams = len(lp.params)
-                if len(vals) != nparams and not lp.variadic:
-                    raise InternalError(
-                        f"arity mismatch calling {name}: {len(vals)} "
-                        f"args for {nparams} params", _l)
-                ffr = [None] * lp.frame_size
-                for slot, v in zip(lp.param_slots, vals):
-                    ffr[slot] = v
-                if lp.variadic:
-                    ffr[lp.varargs_slot] = VList(
-                        tuple(vals[nparams:]))
-                body = lp.body
-                try:
-                    if body.pure is not None:
-                        value = body.pure(ev, ffr)
-                    else:
-                        value, _ = body.run(ev, ffr)
-                except ProcReturn as r:
-                    value = r.value
-            return value, _EMPTY
-
-        return LE(g_ccall, run=r_ccall)
-
-    # ---- binding combinators ---------------------------------------------
-
-    def _ecase(self, e: K.ECase, scope, falloc) -> LE:
-        scrut = self._pure(e.scrutinee, scope, falloc)
-        branches = []
-        for pat, body in e.branches:
+    def _pure_expr(self, e: K.Expr, scope, falloc):
+        """The closure of an effectful form whose ``"pure"`` fact
+        holds."""
+        while isinstance(e, (K.EIndet, K.EBound)):
+            e = e.body
+        if isinstance(e, K.EPure):
+            return self._pure(e.pe, scope, falloc)
+        if isinstance(e, K.ESkip):
+            return _unit
+        if isinstance(e, K.ELet):
+            bound = self._pure(e.bound, scope, falloc)
             s2 = dict(scope)
-            m = self._pattern(pat, s2, falloc)
-            branches.append((m, self._expr(body, s2, falloc)))
-        if all(le.pure is not None for _, le in branches):
-            pure_branches = [(m, le.pure) for m, le in branches]
+            m = self._pattern(e.pat, s2, falloc)
+            body = self._pure_expr(e.body, s2, falloc)
 
-            def p_case(ev, fr, _s=scrut, _b=pure_branches, _l=e.loc):
-                v = _s(ev, fr)
-                for m, body in _b:
-                    if m(v, fr):
-                        return body(ev, fr)
-                raise InternalError(
-                    f"no matching case branch for {v!r}", _l)
-
-            return _pure_le(p_case)
-
-        def g_case(ev, fr, _s=scrut, _b=branches, _l=e.loc):
-            v = _s(ev, fr)
-            for m, le in _b:
-                if m(v, fr):
-                    if le.pure is not None:
-                        return le.pure(ev, fr), _EMPTY
-                    return (yield from le.gen(ev, fr))
-            raise InternalError(f"no matching case branch for {v!r}",
-                                _l)
-
-        def r_case(ev, fr, _s=scrut, _b=branches, _l=e.loc):
-            v = _s(ev, fr)
-            for m, le in _b:
-                if m(v, fr):
-                    if le.pure is not None:
-                        return le.pure(ev, fr), _EMPTY
-                    return le.run(ev, fr)
-            raise InternalError(f"no matching case branch for {v!r}",
-                                _l)
-
-        return LE(g_case, run=r_case)
-
-    def _elet(self, e: K.ELet, scope, falloc) -> LE:
-        bound = self._pure(e.bound, scope, falloc)
-        s2 = dict(scope)
-        m = self._pattern(e.pat, s2, falloc)
-        body = self._expr(e.body, s2, falloc)
-        if body.pure is not None:
-            def p_let(ev, fr, _b=bound, _m=m, _body=body.pure,
-                      _l=e.loc):
-                v = _b(ev, fr)
-                if not _m(v, fr):
+            def p_let(ev, fr, _b=bound, _m=m, _body=body, _l=e.loc):
+                if not _m(_b(ev, fr), fr):
                     raise InternalError("refutable let pattern", _l)
                 return _body(ev, fr)
 
-            return _pure_le(p_let)
+            return p_let
+        if isinstance(e, K.EIf):
+            cond = self._pure(e.cond, scope, falloc)
+            then = self._pure_expr(e.then, scope, falloc)
+            els = self._pure_expr(e.els, scope, falloc)
+            return lambda ev, fr, _c=cond, _t=then, _e=els: \
+                _t(ev, fr) if truthy(_c(ev, fr)) else _e(ev, fr)
+        if isinstance(e, K.ECase):
+            scrut = self._pure(e.scrutinee, scope, falloc)
+            arms = []
+            for pat, body in e.branches:
+                s2 = dict(scope)
+                m = self._pattern(pat, s2, falloc)
+                arms.append((m, self._pure_expr(body, s2, falloc)))
 
-        def g_let(ev, fr, _b=bound, _m=m, _body=body.gen, _l=e.loc):
-            v = _b(ev, fr)
-            if not _m(v, fr):
-                raise InternalError("refutable let pattern", _l)
-            return (yield from _body(ev, fr))
+            def p_ecase(ev, fr, _s=scrut, _arms=tuple(arms), _l=e.loc):
+                v = _s(ev, fr)
+                for m, body in _arms:
+                    if m(v, fr):
+                        return body(ev, fr)
+                raise InternalError(f"no matching case branch for {v!r}",
+                                    _l)
 
-        def r_let(ev, fr, _b=bound, _m=m, _body=body, _l=e.loc):
-            v = _b(ev, fr)
-            if not _m(v, fr):
-                raise InternalError("refutable let pattern", _l)
-            return _body.run(ev, fr)
+            return p_ecase
+        steps = []
+        while isinstance(e, (K.ESseq, K.EWseq)):
+            first = self._pure_expr(e.first, scope, falloc)
+            scope = dict(scope)
+            m = self._pattern(e.pat, scope, falloc)
+            steps.append((first, m, _let_msg(e), e.loc))
+            e = e.second
+        tail = self._pure_expr(e, scope, falloc)
 
-        return LE(g_let, run=r_let)
+        def p_spine(ev, fr, _steps=tuple(steps), _tail=tail):
+            for p, m, msg, lc in _steps:
+                if not m(p(ev, fr), fr):
+                    raise InternalError(msg, lc)
+            return _tail(ev, fr)
 
-    def _eif(self, e: K.EIf, scope, falloc) -> LE:
-        cond = self._pure(e.cond, scope, falloc)
-        then = self._expr(e.then, scope, falloc)
-        els = self._expr(e.els, scope, falloc)
-        if then.pure is not None and els.pure is not None:
-            def p_if(ev, fr, _c=cond, _t=then.pure, _e=els.pure):
-                return _t(ev, fr) if truthy(_c(ev, fr)) \
-                    else _e(ev, fr)
+        return p_spine
 
-            return _pure_le(p_if)
+    def _bind(self, p, pat, s2, falloc, msg, loc, alias=None) -> None:
+        """Emit the binding of pure closure ``p``'s value to ``pat``
+        (binders land in ``s2``).  ``alias`` is the slot ``p`` merely
+        reads: a plain binder then shares it — sound because a slot is
+        only rebound by re-running its binder, which leaves every scope
+        the alias lives in."""
+        code = self.code
+        if isinstance(pat, K.PatSym):
+            if alias is not None:
+                s2[pat.name] = alias
+                self.fused["slot_alias"] += 1
+                return
+            slot = falloc.alloc()
+            s2[pat.name] = slot
+            code.append(_store(p, slot, len(code) + 1))
+        elif isinstance(pat, K.PatWild):
+            code.append(_store(p, None, len(code) + 1))
+        else:
+            m = self._pattern(pat, s2, falloc)
 
-        def g_if(ev, fr, _c=cond, _t=then, _e=els):
-            le = _t if truthy(_c(ev, fr)) else _e
-            if le.pure is not None:
-                return le.pure(ev, fr), _EMPTY
-            return (yield from le.gen(ev, fr))
+            def i_bind(ev, fr, _p=p, _m=m, _msg=msg, _l=loc,
+                       _n=len(code) + 1):
+                if not _m(_p(ev, fr), fr):
+                    raise InternalError(_msg, _l)
+                return _n
 
-        def r_if(ev, fr, _c=cond, _t=then, _e=els):
-            le = _t if truthy(_c(ev, fr)) else _e
-            if le.pure is not None:
-                return le.pure(ev, fr), _EMPTY
-            return le.run(ev, fr)
-
-        return LE(g_if, run=r_if)
+            code.append(i_bind)
 
     # ---- sequencing ------------------------------------------------------
 
-    def _spine(self, e: K.Expr, scope, falloc) -> LE:
-        """Flatten a right-nested ``sseq``/``wseq`` chain — the spine
-        every C statement list elaborates to — into ONE generator
-        running a linear step list, instead of one nested generator
-        frame per sequencing node.  Evaluation order, refutable-pattern
-        errors, record order, and weak-sequencing race checks (which
-        nested evaluation performs innermost-first, after the whole
-        spine has run) are all preserved exactly."""
-        steps = []
-        meta = []
+    def _seq(self, e, scope, falloc, dest, rec) -> None:
+        """A right-nested ``sseq``/``wseq`` spine (every statement list),
+        emitted step by step.  A weak step whose first half performs a
+        negative action is checked against the rest of the spine after
+        the tail has run, innermost first — the order nested
+        evaluation checks in."""
+        checks = []
         while isinstance(e, (K.ESseq, K.EWseq)):
-            weak = isinstance(e, K.EWseq)
-            self._n_instr += 1
-            node = e.first
-            # Run-plan metadata: actions get their request parts
-            # re-lowered against the *pre-pattern* scope (pure
-            # lowering is deterministic and allocates no step slots)
-            # so the plan can issue the request without the generator
-            # wrapper; patterns record their single target slot when
-            # irrefutable.
-            act = None
-            if isinstance(node, K.EAction):
-                a = node.action
-                act = (a.kind,
-                       self._pure_list(a.args, scope, falloc),
-                       a.polarity, a.order, a.loc)
-            first = self._expr(node, scope, falloc)
-            scope = dict(scope)
-            pat = e.pat
-            m = self._pattern(pat, scope, falloc)
-            slot = scope[pat.name] if isinstance(pat, K.PatSym) \
-                else None
-            wild = isinstance(pat, K.PatWild)
-            msg = "refutable weak-let pattern" if weak \
-                else "refutable strong-let pattern"
-            steps.append((first, m, msg, e.loc, weak))
-            meta.append((act, slot, wild))
+            check = isinstance(e, K.EWseq) and \
+                self._fact(_NEG, e.first) and \
+                self._fact(_RECORDS, e.second)
+            if check:
+                marks = (falloc.alloc(), falloc.alloc())
+                self.code.append(_mark(marks[0], len(self.code) + 1))
+                checks.append((marks, rec, e.loc))
+                rec = True
+            s2 = dict(scope)
+            self._emit_bound(e.first, e.pat, scope, s2, falloc, rec,
+                             _let_msg(e), e.loc)
+            if check:
+                self.code.append(_mark(marks[1], len(self.code) + 1))
+            scope = s2
             e = e.second
-        tail = self._expr(e, scope, falloc)
-        if tail.pure is not None and \
-                all(st[0].pure is not None for st in steps):
-            pure_steps = tuple((st[0].pure, st[1], st[2], st[3])
-                               for st in steps)
+        self._emit(e, scope, falloc, dest, rec)
+        for marks, outer, loc in reversed(checks):
+            self.code.append(_weak_check(marks, not outer, loc,
+                                         len(self.code) + 1))
 
-            def p_spine(ev, fr, _steps=pure_steps, _tail=tail.pure):
-                for p, m, msg, lc in _steps:
-                    if not m(p(ev, fr), fr):
-                        raise InternalError(msg, lc)
-                return _tail(ev, fr)
+    def _emit_bound(self, first, pat, scope, s2, falloc, rec, msg,
+                    loc) -> None:
+        """Emit ``first`` with its value bound to ``pat``."""
+        while isinstance(first, (K.EIndet, K.EBound)):
+            first = first.body
+        if self._fact(_PURE, first):
+            alias = _alias(first.pe, scope) \
+                if isinstance(first, K.EPure) else None
+            self._bind(self._pure_expr(first, scope, falloc), pat, s2,
+                       falloc, msg, loc, alias)
+        elif isinstance(first, K.EUnseq) and \
+                isinstance(pat, K.PatCtor) and pat.ctor == "Tuple" and \
+                len(pat.args) == len(first.exprs) and \
+                all(isinstance(a, (K.PatSym, K.PatWild))
+                    for a in pat.args):
+            # The elaborated operand shape: the children write straight
+            # into the binders' slots, no tuple is built or matched.
+            binds = []
+            for a in pat.args:
+                slot = None
+                if isinstance(a, K.PatSym):
+                    slot = falloc.alloc()
+                    s2[a.name] = slot
+                binds.append(slot)
+            self.fused["unseq_bind"] += 1
+            self._unseq(first, scope, falloc, None, rec, binds)
+        elif isinstance(pat, K.PatSym):
+            slot = falloc.alloc()
+            s2[pat.name] = slot
+            self._emit(first, scope, falloc, slot, rec)
+        elif isinstance(pat, K.PatWild):
+            self._emit(first, scope, falloc, None, rec)
+        else:
+            tmp = falloc.alloc()
+            self._emit(first, scope, falloc, tmp, rec)
+            self._bind(_slot_reader(tmp), pat, s2, falloc, msg, loc)
 
-            return _pure_le(p_spine)
-        plan = self._spine_plan(steps, meta) \
-            if not any(st[4] for st in steps) else None
-        steps = tuple(steps)
-        if plan is not None:
-            # All-strong spine (the dominant shape): no weak race
-            # checks, so the summary is just the step records
-            # concatenated in evaluation order.
-            def g_spine_strong(ev, fr, _steps=steps, _tail=tail):
-                recs = None
-                for le, m, msg, lc, _weak in _steps:
-                    if le.pure is not None:
-                        v = le.pure(ev, fr)
-                    else:
-                        v, s = yield from le.gen(ev, fr)
-                        if s.records:
-                            if recs is None:
-                                recs = list(s.records)
-                            else:
-                                recs.extend(s.records)
-                    if not m(v, fr):
-                        raise InternalError(msg, lc)
-                if _tail.pure is not None:
-                    v = _tail.pure(ev, fr)
-                else:
-                    v, ts = yield from _tail.gen(ev, fr)
-                    if ts.records:
-                        if recs is None:
-                            return v, ts
-                        recs.extend(ts.records)
-                if recs is None:
-                    return v, _EMPTY
-                return v, ActionSummary(recs)
+    def _unseq(self, e, scope, falloc, dest, rec, binds=None) -> None:
+        """``unseq``: the children's code regions in order, bracketed by
+        a begin instruction, one end instruction per effectful child,
+        and a join.  When the oracle cannot tell interleavings apart
+        (a plain run, or a statically commuting node) the regions run
+        one after the other and the pure children are evaluated in
+        between, in program order; otherwise the begin hands the
+        children to :meth:`CompiledEvaluator.interleave` (the
+        scheduling algorithm and choice metadata of the tree
+        evaluator's ``_unseq``), each end finishes its child, and the
+        parent continues at the join.  The unsequenced-race check runs
+        in both modes over the children's records in child order."""
+        kids = list(e.exprs)
+        n = len(kids)
+        pure = [self._fact(_PURE, c) for c in kids]
+        check = sum(1 for c, p in zip(kids, pure)
+                    if not p and self._fact(_RECORDS, c)) >= 2
+        inner = rec or check
+        rs = list(binds) if binds is not None \
+            else [falloc.alloc() for _ in kids]
+        us = falloc.alloc()
+        ms = falloc.alloc() if check else None
+        pures = [self._pure_expr(c, scope, falloc) if p else None
+                 for c, p in zip(kids, pure)]
+        code = self.code
+        begin = self._hole()
+        starts: List[Optional[int]] = [None] * n
+        ends = []
+        for i, c in enumerate(kids):
+            if not pure[i]:
+                starts[i] = len(code)
+                self._emit(c, scope, falloc, rs[i], inner)
+                ends.append(self._hole())
+        join = self._hole()
+        eff = [i for i in range(n) if not pure[i]]
+        cuts = [-1] + eff + [n]
+        # Sequential mode: after the begin and after each effectful
+        # child, the pure children up to the next effectful one, and
+        # where to go next (-1: finish the unseq).
+        segs = [(tuple((pures[i], rs[i])
+                       for i in range(cuts[k] + 1, cuts[k + 1])),
+                 starts[eff[k]] if k < len(eff) else -1)
+                for k in range(len(eff) + 1)]
+        tup = dest if binds is None else None
+        site = UnseqSite(self._unseq_ids.get(id(e), -1),
+                         tuple((pures[i], rs[i]) if pure[i] else starts[i]
+                               for i in range(n)),
+                         us, join, dict(scope))
 
-            def r_spine_strong(ev, fr, _plan=plan, _tail=tail):
-                recs = []
-                for instr in _plan:
-                    instr(ev, fr, recs)
-                if _tail.pure is not None:
-                    v = _tail.pure(ev, fr)
-                else:
-                    v, ts = _tail.run(ev, fr)
-                    if ts.records:
-                        recs.extend(ts.records)
-                if not recs:
-                    return v, _EMPTY
-                return v, ActionSummary(recs)
+        def finish(ev, fr, _ms=ms, _rec=rec, _rs=rs, _d=tup, _l=e.loc,
+                   _after=join + 1):
+            if _ms is not None:
+                recs = ev.ctx.recs
+                marks = fr[_ms]
+                _race([recs[marks[j]:marks[j + 1]]
+                       for j in range(len(marks) - 1)], _l)
+                if not _rec:
+                    del recs[marks[0]:]
+            if _d is not None:
+                fr[_d] = VTuple(tuple([fr[r] for r in _rs]))
+            return _after
 
-            return LE(g_spine_strong, run=r_spine_strong)
+        def i_unseq(ev, fr, _site=site, _us=us, _ms=ms, _seg=segs[0],
+                    _fin=finish):
+            if not ev.seq or ev.static_prune:
+                pc = ev.interleave(_site, fr)
+                if pc is not None:
+                    return pc
+            fr[_us] = None
+            if _ms is not None:
+                fr[_ms] = [len(ev.ctx.recs)]
+            evals, target = _seg
+            for p, s in evals:
+                v = p(ev, fr)
+                if s is not None:
+                    fr[s] = v
+            return target if target >= 0 else _fin(ev, fr)
 
-        def g_spine(ev, fr, _steps=steps, _tail=tail):
-            eff = None
-            i = 0
-            for le, m, msg, lc, weak in _steps:
-                if le.pure is not None:
-                    v = le.pure(ev, fr)
-                else:
-                    v, s = yield from le.gen(ev, fr)
-                    if s.records:
-                        if eff is None:
-                            eff = [(i, s)]
-                        else:
-                            eff.append((i, s))
-                if not m(v, fr):
-                    raise InternalError(msg, lc)
-                i += 1
-            if _tail.pure is not None:
-                v = _tail.pure(ev, fr)
-                tail_s = None
-            else:
-                v, tail_s = yield from _tail.gen(ev, fr)
-                if not tail_s.records:
-                    tail_s = None
-            if eff is None and tail_s is None:
-                return v, _EMPTY
-            # Weak-sequencing race checks, innermost (latest) first —
-            # the order nested evaluation performs them in.
-            later = tail_s.records if tail_s is not None else []
-            parts = [] if tail_s is None else [tail_s]
-            if eff is not None:
-                for j in range(len(eff) - 1, -1, -1):
-                    i, s = eff[j]
-                    st = _steps[i]
-                    if st[4] and later:
-                        negs = s.negatives()
-                        if negs:
-                            race = find_unsequenced_race([negs, later])
-                            if race is not None:
-                                a, b = race
-                                raise UndefinedBehaviour(
-                                    UB.UNSEQUENCED_RACE, st[3],
-                                    f"store side effect unsequenced "
-                                    f"with {b.kind} at "
-                                    f"0x{b.footprint.addr:x}")
-                    later = s.records + later
-                    parts.append(s)
-            if len(parts) == 1:
-                return v, parts[0]
-            return v, ActionSummary(later)
+        code[begin] = i_unseq
+        for k, at in enumerate(ends):
+            def i_end(ev, fr, _us=us, _ms=ms, _seg=segs[k + 1],
+                      _fin=finish, _join=join):
+                lv = fr[_us]
+                if lv is not None:      # an interleaved child is done
+                    return ev.end_child(lv, fr, _us, _join)
+                if _ms is not None:
+                    fr[_ms].append(len(ev.ctx.recs))
+                evals, target = _seg
+                for p, s in evals:
+                    v = p(ev, fr)
+                    if s is not None:
+                        fr[s] = v
+                return target if target >= 0 else _fin(ev, fr)
 
-        def r_spine(ev, fr, _steps=steps, _tail=tail):
-            # The weak spine keeps the unfused step walk in run mode
-            # too: the innermost-first race checks below can raise
-            # UNSEQUENCED_RACE, a real verdict, and must see the same
-            # per-step summaries as the generator path.
-            eff = None
-            i = 0
-            for le, m, msg, lc, weak in _steps:
-                if le.pure is not None:
-                    v = le.pure(ev, fr)
-                else:
-                    v, s = le.run(ev, fr)
-                    if s.records:
-                        if eff is None:
-                            eff = [(i, s)]
-                        else:
-                            eff.append((i, s))
-                if not m(v, fr):
-                    raise InternalError(msg, lc)
-                i += 1
-            if _tail.pure is not None:
-                v = _tail.pure(ev, fr)
-                tail_s = None
-            else:
-                v, tail_s = _tail.run(ev, fr)
-                if not tail_s.records:
-                    tail_s = None
-            if eff is None and tail_s is None:
-                return v, _EMPTY
-            later = tail_s.records if tail_s is not None else []
-            parts = [] if tail_s is None else [tail_s]
-            if eff is not None:
-                for j in range(len(eff) - 1, -1, -1):
-                    i, s = eff[j]
-                    st = _steps[i]
-                    if st[4] and later:
-                        negs = s.negatives()
-                        if negs:
-                            race = find_unsequenced_race([negs, later])
-                            if race is not None:
-                                a, b = race
-                                raise UndefinedBehaviour(
-                                    UB.UNSEQUENCED_RACE, st[3],
-                                    f"store side effect unsequenced "
-                                    f"with {b.kind} at "
-                                    f"0x{b.footprint.addr:x}")
-                    later = s.records + later
-                    parts.append(s)
-            if len(parts) == 1:
-                return v, parts[0]
-            return v, ActionSummary(later)
+            code[at] = i_end
 
-        return LE(g_spine, run=r_spine)
+        def i_join(ev, fr, _us=us, _check=check, _rec=rec, _rs=rs,
+                   _d=tup, _l=e.loc, _after=join + 1):
+            kids = fr[_us].ctxs
+            fr[_us] = None
+            if _check:
+                _race([c.recs for c in kids], _l)
+            if _rec:
+                recs = ev.ctx.recs
+                for c in kids:
+                    recs.extend(c.recs)
+            if _d is not None:
+                fr[_d] = VTuple(tuple([fr[r] for r in _rs]))
+            return _after
 
-    def _spine_plan(self, steps, meta):
-        """The run-mode instruction plan for an all-strong spine: one
-        pre-resolved instruction ``instr(ev, fr, recs)`` per step (or
-        per *fused* step group), appending action records to ``recs``
-        in evaluation order.  Fusions (lower-time, counted in
-        ``self.fused``):
+        code[join] = i_join
 
-        * ``load_op_store`` — the ``let old = load; let new = <pure>;
-          let _ = store`` triple every C compound assignment /
-          increment elaborates to becomes ONE instruction: load
-          request, slot write, pure compute, slot write, store
-          request, two records — no pattern matchers, no per-step
-          dispatch.
-        * ``slot_instr`` — a step whose pattern is a plain binder or
-          wildcard becomes a direct slot-write (or value-drop)
-          instruction: the compiled matcher call disappears.
-
-        Steps the plan can't specialize run their generic
-        ``pure``/``run`` closure plus matcher, exactly like the
-        generator spine."""
-        plan = []
-        i = 0
-        n = len(steps)
-        while i < n:
-            le, m, msg, lc, _weak = steps[i]
-            act, slot, wild = meta[i]
-            if act is not None and act[0] == "load" and \
-                    slot is not None and i + 2 < n:
-                le2 = steps[i + 1][0]
-                act2, slot2, _w2 = meta[i + 1]
-                act3, _s3, wild3 = meta[i + 2]
-                if le2.pure is not None and act2 is None and \
-                        slot2 is not None and act3 is not None and \
-                        act3[0] == "store" and wild3:
-                    self.fused["load_op_store"] += 1
-                    plan.append(self._i_load_op_store(
-                        act, slot, le2.pure, slot2, act3))
-                    i += 3
-                    continue
-            if le.pure is not None and slot is not None:
-                self.fused["slot_instr"] += 1
-
-                def i_pure_slot(ev, fr, recs, _p=le.pure, _s=slot):
-                    fr[_s] = _p(ev, fr)
-
-                plan.append(i_pure_slot)
-            elif le.pure is not None and wild:
-                self.fused["slot_instr"] += 1
-
-                def i_pure_drop(ev, fr, recs, _p=le.pure):
-                    _p(ev, fr)
-
-                plan.append(i_pure_drop)
-            elif act is not None and (slot is not None or wild):
-                self.fused["slot_instr"] += 1
-                plan.append(self._i_action_slot(act, slot))
-            else:
-                def i_generic(ev, fr, recs, _le=le, _m=m, _msg=msg,
-                              _lc=lc):
-                    if _le.pure is not None:
-                        v = _le.pure(ev, fr)
-                    else:
-                        v, s = _le.run(ev, fr)
-                        if s.records:
-                            recs.extend(s.records)
-                    if not _m(v, fr):
-                        raise InternalError(_msg, _lc)
-
-                plan.append(i_generic)
-            i += 1
-        return tuple(plan)
-
-    @staticmethod
-    def _i_action_slot(act, slot):
-        kind, args, pol, order, loc = act
-        if slot is None:
-            def i_act_drop(ev, fr, recs, _args=args, _k=kind, _p=pol,
-                           _o=order, _l=loc):
-                vals = [a(ev, fr) for a in _args]
-                _v, record = ev._inline(("action", _k, vals, _p, _o,
-                                         _l, ()))
-                recs.append(record)
-
-            return i_act_drop
-
-        def i_act_slot(ev, fr, recs, _args=args, _k=kind, _p=pol,
-                       _o=order, _l=loc, _s=slot):
-            vals = [a(ev, fr) for a in _args]
-            v, record = ev._inline(("action", _k, vals, _p, _o, _l,
-                                    ()))
-            recs.append(record)
-            fr[_s] = v
-
-        return i_act_slot
-
-    @staticmethod
-    def _i_load_op_store(lact, lslot, pure, pslot, sact):
-        _lk, largs, lp, lo, ll = lact
-        _sk, sargs, sp, so, sl = sact
-
-        def i_los(ev, fr, recs, _largs=largs, _lp=lp, _lo=lo, _ll=ll,
-                  _ls=lslot, _pure=pure, _ps=pslot, _sargs=sargs,
-                  _sp=sp, _so=so, _sl=sl):
-            inline = ev._inline
-            vals = [a(ev, fr) for a in _largs]
-            v, rec1 = inline(("action", "load", vals, _lp, _lo, _ll,
-                              ()))
-            fr[_ls] = v
-            fr[_ps] = _pure(ev, fr)
-            svals = [a(ev, fr) for a in _sargs]
-            _v2, rec2 = inline(("action", "store", svals, _sp, _so,
-                                _sl, ()))
-            recs.append(rec1)
-            recs.append(rec2)
-
-        return i_los
-
-    def _atomic_seq(self, e: K.EAtomicSeq, scope, falloc) -> LE:
-        a1 = e.first
-        a2 = e.second
+    def _atomic(self, e: K.EAtomicSeq, scope, falloc, dest, rec) -> None:
+        """``let atomic``: a lock bracket around two actions, so no
+        enclosing ``unseq`` schedules between them (§5.6); the value is
+        the first action's."""
+        a1, a2 = e.first, e.second
         args1 = self._pure_list(a1.args, scope, falloc)
         s2 = dict(scope)
-        sym_slot = falloc.alloc()
-        s2[e.sym] = sym_slot
+        sym = falloc.alloc()
+        s2[e.sym] = sym
         args2 = self._pure_list(a2.args, s2, falloc)
+        code = self.code
+        act1 = _act(a1.kind, args1, a1.polarity, a1.order, a1.loc, sym,
+                    rec and a1.kind not in _LIFETIME, len(code) + 1)
 
-        def g_atomic(ev, fr, _a1=args1, _a2=args2, _slot=sym_slot,
-                     _k1=a1.kind, _p1=a1.polarity, _o1=a1.order,
-                     _l1=a1.loc, _k2=a2.kind, _p2=a2.polarity,
-                     _o2=a2.order, _l2=a2.loc):
-            inline = ev._inline
-            if inline is not None:
-                # Single-threaded plain run: nothing can interleave
-                # with the pair, so the lock bracket is vacuous.
-                vals1 = [a(ev, fr) for a in _a1]
-                v1, rec1 = inline(("action", _k1, vals1, _p1, _o1,
-                                   _l1, ()))
-                fr[_slot] = v1
-                vals2 = [a(ev, fr) for a in _a2]
-                _v2, rec2 = inline(("action", _k2, vals2, _p2, _o2,
-                                    _l2, ()))
-                return v1, ActionSummary([rec1, rec2])
-            yield ("lock", 1)
-            vals1 = [a(ev, fr) for a in _a1]
-            v1, rec1 = yield ("action", _k1, vals1, _p1, _o1, _l1, ())
-            fr[_slot] = v1
-            vals2 = [a(ev, fr) for a in _a2]
-            _v2, rec2 = yield ("action", _k2, vals2, _p2, _o2, _l2, ())
-            yield ("lock", -1)
-            # The value of the atomic pair is the first action's (the
-            # loaded pre-increment value, which is the value of x++).
-            return v1, ActionSummary([rec1, rec2])
+        def i_atomic(ev, fr, _act1=act1):
+            ev.ctx.lock += 1
+            return _act1(ev, fr)
 
-        def r_atomic(ev, fr, _a1=args1, _a2=args2, _slot=sym_slot,
-                     _k1=a1.kind, _p1=a1.polarity, _o1=a1.order,
-                     _l1=a1.loc, _k2=a2.kind, _p2=a2.polarity,
-                     _o2=a2.order, _l2=a2.loc):
-            inline = ev._inline
-            vals1 = [a(ev, fr) for a in _a1]
-            v1, rec1 = inline(("action", _k1, vals1, _p1, _o1, _l1,
-                               ()))
-            fr[_slot] = v1
-            vals2 = [a(ev, fr) for a in _a2]
-            _v2, rec2 = inline(("action", _k2, vals2, _p2, _o2, _l2,
-                                ()))
-            return v1, ActionSummary([rec1, rec2])
+        code.append(i_atomic)
+        unlock = len(code) + 1
 
-        return LE(g_atomic, run=r_atomic)
+        def i_unlock(ev, fr, _s=sym, _d=dest, _n=unlock + 1):
+            ev.ctx.lock -= 1
+            if _d is not None:
+                fr[_d] = fr[_s]
+            return _n
 
-    # ---- unseq -----------------------------------------------------------
+        act2 = _act(a2.kind, args2, a2.polarity, a2.order, a2.loc, None,
+                    rec and a2.kind not in _LIFETIME, unlock)
 
-    def _unseq(self, e: K.EUnseq, scope, falloc) -> LE:
-        """Interleaving at action granularity — the same algorithm,
-        protocol, and metadata as the tree evaluator's ``_unseq``
-        (q.v. for the full scheduling commentary).  The static
-        annotation is read through the node's stable instruction id
-        (``collect_unseqs`` position) rather than AST identity, and
-        footprint hulls resolve through a slot-backed env view."""
-        children = self._expr_list(e.exprs, scope, falloc)
-        uidx = self._unseq_ids.get(id(e), -1)
-        env_slots = dict(scope)
-        loc = e.loc
-        n = len(children)
+        def i_atomic2(ev, fr, _act2=act2, _unlock=i_unlock):
+            pc = _act2(ev, fr)
+            return pc if pc < 0 else _unlock(ev, fr)
 
-        def g_unseq(ev, fr, _children=children, _uidx=uidx,
-                    _slots=env_slots, _n=n, _l=loc):
-            static = ev._static_info(_uidx) if ev.static_prune \
-                else None
-            if (static is not None and static[0]) or ev._fast_sched:
-                # Sequential fast path: either the statics proved all
-                # interleavings equivalent, or the driver marked the
-                # oracle plain (always picks candidate 0, which *is*
-                # program-order sequential execution).  Race detection
-                # below still runs in both cases.
-                if static is not None and static[0]:
-                    ev.static_unseq_skips += 1
-                results = []
-                first = None
-                groups = None
-                for child in _children:
-                    if child.pure is not None:
-                        results.append(child.pure(ev, fr))
-                    else:
-                        value, summary = yield from child.gen(ev, fr)
-                        results.append(value)
-                        if summary.records:
-                            if first is None:
-                                first = summary
-                            elif groups is None:
-                                groups = [first.records,
-                                          summary.records]
-                            else:
-                                groups.append(summary.records)
-                if groups is None:
-                    # At most one child performed actions: no
-                    # cross-child race is possible and its summary
-                    # passes through unchanged.
-                    return VTuple(tuple(results)), \
-                        first if first is not None else _EMPTY
-                race = find_unsequenced_race(groups)
-                if race is not None:
-                    a, b = race
-                    raise UndefinedBehaviour(
-                        UB.UNSEQUENCED_RACE, _l,
-                        f"unsequenced {a.kind} and {b.kind} on "
-                        f"overlapping footprints at "
-                        f"0x{a.footprint.addr:x}")
-                recs = []
-                for g in groups:
-                    recs.extend(g)
-                return VTuple(tuple(results)), ActionSummary(recs)
-            hulls = None
-            if static is not None:
-                resolve = _hull_resolver()
-                env_view = _SlotEnvView(fr, _slots)
-                hulls = tuple(
-                    resolve(info, env_view, ev.global_env, ev.model)
-                    for info in static[1])
-            gens = [c.gen(ev, fr) for c in _children]
-            frame = next(ev._unseq_counter)
-            done = [False] * _n
-            started = [False] * _n
-            results = [None] * _n
-            summaries = [_EMPTY] * _n
-            responses = [None] * _n
-            locks = [0] * _n
-            current = None
-            while not all(done):
-                locked = [i for i in range(_n) if locks[i] > 0]
-                if locked:
-                    candidates = locked
-                else:
-                    candidates = [i for i in range(_n) if not done[i]]
-                if current is None or done[current] or \
-                        current not in candidates:
-                    cand = tuple(candidates)
-                    meta = (frame, cand) if hulls is None else \
-                        (frame, cand, tuple(hulls[i] for i in cand))
-                    pick = yield ("choose", "unseq", len(candidates),
-                                  meta)
-                    current = candidates[pick]
-                idx = current
-                gen = gens[idx]
-                try:
-                    if not started[idx]:
-                        started[idx] = True
-                        request = next(gen)
-                    else:
-                        request = gen.send(responses[idx])
-                except StopIteration as stop:
-                    done[idx] = True
-                    current = None
-                    value, summary = stop.value
-                    results[idx] = value
-                    summaries[idx] = summary
-                    continue
-                if request[0] == "lock":
-                    locks[idx] += request[1]
-                elif request[0] == "action":
-                    chain = request[6] if len(request) > 6 else ()
-                    request = request[:6] + (chain + ((frame, idx),),)
-                responses[idx] = yield request
-                if request[0] in ("action", "raw", "stdout") and \
-                        locks[idx] == 0:
-                    current = None  # scheduling point after each action
-            race = find_unsequenced_race(
-                [s.records for s in summaries])
-            if race is not None:
-                a, b = race
-                raise UndefinedBehaviour(
-                    UB.UNSEQUENCED_RACE, _l,
-                    f"unsequenced {a.kind} and {b.kind} on overlapping "
-                    f"footprints at 0x{a.footprint.addr:x}")
-            total = _EMPTY.union(*summaries)
-            return VTuple(tuple(results)), total
+        code.append(i_atomic2)
+        code.append(i_unlock)
 
-        def r_unseq(ev, fr, _children=children, _uidx=uidx, _l=loc):
-            # Run mode implies the plain oracle (`_fast_sched` and
-            # `_inline` are installed together), so only the
-            # sequential fast path exists here; the static-prune skip
-            # counter and the race check are kept identical.
-            static = ev._static_info(_uidx) if ev.static_prune \
-                else None
-            if static is not None and static[0]:
-                ev.static_unseq_skips += 1
-            results = []
-            first = None
-            groups = None
-            for child in _children:
-                if child.pure is not None:
-                    results.append(child.pure(ev, fr))
-                else:
-                    value, summary = child.run(ev, fr)
-                    results.append(value)
-                    if summary.records:
-                        if first is None:
-                            first = summary
-                        elif groups is None:
-                            groups = [first.records, summary.records]
-                        else:
-                            groups.append(summary.records)
-            if groups is None:
-                return VTuple(tuple(results)), \
-                    first if first is not None else _EMPTY
-            race = find_unsequenced_race(groups)
-            if race is not None:
-                a, b = race
-                raise UndefinedBehaviour(
-                    UB.UNSEQUENCED_RACE, _l,
-                    f"unsequenced {a.kind} and {b.kind} on "
-                    f"overlapping footprints at "
-                    f"0x{a.footprint.addr:x}")
-            recs = []
-            for g in groups:
-                recs.extend(g)
-            return VTuple(tuple(results)), ActionSummary(recs)
+    # ---- calls -----------------------------------------------------------
 
-        return LE(g_unseq, run=r_unseq)
+    def _call(self, e, scope, falloc, dest) -> None:
+        """A C call (``ECcall``, lock-bracketed) or a Core procedure
+        call (``EProc``): the callee resolves through a one-element
+        per-site cache (function values are per-driver objects, so a
+        fresh run re-primes it once); a lowered callee gets a heap
+        frame pushed by :meth:`CompiledEvaluator.enter`, a native is
+        driven as a request generator."""
+        args = self._pure_list(e.args, scope, falloc)
+        procs = self.out.procs
+        code = self.code
+        nxt = len(code) + 1
+        if isinstance(e, K.EProc):
+            def i_proc(ev, fr, _name=e.name, _args=args, _l=e.loc,
+                       _procs=procs, _code=code, _d=dest, _n=nxt):
+                vals = [a(ev, fr) for a in _args]
+                lp = _procs.get(_name)
+                if lp is None:
+                    return ev.call_native(_name, vals, _l, _d, _n, 0)
+                return ev.enter(lp, vals, _l, _code, _d, _n, fr, 0)
+
+            code.append(i_proc)
+            return
+        fn = self._pure(e.fn, scope, falloc)
+
+        def i_ccall(ev, fr, _fn=fn, _args=args, _l=e.loc,
+                    _site=[None, None, None], _procs=procs, _code=code,
+                    _d=dest, _n=nxt):
+            f = _fn(ev, fr)
+            vals = [a(ev, fr) for a in _args]
+            if f is _site[0]:
+                name = _site[1]
+                lp = _site[2]
+            else:
+                name = ev._function_name(f, _l)
+                lp = _procs.get(name)
+                _site[0] = f
+                _site[1] = name
+                _site[2] = lp
+            if lp is None:
+                ev.call_generic += 1
+                return ev.call_native(name, vals, _l, _d, _n, 1)
+            ev.call_fast += 1
+            return ev.enter(lp, vals, _l, _code, _d, _n, fr, 1)
+
+        code.append(i_ccall)
+
+    def _par(self, e: K.EPar, scope, falloc, dest) -> None:
+        """``par``: one thread per branch; each branch is a code region
+        ending in a return (the end of its thread's root context)."""
+        code = self.code
+        at = self._hole()
+        starts = []
+        saves, scopes = self._saves, self._scopes
+        self._saves, self._scopes = [], []
+        self._in_par += 1
+        for sub in e.exprs:
+            starts.append(len(code))
+            slot = falloc.alloc()
+            self._emit(sub, scope, falloc, slot, False)
+            code.append(_ret(slot))
+        self._in_par -= 1
+        self._saves, self._scopes = saves, scopes
+        code[at] = lambda ev, fr, _s=tuple(starts), _d=dest, \
+            _n=len(code): ev.par(_s, fr, _d, _n)
 
     # ---- save / run ------------------------------------------------------
 
-    def _save(self, e: K.ESave, scope, falloc) -> LE:
+    def _save(self, e: K.ESave, scope, falloc, dest, rec) -> None:
         defaults = [self._pure(d, scope, falloc) for _, d in e.params]
         s2 = dict(scope)
         slots = []
@@ -2005,198 +1523,309 @@ class _Lowerer:
             slot = falloc.alloc()
             s2[name] = slot
             slots.append(slot)
-        body = self._expr(e.body, s2, falloc)
+        code = self.code
+        if slots:
+            def i_save(ev, fr, _slots=tuple(zip(slots, defaults)),
+                       _n=len(code) + 1):
+                for s, d in _slots:
+                    fr[s] = d(ev, fr)
+                return _n
 
-        def g_save(ev, fr, _defaults=defaults, _slots=slots,
-                   _body=body, _label=e.label, _l=e.loc):
-            values = [d(ev, fr) for d in _defaults]
-            total = _EMPTY
-            bp = _body.pure
-            bg = _body.gen
-            while True:
-                for s, v in zip(_slots, values):
+            code.append(i_save)
+        self._saves.append((e.label, slots, len(code), len(self._scopes),
+                            e.loc))
+        self._emit(e.body, s2, falloc, dest, rec)
+        self._saves.pop()
+
+    def _run(self, e: K.ERun, scope, falloc) -> None:
+        """``run``: evaluate the arguments, kill the objects of every
+        scope left on the way out (innermost first), rebind the save's
+        parameters, account a step (so effect-free loops still meet
+        the step budget) and jump to the save's body."""
+        args = self._pure_list(e.args, scope, falloc)
+        code = self.code
+        for label, slots, body, depth, save_loc in reversed(self._saves):
+            if label == e.label:
+                break
+        else:
+            def i_escape(ev, fr, _label=e.label, _args=args):
+                raise RunSignal(_label, [a(ev, fr) for a in _args])
+
+            code.append(i_escape)
+            return
+        if len(slots) != len(args):
+            def i_arity(ev, fr, _m=f"run {e.label} arity mismatch",
+                        _l=save_loc):
+                raise InternalError(_m, _l)
+
+            code.append(i_arity)
+            return
+        kills = self._scopes[depth:]
+        if kills:
+            tmps = [falloc.alloc() for _ in args]
+
+            def i_stash(ev, fr, _w=tuple(zip(tmps, args)),
+                        _n=len(code) + 1):
+                for t, a in _w:
+                    fr[t] = a(ev, fr)
+                return _n
+
+            code.append(i_stash)
+            for cslot, loc in reversed(kills):
+                self._kill(cslot, loc)
+            args = [_slot_reader(t) for t in tmps]
+
+        def i_run(ev, fr, _args=tuple(args), _slots=tuple(slots),
+                  _to=body):
+            if _args:
+                vals = [a(ev, fr) for a in _args]
+                for s, v in zip(_slots, vals):
                     fr[s] = v
-                try:
-                    if bp is not None:
-                        return bp(ev, fr), total
-                    value, summary = yield from bg(ev, fr)
-                    return value, total.union(summary)
-                except RunSignal as r:
-                    if r.label != _label:
-                        raise
-                    if len(r.run_args) != len(_slots):
-                        raise InternalError(
-                            f"run {_label} arity mismatch",
-                            _l) from None
-                    values = r.run_args
-                    # Account a step per loop re-establishment so that
-                    # effect-free infinite loops still hit the
-                    # driver's step budget.
-                    if ev._inline is not None:
-                        ev._inline(_TICK)
-                    else:
-                        yield _TICK
+            ev.handle(_TICK, ev.thread)
+            return _to
 
-        def r_save(ev, fr, _defaults=defaults, _slots=slots,
-                   _body=body, _label=e.label, _l=e.loc):
-            values = [d(ev, fr) for d in _defaults]
-            total = _EMPTY
-            bp = _body.pure
-            br = _body.run
-            inline = ev._inline
-            while True:
-                for s, v in zip(_slots, values):
-                    fr[s] = v
-                try:
-                    if bp is not None:
-                        return bp(ev, fr), total
-                    value, summary = br(ev, fr)
-                    return value, total.union(summary)
-                except RunSignal as r:
-                    if r.label != _label:
-                        raise
-                    if len(r.run_args) != len(_slots):
-                        raise InternalError(
-                            f"run {_label} arity mismatch",
-                            _l) from None
-                    values = r.run_args
-                    inline(_TICK)
-
-        return LE(g_save, run=r_save)
+        code.append(i_run)
 
     # ---- scoped lifetimes ------------------------------------------------
 
-    def _scope(self, e: K.EScope, scope, falloc) -> LE:
+    def _scope(self, e: K.EScope, scope, falloc, dest, rec) -> None:
         s2 = dict(scope)
-        created_slot = falloc.alloc()
-        s2[_SCOPE_CREATED] = created_slot
-        specs = []
+        cslot = falloc.alloc()
+        s2[_SCOPE_CREATED] = cslot
+        code = self.code
+
+        def i_open(ev, fr, _c=cslot, _n=len(code) + 1):
+            fr[_c] = VScopeList([])
+            return _n
+
+        code.append(i_open)
         for sc in e.creates:
             slot = falloc.alloc()
             s2[sc.sym] = slot
-            align = self.impl.alignof(sc.ty, self.tags)
-            args = [VInteger(IntegerValue(align)), VCtype(sc.ty),
-                    sc.prefix, sc.readonly]
-            specs.append((slot, args, sc.loc))
-        body = self._expr(e.body, s2, falloc)
+            args = [VInteger(IntegerValue(self.impl.alignof(sc.ty,
+                                                            self.tags))),
+                    VCtype(sc.ty), sc.prefix, sc.readonly]
 
-        def g_scope(ev, fr, _cslot=created_slot, _specs=specs,
-                    _body=body, _l=e.loc):
-            created = []
-            fr[_cslot] = VScopeList(created)
-            summary = _EMPTY
-            for slot, args, sloc in _specs:
-                req = ("action", "create", args, "pos", "na", sloc,
-                       ())
-                inline = ev._inline
-                if inline is not None:
-                    value, record = inline(req)
-                else:
-                    value, record = yield req
-                fr[slot] = value
-                created.append(value)
-                summary = summary.union(ActionSummary.single(record))
-            try:
-                if _body.pure is not None:
-                    value = _body.pure(ev, fr)
-                    body_summary = _EMPTY
-                else:
-                    value, body_summary = yield from _body.gen(ev, fr)
-            except (RunSignal, ProcReturn) as signal:
-                yield from _kill_scope(ev, created, _l)
-                raise signal
-            kill_summary = yield from _kill_scope(ev, created, _l)
-            return value, summary.union(body_summary, kill_summary)
+            def i_create(ev, fr, _a=args, _l=sc.loc, _s=slot, _c=cslot,
+                         _n=len(code) + 1):
+                value, _record = ev.handle(
+                    ("action", "create", _a, "pos", "na", _l, ev.chain),
+                    ev.thread)
+                fr[_s] = value
+                fr[_c].items.append(value)
+                if ev.preempt:
+                    ev.ctx.pc = _n
+                    return YIELD
+                return _n
 
-        def r_scope(ev, fr, _cslot=created_slot, _specs=specs,
-                    _body=body, _l=e.loc):
-            inline = ev._inline
-            created = []
-            fr[_cslot] = VScopeList(created)
-            summary = _EMPTY
-            for slot, args, sloc in _specs:
-                value, record = inline(("action", "create", args,
-                                        "pos", "na", sloc, ()))
-                fr[slot] = value
-                created.append(value)
-                summary = summary.union(ActionSummary.single(record))
-            try:
-                if _body.pure is not None:
-                    value = _body.pure(ev, fr)
-                    body_summary = _EMPTY
-                else:
-                    value, body_summary = _body.run(ev, fr)
-            except (RunSignal, ProcReturn) as signal:
-                _kill_scope_run(ev, created, _l)
-                raise signal
-            kill_summary = _kill_scope_run(ev, created, _l)
-            return value, summary.union(body_summary, kill_summary)
+            code.append(i_create)
+        self._scopes.append((cslot, e.loc))
+        self._emit(e.body, s2, falloc, dest, rec)
+        self._scopes.pop()
+        self._kill(cslot, e.loc)
 
-        return LE(g_scope, run=r_scope)
+    def _kill(self, cslot: int, loc) -> None:
+        """Kill a scope's objects, last created first: one kill per
+        dispatch, so each is a scheduling point of its own."""
+        me = len(self.code)
 
-    def _vla_create(self, e: K.EVlaCreate, scope, falloc) -> LE:
+        def i_kill(ev, fr, _c=cslot, _l=loc, _me=me, _n=me + 1):
+            items = fr[_c].items
+            if not items:
+                return _n
+            ev.handle(("action", "kill", [items.pop(), FALSE], "pos",
+                       "na", _l, ev.chain), ev.thread)
+            if ev.preempt:
+                ev.ctx.pc = _me
+                return YIELD
+            return _me
+
+        self.code.append(i_kill)
+
+    def _vla(self, e: K.EVlaCreate, scope, falloc, dest) -> None:
+        """Create a runtime-sized array and register it with the
+        innermost scope's kill list."""
         size = self._pure(e.size, scope, falloc)
-        align = self.impl.alignof(e.elem_ty, self.tags)
-        align_v = VInteger(IntegerValue(align))
-        cty_v = VCtype(e.elem_ty)
-        created_slot = scope.get(_SCOPE_CREATED)
+        align_v = VInteger(IntegerValue(self.impl.alignof(e.elem_ty,
+                                                          self.tags)))
 
-        def g_vla(ev, fr, _size=size, _av=align_v, _cv=cty_v,
-                  _prefix=e.prefix, _cslot=created_slot, _l=e.loc):
+        def i_vla(ev, fr, _size=size, _av=align_v, _cv=VCtype(e.elem_ty),
+                  _prefix=e.prefix, _cs=scope.get(_SCOPE_CREATED),
+                  _l=e.loc, _d=dest, _n=len(self.code) + 1):
             n = ev._as_integer(_size(ev, fr), _l)
-            req = ("action", "create_vla",
-                   [_av, _cv, VInteger(n), _prefix],
-                   "pos", "na", _l, ())
-            inline = ev._inline
-            if inline is not None:
-                value, record = inline(req)
-            else:
-                value, record = yield req
-            if _cslot is not None:
-                holder = fr[_cslot]
+            value, _record = ev.handle(
+                ("action", "create_vla", [_av, _cv, VInteger(n), _prefix],
+                 "pos", "na", _l, ev.chain), ev.thread)
+            if _cs is not None:
+                holder = fr[_cs]
                 if isinstance(holder, VScopeList):
                     holder.items.append(value)
-            return value, ActionSummary.single(record)
+            if _d is not None:
+                fr[_d] = value
+            if ev.preempt:
+                ev.ctx.pc = _n
+                return YIELD
+            return _n
 
-        def r_vla(ev, fr, _size=size, _av=align_v, _cv=cty_v,
-                  _prefix=e.prefix, _cslot=created_slot, _l=e.loc):
-            n = ev._as_integer(_size(ev, fr), _l)
-            value, record = ev._inline(
-                ("action", "create_vla",
-                 [_av, _cv, VInteger(n), _prefix], "pos", "na", _l,
-                 ()))
-            if _cslot is not None:
-                holder = fr[_cslot]
-                if isinstance(holder, VScopeList):
-                    holder.items.append(value)
-            return value, ActionSummary.single(record)
+        self.code.append(i_vla)
 
-        return LE(g_vla, run=r_vla)
+
+# ---- instruction builders ---------------------------------------------------
 
 
 def _match_any(value, fr) -> bool:
     return True
 
 
-def _kill_scope(ev, created, loc):
-    summary = _EMPTY
-    for v in reversed(created):
-        req = ("action", "kill", [v, VBool(False)], "pos", "na", loc,
-               ())
-        inline = ev._inline
-        if inline is not None:
-            _, record = inline(req)
-        else:
-            _, record = yield req
-        summary = summary.union(ActionSummary.single(record))
-    return summary
+def _unit(ev, fr):
+    return UNIT
 
 
-def _kill_scope_run(ev, created, loc):
-    inline = ev._inline
-    summary = _EMPTY
-    for v in reversed(created):
-        _, record = inline(("action", "kill", [v, VBool(False)],
-                            "pos", "na", loc, ()))
-        summary = summary.union(ActionSummary.single(record))
-    return summary
+def _let_msg(e) -> str:
+    return "refutable weak-let pattern" if isinstance(e, K.EWseq) \
+        else "refutable strong-let pattern"
+
+
+def _alias(pe, scope) -> Optional[int]:
+    return scope.get(pe.name) if isinstance(pe, K.PSym) else None
+
+
+def _slot_reader(slot):
+    return lambda ev, fr, _s=slot: fr[_s]
+
+
+# The effectful forms a statically pure expression is built from.
+_PURE_FORMS = (K.EPure, K.ESkip, K.ELet, K.EIndet, K.EBound, K.EIf,
+               K.ECase, K.ESseq, K.EWseq)
+
+# Indices of the static facts (see ``_Lowerer._fact``).
+_PURE, _RECORDS, _NEG = 0, 1, 2
+
+
+def _children(e) -> tuple:
+    """The effectful sub-expressions of ``e`` (``par`` branches are
+    other threads: left out)."""
+    if isinstance(e, (K.ELet, K.EIndet, K.EBound, K.ESave, K.EScope)):
+        return (e.body,)
+    if isinstance(e, K.EIf):
+        return (e.then, e.els)
+    if isinstance(e, K.ECase):
+        return tuple(b for _, b in e.branches)
+    if isinstance(e, (K.ESseq, K.EWseq)):
+        return (e.first, e.second)
+    if isinstance(e, (K.EUnseq, K.ENd)):
+        return tuple(e.exprs)
+    return ()
+
+
+def _actions(e) -> tuple:
+    if isinstance(e, K.EAction):
+        return (e.action,)
+    if isinstance(e, K.EAtomicSeq):
+        return (e.first, e.second)
+    return ()
+
+
+def _store(p, dest, nxt):
+    if dest is None:
+        def i_eval(ev, fr, _p=p, _n=nxt):
+            _p(ev, fr)
+            return _n
+
+        return i_eval
+
+    def i_pure(ev, fr, _p=p, _d=dest, _n=nxt):
+        fr[_d] = _p(ev, fr)
+        return _n
+
+    return i_pure
+
+
+def _act(kind, args, pol, order, loc, dest, keep, nxt):
+    """One action: a direct call into the driver's request service,
+    its record kept when ``keep``, then a scheduling point when the
+    machine is preemptible."""
+    def i_act(ev, fr, _args=args, _k=kind, _p=pol, _o=order, _l=loc,
+              _d=dest, _keep=keep, _n=nxt):
+        value, record = ev.handle(
+            ("action", _k, [a(ev, fr) for a in _args], _p, _o, _l,
+             ev.chain), ev.thread)
+        if _d is not None:
+            fr[_d] = value
+        if _keep:
+            ev.ctx.recs.append(record)
+        if ev.preempt:
+            ev.ctx.pc = _n
+            return YIELD
+        return _n
+
+    return i_act
+
+
+def _jump(to):
+    return lambda ev, fr, _to=to: _to
+
+
+def _ret(slot):
+    """Return the value in ``slot`` from the current frame: pop the
+    caller's frame, or finish the context at its base."""
+    def i_ret(ev, fr, _s=slot):
+        v = fr[_s]
+        ctx = ev.ctx
+        if not ctx.stack:
+            ctx.value = v
+            return DONE
+        ctx.ins, ctx.pc, cfr, d, lk = ctx.stack.pop()
+        ev.frames -= 1
+        ctx.lock -= lk
+        if d is not None:
+            cfr[d] = v
+        ctx.fr = cfr
+        return RELOAD
+
+    return i_ret
+
+
+def _mark(slot, nxt):
+    def i_mark(ev, fr, _s=slot, _n=nxt):
+        fr[_s] = len(ev.ctx.recs)
+        return _n
+
+    return i_mark
+
+
+def _race(groups, loc) -> None:
+    race = find_unsequenced_race(groups)
+    if race is not None:
+        a, b = race
+        raise UndefinedBehaviour(
+            UB.UNSEQUENCED_RACE, loc,
+            f"unsequenced {a.kind} and {b.kind} on overlapping "
+            f"footprints at 0x{a.footprint.addr:x}")
+
+
+def _weak_check(marks, outermost, loc, nxt):
+    """``let weak``: the first half's negative actions are unsequenced
+    with everything the second half did."""
+    def i_weak(ev, fr, _m=marks, _outer=outermost, _l=loc, _n=nxt):
+        recs = ev.ctx.recs
+        a = fr[_m[0]]
+        b = fr[_m[1]]
+        negs = [r for r in recs[a:b] if r.polarity == "neg"]
+        if negs and len(recs) > b:
+            race = find_unsequenced_race([negs, recs[b:]])
+            if race is not None:
+                later = race[1]
+                raise UndefinedBehaviour(
+                    UB.UNSEQUENCED_RACE, _l,
+                    f"store side effect unsequenced with {later.kind} "
+                    f"at 0x{later.footprint.addr:x}")
+        if _outer:
+            del recs[a:]
+        return _n
+
+    return i_weak
+
+
+def _wait(tid):
+    return (yield ("wait", tid))

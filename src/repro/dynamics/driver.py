@@ -23,11 +23,12 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from types import GeneratorType
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core import ast as K
-from ..ctypes.types import Array, QualType
+from ..ctypes.types import Array, Pointer, QualType
 from ..errors import InternalError, StaticError
 from ..memory.base import (
     Footprint, MemoryError_, MemoryModel, VLA_CAP_BYTES,
@@ -36,9 +37,10 @@ from ..memory.values import IntegerValue, PointerValue, PROV_EMPTY
 from .. import ub as UB
 from ..ub import UndefinedBehaviour
 from ..source import Loc
+from ..spec import RunSpec
 from .actions import ActionRecord, footprints_conflict
 from .evaluator import (
-    Evaluator, ProcReturn, ProgramExit, RunSignal,
+    Evaluator, FrameLimit, ProcReturn, ProgramExit, RunSignal,
 )
 from .values import (
     UNIT, Value, VBool, VCtype, VInteger, VPointer, VSpecified, VUnspecified,
@@ -190,64 +192,62 @@ class Outcome:
 
 @dataclass
 class _Thread:
+    """One thread: ``gen`` is a tree evaluator generator or, on the
+    compiled back end, a machine root context (``resume`` is the
+    context it continues from)."""
+
     tid: int
     gen: object
-    started: bool = False
     done: bool = False
     result: Optional[Value] = None
     response: object = None
     lock: int = 0
     vc: Dict[int, int] = field(default_factory=dict)
     waiting_on: Optional[int] = None
-    failure: Optional[BaseException] = None
+    resume: object = None
 
 
 class Driver:
+    """One execution of ``program`` under ``model``: ``oracle``
+    resolves the nondeterminism, ``spec`` supplies the back end and
+    the step budget (and, from an :class:`~repro.spec.ExploreSpec`,
+    static pruning), ``deadline`` an absolute ``time.monotonic()``
+    cut-off."""
+
     def __init__(self, program: K.Program, model: MemoryModel,
                  oracle: Optional[Oracle] = None,
-                 max_steps: int = 2_000_000,
-                 deadline: Optional[float] = None,
-                 static_prune: bool = False,
-                 backend: str = "compiled"):
+                 spec: RunSpec = RunSpec(),
+                 deadline: Optional[float] = None):
         self.program = program
         self.model = model
         self.oracle = oracle or Oracle()
         self.model.choose = self.oracle.choose
-        self.backend = backend
-        if backend == "compiled":
-            from .compile import CompiledEvaluator
-            self.evaluator = CompiledEvaluator(
-                program, model, static_prune=static_prune)
-        elif backend == "tree":
-            self.evaluator = Evaluator(program, model,
-                                       static_prune=static_prune)
-        else:
-            raise ValueError(
-                f"unknown evaluator backend {backend!r} "
-                f"(expected 'compiled' or 'tree')")
+        static_prune = getattr(spec, "static_prune", False)
         # POR bookkeeping (event log + live sleep set) is only worth
         # feeding when someone is listening: the single-run fast path
         # must not pay for it (ROADMAP: "event logging is zero-cost
         # when not exploring").
         self._por_notify = self.oracle.events is not None \
             or bool(self.oracle.sleep)
-        # A plain oracle (no replay prefix, no rng, no POR listeners)
-        # deterministically picks candidate 0 at every unseq choice;
-        # the compiled back end exploits this by running unseq
-        # children sequentially without choose round-trips.  Replay,
-        # random and exploring oracles keep the full protocol.
-        if backend == "compiled" and not self._por_notify \
-                and not self.oracle.path and self.oracle.rng is None:
-            self.evaluator._fast_sched = True
-            # And while the run is single-threaded, hot requests
-            # (action / ptrop / tick) are serviced by a direct call
-            # instead of a generator suspension — cleared at the
-            # first spawn (see _advance).
-            self.evaluator._inline = self._inline_request
+        self.threads: Dict[int, _Thread] = {}
+        if spec.backend == "compiled":
+            from .compile import CompiledEvaluator
+            self.evaluator = CompiledEvaluator(
+                program, model, static_prune=static_prune)
+            # A plain oracle (no replay prefix, no rng, no POR
+            # listeners) picks candidate 0 at every unseq choice, which
+            # is program order: the machine then runs unseq children
+            # one after the other without asking it.
+            self.evaluator.attach(
+                self, not self._por_notify and not self.oracle.path
+                and self.oracle.rng is None)
+        else:
+            self.evaluator = Evaluator(program, model,
+                                       static_prune=static_prune)
         # QualType wrappers per C-type object for the load/store hot
         # path (the entry keeps the type alive, so ids are stable).
         self._qt_cache: Dict[int, Tuple] = {}
-        self.max_steps = max_steps
+        self.max_steps = spec.max_steps
         # Absolute time.monotonic() cut-off checked inside the step
         # loop: one long path times out cooperatively at the deadline
         # instead of blowing a whole farm task budget.
@@ -255,7 +255,6 @@ class Driver:
         self.stdout_chunks: List[str] = []
         self.steps = 0
         self._tid_counter = itertools.count(1)
-        self.threads: Dict[int, _Thread] = {}
         # Data-race detection state (vector clocks per location byte).
         self._last_write: Dict[int, Tuple[int, Dict[int, int]]] = {}
         self._last_reads: Dict[int, List[Tuple[int, Dict[int, int]]]] = {}
@@ -301,26 +300,32 @@ class Driver:
         for g in self.program.globs:
             if g.init is None:
                 continue
-            gen = self.evaluator.run_glob_init(g)
-            self._drain(gen)
+            thread = _Thread(0, self.evaluator.run_glob_init(g))
+            while not thread.done:
+                self._advance(thread)
         for g in self.program.globs:
             if g.readonly:
                 ptr = self.evaluator.global_env[g.name]
                 assert isinstance(ptr, VPointer)
                 self.model.allocations[ptr.ptr.prov].readonly = True
 
-    def _drain(self, gen):
-        """Run a generator to completion on the main thread (used only
-        during startup, where no interleaving exists)."""
-        response = None
-        started = False
-        while True:
-            try:
-                request = gen.send(response) if started else next(gen)
-                started = True
-            except StopIteration as stop:
-                return stop.value
-            response = self._handle(request, self.threads.get(0))
+    def _main_args(self, proc: K.ProcDef) -> List[Value]:
+        """``argc`` = 0 and ``argv`` pointing to a one-element array
+        holding a null pointer (§5.1.2.2.1p2), zeroed like a static
+        object."""
+        from ..memory.values import zero_value
+        argv_ty = proc.param_tys[1].ty if len(proc.param_tys) == 2 \
+            else None
+        if not isinstance(argv_ty, Pointer):
+            return []
+        arr = Array(argv_ty.to, 1)
+        impl, tags = self.program.impl, self.program.tags
+        ptr = self.model.create(arr, impl.alignof(arr, tags), "argv",
+                                "static")
+        self.model.allocations[ptr.prov].data[:] = \
+            self.model.codec.repify(arr, zero_value(arr, impl, tags))
+        return [VSpecified(VInteger(IntegerValue(0))),
+                VSpecified(VPointer(ptr))]
 
     # -- main run ----------------------------------------------------------------------
 
@@ -359,20 +364,15 @@ class Driver:
         try:
             self._allocate_globals()
             self._run_global_inits()
-        except UndefinedBehaviour as u:
-            return self._ub_outcome(u)
-        except PathPruned:
-            return self._outcome("pruned")
-        except StaticError as s:
-            return self._outcome("error", error=str(s))
-        main_proc = self.program.procs.get(entry)
-        if main_proc is None:
-            return self._outcome("error",
-                                 error=f"no procedure '{entry}'")
-        gen = self.evaluator.call_proc(entry, args or [], Loc.unknown())
-        main_thread = _Thread(0, gen, vc={0: 1})
-        self.threads[0] = main_thread
-        try:
+            main_proc = self.program.procs.get(entry)
+            if main_proc is None:
+                return self._outcome("error",
+                                     error=f"no procedure '{entry}'")
+            if not args and len(main_proc.params) == 2:
+                args = self._main_args(main_proc)
+            main_thread = _Thread(0, self.evaluator.call_proc(
+                entry, args or [], Loc.unknown()), vc={0: 1})
+            self.threads[0] = main_thread
             self._schedule()
         except UndefinedBehaviour as u:
             return self._ub_outcome(u)
@@ -385,6 +385,10 @@ class Driver:
             return self._outcome("error", error=str(s))
         except _StepLimit:
             return self._outcome("timeout")
+        except (FrameLimit, RecursionError):
+            # The tree evaluator recurses in Python once per C call:
+            # its stack runs out first, and it is the same budget.
+            return self._outcome("error", error=FrameLimit.MESSAGE)
         except (RunSignal, ProcReturn) as esc:
             return self._outcome("error", error=f"escaped control "
                                  f"signal {esc!r}")
@@ -446,28 +450,20 @@ class Driver:
         return target is not None and target.done
 
     def _advance(self, t: _Thread) -> bool:
-        """Advance a thread by one request; returns True when this was
-        a scheduling point (action performed, thread blocked/done)."""
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise _StepLimit()
-        if self.deadline is not None and not (self.steps & 0xFF) and \
-                time.monotonic() >= self.deadline:
-            raise _StepLimit()
+        """Advance a thread; returns True at a scheduling point (an
+        action, raw service or I/O performed, a spawn, the thread
+        blocked or done).  A tree thread advances by one request, a
+        machine thread until the scheduler has a choice to make."""
         if t.waiting_on is not None:
             target = self.threads[t.waiting_on]
-            if target.failure is not None:
-                raise target.failure
             t.vc = _vc_join(t.vc, target.vc)
             t.response = target.result
             t.waiting_on = None
         gen = t.gen
+        if type(gen) is not GeneratorType:
+            return self.evaluator.advance(t)
         try:
-            if not t.started:
-                t.started = True
-                request = next(gen)
-            else:
-                request = gen.send(t.response)
+            request = gen.send(t.response)
         except StopIteration as stop:
             t.done = True
             value = stop.value
@@ -475,51 +471,14 @@ class Driver:
                 value = value[0]
             t.result = value
             return True
-        except (UndefinedBehaviour, ProgramExit, StaticError):
-            if t.tid == 0:
-                raise
-            t.done = True
-            t.failure = None
-            raise
-        kind = request[0]
-        if kind == "lock":
-            t.lock += request[1]
-            t.response = None
-            return False
-        if kind == "spawn":
-            tid = next(self._tid_counter)
-            child = _Thread(tid, request[1])
-            child.vc = dict(t.vc)
-            child.vc[tid] = 1
-            t.vc[t.tid] = t.vc.get(t.tid, 0) + 1
-            self.threads[tid] = child
-            # The single-threaded inline fast path ends here: with a
-            # second thread alive, every action must route through
-            # the scheduler again for interleaving and cross-thread
-            # race detection.
-            if self.backend == "compiled":
-                self.evaluator._inline = None
-            t.response = tid
-            return True
-        if kind == "wait":
-            t.waiting_on = request[1]
-            t.response = None
-            return True
         t.response = self._handle(request, t)
-        # I/O is observable, so it is a scheduling point too.
-        return kind in ("action", "raw", "stdout")
+        return request[0] in _SCHEDULING_POINTS
 
     # -- request handling ------------------------------------------------------------------
 
-    def _inline_request(self, request: tuple):
-        """Single-threaded fast-path request service for the compiled
-        back end: the evaluator calls this directly for hot requests
-        (action / ptrop / tick) instead of suspending the generator
-        stack.  Step accounting, the step limit, and the cooperative
-        deadline are exactly `_advance`'s; POR notification is
-        statically off (the inline path is only installed when no POR
-        listener exists) and race checks are vacuous single-threaded,
-        so `_do_action` is called with no thread."""
+    def _handle(self, request: tuple, thread: _Thread):
+        """The one request service: every request of either back end
+        is one step against the budget and the deadline."""
         self.steps += 1
         if self.steps > self.max_steps:
             raise _StepLimit()
@@ -528,40 +487,15 @@ class Driver:
             raise _StepLimit()
         kind = request[0]
         if kind == "action":
-            return self._do_action(request, None)
-        if kind == "ptrop":
-            return self._perform_ptrop(request)
+            return self._perform_action(request, thread)
+        if kind == "choose":
+            return self.oracle.choose(request[1], request[2],
+                                      request[3] if len(request) > 3
+                                      else None)
         if kind == "tick":
             return None
-        # The remaining request kinds only reach the inline service in
-        # run mode (direct execution of a thread-free program, where
-        # *every* request is serviced here): choices still consult the
-        # oracle (a plain one — that is the inline precondition), and
-        # I/O / raw services behave exactly as `_handle`'s, minus the
-        # POR notification that is statically off on this path.
-        if kind == "choose":
-            return self.oracle.choose(request[1], request[2],
-                                      request[3] if len(request) > 3
-                                      else None)
-        if kind == "stdout":
-            self.stdout_chunks.append(request[1])
-            return None
-        if kind == "raw":
-            return self._perform_raw(request, None)
-        if kind == "lock":
-            return None
-        raise InternalError(f"inline request {kind} not supported")
-
-    def _handle(self, request: tuple, thread: Optional[_Thread]):
-        kind = request[0]
-        if kind == "action":
-            return self._perform_action(request, thread)
         if kind == "ptrop":
             return self._perform_ptrop(request)
-        if kind == "choose":
-            return self.oracle.choose(request[1], request[2],
-                                      request[3] if len(request) > 3
-                                      else None)
         if kind == "stdout":
             self.stdout_chunks.append(request[1])
             # I/O is observably ordered: a barrier for POR purposes.
@@ -576,8 +510,18 @@ class Driver:
                 self.oracle.note_action("raw", None, False, (), True)
             return self._perform_raw(request, thread)
         if kind == "lock":
+            thread.lock += request[1]
             return None
-        if kind == "tick":
+        if kind == "spawn":
+            tid = next(self._tid_counter)
+            child = _Thread(tid, request[1])
+            child.vc = dict(thread.vc)
+            child.vc[tid] = 1
+            thread.vc[thread.tid] = thread.vc.get(thread.tid, 0) + 1
+            self.threads[tid] = child
+            return tid
+        if kind == "wait":
+            thread.waiting_on = request[1]
             return None
         raise InternalError(f"unknown request {kind}")
 
@@ -854,6 +798,12 @@ class _StepLimit(Exception):
     pass
 
 
+# Requests after which the thread scheduler may switch threads (I/O
+# is observable, so it is one too).
+_SCHEDULING_POINTS = frozenset(("action", "raw", "stdout", "spawn",
+                                "wait"))
+
+
 def _vc_join(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     out = dict(a)
     for k, v in b.items():
@@ -869,9 +819,7 @@ def _vc_leq_at(prev: Dict[int, int], cur: Dict[int, int],
 
 def run_program(program: K.Program, model: MemoryModel,
                 oracle: Optional[Oracle] = None,
-                max_steps: int = 2_000_000,
-                entry: str = "main",
-                backend: str = "compiled") -> Outcome:
-    """Run one execution path of an elaborated Core program."""
-    return Driver(program, model, oracle, max_steps,
-                  backend=backend).run(entry)
+                spec: RunSpec = RunSpec()) -> Outcome:
+    """Run one execution path of an elaborated Core program's
+    ``main`` (other entry points: :meth:`Driver.run`)."""
+    return Driver(program, model, oracle, spec).run()

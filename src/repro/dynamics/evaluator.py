@@ -69,6 +69,20 @@ class ProcReturn(Exception):
         super().__init__("return")
 
 
+#: The C call depth at which a run ends in a frame-limit ``error``
+#: outcome instead of exhausting memory (the compiled back end keeps
+#: C frames on the heap; the tree evaluator, which recurses in Python,
+#: reports its ``RecursionError`` as the same outcome).
+FRAME_LIMIT = 2 ** 14
+
+
+class FrameLimit(Exception):
+    """The C call depth went past :data:`FRAME_LIMIT`."""
+
+    MESSAGE = (f"C call depth exceeded the frame limit of "
+               f"{FRAME_LIMIT} frames")
+
+
 class ProgramExit(Exception):
     """C ``exit()`` / ``abort()``."""
 

@@ -65,10 +65,34 @@ class Explorer:
         # resuming from :attr:`pending` replays it in full and the
         # merged accounting equals an uninterrupted run's.
         self.requeue_interrupted = requeue_interrupted
-        #: Nodes left unexplored after :meth:`run` — empty unless a
-        #: budget/deadline was hit or ``frontier_target`` stopped the
-        #: loop for a farm handoff.
-        self.pending: List[PathNode] = []
+        self._pending: List[PathNode] = []
+        # (node, events, completed) of a last path whose siblings are
+        # built only when ``pending`` is read.
+        self._deferred: Optional[tuple] = None
+
+    @property
+    def pending(self) -> List[PathNode]:
+        """Nodes left unexplored after :meth:`run` — empty unless a
+        budget/deadline was hit or ``frontier_target`` stopped the
+        loop for a farm handoff."""
+        if self._deferred is not None:
+            self._push_branches(*self._deferred, None)
+            self._deferred = None
+            self._pending = self.strategy.drain()
+        return self._pending
+
+    @pending.setter
+    def pending(self, nodes: List[PathNode]) -> None:
+        self._pending = nodes
+
+    def _push_branches(self, node, events, completed, ctx) -> None:
+        points = generate_branches(node, events, self.spec.por,
+                                   completed)
+        if ctx is not None and points:
+            ctx.inc("explore.choice_points", len(points))
+        for point in reversed(points):
+            for child in point:
+                self.strategy.push(child)
 
     def run(self) -> ExplorationResult:
         """One enumeration.  With observability on, the whole run is
@@ -173,14 +197,23 @@ class Explorer:
             # LIFO dfs strategy the earliest flip pops next — exactly
             # the historical DFS order.
             completed = outcome.status in ("done", "exit")
-            points = generate_branches(node, oracle.events,
-                                       self.spec.por, completed)
-            if ctx is not None and points:
-                ctx.inc("explore.choice_points", len(points))
-            for point in reversed(points):
-                for child in point:
-                    self.strategy.push(child)
-        self.pending = self.strategy.drain()
+            if result.paths_run >= self.spec.max_paths \
+                    and not self.spec.por:
+                # The budget is spent, so this path's siblings only
+                # matter to a reader of ``pending``: build them then
+                # (a deep path has O(depth**2) prefix entries).
+                # Without POR every choice point of arity > 1 yields
+                # siblings.
+                self._deferred = (node, oracle.events, completed)
+                fresh = oracle.trace[len(node.choices):]
+                if ctx is not None and fresh:
+                    ctx.inc("explore.choice_points", len(fresh))
+                if any(n > 1 for _tag, n, _c in fresh):
+                    result.exhausted = False
+                continue
+            self._push_branches(node, oracle.events, completed, ctx)
+        if self._deferred is None:
+            self.pending = self.strategy.drain()
         if tracer is not None:
             now = tracer.now()
             if not timeline or timeline[-1][1] != result.paths_run:
@@ -239,9 +272,7 @@ def driver_factory(program, make_model: Callable[[], object],
         ensure_annotated(program)
 
     def make_driver(oracle: Oracle) -> Driver:
-        return Driver(program, make_model(), oracle, spec.max_steps,
-                      static_prune=spec.static_prune,
-                      backend=spec.backend)
+        return Driver(program, make_model(), oracle, spec)
 
     return make_driver
 

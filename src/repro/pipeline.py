@@ -136,7 +136,7 @@ class CompiledProgram:
         if oracle is None and spec.seed is not None:
             oracle = Oracle(rng=random.Random(spec.seed))
         return run_program(self.core, self.make_model(model, spec),
-                           oracle, spec.max_steps, backend=spec.backend)
+                           oracle, spec)
 
     def lowered(self, store=None, name: str = "<string>"):
         """The compiled back end's lowering of this artifact

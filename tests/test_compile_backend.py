@@ -196,12 +196,12 @@ class TestCrossBackendRecords:
 
 
 class TestCallProtocol:
-    """Round 2's specialized call protocol (per-site callee cache,
-    direct slot-write argument passing, pure-callee fast path, and
-    pointer arguments on the fast path) against the tree oracle: the
-    shapes the protocol special-cases must stay observably identical,
-    and the ``compile.call_fast`` / ``compile.call_generic`` telemetry
-    must attribute calls to the intended route."""
+    """The specialized call protocol (per-site callee cache, direct
+    slot-write argument passing into a heap frame, pointer arguments
+    on the direct route) against the tree oracle: the shapes the
+    protocol special-cases must stay observably identical, and the
+    ``compile.call_fast`` / ``compile.call_generic`` telemetry must
+    attribute calls to the intended route."""
 
     def _both(self, src, model="concrete"):
         tree = run_many(src, models=[model], backend="tree")[model]
@@ -298,3 +298,95 @@ class TestCallProtocol:
             program.run("concrete", backend="tree")
         assert "compile.call_fast" not in reg2.counters
         assert "compile.call_generic" not in reg2.counters
+
+
+#: C recursion ``n`` deep (the frame-limit and depth lanes below).
+RECURSION = "int f(int n){return n?f(n-1)+1:0;}\n" \
+            "int main(void){ return f(%d) == %d ? 42 : 1; }\n"
+
+
+class TestDepth:
+    """C calls push heap frames on the compiled back end: depth is a
+    budget (``FRAME_LIMIT`` frames) with a classified outcome, never a
+    ``RecursionError``."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_ten_thousand_deep_single_run(self, model):
+        program = compile_for_model(RECURSION % (10_000, 10_000), model)
+        out = program.run(model)
+        assert (out.status, out.exit_code) == ("done", 42)
+
+    def test_ten_thousand_deep_explored_path(self):
+        program = compile_for_model(RECURSION % (10_000, 10_000),
+                                    "concrete")
+        result = program.explore("concrete", max_paths=1)
+        assert [o.summary() for o in result.outcomes] == \
+            ["exit=42 stdout=''"]
+        assert not result.exhausted
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unbounded_recursion_ends_in_the_frame_limit(self, backend):
+        from repro.dynamics.evaluator import FRAME_LIMIT
+        program = compile_for_model(
+            "int f(int n){return f(n+1);}\n"
+            "int main(void){ return f(0); }\n", "concrete")
+        out = program.run("concrete", backend=backend)
+        assert out.status == "error"
+        assert str(FRAME_LIMIT) in out.error and "frame limit" in out.error
+
+    def test_tree_oracle_deep_lane(self):
+        """The tree evaluator recurses in Python: on a big stack it
+        reaches depth 250 and agrees with the compiled back end."""
+        import sys
+        import threading
+        program = compile_for_model(RECURSION % (250, 250), "concrete")
+        result = {}
+
+        def work():
+            result["tree"] = program.run("concrete", backend="tree")
+
+        old_limit = sys.getrecursionlimit()
+        old_size = threading.stack_size()
+        sys.setrecursionlimit(200_000)
+        threading.stack_size(512 * 1024 * 1024)
+        try:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+        finally:
+            threading.stack_size(old_size)
+            sys.setrecursionlimit(old_limit)
+        compiled = program.run("concrete")
+        assert _outcome_key(result["tree"]) == _outcome_key(compiled)
+        assert compiled.exit_code == 42
+
+
+@pytest.mark.slow_sweep
+class TestDepthAllModels:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_ten_thousand_deep_explored_path(self, model):
+        program = compile_for_model(RECURSION % (10_000, 10_000), model)
+        result = program.explore(model, max_paths=1)
+        assert [o.summary() for o in result.outcomes] == \
+            ["exit=42 stdout=''"]
+
+
+class TestMainArgs:
+    """``int main(int argc, char **argv)`` runs with ``argc == 0`` and
+    ``argv[0]`` a null pointer (§5.1.2.2.1p2)."""
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_argv_holds_a_null_pointer(self, model, backend):
+        program = compile_for_model(
+            "int main(int argc, char **argv)"
+            "{ return argv[argc] == 0 ? 42 : 1; }", model)
+        out = program.run(model, backend=backend)
+        assert (out.status, out.exit_code) == ("done", 42)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_argc_is_zero(self, backend):
+        program = compile_for_model(
+            "int main(int argc, char *argv[]) { return argc + 7; }",
+            "concrete")
+        assert program.run("concrete", backend=backend).exit_code == 7

@@ -7,7 +7,7 @@ from repro.dynamics.driver import Driver, Oracle
 from repro.farm.frontier import explore_farm
 from repro.farm.pool import SweepTask, execute_task
 from repro.pipeline import compile_c, explore_c
-from repro.spec import ExploreSpec
+from repro.spec import ExploreSpec, RunSpec
 
 # One unseq pair: a 576-path space, wide enough to shard yet quick
 # to exhaust serially for exact-accounting comparisons.
@@ -23,7 +23,7 @@ class TestFrontierHandoff:
 
         def make_driver(oracle):
             return Driver(program.core, program.make_model("concrete"),
-                          oracle, 500_000)
+                          oracle, RunSpec(max_steps=500_000))
 
         ex = Explorer(make_driver,
                       ExploreSpec(max_paths=10_000, strategy="bfs"),
@@ -40,7 +40,7 @@ class TestFrontierHandoff:
 
         def make_driver(oracle):
             return Driver(program.core, program.make_model("concrete"),
-                          oracle, 500_000)
+                          oracle, RunSpec(max_steps=500_000))
 
         serial = Explorer(make_driver,
                           ExploreSpec(max_paths=100_000)).run()
