@@ -26,7 +26,8 @@ Farm flags (see :mod:`repro.farm`):
   compiled Core is cached on disk, so repeated invocations skip the
   front end entirely;
 * ``--jobs N`` — run the ``--models`` sweep through N parallel worker
-  processes;
+  processes (one farm task per model at any N, so the printed lines
+  are the same; N=1 runs the tasks in-process);
 * ``--shard I/N`` — run only the I-th of N deterministic shards of
   the sweep (corpus partitioning for independent campaign workers);
 * ``cerberus-py farm suite|csmith|sweep ...`` — whole-corpus
@@ -60,10 +61,7 @@ from .core.pretty import pretty_program
 from .ctypes.implementation import ILP32, LP64
 from .dynamics.explore import STRATEGIES
 from .errors import CerberusError
-from .pipeline import (
-    MODELS, compile_c, explore_many, lint_c, run_many,
-    set_artifact_store,
-)
+from .pipeline import MODELS, compile_c, lint_c, set_artifact_store
 from .spec import BACKENDS, ExploreSpec, SpecError
 
 
@@ -162,6 +160,40 @@ def _add_farm_flags(p: argparse.ArgumentParser) -> None:
                         "of the sweep (default: 0/1 = everything)")
 
 
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the :class:`~repro.spec.ExploreSpec` fields a
+    command line can set (:func:`_spec` reads them back)."""
+    p.add_argument("--strategy", choices=sorted(STRATEGIES),
+                   default="dfs",
+                   help="exploration search strategy (default: dfs, "
+                        "the exhaustive oracle-of-record; bfs, "
+                        "random and coverage reorder the frontier)")
+    p.add_argument("--por", action="store_true",
+                   help="sleep-set partial-order reduction: skip "
+                        "unseq interleavings whose next actions "
+                        "commute (same behaviours, fewer paths)")
+    p.add_argument("--static-prune", action="store_true",
+                   help="static pre-pruning (repro.statics): never "
+                        "branch statically-commuting unseq points "
+                        "and seed sleep sets from precomputed "
+                        "footprints (same behaviours, fewer paths)")
+    p.add_argument("--backend", choices=BACKENDS,
+                   default="compiled",
+                   help="evaluator back end: 'compiled' (default) "
+                        "runs slotted lowered code, 'tree' walks the "
+                        "Core AST (the oracle of record); both "
+                        "produce identical verdicts")
+    p.add_argument("--max-steps", type=int, default=2_000_000,
+                   help="step budget of each run or explored path "
+                        "(default: 2000000)")
+    p.add_argument("--max-paths", type=int, default=500,
+                   help="path budget of each exploration "
+                        "(default: 500)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="single-path mode: pseudorandom oracle seed; "
+                        "exploration: random/coverage strategy seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cerberus-py",
@@ -183,20 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="explore all allowed executions (test oracle "
                         "mode)")
-    p.add_argument("--strategy", choices=sorted(STRATEGIES),
-                   default="dfs",
-                   help="exploration search strategy (default: dfs, "
-                        "the exhaustive oracle-of-record; bfs, "
-                        "random and coverage reorder the frontier)")
-    p.add_argument("--por", action="store_true",
-                   help="sleep-set partial-order reduction: skip "
-                        "unseq interleavings whose next actions "
-                        "commute (same behaviours, fewer paths)")
-    p.add_argument("--static-prune", action="store_true",
-                   help="static pre-pruning (repro.statics): never "
-                        "branch statically-commuting unseq points "
-                        "and seed sleep sets from precomputed "
-                        "footprints (same behaviours, fewer paths)")
     p.add_argument("--explore-jobs", type=int, default=1, metavar="N",
                    help="shard the exploration frontier across N farm "
                         "workers (single-model --exhaustive only)")
@@ -206,19 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "never re-explored (zero paths re-run on a "
                         "warm hit) and an interrupted exploration "
                         "resumes from its persisted frontier")
-    p.add_argument("--backend", choices=BACKENDS,
-                   default="compiled",
-                   help="evaluator back end: 'compiled' (default) "
-                        "runs slotted lowered code, 'tree' walks the "
-                        "Core AST (the oracle of record); both "
-                        "produce identical verdicts")
     p.add_argument("--pp-core", action="store_true",
                    help="pretty-print the elaborated Core and exit")
-    p.add_argument("--max-steps", type=int, default=2_000_000)
-    p.add_argument("--max-paths", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None,
-                   help="single-path mode: pseudorandom oracle seed; "
-                        "exploration: random/coverage strategy seed")
+    _add_spec_flags(p)
     _add_farm_flags(p)
     _add_obs_flags(p)
     return p
@@ -337,27 +345,42 @@ def _dispatch_main(args, source: str, impl, spec) -> int:
     return outcome.exit_code or 0
 
 
-def _exit_code_for(statuses, any_ub: bool) -> int:
-    # Mirror the single-model exit codes: UB trumps internal errors
-    # trumps timeouts.
-    if any_ub:
-        return 1
-    if "error" in statuses:
-        return 2
-    if "timeout" in statuses:
-        return 3
-    return 0
+def _model_lines(rows):
+    """The line each ``(model, task result)`` row prints —
+    ``f"{model:12s} {summary}"``, what ``--models`` and ``submit``
+    both print — and the exit code the rows mean, as in single-model
+    mode: UB trumps errors (a failed task is one) trumps timeouts."""
+    lines, statuses = [], set()
+    for model, r in rows:
+        if not r.ok:
+            summary, status = f"error: {r.error}", "error"
+        elif model in r.data.get("explorations", {}):
+            e = r.data["explorations"][model]
+            summary = f"{e.paths_run:4d} paths  " \
+                + " | ".join(e.behaviours)
+            status = "ub" if e.has_ub else "done"
+        else:
+            v = r.data["verdicts"][model]
+            summary, status = v.summary(), v.status
+        lines.append(f"{model:12s} {summary}")
+        statuses.add(status)
+    for status, code in (("ub", 1), ("error", 2), ("timeout", 3)):
+        if status in statuses:
+            return lines, code
+    return lines, 0
 
 
 def _run_batch(args, source: str, impl, spec) -> int:
-    """--models: one front-end translation, a verdict per model
-    (``--jobs``/``--shard`` fan the models out across farm workers)."""
+    """--models: one farm task per model through
+    :func:`repro.farm.pool.run_tasks` — in-process at ``--jobs 1``,
+    across worker processes otherwise (a warm ``--store`` makes every
+    worker execution-only) — and one printed line per model."""
     try:
         models = _parse_models(args.models)
     except argparse.ArgumentTypeError as exc:
         print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
-    from .farm.pool import shard_select
+    from .farm.pool import SweepTask, run_tasks, shard_select
     models = shard_select(models, *args.shard)
     if not models:
         print("cerberus-py: shard selected no models", file=sys.stderr)
@@ -370,58 +393,16 @@ def _run_batch(args, source: str, impl, spec) -> int:
               "(use --jobs to fan the models out instead)",
               file=sys.stderr)
         return 2
-    if args.jobs > 1:
-        return _run_batch_farm(args, source, impl, spec, models)
-    try:
-        if args.exhaustive:
-            results = explore_many(source, models, impl, spec,
-                                   name=args.file,
-                                   store=args.explore_store)
-            for model, res in results.items():
-                behaviours = " | ".join(o.summary()
-                                        for o in res.distinct())
-                print(f"{model:12s} {res.paths_run:4d} paths  "
-                      f"{behaviours}")
-            return 1 if any(r.has_ub() for r in results.values()) \
-                else 0
-        outcomes = run_many(source, models, impl, spec,
-                            name=args.file)
-    except CerberusError as exc:
-        print(f"cerberus-py: {exc}", file=sys.stderr)
-        return 2
-    for model, outcome in outcomes.items():
-        print(f"{model:12s} {outcome.summary()}")
-    return _exit_code_for({o.status for o in outcomes.values()},
-                          any(o.is_ub for o in outcomes.values()))
-
-
-def _run_batch_farm(args, source: str, impl, spec, models) -> int:
-    """The --models sweep across worker processes: one task per model
-    (a warm --store makes every worker execution-only)."""
-    from .farm.pool import SweepTask, run_tasks
-    mode = "explore" if args.exhaustive else "run"
-    tasks = [SweepTask(index=i, name=args.file, kind=mode,
+    tasks = [SweepTask(index=i, name=args.file,
+                       kind="explore" if args.exhaustive else "run",
                        source=source, models=(model,), impl=impl,
                        spec=spec, explore_store=args.explore_store)
              for i, model in enumerate(models)]
-    results = run_tasks(tasks, jobs=args.jobs, store=args.store)
-    statuses, any_ub = set(), False
-    for model, r in zip(models, results):
-        if not r.ok:
-            print(f"{model:12s} error: {r.error}")
-            statuses.add("error")
-            continue
-        if mode == "explore":
-            e = r.data["explorations"][model]
-            print(f"{model:12s} {e.paths_run:4d} paths  "
-                  + " | ".join(e.behaviours))
-            any_ub = any_ub or e.has_ub
-        else:
-            v = r.data["verdicts"][model]
-            print(f"{model:12s} {v.summary()}")
-            statuses.add(v.status)
-            any_ub = any_ub or v.status == "ub"
-    return _exit_code_for(statuses, any_ub)
+    results = run_tasks(tasks, jobs=args.jobs)
+    lines, code = _model_lines(zip(models, results))
+    for line in lines:
+        print(line)
+    return code
 
 
 # -- the lint subcommand -------------------------------------------------------
@@ -517,16 +498,7 @@ def build_farm_parser() -> argparse.ArgumentParser:
     sweep.add_argument("files", nargs="+", help="C source files")
     sweep.add_argument("--models", default="all", metavar="M1,M2,...")
     sweep.add_argument("--exhaustive", action="store_true")
-    sweep.add_argument("--strategy", choices=sorted(STRATEGIES),
-                       default="dfs",
-                       help="exploration search strategy")
-    sweep.add_argument("--por", action="store_true",
-                       help="sleep-set partial-order reduction")
-    sweep.add_argument("--seed", type=int, default=None,
-                       help="random/coverage strategy seed "
-                            "(reproducible sampled campaigns)")
-    sweep.add_argument("--max-steps", type=int, default=2_000_000)
-    sweep.add_argument("--max-paths", type=int, default=500)
+    _add_spec_flags(sweep)
     sweep.add_argument("--explore-store", default=None, metavar="DIR",
                        help="persist --exhaustive results as "
                             "exploration records: warm re-sweeps of "
@@ -535,19 +507,11 @@ def build_farm_parser() -> argparse.ArgumentParser:
                        help="resume interrupted explorations from "
                             "frontiers persisted in --explore-store "
                             "(complete records are always reused)")
-    sweep.add_argument("--static-prune", action="store_true",
-                       help="static pre-pruning of unseq choice "
-                            "points for --exhaustive (repro.statics)")
     sweep.add_argument("--lint", action="store_true",
                        help="run the definite-UB linter per program; "
                             "with --exhaustive, a definite finding "
                             "skips that program's exploration "
                             "(pre-exploration filter)")
-    sweep.add_argument("--backend", choices=BACKENDS,
-                       default="compiled",
-                       help="evaluator back end for every task "
-                            "(default: compiled; 'tree' is the "
-                            "Core-walking oracle of record)")
     sweep.add_argument("--server", default=None, metavar="SOCKET",
                        help="route the sweep through a running farm "
                             "daemon (cerberus-py serve) instead of a "
@@ -805,15 +769,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="explore all allowed executions per model "
                         "(mode=explore) instead of one run each")
-    p.add_argument("--strategy", choices=sorted(STRATEGIES),
-                   default="dfs")
-    p.add_argument("--por", action="store_true")
-    p.add_argument("--static-prune", action="store_true")
-    p.add_argument("--backend", choices=BACKENDS,
-                   default="compiled")
-    p.add_argument("--max-steps", type=int, default=2_000_000)
-    p.add_argument("--max-paths", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    _add_spec_flags(p)
     p.add_argument("--lint", action="store_true",
                    help="attach static lint findings to the report")
     p.add_argument("--client", default="cli", metavar="NAME",
@@ -831,13 +787,12 @@ def build_submit_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: submit exit codes per structured server error code (anything
-#: unlisted is a generic request error, exit 2).
+#: submit exit codes per structured server rejection (anything
+#: unlisted is a generic request error, exit 2; a job that failed or
+#: timed out is exit 3).
 _SUBMIT_EXIT_CODES = {
     "quota-exceeded": 4,
     "shutting-down": 5,
-    "job-failed": 3,
-    "job-timeout": 3,
 }
 
 
@@ -879,39 +834,23 @@ def submit_main(argv) -> int:
                      else "")
                   + (" (cached)" if response.get("cached") else ""))
         return 0
-    return _render_submit_report(response, args.json)
+    return _render_submit_report(response, models, args.json)
 
 
-def _render_submit_report(response: dict, as_json: bool) -> int:
-    report = response.get("report") or {}
-    if not report.get("ok"):
-        error = report.get("error")
-        if isinstance(error, dict):
-            code = error.get("code", "job-failed")
-            if not as_json:
-                print(f"cerberus-py submit: {code}: "
-                      f"{error.get('detail', '')}", file=sys.stderr)
-            return _SUBMIT_EXIT_CODES.get(code, 3)
-        if not as_json:
-            print(f"cerberus-py submit: job failed: {error}",
-                  file=sys.stderr)
-        return 3
-    any_ub = False
-    statuses = set()
-    for model, v in sorted(report.get("verdicts", {}).items()):
-        statuses.add(v["status"])
-        any_ub = any_ub or v["status"] == "ub"
-        if not as_json:
-            summary = f"UB[{v['ub']}]" if v["status"] == "ub" \
-                else f"exit={v['exit_code']} stdout={v['stdout']!r}" \
-                if v["status"] in ("done", "exit") else v["status"]
-            print(f"{model:12s} {summary}")
-    for model, e in sorted(report.get("explorations", {}).items()):
-        any_ub = any_ub or e["has_ub"]
-        if not as_json:
-            print(f"{model:12s} {e['paths_run']:4d} paths  "
-                  + " | ".join(e["behaviours"]))
-    return 1 if any_ub else _exit_code_for(statuses, False)
+def _render_submit_report(response: dict, models, as_json: bool) -> int:
+    """A job's report as the lines ``--models`` prints (models in
+    name order, as the daemon runs ``all``); exit 3 when the job
+    failed or timed out."""
+    from .farm.pool import task_result_from_json
+    result = task_result_from_json(response.get("report") or {})
+    if result.ok:
+        models = result.data.get("verdicts") \
+            or result.data.get("explorations") or ()
+    lines, code = _model_lines((m, result) for m in sorted(models))
+    if not as_json:
+        for line in lines:
+            print(line)
+    return code if result.ok else 3
 
 
 # -- the stats subcommand ------------------------------------------------------

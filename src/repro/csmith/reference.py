@@ -8,9 +8,10 @@ other 5 time-out").
 
 The corpus is reproducible by construction — an explicit ``seeds``
 list, or ``range(seed_base, seed_base + count)`` — so sharded farm
-campaign workers (``jobs=``/``store=``/``shard=``, backed by
-:mod:`repro.farm.campaign`) partition exactly the same programs
-deterministically.
+campaign workers partition exactly the same programs
+deterministically.  :func:`validate_programs` is a farm Csmith
+campaign (:func:`repro.farm.campaign.csmith_campaign`): one task per
+seed, serial in-process at ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import CerberusError
-from ..pipeline import run_many
-from .generator import GeneratedProgram, generate_program
+from .generator import GeneratedProgram
 
 
 @dataclass
@@ -77,40 +76,20 @@ def validate_programs(count: Optional[int] = None, size: int = 12,
                       shard: Optional[Tuple[int, int]] = None
                       ) -> ValidationReport:
     """Generate the corpus and compare Cerberus-py's output against
-    the reference.
+    the reference: the report of a
+    :func:`~repro.farm.campaign.csmith_campaign`.
 
     With ``models`` (a list of memory object models) each program is
     translated once and the compiled artifact executed under every
     model — all must reproduce the reference output to count as
     agreement.  ``seeds`` names the corpus explicitly (otherwise
-    ``seed_base``/``count``); ``jobs``, ``store``, and ``shard`` route
-    the sweep through the farm (parallel workers, persistent artifact
-    store, deterministic corpus partitioning)."""
-    model_list = list(models) if models else [model]
-    seed_list = resolve_seeds(count, seeds, seed_base)
-    if jobs > 1 or store is not None or shard is not None:
-        from ..farm.campaign import csmith_campaign
-        report, _ = csmith_campaign(
-            seeds=seed_list, size=size, models=model_list, jobs=jobs,
-            store=store, shard=shard or (0, 1), max_steps=max_steps)
-        return report
-    report = ValidationReport()
-    for seed in seed_list:
-        program = generate_program(seed, size)
-        report.total += 1
-        try:
-            outcomes = run_many(program.source, models=model_list,
-                                max_steps=max_steps)
-        except CerberusError:
-            report.failed += 1
-            report.failures.append(seed)
-            continue
-        category = classify_outcomes(program, outcomes)
-        if category == "timeout":
-            report.timeout += 1
-        elif category == "agree":
-            report.agree += 1
-        else:
-            report.disagree += 1
-            report.disagreements.append(seed)
+    ``seed_base``/``count``); ``jobs``, ``store``, and ``shard``
+    choose parallel workers, a persistent artifact store, and a
+    deterministic corpus partition."""
+    from ..farm.campaign import csmith_campaign
+    report, _ = csmith_campaign(
+        seeds=seeds, count=count, size=size,
+        models=list(models) if models else [model], jobs=jobs,
+        store=store, shard=shard or (0, 1), max_steps=max_steps,
+        seed_base=seed_base)
     return report

@@ -31,8 +31,14 @@ Layers
     deterministic result aggregation.  ``sweep(programs, models,
     jobs=N)`` runs a corpus of C programs across a list of memory
     object models on top of ``run_many`` / ``explore_many``;
-    ``jobs=1`` degrades to a serial in-process loop, so every caller
-    has one code path.
+    ``jobs=1`` runs the same tasks in-process.
+    :func:`~repro.farm.pool.execute_task` is the only batch executor
+    (the CLI's ``--models``, every campaign, farm-sharded exploration
+    and the daemon's worker run through it) and the one failure
+    boundary: any exception becomes a failed task result with the
+    same ``error`` text wherever it ran.  A task's counters come from
+    its own metrics registry, shipped back with its result — never
+    from scans of the store directory.
 
 :mod:`repro.farm.explorestore` — incremental re-exploration
     :class:`~repro.farm.explorestore.ExplorationRecord` persists
@@ -76,11 +82,11 @@ Layers
     ``cerberus-py farm sweep --server SOCKET``.
 
 :mod:`repro.farm.campaign` — campaign drivers and JSON reports
-    Drivers that re-back the repo's batch consumers:
-    :func:`~repro.farm.campaign.suite_campaign` behind
-    :func:`repro.testsuite.runner.run_suite_many`,
-    :func:`~repro.farm.campaign.csmith_campaign` behind
-    :func:`repro.csmith.reference.validate_programs`, and the
+    The repo's batch consumers:
+    :func:`~repro.farm.campaign.suite_campaign` (which
+    :func:`repro.testsuite.runner.run_suite_many` wraps),
+    :func:`~repro.farm.campaign.csmith_campaign` (which
+    :func:`repro.csmith.reference.validate_programs` wraps), and the
     ``cerberus-py farm`` CLI subcommand.  Each campaign produces a
     :class:`~repro.farm.campaign.CampaignReport` — per-program
     verdicts, aggregated cache counters (front-end translations,

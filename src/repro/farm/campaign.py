@@ -1,15 +1,17 @@
 """Campaign drivers: whole-corpus sweeps with JSON reports.
 
 A *campaign* is a corpus × models sweep executed through the farm
-pool and summarised in a :class:`CampaignReport`: per-program
-verdicts, aggregated cache counters (front-end translations, in-memory
-and artifact-store hit rates), and wall-clock.  Two stock campaigns
-re-back the repo's batch consumers:
+pool (:func:`~repro.farm.pool.run_tasks`, serial at ``jobs=1``) and
+summarised in a :class:`CampaignReport`: per-program verdicts,
+aggregated cache counters (front-end translations, in-memory and
+artifact-store hit rates, read from the tasks' metrics), and
+wall-clock.  Two stock campaigns are the repo's batch consumers:
 
 * :func:`suite_campaign` — the §2-§5 de facto test suite
-  (behind :func:`repro.testsuite.runner.run_suite_many`);
+  (:func:`repro.testsuite.runner.run_suite_many` is a thin wrapper);
 * :func:`csmith_campaign` — the §6 Csmith differential validation
-  (behind :func:`repro.csmith.reference.validate_programs`);
+  (:func:`repro.csmith.reference.validate_programs` is a thin
+  wrapper);
 
 and :func:`sweep_campaign` runs ad-hoc corpora (the ``cerberus-py
 farm sweep`` subcommand).  Sharded workers (``shard=(i, n)``) report
@@ -29,7 +31,7 @@ from ..obs.metrics import merge_metric_dicts
 from ..pipeline import MODELS
 from ..spec import ExploreSpec
 from .pool import (
-    SweepTask, TaskResult, merge_stats, run_tasks, shard_select, sweep,
+    SweepTask, TaskResult, run_tasks, shard_select, sweep, task_stats,
 )
 
 
@@ -44,11 +46,10 @@ class CampaignReport:
 
     ``metrics`` is the unified observability block: per-worker
     :mod:`repro.obs` snapshots merged into one (``workers``), plus
-    derived ``compile`` / ``explore`` / ``farm`` summaries.
-    Exploration-record counters live only in ``metrics["explore"]``
-    (the transitional ``cache`` scalar aliases — ``explore_hit_rate``,
-    ``explore_live_paths``, ... — are gone); ``cache`` keeps the
-    front-end compile/store counters."""
+    derived ``compile`` / ``explore`` / ``farm`` summaries.  ``cache``
+    (the front-end compile/store counters) and ``metrics["explore"]``
+    (the exploration-record counters) are
+    :func:`~repro.farm.pool.task_stats` over ``workers``."""
 
     kind: str
     models: List[str]
@@ -66,18 +67,19 @@ class CampaignReport:
               shard: Tuple[int, int], task_results: List[TaskResult],
               wall_s: float, summary: Dict[str, int],
               results: List[dict]) -> "CampaignReport":
-        stats = dict(merge_stats(task_results))
+        workers = merge_metric_dicts(
+            r.data.get("metrics") for r in task_results)
+        cache = task_stats(workers)
         # Exploration-record counters report through the unified
         # metrics block only; cache keeps the compile/store counters.
-        explore = {k: stats.pop(k) for k in tuple(stats)
+        explore = {k: cache.pop(k) for k in tuple(cache)
                    if k.startswith("explore_")}
-        cache = stats
         cache["memory_hit_rate"] = _hit_rate(cache["memory_hits"],
                                              cache["memory_misses"])
         cache["store_hit_rate"] = _hit_rate(cache["store_hits"],
                                             cache["store_misses"])
-        metrics = cls._build_metrics(cache, explore, task_results,
-                                     wall_s)
+        metrics = cls._build_metrics(cache, explore, workers,
+                                     task_results, wall_s)
         return cls(kind, list(models), jobs, tuple(shard),
                    len(task_results), round(wall_s, 4), cache,
                    summary, results, metrics)
@@ -85,17 +87,16 @@ class CampaignReport:
     @staticmethod
     def _build_metrics(cache: Dict[str, object],
                        explore: Dict[str, int],
+                       workers: dict,
                        task_results: List[TaskResult],
                        wall_s: float) -> Dict[str, object]:
         """The unified ``metrics`` block: every worker's obs snapshot
         merged (exact under merging — see
         :class:`repro.obs.MetricsRegistry`), plus derived summaries.
         When an observability context is active (``--trace`` around
-        the campaign), the merged worker metrics and farm counters are
-        folded into it too, so the trace's final metrics record covers
-        work done in forked workers."""
-        workers = merge_metric_dicts(
-            r.data.get("metrics") for r in task_results)
+        the campaign), the campaign's timeout and failure counts are
+        folded into it; the task snapshots already were, by the batch
+        that ran them."""
         timeouts = sum(1 for r in task_results if r.timed_out)
         failures = sum(1 for r in task_results
                        if not r.ok and not r.timed_out)
@@ -137,7 +138,6 @@ class CampaignReport:
         }
         ctx = obs.active()
         if ctx is not None:
-            ctx.merge(workers)
             ctx.inc("farm.timeouts", timeouts)
             if failures:
                 ctx.inc("farm.failures", failures)
@@ -186,9 +186,9 @@ def suite_campaign(models: Sequence[str],
                    lint: bool = False):
     """Sweep the de facto test suite across ``models``.
 
-    Returns ``(SuiteReport, CampaignReport)`` — the first identical in
-    shape to a serial :func:`~repro.testsuite.runner.run_suite_many`,
-    the second the farm's JSON campaign record.  ``lint`` attaches the
+    Returns ``(SuiteReport, CampaignReport)`` — the first what
+    :func:`~repro.testsuite.runner.run_suite_many` returns, the second
+    the farm's JSON campaign record.  ``lint`` attaches the
     static findings (:mod:`repro.statics.lint`) to each program's
     report entry — attach-only here: suite verdicts stay the dynamic
     ground truth the static findings are gated against."""
@@ -199,8 +199,7 @@ def suite_campaign(models: Sequence[str],
     sharded = shard_select(all_names, *shard)
     spec = ExploreSpec(max_steps=max_steps)
     tasks = [SweepTask(index=i, name=name, kind="suite",
-                       models=tuple(models), spec=spec,
-                       lint=lint, collect_metrics=True)
+                       models=tuple(models), spec=spec, lint=lint)
              for i, name in enumerate(sharded)]
     start = time.perf_counter()
     task_results = run_tasks(tasks, jobs=jobs, store=store,
@@ -271,8 +270,7 @@ def csmith_campaign(seeds: Optional[Sequence[int]] = None,
     spec = ExploreSpec(max_steps=max_steps)
     tasks = [SweepTask(index=i, name=f"csmith-{seed}", kind="csmith",
                        models=tuple(model_list), spec=spec,
-                       csmith_seed=seed, csmith_size=size,
-                       collect_metrics=True)
+                       csmith_seed=seed, csmith_size=size)
              for i, seed in enumerate(sharded)]
     start = time.perf_counter()
     task_results = run_tasks(tasks, jobs=jobs, store=store,

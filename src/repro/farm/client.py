@@ -32,6 +32,7 @@ import socket
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..spec import ExploreSpec
 from .server import PROTOCOL_VERSION
 
@@ -123,7 +124,10 @@ class FarmClient:
         """Submit one job: the envelope (``name``, ``models``,
         ``mode``, ``impl``, ``lint``, ``wait``, ``label``,
         ``client``) plus every field of ``spec`` with ``knobs``
-        applied (see :class:`~repro.spec.ExploreSpec`)."""
+        applied (see :class:`~repro.spec.ExploreSpec`).  A field left
+        unset keeps its ``ExploreSpec`` default in run mode too:
+        ``max_steps`` is 500000, not ``RunSpec``'s 2000000.  The
+        report's ``stats`` are derived from its ``metrics``."""
         spec = ExploreSpec.build(spec, **knobs)
         message = {"op": "submit", "source": source, "name": name,
                    "models": models if models == "all"
@@ -198,8 +202,9 @@ def server_sweep(socket_path, programs: Sequence[Tuple[str, str]],
     interleaves jobs across its pre-warmed pool and coalesces
     duplicates), then collect each payload in corpus order as farm
     :class:`~repro.farm.pool.TaskResult` objects — the server-backed
-    twin of :func:`repro.farm.pool.sweep`, consumed by
-    :func:`repro.farm.campaign.sweep_campaign(server=...)
+    twin of :func:`repro.farm.pool.sweep` (like it, it merges each
+    payload's metrics into the active :mod:`repro.obs` context once),
+    consumed by :func:`repro.farm.campaign.sweep_campaign(server=...)
     <repro.farm.campaign.sweep_campaign>`."""
     from .pool import task_result_from_json
     fc = FarmClient(socket_path, client=client)
@@ -218,6 +223,7 @@ def server_sweep(socket_path, programs: Sequence[Tuple[str, str]],
                     raise
                 time.sleep(poll_s)
         jobs.append((index, name, ack["job"]))
+    ctx = obs.active()
     results = []
     for index, name, job_id in jobs:
         response = fc.wait_result(job_id, poll_s=poll_s,
@@ -226,4 +232,6 @@ def server_sweep(socket_path, programs: Sequence[Tuple[str, str]],
                                        index=index)
         result.name = name
         results.append(result)
+        if ctx is not None:
+            ctx.merge(result.data.get("metrics"))
     return results

@@ -179,18 +179,13 @@ class ExploreStore:
             ctx.inc("explore.live_paths", paths)
 
     def stats(self) -> Dict[str, int]:
-        """Hits/misses/stores of exploration records in the backing
-        store, plus this handle's resume and live-path counters.
-        Reads the per-``"exploration"``-kind counters, not the flat
-        record totals — the backing store also holds ``"statics"``
-        records whose traffic must not be billed to exploration."""
-        ss = self.store.stats()
-        per = ss.get("by_kind", {}).get(RECORD_KIND, {})
-        return {"hits": per.get("hits", 0),
-                "misses": per.get("misses", 0),
-                "stores": per.get("stores", 0),
-                "corrupt": per.get("corrupt", 0),
-                **self._counters}
+        """Hits/misses/stores/corrupt of exploration records in the
+        backing store, plus this handle's resume and live-path
+        counters.  Reads the per-``"exploration"``-kind counters, not
+        the flat record totals — the backing store also holds
+        ``"statics"`` records whose traffic must not be billed to
+        exploration — and never scans the store directory."""
+        return {**self.store.kind_stats(RECORD_KIND), **self._counters}
 
 
 def plan_cached(store: ExploreStore, key: str,

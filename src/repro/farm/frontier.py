@@ -175,8 +175,7 @@ def explore_farm(source: str,
                            deadline_s=shard_deadline,
                            prefix=tuple(node.choices),
                            sleep=tuple(node.sleep),
-                           requeue_interrupted=es is not None,
-                           collect_metrics=ctx is not None)
+                           requeue_interrupted=es is not None)
                  for i, node in enumerate(frontier)]
         if ctx is not None:
             ctx.inc("farm.shards", len(tasks))
@@ -186,8 +185,6 @@ def explore_farm(source: str,
         leftover: List[PathNode] = []
         all_ok = True
         for task, r in zip(tasks, results):
-            if ctx is not None:
-                ctx.merge(r.data.get("metrics"))
             shard = r.data.get("shard") if r.ok else None
             if shard is None:
                 # Worker died or timed out hard: its partial work is

@@ -3,9 +3,19 @@ compiled-artifact tasks.
 
 One task = one program swept across a list of memory object models
 (via :func:`repro.pipeline.run_many` / ``explore_many``), or one test
-suite entry, or one Csmith seed.  Tasks are deterministic value
-objects, so:
+suite entry, or one Csmith seed.  :func:`run_tasks` ->
+:func:`execute_task` is the one place a batch is executed, reported
+and counted — the CLI's ``--models``, the campaigns, farm-sharded
+exploration and the daemon's worker all come through it:
 
+* **one failure boundary** — any exception a task raises becomes a
+  failed :class:`TaskResult` whose ``error`` names it, with the same
+  text in-process, in a forked worker and in the daemon;
+* **one counter channel** — each task runs in its own
+  :func:`repro.obs.collecting` scope and ships the snapshot back in
+  ``data["metrics"]``; ``TaskResult.stats`` is a table over those
+  counters (:func:`task_stats`), and :func:`run_tasks` merges every
+  snapshot into the caller's active observability context once;
 * **sharding** is a pure function of the task list —
   :func:`shard_select` keeps every item whose position is congruent to
   ``shard_index`` modulo ``shard_count``, so ``N`` campaign workers
@@ -20,17 +30,18 @@ objects, so:
   backstop in the parent that marks the task timed out and recycles
   the pool.
 
-``jobs=1`` runs the same task loop serially in-process — one code
-path for every caller, no fork required.  Workers are forked where
-available (Linux) and each installs its own handle on the shared
-:class:`~repro.farm.store.ArtifactStore`, so a warm store makes a
-parallel sweep execution-only: zero front-end translations.
+``jobs=1`` runs the same tasks serially in-process, no fork required.
+Workers are forked where available (Linux) and each installs its own
+handle on the shared :class:`~repro.farm.store.ArtifactStore`, so a
+warm store makes a parallel sweep execution-only: zero front-end
+translations.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from fnmatch import fnmatchcase
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -38,17 +49,28 @@ from .. import obs
 from ..ctypes.implementation import Implementation, LP64
 from ..errors import CerberusError
 from ..pipeline import (
-    MODELS, compile_cache_stats, clear_compile_cache,
-    explore_many, get_artifact_store, run_many, set_artifact_store,
+    MODELS, clear_compile_cache, explore_many, get_artifact_store,
+    run_many, set_artifact_store,
 )
 from ..spec import ExploreSpec
 from .store import ArtifactStore
 
-_STAT_KEYS = ("translations", "memory_hits", "memory_misses",
-              "store_hits", "store_misses", "store_puts",
-              "store_corrupt",
-              "explore_hits", "explore_misses", "explore_puts",
-              "explore_resumes", "explore_live_paths")
+#: ``TaskResult.stats``: each key and the metric counter it reads
+#: (``*`` matches any record kind).
+_STATS = {
+    "translations": "pipeline.translations",
+    "memory_hits": "pipeline.cache_hits",
+    "memory_misses": "pipeline.cache_misses",
+    "store_hits": "store.compiled.hits",
+    "store_misses": "store.compiled.misses",
+    "store_puts": "store.compiled.stores",
+    "store_corrupt": "store.*.corrupt",
+    "explore_hits": "store.exploration.hits",
+    "explore_misses": "store.exploration.misses",
+    "explore_puts": "store.exploration.stores",
+    "explore_resumes": "explore.resumes",
+    "explore_live_paths": "explore.live_paths",
+}
 
 
 @dataclass
@@ -139,10 +161,6 @@ class SweepTask:
     # ("lint" data key); campaign layers use definite findings as a
     # pre-exploration filter.
     lint: bool = False
-    # Collect a repro.obs metrics snapshot around the task and ship it
-    # back in data["metrics"] — the farm's worker-to-parent metrics
-    # channel (campaigns set it; plain run_tasks callers opt in).
-    collect_metrics: bool = False
     # time.monotonic() at submission, stamped by run_tasks; the worker
     # reports the queue wait (start - submitted) in the result.
     submitted_m: Optional[float] = None
@@ -160,11 +178,13 @@ class TaskResult:
     # seconds the task sat between submission and a worker picking it
     # up (0.0 when the submission time was not stamped)
     queue_wait_s: float = 0.0
-    # deltas of the compile/store counters attributable to this task
+    # the compile/store counters of this task (task_stats over
+    # data["metrics"])
     stats: Dict[str, int] = field(default_factory=dict)
     # kind-specific payload: "verdicts" ({model: Verdict}),
     # "explorations" ({model: ExploreSummary}), "results"
-    # (List[TestResult]), "category" (csmith classification)
+    # (List[TestResult]), "category" (csmith classification), and
+    # for every executed task "metrics" (its repro.obs snapshot)
     data: Dict[str, object] = field(default_factory=dict)
 
 
@@ -249,50 +269,33 @@ def shard_select(items: Sequence, shard_index: int,
             if i % shard_count == shard_index]
 
 
-# -- counter snapshots ---------------------------------------------------------
+# -- counters ------------------------------------------------------------------
 
-def _snapshot() -> Dict[str, int]:
-    cs = compile_cache_stats()
-    snap = {"translations": cs["translations"],
-            "memory_hits": cs["hits"],
-            "memory_misses": cs["misses"],
-            "store_hits": 0, "store_misses": 0, "store_puts": 0}
-    store = get_artifact_store()
-    if store is not None:
-        ss = store.stats()
-        snap["store_hits"] = ss["hits"]
-        snap["store_misses"] = ss["misses"]
-        snap["store_puts"] = ss["stores"]
-        snap["store_corrupt"] = ss["corrupt"]
-    return snap
+def task_stats(metrics: Optional[dict]) -> Dict[str, int]:
+    """The compile/store counter table of a metrics snapshot — one
+    task's ``data["metrics"]``, or a merge of many (a campaign's
+    ``cache``)."""
+    counters = (metrics or {}).get("counters", {})
 
+    def count(pattern: str) -> int:
+        if "*" not in pattern:
+            return counters.get(pattern, 0)
+        return sum(n for name, n in counters.items()
+                   if fnmatchcase(name, pattern))
 
-def _delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    # Exploration-record counters are per-task-handle (filled in by
-    # execute_task), not process-global, so snapshots omit them.
-    return {k: after.get(k, 0) - before.get(k, 0) for k in _STAT_KEYS}
-
-
-def merge_stats(results: Iterable[TaskResult]) -> Dict[str, int]:
-    """Sum the per-task counter deltas of a whole sweep."""
-    total = {k: 0 for k in _STAT_KEYS}
-    for r in results:
-        for k in _STAT_KEYS:
-            total[k] += r.stats.get(k, 0)
-    return total
+    return {key: count(pattern) for key, pattern in _STATS.items()}
 
 
 # -- the worker ---------------------------------------------------------------
 
 def execute_task(task: SweepTask) -> TaskResult:
-    """Run one task in the current process (workers and the serial
-    path both come through here).  With ``task.collect_metrics`` the
-    task runs inside an isolated :func:`repro.obs.collecting` scope
-    and ships the snapshot back in ``data["metrics"]`` — the parent
-    (campaign / trace) merges it, so a parallel sweep's metric totals
-    equal a serial one's."""
-    if not task.collect_metrics:
-        return _execute_task(task)
+    """Run one task in the current process: the one executor of every
+    batch (serial sweeps, forked workers and the daemon's worker all
+    come through here) and its one failure boundary.  The task runs
+    inside an isolated :func:`repro.obs.collecting` scope whose
+    snapshot ships back in ``data["metrics"]`` — :func:`run_tasks`
+    merges it into the caller's context, so a parallel sweep's metric
+    totals equal a serial one's — and ``stats`` is read from it."""
     with obs.collecting() as registry:
         result = _execute_task(task)
         ctx = obs.active()
@@ -303,23 +306,21 @@ def execute_task(task: SweepTask) -> TaskResult:
         if result.queue_wait_s:
             ctx.observe("farm.queue_wait_s", result.queue_wait_s)
     result.data["metrics"] = registry.to_dict()
+    result.stats = task_stats(result.data["metrics"])
     return result
 
 
 def _execute_task(task: SweepTask) -> TaskResult:
-    before = _snapshot()
     start = time.perf_counter()
     result = TaskResult(task.index, task.name, task.kind)
     if task.submitted_m is not None:
         result.queue_wait_s = max(0.0,
                                   time.monotonic() - task.submitted_m)
-    explore_store = None
-    if task.explore_store is not None:
-        # A fresh per-task handle on the shared record store: its
-        # counters are this task's deltas by construction.
-        from .explorestore import ExploreStore
-        explore_store = ExploreStore(task.explore_store)
     try:
+        explore_store = None
+        if task.explore_store is not None:
+            from .explorestore import ExploreStore
+            explore_store = ExploreStore(task.explore_store)
         if task.kind == "run":
             outcomes = run_many(task.source, task.models, task.impl,
                                 task.spec, name=task.name)
@@ -384,18 +385,16 @@ def _execute_task(task: SweepTask) -> TaskResult:
                     for m, o in outcomes.items()}
         else:
             raise ValueError(f"unknown task kind {task.kind!r}")
-    except CerberusError as exc:
+    except Exception as exc:
+        # The batch must keep running: the task fails, named by its
+        # exception, and the traceback goes to the module's logger
+        # (imported here: a cold CLI run must not pay for it).
+        import logging
+        logging.getLogger(__name__).debug("task %r failed", task.name,
+                                          exc_info=True)
         result.ok = False
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_s = time.perf_counter() - start
-    result.stats = _delta(before, _snapshot())
-    if explore_store is not None:
-        es = explore_store.stats()
-        result.stats["explore_hits"] = es["hits"]
-        result.stats["explore_misses"] = es["misses"]
-        result.stats["explore_puts"] = es["stores"]
-        result.stats["explore_resumes"] = es["resumes"]
-        result.stats["explore_live_paths"] = es["live_paths"]
     return result
 
 
@@ -489,7 +488,7 @@ def _store_spec(store) -> Optional[Tuple[str, int, int]]:
 
 def _init_worker(store_spec: Optional[Tuple[str, int, int]]) -> None:
     """Per-worker setup: a clean in-memory cache (fork inherits the
-    parent's — clearing keeps per-task counter deltas honest) and this
+    parent's; a worker starts cold, like any fresh process) and this
     worker's own handle on the shared on-disk store.  Any inherited
     observability context is dropped too: a forked child must never
     double-write the parent's trace file."""
@@ -526,7 +525,11 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
     resumes the remaining tasks (already-finished results are kept).
     In serial mode the limit is cooperative only — exploration stops
     at the deadline; a single non-terminating run is bounded by
-    ``max_steps``, not wall-clock."""
+    ``max_steps``, not wall-clock.
+
+    Every task's metrics snapshot is merged into the active
+    :mod:`repro.obs` context (a ``--trace``/``--metrics`` scope
+    around the batch) exactly once, whichever way the tasks ran."""
     tasks = list(tasks)
     submitted = time.monotonic()
     for t in tasks:
@@ -538,12 +541,17 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
     if jobs <= 1 or len(tasks) <= 1:
         previous = set_artifact_store(store)
         try:
-            return [execute_task(t) for t in tasks]
+            results = [execute_task(t) for t in tasks]
         finally:
             set_artifact_store(previous)
-    results = _run_tasks_pooled(tasks, jobs, _store_spec(store),
-                                task_timeout)
-    results.sort(key=lambda r: r.index)
+    else:
+        results = _run_tasks_pooled(tasks, jobs, _store_spec(store),
+                                    task_timeout)
+        results.sort(key=lambda r: r.index)
+    ctx = obs.active()
+    if ctx is not None:
+        for r in results:
+            ctx.merge(r.data.get("metrics"))
     return results
 
 
@@ -617,8 +625,7 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
           shard_index: int = 0, shard_count: int = 1,
           explore_store=None, resume: bool = True,
           lint: bool = False,
-          task_timeout: Optional[float] = None,
-          collect_metrics: bool = True) -> List[TaskResult]:
+          task_timeout: Optional[float] = None) -> List[TaskResult]:
     """Sweep a corpus of C programs across memory object models under
     one ``spec``.
 
@@ -641,7 +648,7 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
     tasks = [SweepTask(index=i, name=name, kind=mode, source=source,
                        models=model_list, impl=impl, spec=spec,
                        explore_store=explore_store, resume=resume,
-                       lint=lint, collect_metrics=collect_metrics)
+                       lint=lint)
              for i, (name, source) in enumerate(named)]
     return run_tasks(tasks, jobs=jobs, store=store,
                      task_timeout=task_timeout)

@@ -91,7 +91,11 @@ Requests::
 ``source``, ``name``, ``impl``, ``models``, ``mode``, ``lint``), and
 exactly the fields of :class:`repro.spec.ExploreSpec` (shown above
 with their defaults; a run job reads only the
-:class:`~repro.spec.RunSpec` ones).  ``options`` is null or a
+:class:`~repro.spec.RunSpec` ones).  An omitted field takes its
+``ExploreSpec`` default in both modes: ``max_steps`` is 500000 for a
+run job too, not ``RunSpec``'s 2000000 (``cerberus-py submit``
+always sends its ``--max-steps``, 2000000 unless given).
+``options`` is null or a
 :class:`~repro.memory.base.MemoryOptions` field map meaning
 ``MemoryOptions(**map)``, as in the library.  Everything but the
 framing forms the job identity; only ``source`` is required.
@@ -116,9 +120,13 @@ Responses (success)::
 ``PAYLOAD`` is the JSON form of one farm
 :class:`~repro.farm.pool.TaskResult`
 (:func:`~repro.farm.pool.task_result_to_json`): ``ok`` / ``error`` /
-``timed_out`` / ``wall_s`` / per-task store counter deltas
-(``stats``) / ``verdicts`` ({model: verdict}) or ``explorations``
-({model: {paths, exhausted, behaviours, ...}}) / worker ``metrics``.
+``timed_out`` / ``wall_s`` / ``verdicts`` ({model: verdict}) or
+``explorations`` ({model: {paths, exhausted, behaviours, ...}}) /
+the worker's ``metrics`` snapshot / ``stats``, the job's
+compile/store counters, derived from ``metrics``
+(:func:`~repro.farm.pool.task_stats`).  A job whose program raised is
+``ok: false`` with the exception named in ``error``, the same text
+the CLI's ``--models`` prints.
 ``explorations[*].behaviours`` is byte-identical to the direct
 :func:`repro.pipeline.explore_many` behaviour set — pinned by
 ``tests/test_server_conformance.py`` against the golden suite.
@@ -385,7 +393,7 @@ def _execute_job(spec_dict: dict, explore_dir: Optional[str],
         impl=LP64 if job.impl == "LP64" else ILP32,
         spec=job.spec, lint=job.lint, deadline_s=deadline_s,
         explore_store=explore_dir if job.mode == "explore" else None,
-        resume=True, collect_metrics=True)
+        resume=True)
     return task_result_to_json(execute_task(task))
 
 

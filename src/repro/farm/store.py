@@ -79,6 +79,9 @@ _MAGIC = "cerberus-farm-artifact"
 
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
+#: The per-record-kind counters (:meth:`ArtifactStore.kind_stats`).
+_KIND_EVENTS = ("hits", "misses", "stores", "corrupt")
+
 
 class StoreCorruptionWarning(UserWarning):
     """A store entry failed to deserialise (truncated, garbled, wrong
@@ -229,7 +232,7 @@ class ArtifactStore:
         """One per-kind counter tick, mirrored to the active obs
         context (``store.<kind>.<event>``) when observability is on."""
         per = self._kind_counters.setdefault(
-            kind, {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0})
+            kind, dict.fromkeys(_KIND_EVENTS, 0))
         per[event] += 1
         ctx = obs.active()
         if ctx is not None:
@@ -411,19 +414,26 @@ class ArtifactStore:
     def size_bytes(self) -> int:
         return sum(size for _, size, _ in self._entries())
 
+    def kind_stats(self, kind: str) -> Dict[str, int]:
+        """This process's hits/misses/stores/corrupt counters for one
+        record kind — counters only, no directory scan."""
+        return dict(self._kind_counters.get(
+            kind, dict.fromkeys(_KIND_EVENTS, 0)))
+
     def stats(self) -> Dict[str, int]:
-        """Per-process counters plus the current on-disk footprint.
-        ``by_kind`` breaks hits/misses/stores/corrupt down per record
-        kind, additively to the flat totals.  ``warm_closures``
-        reports the process-wide :data:`WARM_CLOSURES` cache — not
-        per-store state, but surfaced here so campaign reports and
-        ``cerberus-py stats`` see the closure-reuse rate next to the
-        record traffic it rides on."""
+        """Per-process counters plus the current on-disk footprint
+        (one directory scan).  ``by_kind`` breaks
+        hits/misses/stores/corrupt down per record kind, additively to
+        the flat totals.  ``warm_closures`` reports the process-wide
+        :data:`WARM_CLOSURES` cache — not per-store state, but
+        surfaced here so the daemon's ``stats`` op shows the
+        closure-reuse rate next to the record traffic it rides on."""
+        entries = self._entries()
         return dict(self._counters,
                     by_kind={k: dict(v) for k, v
                              in sorted(self._kind_counters.items())},
-                    entries=len(self._entries()),
-                    size_bytes=self.size_bytes(),
+                    entries=len(entries),
+                    size_bytes=sum(size for _, size, _ in entries),
                     warm_closures=WARM_CLOSURES.stats())
 
     def reset_stats(self) -> None:

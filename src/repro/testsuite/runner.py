@@ -2,13 +2,14 @@
 and check verdicts against expectations (the paper's "experimental data
 for our test suite" methodology, §2-§3).
 
-Sweeps are compile-once: :func:`run_test_many` / :func:`run_suite_many`
-translate each test program a single time per implementation
-environment and execute the shared Core artifact under every requested
-model.  ``run_suite_many(jobs=, store=, shard=)`` additionally routes
-the sweep through the farm (:mod:`repro.farm.campaign`): parallel
-worker processes, a persistent cross-process artifact store, and
-deterministic suite sharding."""
+Sweeps are compile-once: :func:`run_test_many` translates each test
+program a single time per implementation environment and executes the
+shared Core artifact under every requested model.
+:func:`run_suite_many` is a farm suite campaign
+(:func:`repro.farm.campaign.suite_campaign`): one task per test,
+serial in-process at ``jobs=1``, with worker processes, a persistent
+cross-process artifact store and deterministic suite sharding on
+request."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from ..errors import CerberusError
 from ..pipeline import (
     CompiledProgram, compile_c, compile_for_model, impl_for_model,
 )
-from .programs import TESTS, TestCase
+from .programs import TestCase
 
 
 @dataclass
@@ -154,21 +155,16 @@ def run_suite_many(models: List[str],
                    store=None,
                    shard: Optional[Tuple[int, int]] = None
                    ) -> SuiteReport:
-    """The per-test × per-model sweep, compile-once per test program.
+    """The per-test × per-model sweep, compile-once per test program:
+    the report of a :func:`~repro.farm.campaign.suite_campaign`.
 
     ``jobs`` > 1 fans tests out across farm worker processes;
     ``store`` (an :class:`~repro.farm.store.ArtifactStore` or a
     directory path) persists compiled artifacts across processes and
     invocations; ``shard=(i, n)`` runs the i-th of n deterministic
-    slices of the suite.  Verdicts are identical to the serial loop."""
-    if jobs > 1 or store is not None or shard is not None:
-        from ..farm.campaign import suite_campaign
-        report, _ = suite_campaign(models, names, jobs=jobs,
-                                   store=store, shard=shard or (0, 1),
-                                   max_steps=max_steps)
-        return report
-    report = SuiteReport()
-    for name in (names or sorted(TESTS)):
-        report.results.extend(run_test_many(TESTS[name], models,
-                                            max_steps))
+    slices of the suite."""
+    from ..farm.campaign import suite_campaign
+    report, _ = suite_campaign(models, names or None, jobs=jobs,
+                               store=store, shard=shard or (0, 1),
+                               max_steps=max_steps)
     return report

@@ -73,6 +73,56 @@ class TestSweep:
         assert not result.ok
         assert "DesugarError" in result.error
 
+    @pytest.mark.parametrize("mode, programs", [
+        # a program that stops the driver with a Python exception,
+        # next to a passing one
+        ("run", [("void", "void main(void){}\n"), ("hello", HELLO)]),
+        # a task kind no recipe handles
+        ("nope", [("hello", HELLO),
+                  ("ret3", "int main(void){ return 3; }")]),
+    ])
+    def test_failures_identical_at_any_jobs(self, mode, programs):
+        # execute_task is the one failure boundary: whatever a task
+        # raises is a failed result, with the same text in-process
+        # and in a forked worker.
+        runs = [[(r.name, r.ok, r.error)
+                 for r in sweep(programs, models=["concrete"],
+                                jobs=jobs, mode=mode)]
+                for jobs in (1, 2)]
+        assert runs[0] == runs[1]
+        if mode == "run":
+            assert runs[0][1] == ("hello", True, "")
+        else:
+            assert all(error == "ValueError: unknown task kind 'nope'"
+                       for _, _, error in runs[0])
+
+    def test_tasks_never_scan_the_store(self, tmp_path, monkeypatch):
+        # A task's counters come from its metrics registry, never from
+        # ArtifactStore.stats() (which scans the store directory).
+        from repro.farm import server
+        from repro.farm.store import ArtifactStore
+
+        def scan(self):
+            raise AssertionError("a task called ArtifactStore.stats()")
+
+        monkeypatch.setattr(ArtifactStore, "stats", scan)
+        store = tmp_path / "store"
+        clear_compile_cache()
+        [r] = sweep([("racy", RACY)], models=["concrete"], jobs=1,
+                    mode="explore", store=store, explore_store=store)
+        assert r.ok, r.error
+        assert r.stats["translations"] == 1
+        assert r.stats["store_puts"] == 1
+        assert r.stats["explore_puts"] == 1
+        assert r.stats["explore_live_paths"] == \
+            r.data["explorations"]["concrete"].paths_run
+        job = server.JobSpec(source=RACY, name="racy",
+                             models=("concrete",), mode="explore")
+        payload = server._execute_job(job.to_dict(), str(store), None)
+        assert payload["ok"], payload["error"]
+        assert payload["stats"]["explore_hits"] == 1
+        assert payload["stats"]["explore_live_paths"] == 0
+
     def test_sharded_sweep(self):
         programs = [(f"p{i}", f"int main(void){{ return {i}; }}")
                     for i in range(4)]
@@ -308,3 +358,41 @@ class TestFarmCli:
     def test_farm_csmith_needs_corpus(self, capsys):
         assert cli_main(["farm", "csmith"]) == 2
         assert "--count or --seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, max_steps, code", [
+        ("int main(void){ int x = 2147483647; return x + 1; }\n",
+         2_000_000, 1),                                    # UB
+        ("int f(void){ return 1; }\n", 2_000_000, 2),      # error
+        ("int main(void){ while (1) ; return 0; }\n",
+         5000, 3),                                          # timeout
+    ])
+    def test_submit_prints_what_models_prints(self, tmp_path, capsys,
+                                              source, max_steps, code):
+        # The daemon's payload, rendered by submit, gives the lines
+        # and exit code --models gives (no daemon needed: the payload
+        # is what its worker ships).
+        from repro.cli import _render_submit_report
+        from repro.farm.pool import execute_task, task_result_to_json
+        models = ["concrete", "strict"]
+        path = self._write(tmp_path, source)
+        assert cli_main([path, "--models", ",".join(models),
+                         "--max-steps", str(max_steps)]) == code
+        lines = capsys.readouterr().out
+        payload = task_result_to_json(execute_task(SweepTask(
+            0, path, source=source, models=tuple(models),
+            spec=ExploreSpec(max_steps=max_steps))))
+        assert _render_submit_report({"report": payload}, models,
+                                     False) == code
+        assert capsys.readouterr().out == lines
+
+    def test_submit_prints_a_failed_job_per_model(self, capsys):
+        from repro.cli import _render_submit_report
+        from repro.farm.pool import execute_task, task_result_to_json
+        payload = task_result_to_json(execute_task(SweepTask(
+            0, "p.c", kind="nope", source=HELLO,
+            models=("strict", "concrete"))))
+        assert _render_submit_report({"report": payload},
+                                     ["strict", "concrete"], False) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            f"{m:12s} error: ValueError: unknown task kind 'nope'"
+            for m in ("concrete", "strict")]

@@ -271,6 +271,30 @@ class TestHitRecency:
         assert mtimes[f"{key_a}.pkl"] > mtimes[f"{key_b}.pkl"]
 
 
+class TestCounterReads:
+    def test_stats_scans_once_and_explore_stats_never(self, tmp_path,
+                                                      monkeypatch):
+        s = ArtifactStore(tmp_path / "s")
+        es = ExploreStore(s)
+        s.put_record(s.record_key("x", "1"), [1, 2, 3])
+        es.put(es.key(UNSEQ, LP64, "concrete"), "not a record")
+        scans = []
+        entries = ArtifactStore._entries
+        monkeypatch.setattr(ArtifactStore, "_entries",
+                            lambda self: scans.append(1)
+                            or entries(self))
+        stats = s.stats()
+        assert len(scans) == 1
+        assert stats["entries"] == 2
+        assert stats["size_bytes"] == sum(
+            p.stat().st_size for p in _entry_paths(s))
+        scans.clear()
+        assert es.stats() == {"hits": 0, "misses": 0, "stores": 1,
+                              "corrupt": 0, "resumes": 0,
+                              "live_paths": 0}
+        assert scans == []
+
+
 class TestExplorationRecords:
     """Exploration records ride the same store: corruption falls back
     to a silent re-explore, their bytes count against the LRU bound,

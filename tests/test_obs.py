@@ -161,6 +161,24 @@ class TestCliRoundTrip:
             summary["metrics"]["counters"]["explore.paths"]
         assert summary["phases"]["pipeline.parse"]["count"] == 1
 
+    def test_models_trace_counts_each_task_once(self, tmp_path):
+        # --models runs one farm task per model; their metrics reach
+        # the trace and --metrics exactly once.
+        (tmp_path / "p.c").write_text(SRC_OK)
+        r = _cli(["p.c", "--models", "all", "--trace", "t.jsonl",
+                  "--metrics"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert f"driver.runs = {len(MODELS)}" in r.stderr
+        j = _cli(["stats", "t.jsonl", "--json"], tmp_path)
+        summary = json.loads(j.stdout)
+        # one translation for LP64, one for cheri's CHERI128
+        assert summary["pipeline"]["translations"] == 2
+        for phase in ("lex", "parse", "desugar", "typecheck",
+                      "elaborate", "check_core"):
+            assert summary["phases"][f"pipeline.{phase}"]["count"] == 2
+        s = _cli(["stats", "t.jsonl"], tmp_path)
+        assert "pipeline.parse" in s.stdout
+
     def test_run_id_is_deterministic_across_invocations(
             self, tmp_path):
         (tmp_path / "p.c").write_text(SRC_OK)

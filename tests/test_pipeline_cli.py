@@ -312,6 +312,32 @@ int main(void) {
         assert code == 0                      # --pp-core wins
         assert "proc main" in out
 
+    @pytest.mark.parametrize("source, flags", [
+        ("void main(void){}\n", []),
+        ("int main(void){ int x = 2147483647; return x + 1; }\n", []),
+        # two behaviours: f and g both write x, unsequenced
+        ("#include <stdio.h>\nint x;\n"
+         "int f(void){ x = 1; return 0; }\n"
+         "int g(void){ x = 2; return 0; }\n"
+         "int main(void){ int y = f() + g(); printf(\"%d\\n\", x);"
+         " return y; }\n", ["--exhaustive"]),
+    ])
+    def test_models_lines_identical_at_any_jobs(self, tmp_path, capsys,
+                                                source, flags):
+        # --models is one farm task per model at any --jobs: the same
+        # lines and exit code in-process and across workers.
+        path = self._write(tmp_path, source)
+        runs = []
+        for jobs in ("1", "2"):
+            code = cli_main([path, "--models", "concrete,strict",
+                             "--jobs", jobs, *flags])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1].splitlines()) == 2
+        if flags:
+            assert "exit=0 stdout='1\\n' | exit=0 stdout='2\\n'" \
+                in runs[0][1]
+
     def test_models_all_and_unknown(self, tmp_path, capsys):
         path = self._write(tmp_path,
                            "int main(void){ return 0; }")
