@@ -167,14 +167,6 @@ class ECompound(Expr):
     init: "Init"
 
 
-@dataclass
-class EAtomicLoad(Expr):
-    """Marker used by the restricted concurrency fragment."""
-
-    operand: Expr
-    order: str = "seq_cst"
-
-
 # An implicit-conversion wrapper inserted by the type checker (lvalue
 # conversion, array/function decay, arithmetic conversions, ...).
 @dataclass
@@ -360,9 +352,3 @@ class Program:
     objects: List[ObjectDef] = field(default_factory=list)
     functions: Dict[Symbol, FunctionDef] = field(default_factory=dict)
     main: Optional[Symbol] = None
-
-    def function_named(self, name: str) -> Optional[FunctionDef]:
-        for sym, fdef in self.functions.items():
-            if sym.name == name:
-                return fdef
-        return None

@@ -138,10 +138,6 @@ class Desugarer:
         if entry[0] in ("object", "function"):
             self._sym_types[entry[1]] = entry[2]
 
-    @property
-    def at_file_scope(self) -> bool:
-        return len(self.scopes) == 1
-
     # -- entry point ------------------------------------------------------------
 
     def run(self, unit: C.TranslationUnit) -> A.Program:
@@ -233,21 +229,28 @@ class Desugarer:
                    for psym, size_expr, loc in pendings]
             out.append(A.SDecl(sym, qty, None, loc=idecl.loc))
             return out
-        init: Optional[A.Init] = None
+        # §6.2.1p7: the identifier is in scope from the end of its
+        # declarator, so its initialiser may name it (``sizeof *p``,
+        # ``&p``).  Complete the type from the initialiser (``int a[]
+        # = {...}``), bind, and only then normalise the initialiser.
         if idecl.init is not None:
             qty = self._complete_from_init(qty, idecl.init)
-            init = self.normalize_init(qty, idecl.init)
-        if file_scope or "static" in storage:
-            if file_scope and name in self._file_scope_objects:
-                # Tentative definitions merge (§6.9.2).
-                obj = self._file_scope_objects[name]
-                if init is not None:
-                    obj.init = init
-                if isinstance(obj.qty.ty, Array) and obj.qty.ty.size is None:
-                    obj.qty = qty
-                return []
+        merged = file_scope and name in self._file_scope_objects
+        if not merged:
             sym = self._fresh(name)
             self.bind(name, ("object", sym, qty))
+        init: Optional[A.Init] = None
+        if idecl.init is not None:
+            init = self.normalize_init(qty, idecl.init)
+        if merged:
+            # Tentative definitions merge (§6.9.2).
+            obj = self._file_scope_objects[name]
+            if init is not None:
+                obj.init = init
+            if isinstance(obj.qty.ty, Array) and obj.qty.ty.size is None:
+                obj.qty = qty
+            return []
+        if file_scope or "static" in storage:
             is_extern_decl = "extern" in storage and init is None
             if not is_extern_decl:
                 obj = A.ObjectDef(sym, qty, init, "static", idecl.loc)
@@ -255,8 +258,6 @@ class Desugarer:
                 if file_scope:
                     self._file_scope_objects[name] = obj
             return []
-        sym = self._fresh(name)
-        self.bind(name, ("object", sym, qty))
         if isinstance(qty.ty, Array) and qty.ty.size is None:
             raise DesugarError(f"array '{name}' has incomplete type",
                                idecl.loc, iso="6.7p7")

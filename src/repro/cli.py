@@ -18,7 +18,7 @@ Exploration flags (see :mod:`repro.dynamics.explore`):
 * ``--explore-store DIR`` — persist exploration results as records
   (:mod:`repro.farm.explorestore`): an unchanged program is never
   re-explored, and an interrupted exploration resumes from its
-  persisted frontier (``farm sweep --resume``).
+  persisted frontier (``farm sweep --explore-store DIR`` too).
 
 Farm flags (see :mod:`repro.farm`):
 
@@ -502,11 +502,9 @@ def build_farm_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--explore-store", default=None, metavar="DIR",
                        help="persist --exhaustive results as "
                             "exploration records: warm re-sweeps of "
-                            "unchanged programs re-run zero paths")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume interrupted explorations from "
-                            "frontiers persisted in --explore-store "
-                            "(complete records are always reused)")
+                            "unchanged programs re-run zero paths, "
+                            "and interrupted explorations resume from "
+                            "their persisted frontier")
     sweep.add_argument("--lint", action="store_true",
                        help="run the definite-UB linter per program; "
                             "with --exhaustive, a definite finding "
@@ -641,9 +639,8 @@ def _dispatch_farm(args, models) -> int:
         programs, models=models, jobs=args.jobs,
         mode="explore" if args.exhaustive else "run", spec=_spec(args),
         store=args.store, shard=args.shard,
-        explore_store=args.explore_store, resume=args.resume,
-        lint=args.lint, task_timeout=args.task_timeout,
-        server=args.server)
+        explore_store=args.explore_store, lint=args.lint,
+        task_timeout=args.task_timeout, server=args.server)
     for entry in campaign.results:
         for model, verdict in entry.get("verdicts", {}).items():
             print(f"{entry['program']:32s} {model:12s} {verdict}")

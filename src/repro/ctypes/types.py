@@ -32,11 +32,6 @@ class IntKind(enum.Enum):
     ULLONG = "unsigned long long"
 
 
-_UNSIGNED_KINDS = frozenset({
-    IntKind.BOOL, IntKind.UCHAR, IntKind.USHORT, IntKind.UINT,
-    IntKind.ULONG, IntKind.ULLONG,
-})
-
 _SIGNED_OF = {
     IntKind.UCHAR: IntKind.SCHAR, IntKind.USHORT: IntKind.SHORT,
     IntKind.UINT: IntKind.INT, IntKind.ULONG: IntKind.LONG,
@@ -53,9 +48,6 @@ class FloatKind(enum.Enum):
 
 class CType:
     """Base class of all C types (unqualified)."""
-
-    def is_object_type(self) -> bool:
-        return not isinstance(self, Function)
 
     def is_complete(self, tags: "TagEnv") -> bool:
         return True
@@ -76,11 +68,6 @@ class Integer(CType):
 
     def __str__(self) -> str:
         return self.kind.value
-
-    @property
-    def is_unsigned_literal(self) -> bool:
-        """Unsigned by spelling; ``char`` resolves via the implementation."""
-        return self.kind in _UNSIGNED_KINDS
 
     def signed_variant(self) -> "Integer":
         if self.kind in (IntKind.CHAR, IntKind.SCHAR):
@@ -248,10 +235,6 @@ class Member:
     name: Optional[str]
     qty: QualType
     bit_width: Optional[int] = None
-
-    @property
-    def is_bitfield(self) -> bool:
-        return self.bit_width is not None
 
 
 @dataclass

@@ -42,8 +42,7 @@ from .values import (
 )
 from .driver import Driver, Oracle, Outcome, PathPruned, run_program
 from .explore import (
-    ExplorationResult, Explorer, PathNode, STRATEGIES, explore_all,
-    explore_program,
+    ExplorationResult, Explorer, PathNode, STRATEGIES, explore_space,
 )
 
 __all__ = [
@@ -52,5 +51,5 @@ __all__ = [
     "VMemStruct",
     "Driver", "Oracle", "Outcome", "PathPruned", "run_program",
     "ExplorationResult", "Explorer", "PathNode", "STRATEGIES",
-    "explore_all", "explore_program",
+    "explore_space",
 ]

@@ -36,9 +36,6 @@ class ActionRecord:
     regions: FrozenSet[int] = frozenset()  # indet region chain
     loc: Loc = field(default_factory=Loc.unknown)
 
-    def in_region(self) -> bool:
-        return bool(self.regions)
-
     def tagged(self, region: int) -> "ActionRecord":
         return ActionRecord(self.aid, self.kind, self.footprint,
                             self.is_write, self.polarity,

@@ -29,21 +29,17 @@ and the native route), and lower-time operand fusions are counted in
 :mod:`.lower` and :mod:`.evaluator` module docstrings for the
 instruction protocol and the scheduling rules.
 
-Closure-cache lifecycle: lowering is cached per program object
-(:func:`ensure_lowered`), and the closures persist per process in
-:data:`repro.farm.store.WARM_CLOSURES`, keyed by the artifact's
-content address (+ ``LOWERED_VERSION`` + store schema), so repeat
-explorations of one artifact skip re-lowering entirely (see
-:meth:`repro.pipeline.CompiledProgram.lowered`).  Closures are not
-serialisable, so nothing is persisted across processes.
+Lowering is cached per program object (:func:`ensure_lowered`, the
+one place a program is lowered and traced); the compile cache hands
+a repeat compile the same program, so its lowering is reused too.
+Closures are not serialisable, so nothing is persisted across
+processes.
 """
 
 from .evaluator import CompiledEvaluator
-from .lower import (
-    LOWERED_VERSION, LoweredProgram, ensure_lowered, lower_program,
-)
+from .lower import LoweredProgram, ensure_lowered, lower_program
 
 __all__ = [
-    "CompiledEvaluator", "LOWERED_VERSION", "LoweredProgram",
-    "ensure_lowered", "lower_program",
+    "CompiledEvaluator", "LoweredProgram", "ensure_lowered",
+    "lower_program",
 ]

@@ -176,15 +176,9 @@ class CompiledEvaluator:
         self.native_procs = dict(NATIVE_PROCS)
         self.lowered: LoweredProgram = ensure_lowered(program)
         # Static annotations are positional (collect_unseqs order ==
-        # stable instruction id), and they are applied to *this*
-        # program object's AST nodes.  Resolving the node table from
-        # self.program rather than the lowered object keeps the
-        # mapping correct when the warm-closure cache hands back a
-        # LoweredProgram built from an earlier, equivalent program
-        # object (same source ⇒ same deterministic elaboration ⇒ same
-        # positional ids; only the node identities differ).
-        from ...statics import collect_unseqs
-        self._unseq_nodes = collect_unseqs(program)
+        # stable instruction id) on this program's AST nodes, which
+        # are the lowering's own node table.
+        self._unseq_nodes = self.lowered.unseq_nodes
         # Calls resolved onto the direct frame push vs the generic
         # native route (compile.call_fast / compile.call_generic).
         self.call_fast = 0

@@ -58,15 +58,16 @@ captures its positional index in :func:`repro.statics.collect_unseqs`
 order (the basis the persisted ``"statics"`` tables use), and
 resolves footprint hulls through a slot-backed environment view.
 
-Lowering is cached on the program object (``program._lowered``) and,
-per process, in the warm-closure cache behind
-:meth:`repro.pipeline.CompiledProgram.lowered`.
+Lowering is cached on the program object (``program._lowered``) by
+:func:`ensure_lowered`, the one place a program is lowered and traced
+(the ``pipeline.lower`` span and the ``compile.fused.*`` counters).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ... import obs
 from ...core import ast as K
 from ...ctypes.types import IntKind, Integer
 from ...errors import InternalError, StaticError
@@ -83,14 +84,6 @@ from ..values import (
     VMemStruct, VPointer, VScopeList, VSpecified, VTuple, VUnit,
     VUnspecified, core_to_mem, truthy,
 )
-
-# Version of the lowering scheme itself, folded into warm-closure
-# keys: bump when the slot layout, instruction-id basis, or closure
-# protocol changes.
-#   1: slotted closure-threaded code.
-#   2: the specialized call protocol and fusion counters.
-#   3: one explicit-stack machine runs linear instruction lists.
-LOWERED_VERSION = 3
 
 # Machine statuses an instruction may return instead of a pc.
 RELOAD = -1   # the context's code, frame and pc changed (call/return)
@@ -212,10 +205,18 @@ def lower_program(program: K.Program) -> LoweredProgram:
 
 def ensure_lowered(program: K.Program) -> LoweredProgram:
     """Lower once per program object (cached on ``program._lowered``,
-    the same idiom as the statics ``_statics_annotated`` flag)."""
+    the same idiom as the statics ``_statics_annotated`` flag), as a
+    ``pipeline.lower`` span with the lowering's fusion counts
+    (``compile.fused.*``) when observability is on."""
     lp = getattr(program, "_lowered", None)
     if lp is None:
-        lp = lower_program(program)
+        ctx = obs.active()
+        with obs.maybe_span(ctx, "pipeline.lower", profile=True):
+            lp = lower_program(program)
+        if ctx is not None:
+            for kind, count in lp.fused.items():
+                if count:
+                    ctx.inc(f"compile.fused.{kind}", count)
         program._lowered = lp  # type: ignore[attr-defined]
     return lp
 

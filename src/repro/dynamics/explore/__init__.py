@@ -37,26 +37,28 @@ The resume seam
 Because a :class:`PathNode` prefix fully determines its replay, a
 frontier is an exact, picklable cut through the exploration tree —
 so exploration persists and resumes like any other artifact.
-``explore_all``/``explore_program`` accept ``store=``/``resume=``/
-``cache_key=`` (implemented by :mod:`repro.farm.explorestore`): a
-completed exploration is served from its stored record with zero
-paths re-run, and an interrupted one — path budget, wall-clock
-deadline, process kill — persists its pending frontier plus the
-accounting so far.  ``Explorer(requeue_interrupted=True)`` makes the
-deadline cut exact: a path aborted mid-run goes back on the frontier
-uncounted, so the resumed run's merged behaviour set and
-``paths_run``/``pruned``/``diverged`` accounting equal an
+:func:`explore_space` owns the record lifecycle for every exploration,
+in-process or farm-sharded: given a record store
+(:mod:`repro.farm.explorestore`, imported only then) it serves a
+completed exploration from its stored record with zero paths re-run,
+resumes a partial one from its persisted frontier, and publishes what
+its walk leaves — after a path budget, a wall-clock deadline or a
+process kill, the pending frontier plus the accounting so far.  A
+partial record is always resumed.  With a store a deadline-aborted
+path is requeued (``Explorer(requeue_interrupted=True)``): it goes
+back on the frontier uncounted, so the resumed run's merged behaviour
+set and ``paths_run``/``pruned``/``diverged`` accounting equal an
 uninterrupted serial run's (pinned by ``tests/test_explore_resume.py``
 across every strategy × POR).  ``SearchStrategy.drain`` returns the
 frontier in a *restorable* order — re-pushing it reproduces the
-interrupted pop order.
+interrupted pop order.  Without a store nothing reads
+:attr:`Explorer.pending`, so the siblings of a budget-hit path are
+never built.
 """
 
 from __future__ import annotations
 
-from .engine import (
-    Explorer, driver_factory, explore_all, explore_program,
-)
+from .engine import Explorer, driver_factory, explore_space
 from .por import PathNode
 from .result import ExplorationResult
 from .strategies import (
@@ -67,8 +69,7 @@ from .strategies import (
 __all__ = [
     "Explorer",
     "driver_factory",
-    "explore_all",
-    "explore_program",
+    "explore_space",
     "PathNode",
     "ExplorationResult",
     "STRATEGIES",

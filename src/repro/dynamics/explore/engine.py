@@ -21,20 +21,25 @@ adds, on top of the historical replay-DFS:
 * mid-flight frontier handoff (``frontier_target``) — the seeding
   phase of farm-sharded exploration stops once the frontier is wide
   enough and exposes the remaining nodes via :attr:`Explorer.pending`;
-* incremental re-exploration (``store=``/``resume=``/``cache_key=`` on
-  :func:`explore_all`/:func:`explore_program`, implemented by
-  :mod:`repro.farm.explorestore`) — completed results and interrupted
-  frontiers persist in the artifact store, so an unchanged program is
-  never re-explored and an interrupted campaign resumes exactly where
-  it stopped (``requeue_interrupted`` puts a deadline-aborted path
-  back on the frontier uncounted, keeping resumed accounting equal to
-  an uninterrupted run's).
+* one record lifecycle (:func:`explore_space`) for every exploration:
+  given a record store (:mod:`repro.farm.explorestore`) it serves a
+  complete record with zero paths re-run, resumes a partial one from
+  its persisted frontier, and publishes what the walk leaves — an
+  unchanged program is never re-explored and an interrupted campaign
+  resumes exactly where it stopped (``requeue_interrupted`` puts a
+  deadline-aborted path back on the frontier uncounted, keeping
+  resumed accounting equal to an uninterrupted run's).  The
+  in-process walk (one :class:`Explorer`,
+  :meth:`repro.pipeline.CompiledProgram.explore`) and the sharded one
+  (:func:`repro.farm.frontier.explore_farm`) differ only in how they
+  walk a list of roots.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ... import obs
 from ...spec import ExploreSpec
@@ -222,43 +227,73 @@ class Explorer:
         return result
 
 
-def explore_all(make_driver: Callable[[Oracle], Driver],
-                spec: ExploreSpec = ExploreSpec(),
-                deadline_s: Optional[float] = None,
-                initial: Optional[Sequence[PathNode]] = None,
-                store=None,
-                resume: bool = True,
-                cache_key: Optional[str] = None) -> ExplorationResult:
-    """Run ``make_driver`` over every oracle path ``spec`` admits (up
-    to ``spec.max_paths``, in ``spec.strategy`` order, with sleep-set
-    partial-order reduction when ``spec.por``).
+#: ``walk(spec, roots, requeue)`` explores the subtrees rooted at
+#: ``roots`` (``None``: the whole space) under ``spec``'s path budget
+#: and the caller's wall-clock deadline, requeueing a deadline-aborted
+#: path when ``requeue``.  It returns its result and a thunk for the
+#: frontier it left, which is read only to publish a record.
+Walk = Callable[[ExploreSpec, Optional[List[PathNode]], bool],
+                Tuple[ExplorationResult, Callable[[], List[PathNode]]]]
 
-    ``make_driver`` must build a *fresh* driver (and fresh memory
-    model) for the given oracle — runs are independent replays.
-    ``deadline_s`` is a cooperative wall-clock budget for the whole
-    enumeration *and* for each path inside it, and ``initial``
-    restricts the search to the subtrees rooted at the given prefixes
-    (farm shards).
 
-    ``store`` (anything :func:`repro.farm.explorestore.ExploreStore`
-    wraps — an ``ExploreStore``, an ``ArtifactStore``, or a directory
-    path) plus a ``cache_key`` (see ``ExploreStore.key``) make the
-    enumeration *incremental*: a complete record for the key is
-    returned with zero paths re-run, an interrupted enumeration
-    persists its frontier, and — with ``resume=True`` — a later call
-    picks up exactly where it stopped."""
-    if store is not None and cache_key is not None:
-        if initial is not None:
-            raise ValueError("store-backed exploration owns the "
-                             "frontier; initial= cannot be combined "
-                             "with store=/cache_key=")
-        from ...farm.explorestore import ExploreStore, cached_explore
-        return cached_explore(make_driver, spec,
-                              store=ExploreStore.wrap(store),
-                              key=cache_key, resume=resume,
-                              deadline_s=deadline_s)
-    return Explorer(make_driver, spec, deadline_s=deadline_s,
-                    initial=initial).run()
+def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
+                  store=None,
+                  key: Optional[str] = None) -> ExplorationResult:
+    """Explore one space through ``walk`` — the one owner of the
+    exploration-record lifecycle.
+
+    Without ``store`` this is one walk of the whole space.  With an
+    :class:`~repro.farm.explorestore.ExploreStore` and the space's
+    ``key`` (``ExploreStore.key``), the enumeration is incremental:
+
+    * a complete record within the budget is returned as-is, **zero**
+      paths re-run;
+    * a record covering *more* paths than ``spec.max_paths`` is
+      ignored (a warm hit would return behaviours a cold bounded run
+      cannot see): the request is walked live, and the fuller record
+      is left intact — not clobbered by the smaller result.  A farm
+      record may overshoot its own producing ``budget`` (ceiling
+      split), so the stored budget, not ``paths_run``, decides;
+    * a partial record is resumed: the walk restarts from its
+      persisted frontier with the budget that remains, and the merged
+      result (behaviour set *and* accounting) equals an uninterrupted
+      run's.  When the record already spends the budget, its
+      accounting is returned, flagged not-exhausted, exactly like the
+      equivalent cold budget-truncated run;
+    * whatever was walked is counted (``note_live``) and published —
+      complete, or partial with the walk's frontier.
+
+    A deadline-aborted path is requeued exactly when a store is given:
+    only a persisted frontier can replay it."""
+    base: Optional[ExplorationResult] = None
+    roots: Optional[List[PathNode]] = None
+    publish = store is not None
+    if store is not None:
+        from ...farm.explorestore import ExplorationRecord
+        rec = store.get(key)
+        if rec is not None and rec.paths_run > spec.max_paths and \
+                (rec.budget is None or rec.budget > spec.max_paths):
+            rec, publish = None, False
+        if rec is not None:
+            if rec.complete:
+                return rec.to_result()
+            base, roots = rec.to_result(), list(rec.frontier)
+            if base.paths_run >= spec.max_paths:
+                base.exhausted = False
+                return base
+            store.note_resume()
+    budget = spec if base is None \
+        else replace(spec, max_paths=spec.max_paths - base.paths_run)
+    result, frontier = walk(budget, roots, store is not None)
+    if store is None:
+        return result
+    store.note_live(result.paths_run)
+    if base is not None:
+        result = ExplorationResult.merge([base, result])
+    if publish:
+        store.put(key, ExplorationRecord.from_result(
+            result, frontier(), budget=spec.max_paths))
+    return result
 
 
 def driver_factory(program, make_model: Callable[[], object],
@@ -275,30 +310,3 @@ def driver_factory(program, make_model: Callable[[], object],
         return Driver(program, make_model(), oracle, spec)
 
     return make_driver
-
-
-def explore_program(program, make_model: Callable[[], object],
-                    spec: ExploreSpec = ExploreSpec(),
-                    deadline_s: Optional[float] = None,
-                    initial: Optional[Sequence[PathNode]] = None,
-                    store=None,
-                    resume: bool = True,
-                    cache_key: Optional[str] = None
-                    ) -> ExplorationResult:
-    """Enumerate oracle paths of a *pre-compiled* Core program.
-
-    ``program`` is an elaborated :class:`repro.core.ast.Program` and
-    ``make_model()`` builds a fresh memory model per path — so path
-    enumeration replays execution only; the front end never re-runs.
-    ``store``/``resume``/``cache_key`` thread the incremental
-    re-exploration seam through (see :func:`explore_all`); the Core
-    program itself carries no content address, so the caller supplies
-    the key (:meth:`repro.pipeline.CompiledProgram.explore` does).
-    ``spec.static_prune`` consumes :mod:`repro.statics` footprint
-    annotations: statically-commuting ``unseq`` nodes are never
-    branched and sleep sets are seeded from precomputed footprint
-    hulls where the event log has no exact transition.
-    """
-    return explore_all(driver_factory(program, make_model, spec), spec,
-                       deadline_s=deadline_s, initial=initial,
-                       store=store, resume=resume, cache_key=cache_key)

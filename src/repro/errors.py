@@ -63,10 +63,6 @@ class CoreTypeError(CerberusError):
     phase = "core-typing"
 
 
-class ElabError(CerberusError):
-    phase = "elaboration"
-
-
 class UnsupportedError(CerberusError):
     """A C feature that is out of Cerberus-py's supported fragment
     (bitfields, VLAs, `goto` into a nested block, ...)."""

@@ -48,12 +48,16 @@ Layers
     :class:`~repro.farm.store.ArtifactStore`, keyed on the exploration
     space — source, implementation, model, entry, step budget,
     strategy, seed, POR, schema version.  A warm hit returns the
-    recorded result with **zero** paths re-run; a resumed interrupted
-    campaign merges to exactly what an uninterrupted serial run would
-    have produced.  Seams: ``CompiledProgram.explore(store=)``,
-    ``explore_many(store=)``, ``explore_farm(explore_store=)``,
-    ``sweep_campaign(explore_store=, resume=)``, CLI
-    ``--explore-store`` / ``farm sweep --resume``.
+    recorded result with **zero** paths re-run; a partial record is
+    always resumed, and merges to exactly what an uninterrupted
+    serial run would have produced.  The lifecycle — look up, serve,
+    resume, walk, count, publish — is one function,
+    :func:`repro.dynamics.explore.explore_space`, which both the
+    in-process and the farm-sharded walk run through.  Seams:
+    ``CompiledProgram.explore(store=)``, ``explore_many(store=)``,
+    ``explore_farm(explore_store=)``,
+    ``sweep_campaign(explore_store=)``, CLI ``--explore-store`` /
+    ``farm sweep --explore-store``.
 
 :mod:`repro.farm.frontier` — farm-sharded state-space exploration
     :func:`~repro.farm.frontier.explore_farm` splits one program's
@@ -62,9 +66,12 @@ Layers
     pool, and merges the shard results into a single
     :class:`~repro.dynamics.explore.ExplorationResult` with correct
     ``exhausted``/``paths_run`` accounting.  Strategy and sleep-set
-    partial-order reduction settings travel with each shard (prefixes
-    and sleep sets are plain picklable tuples).  CLI:
-    ``cerberus-py file.c --exhaustive --explore-jobs N``.
+    partial-order reduction settings travel with each shard, and each
+    shard answers with an
+    :class:`~repro.farm.explorestore.ExplorationRecord` — the form
+    the record store persists, so a frontier crosses the worker
+    boundary and reaches the store as the same ``PathNode`` values.
+    CLI: ``cerberus-py file.c --exhaustive --explore-jobs N``.
 
 :mod:`repro.farm.server` / :mod:`repro.farm.client` — the daemon
     Semantics-as-a-service: :class:`~repro.farm.server.FarmServer` is

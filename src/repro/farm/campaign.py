@@ -321,7 +321,6 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
                    store=None,
                    shard: Tuple[int, int] = (0, 1),
                    explore_store=None,
-                   resume: bool = True,
                    lint: bool = False,
                    task_timeout: Optional[float] = None,
                    server=None):
@@ -331,8 +330,8 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
     :class:`~repro.farm.explorestore.ExploreStore`) persists
     per-program × per-model exploration records: shards publish what
     they explore, warm re-sweeps re-run zero paths (the report's
-    ``metrics["explore"]`` block shows it), and ``resume`` continues
-    interrupted explorations from their persisted frontier.  ``lint``
+    ``metrics["explore"]`` block shows it), and interrupted
+    explorations resume from their persisted frontier.  ``lint``
     runs the definite-UB linter per program and, in explore mode,
     acts as a *pre-exploration filter*: a program with a definite
     finding reports the finding instead of being path-enumerated (its
@@ -342,8 +341,8 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
     farm daemon (``cerberus-py serve``) instead of a local pool: jobs
     coalesce with identical in-flight submissions from other clients,
     results come from the daemon's crash-safe queue, and ``jobs`` /
-    ``store`` / ``explore_store`` / ``resume`` are the *daemon's*
-    choices, not this call's (the local values are ignored)."""
+    ``store`` / ``explore_store`` are the *daemon's* choices, not
+    this call's (the local values are ignored)."""
     model_list = list(models) if models is not None else list(MODELS)
     start = time.perf_counter()
     if server is not None:
@@ -357,8 +356,7 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
                              mode=mode, spec=spec, store=store,
                              shard_index=shard[0],
                              shard_count=shard[1],
-                             explore_store=explore_store,
-                             resume=resume, lint=lint,
+                             explore_store=explore_store, lint=lint,
                              task_timeout=task_timeout)
     wall = time.perf_counter() - start
 

@@ -29,10 +29,16 @@ budget: they bound *how much* of the state space one invocation walks,
 not *which* state space it walks, so a campaign interrupted under one
 budget can be finished under another.
 
-Entry points: :meth:`repro.pipeline.CompiledProgram.explore(store=)`,
+The lifecycle — look up, serve, resume, walk, count, publish — is
+one function, :func:`repro.dynamics.explore.explore_space`; this
+module holds what it persists (:class:`ExplorationRecord`, also the
+payload of a farm ``explore_shard`` task) and the store view it
+persists through (:class:`ExploreStore`).  Entry points:
+:meth:`repro.pipeline.CompiledProgram.explore(store=)`,
 ``explore_many(store=)``, :func:`repro.farm.frontier.explore_farm`
 (``explore_store=``), ``sweep_campaign(explore_store=)``, and the CLI
-(``cerberus-py --explore-store DIR``, ``farm sweep --resume``).
+(``cerberus-py --explore-store DIR``, ``farm sweep --explore-store
+DIR``).  A partial record is always resumed.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..dynamics.explore import ExplorationResult, Explorer, PathNode
+from ..dynamics.explore import ExplorationResult, PathNode
 from ..spec import ExploreSpec
 from .store import ArtifactStore
 
@@ -55,25 +61,27 @@ class ExplorationRecord:
     accounting-so-far of an interrupted one plus the frontier needed
     to finish it.
 
-    ``outcomes`` are slimmed for storage exactly like farm-shard IPC:
-    deduplicated by observable behaviour (UB name *and* site) with
-    traces stripped — ``paths_run`` keeps the full count.  For a
-    partial record (``complete=False``, non-empty ``frontier``) the
-    stored ``exhausted`` flag is merge-neutral: ``True`` when the
-    only unexplored work is the frontier itself (exhaustion of the
-    merged exploration is then decided by the resumed remainder — a
-    partial returned *without* resuming is flagged not-exhausted by
-    the caller), but ``False`` when a diverged replay or a
+    ``outcomes`` are slimmed: deduplicated by observable behaviour
+    (UB name *and* site) with traces stripped — ``paths_run`` keeps
+    the full count.  The same form carries a farm shard's result back
+    from its worker, so a frontier is persisted and shipped in one
+    form: :class:`~repro.dynamics.explore.PathNode` values, flips
+    included.  For a partial record (``complete=False``, non-empty
+    ``frontier``) the stored ``exhausted`` flag is merge-neutral:
+    ``True`` when the only unexplored work is the frontier itself
+    (exhaustion of the merged exploration is then decided by the
+    resumed remainder), but ``False`` when a diverged replay or a
     deadline-abandoned path lost a subtree, because that loss is
     permanent: no frontier node can re-mine it, so an uninterrupted
-    run would report not-exhausted too.
+    run would report not-exhausted too.  Either way ``exhausted``
+    says whether this part lost a subtree.
 
     ``budget`` records the ``max_paths`` of the producing request:
     farm-sharded runs can overshoot their budget by up to one path
     per shard (ceiling split), so "is this record reusable under the
     caller's budget" must compare against what the identical call
     would have produced, not against ``paths_run`` alone (see
-    :func:`plan_cached`)."""
+    :func:`~repro.dynamics.explore.explore_space`)."""
 
     complete: bool
     exhausted: bool
@@ -186,78 +194,3 @@ class ExploreStore:
         ``"statics"`` records whose traffic must not be billed to
         exploration — and never scans the store directory."""
         return {**self.store.kind_stats(RECORD_KIND), **self._counters}
-
-
-def plan_cached(store: ExploreStore, key: str,
-                max_paths: int
-                ) -> Tuple[Optional[ExplorationRecord], bool]:
-    """The record-cache pre-flight shared by the serial
-    (:func:`cached_explore`) and farm
-    (:func:`repro.farm.frontier.explore_farm`) seams — one copy of
-    the reuse rule, so the two can never drift:
-
-    returns ``(record, publish)``.  ``record`` is the stored record
-    when it is reusable under the caller's ``max_paths`` — its
-    ``paths_run`` fits the budget, or it overshot only because its
-    own producing ``budget`` (<= the caller's) was ceiling-split
-    across farm shards, i.e. the identical call would have produced
-    it — and ``None`` otherwise.  ``publish`` says whether a live
-    run's result may overwrite the store entry: ``False`` exactly
-    when an unusable *fuller* record exists, which a smaller
-    re-exploration must not clobber."""
-    rec = store.get(key)
-    if rec is not None and rec.paths_run > max_paths and \
-            (rec.budget is None or rec.budget > max_paths):
-        return None, False
-    return rec, True
-
-
-def cached_explore(make_driver, spec: ExploreSpec, *,
-                   store: ExploreStore, key: str,
-                   resume: bool = True,
-                   deadline_s: Optional[float] = None
-                   ) -> ExplorationResult:
-    """The incremental exploration loop behind every ``store=`` seam.
-
-    * complete record within the budget -> returned as-is, **zero**
-      paths re-run;
-    * record covering *more* paths than ``spec.max_paths`` -> ignored
-      (a warm hit would return behaviours a cold bounded run cannot
-      see), the request is explored live, and the fuller record is
-      left intact — not clobbered by the smaller result;
-    * partial record + ``resume`` -> the engine restarts from the
-      persisted frontier with the budget that remains, and the merged
-      result (behaviour set *and* accounting) equals an uninterrupted
-      run's;
-    * partial record, budget exactly spent -> the accounting-so-far
-      is returned, flagged not-exhausted, exactly like the equivalent
-      cold budget-truncated run;
-    * no / unusable record -> a cold exploration, persisted afterwards
-      (complete, or partial with its frontier if interrupted).
-    """
-    max_paths = spec.max_paths
-    rec, publish = plan_cached(store, key, max_paths)
-    if rec is not None and rec.complete:
-        return rec.to_result()
-    base = None
-    initial = None
-    budget = max_paths
-    if rec is not None and resume:
-        base = rec.to_result()
-        initial = list(rec.frontier)
-        budget = max_paths - base.paths_run
-        if budget <= 0:
-            base.exhausted = False
-            return base
-        store.note_resume()
-    explorer = Explorer(make_driver, replace(spec, max_paths=budget),
-                        deadline_s=deadline_s, initial=initial,
-                        requeue_interrupted=True)
-    fresh = explorer.run()
-    store.note_live(fresh.paths_run)
-    result = fresh if base is None \
-        else ExplorationResult.merge([base, fresh])
-    if publish:
-        store.put(key, ExplorationRecord.from_result(
-            result, explorer.pending, budget=max_paths))
-    return result

@@ -124,15 +124,14 @@ class SweepTask:
 
     * ``"run"`` — run ``source`` once per model (:func:`run_many`);
     * ``"explore"`` — explore per model (``explore_store`` — a
-      record-store directory — publishes and reuses per-model
-      exploration records, ``resume`` continuing interrupted ones
-      from their persisted frontier);
+      record-store directory — publishes, reuses and resumes
+      per-model exploration records);
     * ``"explore_shard"`` — explore only the subtree rooted at the
       oracle choice ``prefix`` (with its POR ``sleep`` set) under
-      ``models[0]`` — one shard of a farm-split frontier, returning a
-      slimmed :class:`~repro.dynamics.explore.ExplorationResult` in
-      ``data["shard"]`` (plus the unexplored remainder of the subtree
-      in ``data["pending"]``) for
+      ``models[0]`` — one shard of a farm-split frontier, returning
+      an :class:`~repro.farm.explorestore.ExplorationRecord` (the
+      slimmed result plus the subtree's unexplored remainder, the
+      form the record store persists) in ``data["shard"]`` for
       :func:`~repro.farm.frontier.explore_farm` to merge;
     * ``"suite"`` — the named de facto test-suite entry across models;
     * ``"csmith"`` — generate the seeded program, run it across
@@ -152,10 +151,8 @@ class SweepTask:
     prefix: Tuple[int, ...] = ()        # explore_shard: subtree root
     sleep: Tuple = ()                   # explore_shard: POR sleep set
     explore_store: Optional[str] = None  # explore: record store dir
-    resume: bool = True                 # explore: resume partials
-    # explore_shard: requeue deadline-aborted paths uncounted (set
-    # when the parent persists frontiers; off, the serial behaviour —
-    # the timeout outcome is counted — is preserved).
+    # explore_shard: requeue deadline-aborted paths uncounted — the
+    # value explore_space hands the walk (a record store is given).
     requeue_interrupted: bool = False
     # run/explore/suite: attach static lint findings to the result
     # ("lint" data key); campaign layers use definite findings as a
@@ -341,7 +338,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
                 explorations = explore_many(
                     task.source, task.models, task.impl, task.spec,
                     name=task.name, deadline_s=task.deadline_s,
-                    store=explore_store, resume=task.resume)
+                    store=explore_store)
                 result.data["explorations"] = {
                     m: ExploreSummary(r.paths_run, r.exhausted,
                                       r.behaviours(), r.has_ub(),
@@ -349,9 +346,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
                                       r.abandoned)
                     for m, r in explorations.items()}
         elif task.kind == "explore_shard":
-            shard, shard_pending = _explore_shard(task)
-            result.data["shard"] = shard
-            result.data["pending"] = shard_pending
+            result.data["shard"] = _explore_shard(task)
         elif task.kind == "suite":
             from ..testsuite.programs import TESTS
             from ..testsuite.runner import run_test_many
@@ -412,42 +407,27 @@ def _lint_findings(task: SweepTask, explore_store=None):
 def _explore_shard(task: SweepTask):
     """Worker recipe for one frontier shard: compile (store-warm),
     explore the subtree rooted at the task's prefix under
-    ``task.spec``, and slim the result for IPC (distinct outcomes
-    only, traces stripped).
-
-    Returns ``(result, pending)``: the nodes a budget or deadline left
-    unexplored travel back as plain ``(choices, sleep)`` tuples so
-    :func:`~repro.farm.frontier.explore_farm` can persist a resumable
-    frontier.  With ``task.requeue_interrupted`` (set when the parent
-    has a record store) a path the deadline aborted mid-run is
-    requeued uncounted — resumed accounting must equal an
-    uninterrupted run's; without it the historical behaviour (the
-    timeout outcome is counted) keeps sharded results identical to a
-    serial run's."""
-    from dataclasses import replace
-    from ..dynamics.explore import (
-        ExplorationResult, Explorer, PathNode, driver_factory,
-    )
+    ``task.spec``, and answer with the
+    :class:`~repro.farm.explorestore.ExplorationRecord` of the walk —
+    distinct outcomes with traces stripped, plus the nodes a budget or
+    deadline left unexplored, so
+    :func:`~repro.farm.frontier.explore_farm` can merge the result and
+    persist a resumable frontier."""
+    from ..dynamics.explore import Explorer, PathNode, driver_factory
     from ..pipeline import compile_for_model
+    from .explorestore import ExplorationRecord
     model = task.models[0]
     program = compile_for_model(task.source, model, task.impl,
                                 name=task.name)
-    node = PathNode(tuple(task.prefix), tuple(task.sleep))
     explorer = Explorer(
         driver_factory(program.core,
                        lambda: program.make_model(model, task.spec),
                        task.spec),
-        task.spec, deadline_s=task.deadline_s, initial=[node],
+        task.spec, task.deadline_s,
+        [PathNode(tuple(task.prefix), tuple(task.sleep))],
         requeue_interrupted=task.requeue_interrupted)
-    r = explorer.run()
-    slim = [replace(o, trace=[]) for o in r.distinct()]
-    result = ExplorationResult(outcomes=slim, exhausted=r.exhausted,
-                               paths_run=r.paths_run, pruned=r.pruned,
-                               diverged=r.diverged,
-                               abandoned=r.abandoned)
-    pending = [(tuple(n.choices), tuple(n.sleep))
-               for n in explorer.pending]
-    return result, pending
+    return ExplorationRecord.from_result(explorer.run(),
+                                         explorer.pending)
 
 
 def explore_store_path(explore_store) -> Optional[str]:
@@ -623,7 +603,7 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
           spec: ExploreSpec = ExploreSpec(),
           store=None,
           shard_index: int = 0, shard_count: int = 1,
-          explore_store=None, resume: bool = True,
+          explore_store=None,
           lint: bool = False,
           task_timeout: Optional[float] = None) -> List[TaskResult]:
     """Sweep a corpus of C programs across memory object models under
@@ -647,8 +627,7 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
     explore_store = explore_store_path(explore_store)
     tasks = [SweepTask(index=i, name=name, kind=mode, source=source,
                        models=model_list, impl=impl, spec=spec,
-                       explore_store=explore_store, resume=resume,
-                       lint=lint)
+                       explore_store=explore_store, lint=lint)
              for i, (name, source) in enumerate(named)]
     return run_tasks(tasks, jobs=jobs, store=store,
                      task_timeout=task_timeout)

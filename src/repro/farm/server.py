@@ -117,6 +117,11 @@ Responses (success)::
                          "serving"|"draining", "pid": N}
     shutdown:           {"ok": true, "draining": true, "inflight": N}
 
+The ``stats`` op's ``store`` object is
+:meth:`~repro.farm.store.ArtifactStore.stats` of the daemon's store:
+flat and per-kind hits/misses/stores/corrupt, evictions, and the
+entry count and size in bytes.
+
 ``PAYLOAD`` is the JSON form of one farm
 :class:`~repro.farm.pool.TaskResult`
 (:func:`~repro.farm.pool.task_result_to_json`): ``ok`` / ``error`` /
@@ -392,8 +397,7 @@ def _execute_job(spec_dict: dict, explore_dir: Optional[str],
         models=job.models,
         impl=LP64 if job.impl == "LP64" else ILP32,
         spec=job.spec, lint=job.lint, deadline_s=deadline_s,
-        explore_store=explore_dir if job.mode == "explore" else None,
-        resume=True)
+        explore_store=explore_dir if job.mode == "explore" else None)
     return task_result_to_json(execute_task(task))
 
 

@@ -90,77 +90,6 @@ class StoreCorruptionWarning(UserWarning):
     but slow, so the fallback is surfaced rather than silent."""
 
 
-class WarmCache:
-    """A process-local keyed cache of rebuilt per-artifact objects:
-    compiled-back-end lowerings, whose closures cannot be pickled.
-
-    A lowering is cached on its Core term, so each
-    :class:`~repro.pipeline.CompiledProgram` instance would rebuild
-    it; the warm cache keeps the rebuilt
-    :class:`~repro.dynamics.compile.LoweredProgram` keyed by its
-    artifact's content address — source, implementation, name,
-    ``LOWERED_VERSION``, and (via
-    :meth:`ArtifactStore.record_key`) ``STORE_SCHEMA_VERSION`` — so
-    repeat explorations of the same artifact in one process skip
-    re-lowering entirely, and a schema or lowering-version bump
-    invalidates the warm entries.  Core is a deterministic function
-    of (source, impl, name), and lowered closures read the memory
-    model and global environment through the evaluator at run time,
-    so one entry soundly serves every compile of the artifact under
-    every memory model; only the compiled back end reads or writes it
-    (``backend="tree"`` has no lowerings).
-
-    Entries are LRU-bounded by count.  Hit/miss counters mirror to
-    the active obs context as ``store.warm_closures.{hits,misses}``.
-    """
-
-    def __init__(self, max_entries: int = 64,
-                 kind: str = "warm_closures"):
-        self.max_entries = max_entries
-        self.kind = kind
-        self.hits = 0
-        self.misses = 0
-        self._entries: "Dict[str, object]" = {}
-
-    def _event(self, event: str) -> None:
-        ctx = obs.active()
-        if ctx is not None:
-            ctx.inc(f"store.{self.kind}.{event}")
-
-    def get(self, key: str):
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            self.misses += 1
-            self._event("misses")
-            return None
-        # Re-insert to refresh recency (dicts preserve insertion
-        # order, so the first key is always the least recently used).
-        self._entries[key] = entry
-        self.hits += 1
-        self._event("hits")
-        return entry
-
-    def put(self, key: str, value) -> None:
-        self._entries.pop(key, None)
-        self._entries[key] = value
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "entries": len(self._entries)}
-
-
-# The process-wide warm-closure cache for compiled-back-end lowerings
-# (see repro.pipeline.CompiledProgram.lowered).  Tests may clear() it
-# or swap it out; it is intentionally tiny state with no disk
-# footprint.
-WARM_CLOSURES = WarmCache()
-
-
 class ArtifactStore:
     """An on-disk compile cache shared across processes.
 
@@ -424,22 +353,13 @@ class ArtifactStore:
         """Per-process counters plus the current on-disk footprint
         (one directory scan).  ``by_kind`` breaks
         hits/misses/stores/corrupt down per record kind, additively to
-        the flat totals.  ``warm_closures`` reports the process-wide
-        :data:`WARM_CLOSURES` cache — not per-store state, but
-        surfaced here so the daemon's ``stats`` op shows the
-        closure-reuse rate next to the record traffic it rides on."""
+        the flat totals."""
         entries = self._entries()
         return dict(self._counters,
                     by_kind={k: dict(v) for k, v
                              in sorted(self._kind_counters.items())},
                     entries=len(entries),
-                    size_bytes=sum(size for _, size, _ in entries),
-                    warm_closures=WARM_CLOSURES.stats())
-
-    def reset_stats(self) -> None:
-        for k in self._counters:
-            self._counters[k] = 0
-        self._kind_counters.clear()
+                    size_bytes=sum(size for _, size, _ in entries))
 
     def clear(self) -> None:
         """Drop every stored artifact (counters are kept)."""

@@ -11,7 +11,7 @@ questions of paper §2 (Q2, Q5, Q9, Q25, Q31, Q48-Q59, Q62, Q73-Q81...).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ctypes.implementation import Implementation
@@ -83,9 +83,6 @@ class Allocation:
     def contains(self, addr: int, size: int) -> bool:
         return self.base <= addr and addr + size <= self.base + self.size
 
-    def one_past(self, addr: int) -> bool:
-        return addr == self.base + self.size
-
 
 @dataclass
 class MemoryOptions:
@@ -126,9 +123,6 @@ class MemoryOptions:
     static_base: int = 0x1000
     stack_base: int = 0x7FFF_0000
     heap_base: int = 0x4000_0000
-
-    def clone(self, **kw) -> "MemoryOptions":
-        return replace(self, **kw)
 
 
 class MemoryModel:
@@ -715,11 +709,6 @@ class MemoryModel:
             return True
         except MemoryError_:
             return False
-
-    # -- statistics -----------------------------------------------------------------
-
-    def live_allocations(self) -> List[Allocation]:
-        return [a for a in self.allocations.values() if a.alive]
 
 
 def _types_alias(a: CType, b: CType) -> bool:

@@ -76,9 +76,6 @@ class IntegerValue:
     # (uintptr_t); see memory/cheri.py.
     meta: Optional[object] = None
 
-    def with_value(self, value: int) -> "IntegerValue":
-        return replace(self, value=value)
-
     def pure(self) -> "IntegerValue":
         return IntegerValue(self.value)
 

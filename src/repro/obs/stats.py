@@ -14,9 +14,7 @@ from .metrics import MetricsRegistry
 from .trace import read_trace
 
 #: Record kinds the store families report under ``store.<kind>.*``.
-#: ``warm_closures`` is the process-local rebuilt-lowering cache.
-STORE_KINDS = ("compiled", "exploration", "statics", "warm_closures",
-               "record")
+STORE_KINDS = ("compiled", "exploration", "statics", "record")
 
 
 def summarize_trace(path) -> dict:

@@ -19,9 +19,10 @@ program:
   single-path or exhaustive mode — any number of times, under any
   number of models, without re-elaborating.  ``explore(store=)``
   additionally persists exploration results in the artifact store
-  (:mod:`repro.farm.explorestore`): unchanged programs are never
-  re-explored, and interrupted explorations resume from their
-  persisted frontier.
+  (:mod:`repro.farm.explorestore`, through
+  :func:`repro.dynamics.explore.explore_space`): unchanged programs
+  are never re-explored, and interrupted explorations resume from
+  their persisted frontier.
 * :func:`run_c` / :func:`explore_c` are thin compile-then-execute
   wrappers over one model.
 * :func:`run_many` / :func:`explore_many` execute one program across a
@@ -49,7 +50,9 @@ from .core.typecheck import typecheck_program
 from .cparser import parse_tokens
 from .ctypes.implementation import Implementation, LP64, CHERI128
 from .dynamics.driver import Oracle, Outcome, run_program
-from .dynamics.explore import ExplorationResult, explore_program
+from .dynamics.explore import (
+    ExplorationResult, Explorer, driver_factory, explore_space,
+)
 from .elab import elaborate
 from .errors import CoreTypeError
 from .memory.base import MemoryModel
@@ -138,46 +141,13 @@ class CompiledProgram:
         return run_program(self.core, self.make_model(model, spec),
                            oracle, spec)
 
-    def lowered(self, store=None, name: str = "<string>"):
+    def lowered(self):
         """The compiled back end's lowering of this artifact
-        (:class:`~repro.dynamics.compile.LoweredProgram`), cached on
-        the Core term.
-
-        With ``store`` (an artifact store or directory path) the
-        lowering is also kept in the process-local
-        :data:`repro.farm.store.WARM_CLOSURES` cache, keyed on the
-        artifact's content address (source, implementation, name,
-        ``LOWERED_VERSION``, store schema), so repeat explorations of
-        the same artifact — even through a fresh ``CompiledProgram``
-        instance — skip re-lowering entirely.  Adoption is sound
-        because Core is a deterministic function of (source, impl,
-        name): closures resolve the evaluator, model, and global
-        environment at run time, and static annotations are keyed
-        positionally (see ``CompiledEvaluator``)."""
-        from .dynamics.compile import LOWERED_VERSION, ensure_lowered
-        from .farm.store import WARM_CLOSURES
-        store = _as_artifact_store(store)
-        key = None
-        if store is not None:
-            key = store.record_key(
-                WARM_CLOSURES.kind, self.source, repr(self.impl), name,
-                str(LOWERED_VERSION))
-            if getattr(self.core, "_lowered", None) is None:
-                warm = WARM_CLOSURES.get(key)
-                if warm is not None:
-                    self.core._lowered = warm
-                    return warm
-        ctx = obs.active()
-        with obs.maybe_span(ctx, "pipeline.lower", profile=True,
-                            file=name):
-            lowered = ensure_lowered(self.core)
-        if ctx is not None:
-            for fkind, count in lowered.fused.items():
-                if count:
-                    ctx.inc(f"compile.fused.{fkind}", count)
-        if key is not None:
-            WARM_CLOSURES.put(key, lowered)
-        return lowered
+        (:class:`~repro.dynamics.compile.LoweredProgram`), built once
+        and cached on the Core term
+        (:func:`~repro.dynamics.compile.ensure_lowered`)."""
+        from .dynamics.compile import ensure_lowered
+        return ensure_lowered(self.core)
 
     def statics(self, store=None,
                 name: str = "<string>") -> StaticsRecord:
@@ -228,7 +198,6 @@ class CompiledProgram:
                 spec: Optional[ExploreSpec] = None, *,
                 deadline_s: Optional[float] = None,
                 store=None,
-                resume: bool = True,
                 name: str = "<string>",
                 **knobs) -> ExplorationResult:
         """Explore the allowed executions (the paper's test-oracle
@@ -238,33 +207,36 @@ class CompiledProgram:
         path budget ``max_paths``).  ``deadline_s`` bounds the whole
         enumeration by wall-clock (farm per-task timeouts).
 
-        ``store`` (an :class:`~repro.farm.explorestore.ExploreStore`,
-        an :class:`~repro.farm.store.ArtifactStore`, or a directory
+        One in-process :class:`~repro.dynamics.explore.Explorer`
+        walks the space through
+        :func:`~repro.dynamics.explore.explore_space`.  ``store`` (an
+        :class:`~repro.farm.explorestore.ExploreStore`, an
+        :class:`~repro.farm.store.ArtifactStore`, or a directory
         path) makes exploration incremental: a completed result for
         this ``(source, impl, model, name, spec.key())`` space is
-        returned with zero paths re-run, an interrupted one persists
-        its frontier, and ``resume=True`` picks it up where it
-        stopped.  ``name`` is folded into the record key (source
-        locations embed it)."""
+        returned with zero paths re-run, and an interrupted one
+        persists its frontier and is resumed by the next call.
+        ``name`` is folded into the record key (source locations
+        embed it)."""
         spec = ExploreSpec.build(spec, **knobs)
-        cache_key = None
+        key = None
         if store is not None:
             from .farm.explorestore import ExploreStore
             store = ExploreStore.wrap(store)
-            cache_key = store.key(self.source, self.impl, model, name,
-                                  spec)
+            key = store.key(self.source, self.impl, model, name, spec)
             if spec.static_prune:
                 # Attach (store-cached) footprint annotations ahead of
-                # the engine's own ensure_annotated fallback.
+                # the driver factory's own ensure_annotated fallback.
                 self.statics(store, name=name)
-            if spec.backend == "compiled":
-                # Pre-warm the lowering so per-path drivers find it on
-                # the Core term instead of each racing to lower it.
-                self.lowered(store, name=name)
-        return explore_program(
-            self.core, lambda: self.make_model(model, spec), spec,
-            deadline_s=deadline_s, store=store, resume=resume,
-            cache_key=cache_key)
+        make_driver = driver_factory(
+            self.core, lambda: self.make_model(model, spec), spec)
+
+        def walk(budget, roots, requeue):
+            explorer = Explorer(make_driver, budget, deadline_s,
+                                roots, requeue_interrupted=requeue)
+            return explorer.run(), lambda: explorer.pending
+
+        return explore_space(walk, spec, store=store, key=key)
 
 
 # -- the content-addressed compile cache --------------------------------------
@@ -446,18 +418,17 @@ def explore_c(source: str, model: str = "provenance",
               spec: Optional[ExploreSpec] = None, *,
               deadline_s: Optional[float] = None,
               store=None,
-              resume: bool = True,
               **knobs) -> ExplorationResult:
     """One-shot: compile (memoised) and explore a C program (``knobs``
     as for :meth:`CompiledProgram.explore`)."""
     return compile_for_model(source, model, impl).explore(
         model, ExploreSpec.build(spec, **knobs), deadline_s=deadline_s,
-        store=store, resume=resume)
+        store=store)
 
 
 def _compile_per_impl(source: str, models: Optional[Iterable[str]],
-                      impl: Implementation, name: str,
-                      use_cache: bool) -> Dict[str, CompiledProgram]:
+                      impl: Implementation,
+                      name: str) -> Dict[str, CompiledProgram]:
     """One front-end translation per distinct implementation
     environment, shared by every model that runs under it (default:
     every registered model)."""
@@ -466,8 +437,7 @@ def _compile_per_impl(source: str, models: Optional[Iterable[str]],
     for model in (MODELS if models is None else models):
         m_impl = impl_for_model(model, impl)
         if m_impl.name not in compiled:
-            compiled[m_impl.name] = compile_c(source, m_impl, name=name,
-                                              use_cache=use_cache)
+            compiled[m_impl.name] = compile_c(source, m_impl, name=name)
         by_model[model] = compiled[m_impl.name]
     return by_model
 
@@ -476,14 +446,13 @@ def run_many(source: str, models: Optional[Iterable[str]] = None,
              impl: Implementation = LP64,
              spec: Optional[RunSpec] = None, *,
              name: str = "<string>",
-             use_cache: bool = True,
              **knobs) -> Dict[str, Outcome]:
     """Run one program under many memory object models (default: all
     registered), compiling once per distinct implementation
     environment. Returns ``{model: Outcome}`` in request order, with
     verdicts identical to per-model :func:`run_c` calls."""
     spec = RunSpec.build(spec, **knobs)
-    programs = _compile_per_impl(source, models, impl, name, use_cache)
+    programs = _compile_per_impl(source, models, impl, name)
     return {model: program.run(model, spec)
             for model, program in programs.items()}
 
@@ -492,33 +461,28 @@ def explore_many(source: str, models: Optional[Iterable[str]] = None,
                  impl: Implementation = LP64,
                  spec: Optional[ExploreSpec] = None, *,
                  name: str = "<string>",
-                 use_cache: bool = True,
                  deadline_s: Optional[float] = None,
                  store=None,
-                 resume: bool = True,
                  **knobs) -> Dict[str, ExplorationResult]:
     """Explore one program under many memory object models (default:
     all registered), compiling once per distinct implementation
     environment.  ``deadline_s`` is a per-model wall-clock budget for
-    the enumeration; ``store``/``resume`` persist and reuse per-model
+    the enumeration; ``store`` persists, reuses and resumes per-model
     exploration records (see :meth:`CompiledProgram.explore`)."""
     spec = ExploreSpec.build(spec, **knobs)
     if store is not None:
         from .farm.explorestore import ExploreStore
         store = ExploreStore.wrap(store)
-    programs = _compile_per_impl(source, models, impl, name, use_cache)
+    programs = _compile_per_impl(source, models, impl, name)
     return {model: program.explore(model, spec, deadline_s=deadline_s,
-                                   store=store, resume=resume,
-                                   name=name)
+                                   store=store, name=name)
             for model, program in programs.items()}
 
 
 def lint_c(source: str, impl: Implementation = LP64,
-           name: str = "<string>", store=None,
-           use_cache: bool = True) -> list:
+           name: str = "<string>", store=None) -> list:
     """One-shot: compile (memoised) and lint a C program — the
     definite-UB findings of :mod:`repro.statics.lint`, sorted by
     source location."""
-    return compile_c(source, impl, name=name,
-                     use_cache=use_cache).lint(store, name=name)
+    return compile_c(source, impl, name=name).lint(store, name=name)
 

@@ -54,13 +54,3 @@ class SourceFile:
             else:
                 hi = mid - 1
         return Loc(self.name, lo + 1, offset - self._line_starts[lo] + 1)
-
-    def line_text(self, line: int) -> str:
-        """Return the text of 1-based ``line`` (without the newline)."""
-        if line < 1 or line > len(self._line_starts):
-            return ""
-        start = self._line_starts[line - 1]
-        end = self.text.find("\n", start)
-        if end < 0:
-            end = len(self.text)
-        return self.text[start:end]

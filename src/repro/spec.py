@@ -17,9 +17,9 @@ the knobs' defaults, validation, JSON form and keys:
   budget ``max_paths``.
 
 What a spec applies to stays outside it: the source, implementation
-environment, file name and memory model.  So do ``deadline_s``,
-``store`` and ``resume``, which bound or cache one invocation without
-changing its behaviour set.
+environment, file name and memory model.  So do ``deadline_s`` and
+``store``, which bound or cache one invocation without changing its
+behaviour set.
 
 The keyword APIs (:meth:`repro.pipeline.CompiledProgram.run` /
 ``explore``, ``run_c`` / ``explore_c``, ``run_many`` /

@@ -23,7 +23,8 @@ from dataclasses import replace
 import pytest
 
 from repro.farm.explorestore import ExploreStore
-from repro.pipeline import MODELS, compile_for_model, run_many
+from repro import obs
+from repro.pipeline import MODELS, compile_c, compile_for_model, run_many
 from repro.spec import ExploreSpec
 from repro.testsuite.goldens import (
     GOLDEN_SPEC, behaviour_set, compute_verdicts,
@@ -193,6 +194,50 @@ class TestCrossBackendRecords:
             assert es.stats()["live_paths"] == before  # zero re-run
             assert warm.behaviour_keys() == \
                 reference.behaviour_keys()
+
+
+class TestLowering:
+    """One lowering per program: built by the first driver that needs
+    it (or ``CompiledProgram.lowered()``), cached on the Core term,
+    and traced once."""
+
+    SRC = "int main(void){ int a = 40; return a + 2; }"
+
+    def test_repeat_compile_reuses_the_lowering(self):
+        # The compile cache hands a repeat the same CompiledProgram.
+        first = compile_c(self.SRC).lowered()
+        assert compile_c(self.SRC).lowered() is first
+
+    def test_one_lowering_serves_every_model(self):
+        program = compile_c(self.SRC, use_cache=False)
+        lowered = program.lowered()
+        for model in ("concrete", "provenance"):
+            out = program.run(model, backend="compiled")
+            assert out.status == "done" and out.exit_code == 42
+            assert program.lowered() is lowered
+
+    def test_tree_backend_never_lowers(self, tmp_path):
+        program = compile_c(self.SRC, use_cache=False)
+        result = program.explore("concrete", max_paths=10,
+                                 store=tmp_path / "s", backend="tree")
+        assert result.paths_run >= 1
+        assert getattr(program.core, "_lowered", None) is None
+
+    def test_every_lowering_is_traced_once(self):
+        # A run's first driver lowers the program; that lowering is
+        # the one pipeline.lower span, with its fusion counts.
+        program = compile_c(self.SRC, use_cache=False)
+        with obs.collecting() as registry:
+            for model in ("concrete", "provenance"):
+                program.run(model, backend="compiled")
+            assert program.lowered() is program.lowered()
+        metrics = registry.to_dict()
+        assert metrics["histograms"]["span.pipeline.lower"]["count"] == 1
+        fused = {k: n for k, n in metrics["counters"].items()
+                 if k.startswith("compile.fused.")}
+        assert fused == {f"compile.fused.{kind}": n for kind, n
+                         in program.lowered().fused.items() if n}
+        assert fused
 
 
 class TestCallProtocol:

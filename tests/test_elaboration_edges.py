@@ -4,7 +4,7 @@ scopes, initialiser corner cases, conversions."""
 import pytest
 
 from repro.errors import UnsupportedError
-from repro.pipeline import compile_c, run_c
+from repro.pipeline import compile_c, run_c, run_many
 
 
 class TestGotoRestrictions:
@@ -144,6 +144,45 @@ int main(void) {
     return 0;
 }''')
         assert out.stdout == "100\n"
+
+
+class TestScopeOfOwnInitialiser:
+    """§6.2.1p7: an identifier's scope begins just after its
+    declarator, so its own initialiser can name it."""
+
+    PROGRAMS = [
+        # The standard allocation idiom.
+        (r'''
+#include <stdlib.h>
+int main(void) {
+    int *p = malloc(4 * sizeof *p);
+    if (!p) return 1;
+    p[3] = 7;
+    int r = p[3];
+    free(p);
+    return r;
+}''', 7),
+        (r'''
+int main(void) {
+    void *p = &p;
+    return p == (void *)&p ? 5 : 0;
+}''', 5),
+        # The inner declaration, not the outer char, is in scope.
+        ("char c; int main(void) { long c = sizeof c; return (int)c; }",
+         8),
+    ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("src,code", PROGRAMS,
+                             ids=["malloc_sizeof_self", "address_of_self",
+                                  "sizeof_shadowing_self"])
+    def test_own_initialiser_sees_the_declaration(self, src, code,
+                                                  backend):
+        outcomes = run_many(src, backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status in ("done", "exit"), (model, out)
+            assert out.exit_code == code, model
 
 
 class TestInitialiserEdges:

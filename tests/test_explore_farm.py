@@ -4,6 +4,7 @@ must match a serial exploration path for path."""
 
 from repro.dynamics.explore import ExplorationResult, Explorer, PathNode
 from repro.dynamics.driver import Driver, Oracle
+from repro.farm.explorestore import ExplorationRecord
 from repro.farm.frontier import explore_farm
 from repro.farm.pool import SweepTask, execute_task
 from repro.pipeline import compile_c, explore_c
@@ -68,11 +69,32 @@ class TestExploreShardTask:
         result = execute_task(task)
         assert result.ok, result.error
         shard = result.data["shard"]
-        assert isinstance(shard, ExplorationResult)
+        # The form the record store persists: a finished subtree is a
+        # complete record.
+        assert isinstance(shard, ExplorationRecord)
+        assert shard.complete
         assert shard.exhausted
         assert shard.paths_run >= 1
         # Slimmed for IPC: deduplicated outcomes, traces stripped.
         assert all(o.trace == [] for o in shard.outcomes)
+
+    def test_shard_ships_its_frontier_as_a_record(self):
+        # A budget-cut shard answers in the form the store persists:
+        # its remainder is PathNodes, flips included (coverage search
+        # orders the frontier by them).
+        task = SweepTask(index=0, name="shard", kind="explore_shard",
+                         source=PAIR, models=("concrete",),
+                         spec=ExploreSpec(max_paths=3,
+                                          strategy="coverage"))
+        result = execute_task(task)
+        assert result.ok, result.error
+        shard = result.data["shard"]
+        assert isinstance(shard, ExplorationRecord)
+        assert not shard.complete
+        assert shard.paths_run == 3
+        assert shard.frontier
+        assert all(isinstance(node, PathNode) and node.flip is not None
+                   for node in shard.frontier)
 
     def test_explore_task_strategy_and_por(self):
         task = SweepTask(index=0, name="t", kind="explore",
@@ -118,6 +140,17 @@ class TestExploreFarm:
         assert farm.exhausted
         assert farm.behaviour_keys() == serial.behaviour_keys()
 
+    def test_sharded_ub_sites_match_serial(self):
+        # A UB behaviour is its name *and* site: every shard must
+        # report the site a serial run reports.
+        race = "int a; int main(void) { return (a = 1) + (a = 2); }"
+        serial = explore_c(race, model="concrete", max_paths=100_000)
+        farm = explore_farm(race, "concrete",
+                            spec=ExploreSpec(max_paths=100_000), jobs=2)
+        assert serial.has_ub()
+        assert farm.paths_run == serial.paths_run
+        assert farm.behaviour_keys() == serial.behaviour_keys()
+
     def test_budget_hit_marks_not_exhausted(self):
         # The global budget is split across shards (ceiling), so the
         # merged total stays in the budget's ballpark — and a shard
@@ -132,12 +165,9 @@ class TestExploreFarm:
         # phase did, or prefixes replay against the wrong state space.
         src = ("int a, b; int go(void){ (a=1)+(b=2); return a+b-3; } "
                "int main(void){ return go(); }")
-        from repro.dynamics.explore import explore_program
         program = compile_c(src)
         spec = ExploreSpec(entry="go", max_paths=100_000)
-        serial = explore_program(program.core,
-                                 lambda: program.make_model("concrete"),
-                                 spec)
+        serial = program.explore("concrete", spec)
         farm = explore_farm(src, "concrete", spec=spec, jobs=2)
         assert farm.paths_run == serial.paths_run
         assert farm.diverged == 0

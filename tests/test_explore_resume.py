@@ -10,14 +10,22 @@ interruption was a path budget, a wall-clock deadline, or a simulated
 process kill.
 """
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.dynamics.explore import Explorer
 from repro.farm.explorestore import ExplorationRecord, ExploreStore
 from repro.farm.frontier import explore_farm
 from repro.pipeline import compile_c
 from repro.spec import ExploreSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # One unseq pair: 576 paths unreduced, 41 with POR — wide enough to
 # interrupt anywhere, quick to exhaust for exact comparisons.
@@ -170,20 +178,66 @@ class TestKillResume:
         assert fresh.stats()["hits"] == 1
         assert fresh.stats()["live_paths"] == 0    # zero paths re-run
 
-    def test_resume_false_ignores_partial(self, tmp_path, program,
-                                          serial):
-        reference = serial[("dfs", False)]
-        store = ExploreStore(tmp_path / "store")
-        program.explore("concrete", max_paths=100, strategy="dfs",
-                        seed=11, store=store)
-        full = program.explore("concrete", max_paths=BIG,
-                               strategy="dfs", seed=11, store=store,
-                               resume=False)
-        _same(full, reference)
-        assert store.stats()["resumes"] == 0
-        # The cold redo re-ran the first 100 paths.
-        assert store.stats()["live_paths"] == \
-            reference.paths_run + 100
+
+class TestOneLifecycle:
+    """Every exploration runs through one record lifecycle
+    (:func:`repro.dynamics.explore.explore_space`): a partial record is
+    always resumed, whichever seam meets it, and a storeless
+    exploration neither touches the farm nor builds a frontier nobody
+    will persist."""
+
+    EXAMPLE = str(ROOT / "examples" / "c" / "unseq_commuting.c")
+
+    def _sweep(self, capsys, *extra):
+        code = cli_main(["farm", "sweep", self.EXAMPLE, "--models",
+                         "concrete", "--exhaustive", *extra])
+        out = capsys.readouterr().out
+        return code, [line for line in out.splitlines()
+                      if line.startswith(self.EXAMPLE)]
+
+    def test_farm_sweep_resumes_a_partial_record(self, tmp_path,
+                                                 capsys):
+        store = str(tmp_path / "store")
+        first, second = tmp_path / "r1.json", tmp_path / "r2.json"
+        self._sweep(capsys, "--explore-store", store, "--max-paths",
+                    "5", "--report", str(first))
+        resumed = self._sweep(capsys, "--explore-store", store,
+                              "--report", str(second))
+        explore = json.loads(second.read_text())["metrics"]["explore"]
+        assert explore["resumes"] == 1
+        assert explore["live_paths"] == 495     # 500 - the 5 recorded
+        # The resumed sweep prints what a storeless one prints.
+        assert resumed == self._sweep(capsys)
+
+    def test_storeless_exploration_imports_no_farm_module(self):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from repro.pipeline import compile_c\n"
+            f"result = compile_c({PAIR!r}).explore('concrete',"
+            " max_paths=5)\n"
+            "assert result.paths_run == 5\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.farm')))\n")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_frontier_is_read_only_to_publish(self, tmp_path,
+                                              monkeypatch, program):
+        """Without a store nobody reads ``Explorer.pending``, so the
+        siblings of a budget-hit path are never built; with one, the
+        lifecycle reads it once, to publish the record."""
+        reads = []
+        pending = Explorer.pending
+        monkeypatch.setattr(Explorer, "pending", property(
+            lambda self: reads.append(self) or pending.fget(self),
+            pending.fset))
+        program.explore("concrete", max_paths=5)
+        assert reads == []
+        program.explore("concrete", max_paths=5,
+                        store=ExploreStore(tmp_path / "store"))
+        assert len(reads) == 1
 
 
 class TestRestorableOrder:

@@ -122,7 +122,7 @@ class TestDivergenceDiscard:
 
     def test_explorer_discards_diverged_paths(self):
         from repro.dynamics.driver import Oracle, Outcome
-        from repro.dynamics.explore import explore_all
+        from repro.dynamics.explore import Explorer
 
         class FakeDriver:
             def __init__(self, oracle):
@@ -133,7 +133,7 @@ class TestDivergenceDiscard:
                 self.oracle.diverged = True
                 return Outcome("done", exit_code=0, diverged=True)
 
-        res = explore_all(FakeDriver, ExploreSpec(max_paths=10))
+        res = Explorer(FakeDriver, ExploreSpec(max_paths=10)).run()
         assert res.paths_run == 1
         assert res.diverged == 1
         assert res.outcomes == []       # discarded, not mis-reported

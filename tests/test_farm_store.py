@@ -30,18 +30,6 @@ SRC = "int main(void){ return 40 + 2; }"
 UNSEQ = "int a, b; int main(void){ (a=1)+(b=2); return 0; }"
 
 
-@pytest.fixture(autouse=True)
-def warm_closures(monkeypatch):
-    """A fresh process-local warm-closure cache per test: entries are
-    keyed on content (not on the store directory), so a warm hit from
-    a previous test's identical source would otherwise short-circuit
-    this test's store and skew its counters."""
-    from repro.farm.store import WarmCache
-    cache = WarmCache()
-    monkeypatch.setattr("repro.farm.store.WARM_CLOSURES", cache)
-    return cache
-
-
 @pytest.fixture
 def store(tmp_path):
     s = ArtifactStore(tmp_path / "store")
@@ -480,100 +468,3 @@ class TestSchemaVersion:
         finally:
             set_artifact_store(previous)
             clear_compile_cache()
-
-
-class TestWarmClosureCache:
-    """The process-local warm-closure cache
-    (:data:`repro.farm.store.WARM_CLOSURES`): lowerings keyed on the
-    artifact's content address, one entry soundly serves every
-    compile of the artifact under every memory model, a schema bump
-    invalidates warm entries exactly as it invalidates persisted
-    records, and only the compiled back end ever touches it."""
-
-    @pytest.fixture
-    def warm(self, warm_closures):
-        return warm_closures
-
-    def test_repeat_lowering_adopts_one_entry(self, tmp_path, warm):
-        store = ArtifactStore(tmp_path / "s")
-        first = compile_c(SRC, use_cache=False).lowered(store)
-        assert warm.stats()["entries"] == 1
-        # A fresh CompiledProgram (fresh Core term) adopts the warm
-        # closures by identity instead of re-lowering.
-        assert compile_c(SRC, use_cache=False).lowered(store) is first
-        assert warm.stats()["hits"] == 1
-        assert warm.stats()["entries"] == 1
-
-    def test_key_discriminates_source_and_impl(self, tmp_path, warm):
-        store = ArtifactStore(tmp_path / "s")
-        compile_c(SRC, use_cache=False).lowered(store)
-        compile_c("int main(void){ return 7; }",
-                  use_cache=False).lowered(store)
-        compile_c(SRC, impl=ILP32, use_cache=False).lowered(store)
-        stats = warm.stats()
-        assert stats["entries"] == 3
-        assert stats["hits"] == 0
-
-    def test_one_entry_serves_every_model(self, tmp_path, warm):
-        store = ArtifactStore(tmp_path / "s")
-        seeded = compile_c(SRC, use_cache=False).lowered(store)
-        for model in ("concrete", "provenance"):
-            fresh = compile_c(SRC, use_cache=False)
-            assert fresh.lowered(store) is seeded
-            out = fresh.run(model, backend="compiled")
-            assert out.status == "done" and out.exit_code == 42
-        assert warm.stats() == {"hits": 2, "misses": 1, "entries": 1}
-
-    def test_schema_bump_invalidates_warm_entries(self, tmp_path,
-                                                  warm):
-        root = tmp_path / "s"
-        old = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
-        compile_c(SRC, use_cache=False).lowered(old)
-        new = ArtifactStore(root,
-                            schema_version=STORE_SCHEMA_VERSION + 1)
-        compile_c(SRC, use_cache=False).lowered(new)
-        # Distinct keys: the bumped schema never sees the old entry.
-        assert warm.stats()["entries"] == 2
-        assert warm.stats()["hits"] == 0
-
-    def test_recompile_adopts_warm_lowering_with_globals(self, tmp_path,
-                                                         warm):
-        # Core is a deterministic function of (source, impl, name):
-        # file-scope objects get the same Core names in every compile,
-        # so the closures' baked-in global_env lookups stay valid and
-        # a fresh compile adopts the warm entry — and runs a program
-        # that touches globals correctly.
-        src = ("int a, b; int main(void)"
-               "{ (a = 1) + (b = 2); return a + b - 3; }")
-        store = ArtifactStore(tmp_path / "s")
-        first = compile_c(src, use_cache=False)
-        seeded = first.lowered(store)
-        assert first.run("concrete",
-                         backend="compiled").exit_code == 0
-        fresh = compile_c(src, use_cache=False)
-        assert fresh.lowered(store) is seeded
-        out = fresh.run("concrete", backend="compiled")
-        assert out.status == "done" and out.exit_code == 0
-        assert warm.stats() == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_tree_backend_never_touches_warm_cache(self, tmp_path,
-                                                   warm):
-        store = ArtifactStore(tmp_path / "s")
-        program = compile_c(SRC, use_cache=False)
-        result = program.explore("concrete", max_paths=10,
-                                 store=store, backend="tree")
-        assert result.paths_run >= 1
-        assert warm.stats() == {"hits": 0, "misses": 0, "entries": 0}
-
-    def test_lru_bound_by_count(self):
-        from repro.farm.store import WARM_CLOSURES, WarmCache
-        assert WARM_CLOSURES.max_entries == 64
-        cache = WarmCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1          # refreshes recency
-        cache.put("c", 3)                   # evicts "b", not "a"
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.stats()["entries"] == 2
