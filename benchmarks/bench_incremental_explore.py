@@ -2,11 +2,12 @@
 of an unchanged exploration corpus.
 
 The exploration-record seam (:mod:`repro.farm.explorestore`) is the
-PR-5 scaling lever: a campaign's explorations persist in the artifact
-store, so re-sweeping an unchanged corpus replays **zero** paths — it
-deserialises the recorded behaviour sets instead of re-running the
-state space.  Measured on one reproducible corpus of unseq-heavy
-programs swept with ``mode="explore"`` through
+PR-5 scaling lever: a campaign's explorations persist in its one
+artifact store (the sweep's ``store``), so re-sweeping an unchanged
+corpus replays **zero** paths — it deserialises the recorded
+behaviour sets instead of re-running the state space.  Measured on
+one reproducible corpus of unseq-heavy programs swept with
+``mode="explore"`` through
 :func:`~repro.farm.campaign.sweep_campaign`:
 
 * the **cold** pass explores every program × model live and publishes
@@ -54,7 +55,6 @@ def _campaign(store_root):
     results, campaign = sweep_campaign(
         CORPUS, models=MODELS, jobs=1, mode="explore",
         store=store_root / "artifacts",
-        explore_store=store_root / "artifacts",
         spec=ExploreSpec(max_paths=MAX_PATHS, max_steps=500_000))
     return results, campaign
 

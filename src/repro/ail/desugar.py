@@ -235,6 +235,19 @@ class Desugarer:
         # = {...}``), bind, and only then normalise the initialiser.
         if idecl.init is not None:
             qty = self._complete_from_init(qty, idecl.init)
+        elif "extern" in storage and not file_scope:
+            # §6.2.2p4: a block-scope extern names the file-scope
+            # object, declared at file scope first if none is yet (a
+            # later definition merges into it, §6.9.2).
+            obj = self._file_scope_objects.get(name)
+            if obj is None:
+                obj = A.ObjectDef(self._fresh(name), qty, None, "static",
+                                  idecl.loc)
+                self.program.objects.append(obj)
+                self._file_scope_objects[name] = obj
+                self.scopes[0].ordinary[name] = ("object", obj.sym, qty)
+            self.bind(name, ("object", obj.sym, obj.qty))
+            return []
         merged = file_scope and name in self._file_scope_objects
         if not merged:
             sym = self._fresh(name)

@@ -14,25 +14,27 @@ Exploration flags (see :mod:`repro.dynamics.explore`):
 * ``--por`` — sleep-set partial-order reduction at unseq scheduling
   points: identical behaviour sets, several-fold fewer paths;
 * ``--explore-jobs N`` — shard one program's exploration frontier
-  across N farm workers and merge the results;
-* ``--explore-store DIR`` — persist exploration results as records
-  (:mod:`repro.farm.explorestore`): an unchanged program is never
-  re-explored, and an interrupted exploration resumes from its
-  persisted frontier (``farm sweep --explore-store DIR`` too).
+  across N farm workers and merge the results.
 
 Farm flags (see :mod:`repro.farm`):
 
-* ``--store DIR`` — a persistent cross-process artifact store:
-  compiled Core is cached on disk, so repeated invocations skip the
-  front end entirely;
+* ``--store DIR`` — the invocation's one persistent cross-process
+  artifact store, holding every record kind: compiled Core is cached
+  on disk, so repeated invocations skip the front end entirely, and
+  with ``--exhaustive`` explorations persist as records
+  (:mod:`repro.farm.explorestore`) — an unchanged program is never
+  re-explored, an interrupted exploration resumes from its persisted
+  frontier, and a single-model run prints an ``explore store:`` line
+  read from the invocation's metrics (``farm sweep --store DIR``
+  too);
 * ``--jobs N`` — run the ``--models`` sweep through N parallel worker
   processes (one farm task per model at any N, so the printed lines
   are the same; N=1 runs the tasks in-process);
-* ``--shard I/N`` — run only the I-th of N deterministic shards of
-  the sweep (corpus partitioning for independent campaign workers);
 * ``cerberus-py farm suite|csmith|sweep ...`` — whole-corpus
   campaigns with JSON reports (per-program verdicts, cache hit rates,
-  wall-clock).
+  wall-clock); ``--shard I/N`` runs only the I-th of N deterministic
+  shards of a campaign's corpus (partitioning for independent
+  campaign workers).
 
 Observability flags (see :mod:`repro.obs` for the full trace schema):
 
@@ -61,7 +63,9 @@ from .core.pretty import pretty_program
 from .ctypes.implementation import ILP32, LP64
 from .dynamics.explore import STRATEGIES
 from .errors import CerberusError
-from .pipeline import MODELS, compile_c, lint_c, set_artifact_store
+from .pipeline import (
+    MODELS, compile_c, get_artifact_store, lint_c, set_artifact_store,
+)
 from .spec import BACKENDS, ExploreSpec, SpecError
 
 
@@ -121,13 +125,15 @@ def _obs_wanted(args) -> bool:
     return bool(args.trace or args.metrics or args.profile)
 
 
-def _obs_scope(args, identity: str):
+def _obs_scope(args, identity: str, counted: bool = False):
     """The observability context of one CLI invocation, or a no-op
-    scope when no obs flag was given.  ``identity`` must be built
+    scope when no obs flag was given and the invocation need not be
+    ``counted`` (a store-backed exploration reads its record counters
+    from the invocation's metrics).  ``identity`` must be built
     from the invocation's *content* (source + semantic flags) — never
     from output paths like --trace/--profile/--report, which must not
     change the run id of otherwise identical runs."""
-    if not _obs_wanted(args):
+    if not (counted or _obs_wanted(args)):
         return contextlib.nullcontext(None)
     return obs.tracing(args.trace or None, identity=identity,
                        profile_dir=args.profile or None)
@@ -151,13 +157,15 @@ def _add_farm_flags(p: argparse.ArgumentParser) -> None:
                    help="number of parallel worker processes "
                         "(default: 1 = serial in-process)")
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="persistent artifact store directory: "
-                        "compiled Core is reused across processes "
-                        "and invocations (skips the front end)")
-    p.add_argument("--shard", type=_parse_shard, default=(0, 1),
-                   metavar="I/N",
-                   help="run only the I-th of N deterministic shards "
-                        "of the sweep (default: 0/1 = everything)")
+                   help="persistent artifact store directory, the one "
+                        "store of every record kind: compiled Core is "
+                        "reused across processes and invocations "
+                        "(skips the front end), and with --exhaustive "
+                        "exploration results persist as records — an "
+                        "unchanged program is never re-explored (zero "
+                        "paths re-run on a warm hit) and an "
+                        "interrupted exploration resumes from its "
+                        "persisted frontier")
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
@@ -218,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explore-jobs", type=int, default=1, metavar="N",
                    help="shard the exploration frontier across N farm "
                         "workers (single-model --exhaustive only)")
-    p.add_argument("--explore-store", default=None, metavar="DIR",
-                   help="persist exploration results as records in "
-                        "this artifact store: an unchanged program is "
-                        "never re-explored (zero paths re-run on a "
-                        "warm hit) and an interrupted exploration "
-                        "resumes from its persisted frontier")
     p.add_argument("--pp-core", action="store_true",
                    help="pretty-print the elaborated Core and exit")
     _add_spec_flags(p)
@@ -248,13 +250,13 @@ def _spec(args) -> ExploreSpec:
 def _main_identity(args, source: str, spec: ExploreSpec) -> str:
     """The content identity of one ``cerberus-py file.c`` invocation:
     the source, every spec field, and the flags that pick the mode
-    and fan-out.  Output paths (--trace, --profile) and cache
-    locations (--store, --explore-store) are deliberately excluded so
-    they never perturb the run id."""
+    and fan-out.  Output paths (--trace, --profile) and the cache
+    location (--store) are deliberately excluded so they never
+    perturb the run id."""
     return "\x00".join([
         "run", args.file, source, args.impl, args.model,
         str(args.models), str(args.exhaustive), str(args.explore_jobs),
-        str(args.jobs), str(args.shard), str(args.pp_core),
+        str(args.jobs), str(args.pp_core),
         json.dumps(spec.to_json(), sort_keys=True)])
 
 
@@ -280,11 +282,20 @@ def main(argv=None) -> int:
         return 2
     impl = LP64 if args.impl == "LP64" else ILP32
     spec = _spec(args)
+    # --store opens the invocation's one store handle; it is
+    # uninstalled again so an in-process caller's next run is not
+    # served from it.
+    previous = get_artifact_store()
     if args.store:
         from .farm.store import ArtifactStore
         set_artifact_store(ArtifactStore(args.store))
-    with _obs_scope(args, _main_identity(args, source, spec)) as ctx:
-        code = _dispatch_main(args, source, impl, spec)
+    try:
+        with _obs_scope(args, _main_identity(args, source, spec),
+                        counted=bool(args.store and args.exhaustive)
+                        ) as ctx:
+            code = _dispatch_main(args, source, impl, spec)
+    finally:
+        set_artifact_store(previous)
     if args.metrics:
         _print_metrics(ctx)
     return code
@@ -303,30 +314,25 @@ def _dispatch_main(args, source: str, impl, spec) -> int:
         print(pretty_program(pipeline.core))
         return 0
     if args.exhaustive:
-        explore_store = None
-        if args.explore_store:
-            from .farm.explorestore import ExploreStore
-            explore_store = ExploreStore(args.explore_store)
+        store = get_artifact_store() if args.store else None
         if args.explore_jobs > 1:
             from .farm.frontier import explore_farm
             result = explore_farm(source, args.model, impl, spec,
-                                  jobs=args.explore_jobs,
-                                  store=args.store,
-                                  explore_store=explore_store,
+                                  jobs=args.explore_jobs, store=store,
                                   name=args.file)
         else:
-            result = pipeline.explore(args.model, spec,
-                                      store=explore_store,
+            result = pipeline.explore(args.model, spec, store=store,
                                       name=args.file)
         pruned = f", {result.pruned} pruned" if result.pruned else ""
         print(f"executions explored: {result.paths_run} "
               f"({'complete' if result.exhausted else 'budget hit'}"
               f"{pruned})")
-        if explore_store is not None:
-            es = explore_store.stats()
-            print(f"explore store: hits={es['hits']} "
-                  f"resumes={es['resumes']} "
-                  f"live paths={es['live_paths']}")
+        if store is not None:
+            counters = obs.active().metrics.counters
+            print(f"explore store: "
+                  f"hits={counters.get('store.exploration.hits', 0)} "
+                  f"resumes={counters.get('explore.resumes', 0)} "
+                  f"live paths={counters.get('explore.live_paths', 0)}")
         for outcome in result.distinct():
             print(f"  {outcome.summary()}")
         return 1 if result.has_ub() else 0
@@ -374,17 +380,15 @@ def _run_batch(args, source: str, impl, spec) -> int:
     """--models: one farm task per model through
     :func:`repro.farm.pool.run_tasks` — in-process at ``--jobs 1``,
     across worker processes otherwise (a warm ``--store`` makes every
-    worker execution-only) — and one printed line per model."""
+    worker execution-only, and with ``--exhaustive`` serves and
+    resumes its exploration records) — and one printed line per
+    model."""
     try:
         models = _parse_models(args.models)
     except argparse.ArgumentTypeError as exc:
         print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
-    from .farm.pool import SweepTask, run_tasks, shard_select
-    models = shard_select(models, *args.shard)
-    if not models:
-        print("cerberus-py: shard selected no models", file=sys.stderr)
-        return 2
+    from .farm.pool import SweepTask, run_tasks
     if args.explore_jobs > 1:
         # Two fan-out axes at once is not supported; refusing beats
         # silently running an unsharded per-model exploration.
@@ -396,7 +400,7 @@ def _run_batch(args, source: str, impl, spec) -> int:
     tasks = [SweepTask(index=i, name=args.file,
                        kind="explore" if args.exhaustive else "run",
                        source=source, models=(model,), impl=impl,
-                       spec=spec, explore_store=args.explore_store)
+                       spec=spec)
              for i, model in enumerate(models)]
     results = run_tasks(tasks, jobs=args.jobs)
     lines, code = _model_lines(zip(models, results))
@@ -430,9 +434,11 @@ def build_lint_parser() -> argparse.ArgumentParser:
 def lint_main(argv) -> int:
     args = build_lint_parser().parse_args(argv)
     impl = LP64 if args.impl == "LP64" else ILP32
+    store = None
     if args.store:
         from .farm.store import ArtifactStore
-        set_artifact_store(ArtifactStore(args.store))
+        store = ArtifactStore(args.store)
+        set_artifact_store(store)
     worst = 0
     payload = {}
     for path in args.files:
@@ -443,8 +449,7 @@ def lint_main(argv) -> int:
             print(f"cerberus-py lint: {exc}", file=sys.stderr)
             return 2
         try:
-            findings = lint_c(source, impl, name=path,
-                              store=args.store)
+            findings = lint_c(source, impl, name=path, store=store)
         except CerberusError as exc:
             print(f"{path}: error: {exc}", file=sys.stderr)
             worst = max(worst, 2)
@@ -499,12 +504,6 @@ def build_farm_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--models", default="all", metavar="M1,M2,...")
     sweep.add_argument("--exhaustive", action="store_true")
     _add_spec_flags(sweep)
-    sweep.add_argument("--explore-store", default=None, metavar="DIR",
-                       help="persist --exhaustive results as "
-                            "exploration records: warm re-sweeps of "
-                            "unchanged programs re-run zero paths, "
-                            "and interrupted explorations resume from "
-                            "their persisted frontier")
     sweep.add_argument("--lint", action="store_true",
                        help="run the definite-UB linter per program; "
                             "with --exhaustive, a definite finding "
@@ -514,12 +513,16 @@ def build_farm_parser() -> argparse.ArgumentParser:
                        help="route the sweep through a running farm "
                             "daemon (cerberus-py serve) instead of a "
                             "local pool: identical jobs coalesce "
-                            "server-side and --jobs/--store/"
-                            "--explore-store are the daemon's "
-                            "choices, not this invocation's")
+                            "server-side and --jobs/--store are the "
+                            "daemon's choices, not this invocation's")
 
     for sp in (suite, csmith, sweep):
         _add_farm_flags(sp)
+        sp.add_argument("--shard", type=_parse_shard, default=(0, 1),
+                        metavar="I/N",
+                        help="run only the I-th of N deterministic "
+                             "shards of the corpus (default: 0/1 = "
+                             "everything)")
         _add_obs_flags(sp)
         sp.add_argument("--report", default=None, metavar="FILE",
                         help="write the JSON campaign report here "
@@ -557,7 +560,7 @@ def _farm_identity(args) -> str:
     (--report, --trace, --profile) and cache directories are excluded
     — see :func:`_main_identity`."""
     exclude = {"trace", "metrics", "profile", "report", "store",
-               "explore_store", "server"}
+               "server"}
     parts = [f"{k}={v}" for k, v in sorted(vars(args).items())
              if k not in exclude]
     sources = []
@@ -638,8 +641,7 @@ def _dispatch_farm(args, models) -> int:
     results, campaign = sweep_campaign(
         programs, models=models, jobs=args.jobs,
         mode="explore" if args.exhaustive else "run", spec=_spec(args),
-        store=args.store, shard=args.shard,
-        explore_store=args.explore_store, lint=args.lint,
+        store=args.store, shard=args.shard, lint=args.lint,
         task_timeout=args.task_timeout, server=args.server)
     for entry in campaign.results:
         for model, verdict in entry.get("verdicts", {}).items():

@@ -43,8 +43,8 @@ from .evaluator import (
     Evaluator, FrameLimit, ProcReturn, ProgramExit, RunSignal,
 )
 from .values import (
-    UNIT, Value, VBool, VCtype, VInteger, VPointer, VSpecified, VUnspecified,
-    core_to_mem, mem_to_core,
+    UNIT, Value, VBool, VCtype, VInteger, VPointer, VSpecified, VUnit,
+    VUnspecified, core_to_mem, mem_to_core,
 )
 
 

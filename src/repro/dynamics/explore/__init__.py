@@ -38,9 +38,10 @@ Because a :class:`PathNode` prefix fully determines its replay, a
 frontier is an exact, picklable cut through the exploration tree —
 so exploration persists and resumes like any other artifact.
 :func:`explore_space` owns the record lifecycle for every exploration,
-in-process or farm-sharded: given a record store
-(:mod:`repro.farm.explorestore`, imported only then) it serves a
-completed exploration from its stored record with zero paths re-run,
+in-process or farm-sharded: given an artifact store it serves a
+completed exploration from its stored record
+(:mod:`repro.farm.explorestore`, imported only then) with zero paths
+re-run,
 resumes a partial one from its persisted frontier, and publishes what
 its walk leaves — after a path budget, a wall-clock deadline or a
 process kill, the pending frontier plus the accounting so far.  A

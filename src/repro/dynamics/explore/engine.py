@@ -22,13 +22,14 @@ adds, on top of the historical replay-DFS:
   phase of farm-sharded exploration stops once the frontier is wide
   enough and exposes the remaining nodes via :attr:`Explorer.pending`;
 * one record lifecycle (:func:`explore_space`) for every exploration:
-  given a record store (:mod:`repro.farm.explorestore`) it serves a
-  complete record with zero paths re-run, resumes a partial one from
-  its persisted frontier, and publishes what the walk leaves — an
-  unchanged program is never re-explored and an interrupted campaign
-  resumes exactly where it stopped (``requeue_interrupted`` puts a
-  deadline-aborted path back on the frontier uncounted, keeping
-  resumed accounting equal to an uninterrupted run's).  The
+  given an artifact store it serves a complete exploration record
+  (:mod:`repro.farm.explorestore`) with zero paths re-run, resumes a
+  partial one from its persisted frontier, and publishes what the
+  walk leaves — an unchanged program is never re-explored and an
+  interrupted campaign resumes exactly where it stopped
+  (``requeue_interrupted`` puts a deadline-aborted path back on the
+  frontier uncounted, keeping resumed accounting equal to an
+  uninterrupted run's).  The
   in-process walk (one :class:`Explorer`,
   :meth:`repro.pipeline.CompiledProgram.explore`) and the sharded one
   (:func:`repro.farm.frontier.explore_farm`) differ only in how they
@@ -243,8 +244,10 @@ def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
     exploration-record lifecycle.
 
     Without ``store`` this is one walk of the whole space.  With an
-    :class:`~repro.farm.explorestore.ExploreStore` and the space's
-    ``key`` (``ExploreStore.key``), the enumeration is incremental:
+    :class:`~repro.farm.store.ArtifactStore` handle and the space's
+    ``key`` (:func:`~repro.farm.explorestore.exploration_key`), the
+    enumeration is incremental — this is the only reader and writer
+    of ``"exploration"`` records:
 
     * a complete record within the budget is returned as-is, **zero**
       paths re-run;
@@ -260,7 +263,8 @@ def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
       run's.  When the record already spends the budget, its
       accounting is returned, flagged not-exhausted, exactly like the
       equivalent cold budget-truncated run;
-    * whatever was walked is counted (``note_live``) and published —
+    * whatever was walked is counted (the ``explore.live_paths``
+      metric; a resume ticks ``explore.resumes``) and published —
       complete, or partial with the walk's frontier.
 
     A deadline-aborted path is requeued exactly when a store is given:
@@ -268,9 +272,10 @@ def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
     base: Optional[ExplorationResult] = None
     roots: Optional[List[PathNode]] = None
     publish = store is not None
+    ctx = obs.active()
     if store is not None:
-        from ...farm.explorestore import ExplorationRecord
-        rec = store.get(key)
+        from ...farm.explorestore import RECORD_KIND, ExplorationRecord
+        rec = store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
         if rec is not None and rec.paths_run > spec.max_paths and \
                 (rec.budget is None or rec.budget > spec.max_paths):
             rec, publish = None, False
@@ -281,18 +286,20 @@ def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
             if base.paths_run >= spec.max_paths:
                 base.exhausted = False
                 return base
-            store.note_resume()
+            if ctx is not None:
+                ctx.inc("explore.resumes")
     budget = spec if base is None \
         else replace(spec, max_paths=spec.max_paths - base.paths_run)
     result, frontier = walk(budget, roots, store is not None)
     if store is None:
         return result
-    store.note_live(result.paths_run)
+    if ctx is not None:
+        ctx.inc("explore.live_paths", result.paths_run)
     if base is not None:
         result = ExplorationResult.merge([base, result])
     if publish:
-        store.put(key, ExplorationRecord.from_result(
-            result, frontier(), budget=spec.max_paths))
+        store.put_record(key, ExplorationRecord.from_result(
+            result, frontier(), budget=spec.max_paths), kind=RECORD_KIND)
     return result
 
 

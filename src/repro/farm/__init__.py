@@ -12,16 +12,20 @@ Layers
 ======
 
 :mod:`repro.farm.store` — :class:`~repro.farm.store.ArtifactStore`
-    A persistent, on-disk, content-addressed store of compiled
-    artifacts (pickled :class:`~repro.pipeline.CompiledProgram`
-    objects) keyed on ``(source, impl, flags, schema_version)``.
-    Writes are atomic (temp file + ``os.replace``), corrupt or
-    truncated entries fall back to silent recompilation, and the store
-    is bounded by total size with LRU eviction (reads refresh an
-    entry's recency).  Installed into the pipeline with
-    :func:`repro.pipeline.set_artifact_store`, it is consulted after
-    the in-memory compile cache and lets repeated CLI / pytest /
-    benchmark invocations skip the front end entirely.
+    The one store: a persistent, on-disk, content-addressed store of
+    every record kind — compiled artifacts (pickled
+    :class:`~repro.pipeline.CompiledProgram` objects keyed on
+    ``(source, impl, name, schema_version)``), exploration records,
+    static analyses and the daemon's queue.  Writes are atomic (temp
+    file + ``os.replace``), corrupt or truncated entries fall back to
+    silent regeneration, and the store is bounded by total size with
+    LRU eviction (reads refresh an entry's recency).  A process holds
+    one handle: the entry point opens it (the CLI's ``--store``, the
+    daemon, :func:`~repro.farm.pool.run_tasks` once per worker) and
+    installs it with :func:`repro.pipeline.set_artifact_store`, where
+    it is consulted after the in-memory compile cache, and every seam
+    takes it as one ``store`` argument
+    (:func:`~repro.farm.store.as_store` normalises a directory).
 
 :mod:`repro.farm.pool` — :func:`~repro.farm.pool.sweep` and friends
     A ``multiprocessing`` worker pool (fork-based where available)
@@ -40,24 +44,16 @@ Layers
     its own metrics registry, shipped back with its result — never
     from scans of the store directory.
 
-:mod:`repro.farm.explorestore` — incremental re-exploration
-    :class:`~repro.farm.explorestore.ExplorationRecord` persists
-    completed exploration results *and* interrupted frontiers
-    (picklable :class:`~repro.dynamics.explore.PathNode` prefixes +
-    sleep sets) as kind-prefixed records in the same
-    :class:`~repro.farm.store.ArtifactStore`, keyed on the exploration
-    space — source, implementation, model, entry, step budget,
-    strategy, seed, POR, schema version.  A warm hit returns the
-    recorded result with **zero** paths re-run; a partial record is
-    always resumed, and merges to exactly what an uninterrupted
-    serial run would have produced.  The lifecycle — look up, serve,
-    resume, walk, count, publish — is one function,
-    :func:`repro.dynamics.explore.explore_space`, which both the
-    in-process and the farm-sharded walk run through.  Seams:
-    ``CompiledProgram.explore(store=)``, ``explore_many(store=)``,
-    ``explore_farm(explore_store=)``,
-    ``sweep_campaign(explore_store=)``, CLI ``--explore-store`` /
-    ``farm sweep --explore-store``.
+:mod:`repro.farm.explorestore` — ``ExplorationRecord``
+    :class:`~repro.farm.explorestore.ExplorationRecord` is one
+    persisted exploration — a completed result *or* an
+    interrupted frontier (:class:`~repro.dynamics.explore.PathNode`
+    prefixes + sleep sets) — stored as an ``"exploration"`` record
+    keyed on the exploration space
+    (:func:`~repro.farm.explorestore.exploration_key`).  Its only
+    reader and writer is :func:`repro.dynamics.explore.explore_space`:
+    a warm hit re-runs **zero** paths, and a partial record is always
+    resumed, merging to exactly what an uninterrupted run produces.
 
 :mod:`repro.farm.frontier` — farm-sharded state-space exploration
     :func:`~repro.farm.frontier.explore_farm` splits one program's
@@ -69,7 +65,7 @@ Layers
     partial-order reduction settings travel with each shard, and each
     shard answers with an
     :class:`~repro.farm.explorestore.ExplorationRecord` — the form
-    the record store persists, so a frontier crosses the worker
+    the store persists, so a frontier crosses the worker
     boundary and reaches the store as the same ``PathNode`` values.
     CLI: ``cerberus-py file.c --exhaustive --explore-jobs N``.
 
@@ -122,7 +118,7 @@ CLI::
 from __future__ import annotations
 
 from .store import STORE_SCHEMA_VERSION, ArtifactStore
-from .explorestore import ExplorationRecord, ExploreStore
+from .explorestore import ExplorationRecord
 from .pool import (
     SweepTask, TaskResult, Verdict, shard_select, sweep,
     task_result_from_json, task_result_to_json,
@@ -136,7 +132,6 @@ __all__ = [
     "ArtifactStore",
     "STORE_SCHEMA_VERSION",
     "ExplorationRecord",
-    "ExploreStore",
     "SweepTask",
     "TaskResult",
     "Verdict",

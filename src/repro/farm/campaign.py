@@ -120,9 +120,8 @@ class CampaignReport:
                 "store_hit_rate": cache["store_hit_rate"],
                 "store_corrupt": cache.get("store_corrupt", 0),
             },
-            # Exploration-record reuse (mode="explore" with an explore
-            # store): warm campaigns show hit rate 1.0 and zero live
-            # paths.
+            # Exploration-record reuse (mode="explore" with a store):
+            # warm campaigns show hit rate 1.0 and zero live paths.
             "explore": {
                 "hits": explore.get("explore_hits", 0),
                 "misses": explore.get("explore_misses", 0),
@@ -320,17 +319,16 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
                    spec: ExploreSpec = ExploreSpec(),
                    store=None,
                    shard: Tuple[int, int] = (0, 1),
-                   explore_store=None,
                    lint: bool = False,
                    task_timeout: Optional[float] = None,
                    server=None):
     """Sweep an ad-hoc ``(name, source)`` corpus under one ``spec``;
-    returns ``(task_results, CampaignReport)``.  ``explore_store`` (a
-    directory, :class:`~repro.farm.store.ArtifactStore`, or
-    :class:`~repro.farm.explorestore.ExploreStore`) persists
-    per-program × per-model exploration records: shards publish what
-    they explore, warm re-sweeps re-run zero paths (the report's
-    ``metrics["explore"]`` block shows it), and interrupted
+    returns ``(task_results, CampaignReport)``.  ``store`` (a
+    directory or an :class:`~repro.farm.store.ArtifactStore`) is the
+    sweep's one store: compiled artifacts, statics records and, in
+    explore mode, per-program × per-model exploration records — tasks
+    publish what they explore, warm re-sweeps re-run zero paths (the
+    report's ``metrics["explore"]`` block shows it), and interrupted
     explorations resume from their persisted frontier.  ``lint``
     runs the definite-UB linter per program and, in explore mode,
     acts as a *pre-exploration filter*: a program with a definite
@@ -341,8 +339,8 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
     farm daemon (``cerberus-py serve``) instead of a local pool: jobs
     coalesce with identical in-flight submissions from other clients,
     results come from the daemon's crash-safe queue, and ``jobs`` /
-    ``store`` / ``explore_store`` are the *daemon's* choices, not
-    this call's (the local values are ignored)."""
+    ``store`` are the *daemon's* choices, not this call's (the local
+    values are ignored)."""
     model_list = list(models) if models is not None else list(MODELS)
     start = time.perf_counter()
     if server is not None:
@@ -355,8 +353,7 @@ def sweep_campaign(programs: Iterable[Tuple[str, str]],
         task_results = sweep(programs, models=model_list, jobs=jobs,
                              mode=mode, spec=spec, store=store,
                              shard_index=shard[0],
-                             shard_count=shard[1],
-                             explore_store=explore_store, lint=lint,
+                             shard_count=shard[1], lint=lint,
                              task_timeout=task_timeout)
     wall = time.perf_counter() - start
 

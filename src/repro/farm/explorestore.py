@@ -30,23 +30,24 @@ not *which* state space it walks, so a campaign interrupted under one
 budget can be finished under another.
 
 The lifecycle — look up, serve, resume, walk, count, publish — is
-one function, :func:`repro.dynamics.explore.explore_space`; this
-module holds what it persists (:class:`ExplorationRecord`, also the
-payload of a farm ``explore_shard`` task) and the store view it
-persists through (:class:`ExploreStore`).  Entry points:
-:meth:`repro.pipeline.CompiledProgram.explore(store=)`,
-``explore_many(store=)``, :func:`repro.farm.frontier.explore_farm`
-(``explore_store=``), ``sweep_campaign(explore_store=)``, and the CLI
-(``cerberus-py --explore-store DIR``, ``farm sweep --explore-store
-DIR``).  A partial record is always resumed.
+one function, :func:`repro.dynamics.explore.explore_space`, the only
+reader and writer of ``"exploration"`` records; this module holds
+what it persists (:class:`ExplorationRecord`, also the payload of a
+farm ``explore_shard`` task) and the record's address
+(:func:`exploration_key`).  Records live in the one
+:class:`~repro.farm.store.ArtifactStore` handle of the process, beside
+compiled artifacts and static analyses: every seam takes it as its
+``store`` argument — :meth:`repro.pipeline.CompiledProgram.explore`,
+``explore_many``, :func:`repro.farm.frontier.explore_farm`, ``explore``
+tasks (the batch's store) and the CLI's ``--store DIR``.  A partial
+record is always resumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .. import obs
 from ..dynamics.explore import ExplorationResult, PathNode
 from ..spec import ExploreSpec
 from .store import ArtifactStore
@@ -120,77 +121,17 @@ class ExplorationRecord:
                                  abandoned=self.abandoned)
 
 
-class ExploreStore:
-    """Exploration records in (a view of) an :class:`ArtifactStore`.
-
-    Wraps an existing store, a store directory path, or another
-    ``ExploreStore`` (passed through), so every caller seam accepts
-    whatever the user already has.  Records share the backing store's
-    durability contract — atomic writes, corruption -> silent
-    re-explore, size-bounded LRU eviction (exploration bytes count),
-    and ``schema_version`` invalidation."""
-
-    def __init__(self, store):
-        self.store = store if hasattr(store, "get_record") \
-            else ArtifactStore(store)
-        # Per-handle counters beyond the backing store's record_*:
-        # how often a partial frontier was resumed, and how many paths
-        # were actually run live (warm hits add zero).
-        self._counters: Dict[str, int] = {"resumes": 0,
-                                          "live_paths": 0}
-
-    @classmethod
-    def wrap(cls, store) -> "ExploreStore":
-        return store if isinstance(store, cls) else cls(store)
-
-    # -- content addressing ---------------------------------------------------
-
-    def key(self, source: str, impl, model: str,
-            name: str = "<string>",
-            spec: ExploreSpec = ExploreSpec()) -> str:
-        """The content address of one exploration *space*: the
-        program (source, implementation, name — source locations
-        embed it), the memory model, and :meth:`ExploreSpec.key
-        <repro.spec.RunSpec.key>` — every spec field except the path
-        budget.  The budget (like ``deadline_s``) decides how much of
-        the space one invocation walks, and lives in the record as
-        accounting instead.  ``static_prune`` and ``backend`` change
-        which choice points exist and who replays them, so a frontier
-        persisted under one is never resumed under the other."""
-        return self.store.record_key(
-            RECORD_KIND, source, repr(impl), model, name, spec.key())
-
-    # -- record round-trip ----------------------------------------------------
-
-    def get(self, key: str) -> Optional[ExplorationRecord]:
-        # A foreign object under our key is a (counted) miss and is
-        # dropped like any corrupt entry — the backing store does the
-        # type check so its hit/miss counters stay truthful.
-        return self.store.get_record(key, ExplorationRecord,
-                                     kind=RECORD_KIND)
-
-    def put(self, key: str, record: ExplorationRecord) -> None:
-        self.store.put_record(key, record, kind=RECORD_KIND)
-
-    # -- observability --------------------------------------------------------
-
-    def note_resume(self) -> None:
-        self._counters["resumes"] += 1
-        ctx = obs.active()
-        if ctx is not None:
-            ctx.inc("explore.resumes")
-
-    def note_live(self, paths: int) -> None:
-        self._counters["live_paths"] += paths
-        ctx = obs.active()
-        if ctx is not None:
-            ctx.inc("explore.live_paths", paths)
-
-    def stats(self) -> Dict[str, int]:
-        """Hits/misses/stores/corrupt of exploration records in the
-        backing store, plus this handle's resume and live-path
-        counters.  Reads the per-``"exploration"``-kind counters, not
-        the flat record totals — the backing store also holds
-        ``"statics"`` records whose traffic must not be billed to
-        exploration — and never scans the store directory."""
-        return {**self.store.kind_stats(RECORD_KIND), **self._counters}
+def exploration_key(store: ArtifactStore, source: str, impl,
+                    model: str, name: str = "<string>",
+                    spec: ExploreSpec = ExploreSpec()) -> str:
+    """The content address of one exploration *space* in ``store``:
+    the program (source, implementation, name — source locations
+    embed it), the memory model, and :meth:`ExploreSpec.key
+    <repro.spec.RunSpec.key>` — every spec field except the path
+    budget.  The budget (like ``deadline_s``) decides how much of the
+    space one invocation walks, and lives in the record as accounting
+    instead.  ``static_prune`` and ``backend`` change which choice
+    points exist and who replays them, so a frontier persisted under
+    one is never resumed under the other."""
+    return store.record_key(RECORD_KIND, source, repr(impl), model,
+                            name, spec.key())

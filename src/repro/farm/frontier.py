@@ -13,10 +13,10 @@ parallelises the same way corpora do:
 2. each pending :class:`~repro.dynamics.explore.PathNode` (prefix +
    POR sleep set) becomes an ``"explore_shard"``
    :class:`~repro.farm.pool.SweepTask` dispatched through
-   :func:`~repro.farm.pool.run_tasks`, sharing the artifact store so
+   :func:`~repro.farm.pool.run_tasks`, sharing the caller's store so
    workers skip the front end; each shard answers with an
    :class:`~repro.farm.explorestore.ExplorationRecord` — the form
-   the record store persists, its unexplored remainder as
+   the store persists, its unexplored remainder as
    ``PathNode`` values, flips included;
 3. shard records merge into one
    :class:`~repro.dynamics.explore.ExplorationResult`:
@@ -35,14 +35,14 @@ its slice (marking the merge non-exhausted) while sibling shards
 leave theirs unused — unlike a serial run, which would have spent the
 idle budget on the deep subtree.  When an exploration comes back
 non-exhausted with ``paths_run`` well under ``max_paths``, re-run
-with a larger budget: with a record store the re-run resumes the
+with a larger budget: with a store the re-run resumes the
 leftover subtrees.  ``deadline_s`` is likewise one wall-clock budget:
 shards receive only what the seeding phase left.
 
 The walk runs inside :func:`repro.dynamics.explore.explore_space`,
 the same record lifecycle as an in-process exploration, so
-``explore_store=`` makes the whole farm exploration incremental
-under the same record key as the serial seam: a complete record
+``store=`` makes the whole farm exploration incremental under the
+same record key as the serial seam: a complete record
 returns with **zero** paths re-run; an interrupted campaign —
 deadline, per-shard budget, worker timeout or kill — persists the
 surviving frontier (un-mined shard roots plus every shard's
@@ -64,8 +64,9 @@ from ..dynamics.explore import (
 )
 from ..pipeline import compile_for_model
 from ..spec import ExploreSpec
-from .explorestore import ExploreStore
+from .explorestore import exploration_key
 from .pool import SweepTask, run_tasks
+from .store import as_store
 
 #: Seed until there are this many roots per worker.
 FRONTIER_FACTOR = 4
@@ -77,7 +78,6 @@ def explore_farm(source: str,
                  spec: ExploreSpec = ExploreSpec(),
                  jobs: int = 1,
                  store=None,
-                 explore_store=None,
                  deadline_s: Optional[float] = None,
                  name: str = "<string>",
                  task_timeout: Optional[float] = None
@@ -90,23 +90,27 @@ def explore_farm(source: str,
     for every caller.  Otherwise the frontier is seeded
     breadth-first, split into per-prefix shard tasks (each running
     ``spec`` on its subtree), and the shard records merged with
-    correct ``exhausted``/``paths_run`` accounting.  ``store`` is the
-    compiled-artifact store workers share; ``explore_store`` persists
-    the exploration itself (warm hit = zero paths re-run,
+    correct ``exhausted``/``paths_run`` accounting.  ``store`` (a
+    handle or a directory) is the one store of the exploration: the
+    shard workers install it for their compiled artifacts, and it
+    persists the exploration itself (warm hit = zero paths re-run,
     interruption = resumable frontier) under the same record key as
-    the serial seam."""
+    the serial seam.  Without it the shards fall back to the
+    installed store (:func:`~repro.farm.pool.run_tasks`) and the
+    exploration persists nothing."""
+    store = as_store(store)
     program = compile_for_model(source, model, impl, name=name)
     if jobs <= 1:
         return program.explore(model, spec, deadline_s=deadline_s,
-                               store=explore_store, name=name)
+                               store=store, name=name)
     key = None
-    if explore_store is not None:
-        explore_store = ExploreStore.wrap(explore_store)
-        key = explore_store.key(source, program.impl, model, name, spec)
+    if store is not None:
+        key = exploration_key(store, source, program.impl, model, name,
+                              spec)
     if spec.static_prune:
         # Seeding and shards must resolve choice points alike, or
         # replayed prefixes would diverge: the same annotations.
-        program.statics(explore_store, name=name)
+        program.statics(store, name=name)
     make_driver = driver_factory(
         program.core, lambda: program.make_model(model, spec), spec)
     ctx = obs.active()
@@ -175,4 +179,4 @@ def explore_farm(source: str,
         return merged, lambda: leftover
 
     with obs.maybe_span(ctx, "explore_farm", jobs=jobs, model=model):
-        return explore_space(walk, spec, store=explore_store, key=key)
+        return explore_space(walk, spec, store=store, key=key)

@@ -31,10 +31,12 @@ exploration and the daemon's worker all come through it:
   the pool.
 
 ``jobs=1`` runs the same tasks serially in-process, no fork required.
-Workers are forked where available (Linux) and each installs its own
-handle on the shared :class:`~repro.farm.store.ArtifactStore`, so a
-warm store makes a parallel sweep execution-only: zero front-end
-translations.
+Workers are forked where available (Linux).  A batch has one store:
+:func:`run_tasks` installs its :class:`~repro.farm.store.ArtifactStore`
+handle in-process or once in each worker, and every task uses that
+handle for every record kind — compiled artifacts, exploration
+records, static analyses — and opens none of its own.  A warm store
+makes a parallel sweep execution-only: zero front-end translations.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from ..pipeline import (
     run_many, set_artifact_store,
 )
 from ..spec import ExploreSpec
-from .store import ArtifactStore
+from .store import ArtifactStore, as_store
 
 #: ``TaskResult.stats``: each key and the metric counter it reads
 #: (``*`` matches any record kind).
@@ -123,17 +125,19 @@ class SweepTask:
     selects the worker recipe:
 
     * ``"run"`` — run ``source`` once per model (:func:`run_many`);
-    * ``"explore"`` — explore per model (``explore_store`` — a
-      record-store directory — publishes, reuses and resumes
-      per-model exploration records);
+    * ``"explore"`` — explore per model, publishing, reusing and
+      resuming per-model exploration records in the batch's store
+      (the handle :func:`run_tasks` installed; without one the
+      exploration is storeless);
     * ``"explore_shard"`` — explore only the subtree rooted at the
       oracle choice ``prefix`` (with its POR ``sleep`` set) under
       ``models[0]`` — one shard of a farm-split frontier, returning
       an :class:`~repro.farm.explorestore.ExplorationRecord` (the
       slimmed result plus the subtree's unexplored remainder, the
-      form the record store persists) in ``data["shard"]`` for
+      form the store persists) in ``data["shard"]`` for
       :func:`~repro.farm.frontier.explore_farm` to merge;
-    * ``"suite"`` — the named de facto test-suite entry across models;
+    * ``"suite"`` — the named de facto test-suite entry across models
+      (explored without a store);
     * ``"csmith"`` — generate the seeded program, run it across
       models, classify against the generator's expected output.
     """
@@ -150,13 +154,13 @@ class SweepTask:
     deadline_s: Optional[float] = None  # cooperative in-task deadline
     prefix: Tuple[int, ...] = ()        # explore_shard: subtree root
     sleep: Tuple = ()                   # explore_shard: POR sleep set
-    explore_store: Optional[str] = None  # explore: record store dir
     # explore_shard: requeue deadline-aborted paths uncounted — the
-    # value explore_space hands the walk (a record store is given).
+    # value explore_space hands the walk (a store is given).
     requeue_interrupted: bool = False
     # run/explore/suite: attach static lint findings to the result
-    # ("lint" data key); campaign layers use definite findings as a
-    # pre-exploration filter.
+    # ("lint" data key; the analysis is cached in the batch's store);
+    # campaign layers use definite findings as a pre-exploration
+    # filter.
     lint: bool = False
     # time.monotonic() at submission, stamped by run_tasks; the worker
     # reports the queue wait (start - submitted) in the result.
@@ -314,10 +318,6 @@ def _execute_task(task: SweepTask) -> TaskResult:
         result.queue_wait_s = max(0.0,
                                   time.monotonic() - task.submitted_m)
     try:
-        explore_store = None
-        if task.explore_store is not None:
-            from .explorestore import ExploreStore
-            explore_store = ExploreStore(task.explore_store)
         if task.kind == "run":
             outcomes = run_many(task.source, task.models, task.impl,
                                 task.spec, name=task.name)
@@ -326,7 +326,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
         elif task.kind == "explore":
             findings = []
             if task.lint:
-                findings = _lint_findings(task, explore_store)
+                findings = _lint_findings(task)
                 result.data["lint"] = findings
             if any(f["severity"] == "definite" for f in findings):
                 # Pre-exploration filter: a definite static finding
@@ -338,7 +338,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
                 explorations = explore_many(
                     task.source, task.models, task.impl, task.spec,
                     name=task.name, deadline_s=task.deadline_s,
-                    store=explore_store)
+                    store=get_artifact_store())
                 result.data["explorations"] = {
                     m: ExploreSummary(r.paths_run, r.exhausted,
                                       r.behaviours(), r.has_ub(),
@@ -357,8 +357,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
                 lint_task = SweepTask(task.index, task.name,
                                       source=TESTS[task.name].source,
                                       impl=task.impl)
-                result.data["lint"] = _lint_findings(lint_task,
-                                                     explore_store)
+                result.data["lint"] = _lint_findings(lint_task)
         elif task.kind == "csmith":
             from ..csmith.generator import generate_program
             from ..csmith.reference import classify_outcomes
@@ -393,12 +392,13 @@ def _execute_task(task: SweepTask) -> TaskResult:
     return result
 
 
-def _lint_findings(task: SweepTask, explore_store=None):
-    """The slim lint payload of one task: finding dicts, IPC-safe."""
+def _lint_findings(task: SweepTask):
+    """The slim lint payload of one task: finding dicts, IPC-safe
+    (the analysis is cached in the batch's store)."""
     from ..pipeline import compile_c
     try:
         program = compile_c(task.source, task.impl, name=task.name)
-        findings = program.lint(explore_store, name=task.name)
+        findings = program.lint(get_artifact_store(), name=task.name)
     except CerberusError:
         return []
     return [f.to_dict() for f in findings]
@@ -430,56 +430,16 @@ def _explore_shard(task: SweepTask):
                                          explorer.pending)
 
 
-def explore_store_path(explore_store) -> Optional[str]:
-    """Normalise an exploration-record store argument to the
-    picklable directory path tasks carry: accepts ``None``, a path,
-    an :class:`ArtifactStore`, or an
-    :class:`~repro.farm.explorestore.ExploreStore`.  Explicit type
-    checks, not ``getattr`` duck-typing: ``pathlib.Path`` has a
-    ``.root`` attribute of its own (the filesystem root!)."""
-    if explore_store is None:
-        return None
-    from .explorestore import ExploreStore
-    if isinstance(explore_store, ExploreStore):
-        explore_store = explore_store.store
-    if isinstance(explore_store, ArtifactStore):
-        return str(explore_store.root)
-    return str(explore_store)
-
-
-def _resolve_store(store):
-    """Normalise the ``store`` argument: ``None`` falls back to the
-    globally installed store (so ``set_artifact_store`` + a farm run
-    compose), a path builds an :class:`ArtifactStore`, an existing
-    store passes through."""
-    if store is None:
-        return get_artifact_store()
-    if hasattr(store, "get"):
-        return store
-    return ArtifactStore(store)
-
-
-def _store_spec(store) -> Optional[Tuple[str, int, int]]:
-    """A picklable description of the store for worker initialisers."""
-    if store is None:
-        return None
-    return (str(store.root), store.max_bytes, store.schema_version)
-
-
-def _init_worker(store_spec: Optional[Tuple[str, int, int]]) -> None:
+def _init_worker(store: Optional[ArtifactStore]) -> None:
     """Per-worker setup: a clean in-memory cache (fork inherits the
-    parent's; a worker starts cold, like any fresh process) and this
-    worker's own handle on the shared on-disk store.  Any inherited
-    observability context is dropped too: a forked child must never
-    double-write the parent's trace file."""
+    parent's; a worker starts cold, like any fresh process) and the
+    batch's store handle — the worker's copy, installed once for its
+    whole life, so its first write is its only directory scan.  Any
+    inherited observability context is dropped too: a forked child
+    must never double-write the parent's trace file."""
     obs.reset()
     clear_compile_cache()
-    if store_spec is None:
-        set_artifact_store(None)
-    else:
-        root, max_bytes, schema_version = store_spec
-        set_artifact_store(ArtifactStore(root, max_bytes,
-                                         schema_version))
+    set_artifact_store(store)
 
 
 def _timeout_result(task: SweepTask, timeout: float) -> TaskResult:
@@ -493,11 +453,13 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
               task_timeout: Optional[float] = None) -> List[TaskResult]:
     """Execute tasks and return results in task order.
 
-    ``jobs=1`` runs serially in this process (installing ``store``
-    for the duration); ``jobs>1`` forks a worker pool, each worker
-    opening its own handle on the shared store.  ``store=None`` falls
-    back to the globally installed artifact store, so
-    ``set_artifact_store`` + farm runs compose.
+    ``store`` (a handle or a directory, normalised by
+    :func:`~repro.farm.store.as_store`) is the batch's one store:
+    ``jobs=1`` installs it in this process for the duration; ``jobs>1``
+    forks a worker pool and installs it once in each worker.  Tasks
+    use it for every record kind and open no handle of their own.
+    ``store=None`` falls back to the globally installed artifact
+    store, so ``set_artifact_store`` + farm runs compose.
 
     ``task_timeout`` bounds each task's wall-clock.  In worker mode
     it is a hard limit: a task that exceeds it is reported
@@ -517,7 +479,8 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
             t.deadline_s = task_timeout
         if t.submitted_m is None:
             t.submitted_m = submitted
-    store = _resolve_store(store)
+    store = as_store(store) if store is not None \
+        else get_artifact_store()
     if jobs <= 1 or len(tasks) <= 1:
         previous = set_artifact_store(store)
         try:
@@ -525,8 +488,7 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
         finally:
             set_artifact_store(previous)
     else:
-        results = _run_tasks_pooled(tasks, jobs, _store_spec(store),
-                                    task_timeout)
+        results = _run_tasks_pooled(tasks, jobs, store, task_timeout)
         results.sort(key=lambda r: r.index)
     ctx = obs.active()
     if ctx is not None:
@@ -535,7 +497,8 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
     return results
 
 
-def _run_tasks_pooled(tasks: List[SweepTask], jobs: int, spec,
+def _run_tasks_pooled(tasks: List[SweepTask], jobs: int,
+                      store: Optional[ArtifactStore],
                       task_timeout: Optional[float]
                       ) -> List[TaskResult]:
     methods = multiprocessing.get_all_start_methods()
@@ -544,7 +507,7 @@ def _run_tasks_pooled(tasks: List[SweepTask], jobs: int, spec,
 
     def fresh_pool():
         return ctx.Pool(jobs, initializer=_init_worker,
-                        initargs=(spec,))
+                        initargs=(store,))
 
     results: List[TaskResult] = []
     remaining = list(tasks)
@@ -603,7 +566,6 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
           spec: ExploreSpec = ExploreSpec(),
           store=None,
           shard_index: int = 0, shard_count: int = 1,
-          explore_store=None,
           lint: bool = False,
           task_timeout: Optional[float] = None) -> List[TaskResult]:
     """Sweep a corpus of C programs across memory object models under
@@ -612,9 +574,10 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
     ``programs`` is an iterable of ``(name, source)`` pairs (bare
     source strings get positional names).  Returns one
     :class:`TaskResult` per (sharded) program, in corpus order.
-    ``explore_store`` (a directory path) persists ``mode="explore"``
-    results as exploration records workers publish and reuse;
-    ``lint`` attaches the static findings to each task result."""
+    ``store`` is the batch's store (see :func:`run_tasks`): with
+    ``mode="explore"`` it also holds the exploration records tasks
+    publish, reuse and resume; ``lint`` attaches the static findings
+    to each task result."""
     model_list = tuple(MODELS) if models is None else tuple(models)
     named = []
     for i, entry in enumerate(programs):
@@ -624,10 +587,9 @@ def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,
             name, source = entry
             named.append((str(name), source))
     named = shard_select(named, shard_index, shard_count)
-    explore_store = explore_store_path(explore_store)
     tasks = [SweepTask(index=i, name=name, kind=mode, source=source,
                        models=model_list, impl=impl, spec=spec,
-                       explore_store=explore_store, lint=lint)
+                       lint=lint)
              for i, (name, source) in enumerate(named)]
     return run_tasks(tasks, jobs=jobs, store=store,
                      task_timeout=task_timeout)

@@ -4,8 +4,9 @@ The batch tool this repo grew up as pays its startup cost — process
 boot, imports, cold caches — on every invocation.  :class:`FarmServer`
 is the service seam the ROADMAP (and PRs 2 and 5) named next: one
 persistent asyncio daemon owns one :class:`~repro.farm.store.
-ArtifactStore` (and, through it, the exploration-record store) plus a
-pre-warmed forked worker pool, and serves C-semantics verdicts over a
+ArtifactStore` — compiled artifacts, exploration records and its job
+queue — plus a pre-warmed forked worker pool whose workers each hold
+one handle on it for life, and serves C-semantics verdicts over a
 small JSON protocol on a unix socket.  Clients POST C source, the job
 envelope (impl, models, mode, lint) and the fields of one
 :class:`~repro.spec.ExploreSpec`, and get campaign-report payloads
@@ -31,10 +32,10 @@ Robustness properties
   restarted on the same store re-enqueues every accepted-but-
   unfinished job (``server.resumed``); completed payloads were
   persisted as ``"jobresult"`` records, so clients that re-connect
-  and poll ``result`` get every answer.  Job explorations run
-  through the exploration-record store in the same directory, so a
-  restart also rides PR 5's frontier/record resume: per-model cells
-  finished before the kill are never re-explored.
+  and poll ``result`` get every answer.  Job explorations persist
+  their records in the same store, so a restart also rides PR 5's
+  frontier/record resume: per-model cells finished before the kill
+  are never re-explored.
 * **Quotas** — at most ``quota`` unfinished jobs *accepted* per
   client name (attaching to an in-flight duplicate is free);
   exceeding it is a structured ``quota-exceeded`` error.
@@ -178,10 +179,9 @@ from .. import obs
 from ..obs.trace import run_id_for
 from ..spec import ExploreSpec, SpecError
 from .pool import (
-    SweepTask, _init_worker, _store_spec, execute_task,
-    task_result_to_json,
+    SweepTask, _init_worker, execute_task, task_result_to_json,
 )
-from .store import ArtifactStore
+from .store import ArtifactStore, as_store
 
 #: Wire-protocol version: folded into every health/stats response and
 #: checked against each request's ``v`` field.
@@ -363,15 +363,17 @@ def validate_submit(msg: dict, max_source_bytes: int) -> JobSpec:
 
 # -- the worker side -----------------------------------------------------------
 
-def _init_server_worker(store_spec) -> None:
+def _init_server_worker(store: ArtifactStore) -> None:
     """Pool-worker bootstrap for the daemon: the normal farm worker
-    init, plus SIGTERM/SIGINT ignored — a terminal or service manager
-    signalling the daemon's process group must drain through the
-    daemon, not shoot the workers mid-job (SIGKILL still works; the
-    crash tests rely on it)."""
+    init, which installs the daemon's store handle once for the
+    worker's whole life (every job shares it, so the worker scans the
+    store directory at most once), plus SIGTERM/SIGINT ignored — a
+    terminal or service manager signalling the daemon's process group
+    must drain through the daemon, not shoot the workers mid-job
+    (SIGKILL still works; the crash tests rely on it)."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _init_worker(store_spec)
+    _init_worker(store)
 
 
 def _warm_worker() -> int:
@@ -388,16 +390,19 @@ def _execute_job(spec_dict: dict, explore_dir: Optional[str],
     (:func:`repro.farm.pool.execute_task`), so server-path verdicts
     ride the same ``run_many`` / ``explore_many`` seams as the direct
     API, with the job's explorations persisted as records in the
-    server's store (``explore_dir``) — that persistence is what makes
-    a SIGKILL'd campaign resumable."""
+    daemon's store — that persistence is what makes a SIGKILL'd
+    campaign resumable.  The job uses the handle
+    :func:`_init_server_worker` installed and opens none:
+    ``explore_dir`` only names that store's directory, and stays a
+    positional parameter because tracing wrappers hook this function
+    by position."""
     job = JobSpec.from_dict(spec_dict)
     from ..ctypes.implementation import ILP32, LP64
     task = SweepTask(
         index=0, name=job.name, kind=job.mode, source=job.source,
         models=job.models,
         impl=LP64 if job.impl == "LP64" else ILP32,
-        spec=job.spec, lint=job.lint, deadline_s=deadline_s,
-        explore_store=explore_dir if job.mode == "explore" else None)
+        spec=job.spec, lint=job.lint, deadline_s=deadline_s)
     return task_result_to_json(execute_task(task))
 
 
@@ -429,8 +434,7 @@ class FarmServer:
                  drain_timeout: float = 30.0,
                  max_request_bytes: int = _DEFAULT_MAX_REQUEST):
         self.socket_path = str(socket_path)
-        self.store = store if isinstance(store, ArtifactStore) \
-            else ArtifactStore(store)
+        self.store = as_store(store)
         self.workers = max(1, int(workers))
         self.quota = int(quota)
         self.job_timeout = job_timeout
@@ -441,7 +445,6 @@ class FarmServer:
         self.hard_timeout = hard_timeout
         self.drain_timeout = drain_timeout
         self.max_request_bytes = int(max_request_bytes)
-        self._explore_dir = str(self.store.root)
         self._jobs: Dict[str, Job] = {}
         self._client_jobs: Dict[str, Set[str]] = {}
         self._tasks: Set[asyncio.Task] = set()
@@ -554,7 +557,7 @@ class FarmServer:
         self._executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers, mp_context=mp_ctx,
             initializer=_init_server_worker,
-            initargs=(_store_spec(self.store),))
+            initargs=(self.store,))
         # Fork + import every worker now, not on the first request.
         warm = [self._executor.submit(_warm_worker)
                 for _ in range(self.workers)]
@@ -843,7 +846,7 @@ class FarmServer:
         try:
             future = loop.run_in_executor(
                 self._executor, _execute_job, job.spec.to_dict(),
-                self._explore_dir, self.job_timeout)
+                str(self.store.root), self.job_timeout)
             if self.hard_timeout is not None:
                 payload = await asyncio.wait_for(future,
                                                  self.hard_timeout)

@@ -5,15 +5,19 @@ process; every fresh CLI invocation, pytest worker, or benchmark round
 re-pays the whole front end.  :class:`ArtifactStore` persists pickled
 :class:`~repro.pipeline.CompiledProgram` artifacts on disk, keyed on
 the same content address as the in-memory cache — the source text, the
-implementation environment, the compile flags — plus a
+implementation environment, the name — plus a
 ``schema_version`` so that incompatible artifact layouts can never be
 deserialised into a newer interpreter.
 
 Beyond compiled artifacts, the store holds arbitrary *records* under
 kind-prefixed content addresses (:meth:`ArtifactStore.record_key` /
-``get_record`` / ``put_record``): :mod:`repro.farm.explorestore`
-persists completed and partial exploration results this way, sharing
-the same durability, eviction, and schema-versioning machinery.
+``get_record`` / ``put_record``): exploration records
+(:mod:`repro.farm.explorestore`), static analyses and the daemon's
+queue share the same durability, eviction, and schema-versioning
+machinery.  A process holds one handle: the entry point (the CLI's
+``--store``, the daemon, :func:`repro.farm.pool.run_tasks` per
+worker) opens it, every seam takes it as one ``store`` argument, and
+:func:`as_store` is the one normaliser of that argument.
 
 Durability properties:
 
@@ -144,13 +148,11 @@ class ArtifactStore:
             h.update(b"\x00")
         return h.hexdigest()
 
-    def key(self, source: str, impl, name: str = "<string>",
-            check_core: bool = True) -> str:
+    def key(self, source: str, impl, name: str = "<string>") -> str:
         """The content address of one translation: source text,
         implementation environment (``repr`` of the frozen dataclass
-        is a complete fingerprint), compile flags, schema version."""
-        return self.record_key("compiled", source, repr(impl), name,
-                               str(check_core))
+        is a complete fingerprint), name, schema version."""
+        return self.record_key("compiled", source, repr(impl), name)
 
     def _path(self, key: str) -> Path:
         return self.objects / key[:2] / f"{key}.pkl"
@@ -210,12 +212,11 @@ class ArtifactStore:
         self._kind_event(kind, "hits")
         return obj
 
-    def get(self, source: str, impl, name: str = "<string>",
-            check_core: bool = True):
+    def get(self, source: str, impl, name: str = "<string>"):
         """Load a compiled artifact, or ``None`` on miss (callers
         silently recompile — they never crash on a bad store)."""
-        return self._load(self.key(source, impl, name, check_core),
-                          "hits", "misses")
+        return self._load(self.key(source, impl, name), "hits",
+                          "misses")
 
     def get_record(self, key: str, expect=None,
                    kind: str = "record"):
@@ -228,8 +229,7 @@ class ArtifactStore:
         return self._load(key, "record_hits", "record_misses", expect,
                           kind=kind)
 
-    def touch(self, source: str, impl, name: str = "<string>",
-              check_core: bool = True) -> None:
+    def touch(self, source: str, impl, name: str = "<string>") -> None:
         """Refresh an entry's LRU recency without deserialising it.
 
         The pipeline's in-memory cache absorbs repeated ``compile_c``
@@ -237,8 +237,7 @@ class ArtifactStore:
         on-disk mtime refreshed after the first read — it looks cold to
         eviction while genuinely cold entries written later survive.
         ``compile_c`` calls this on every in-memory hit."""
-        self._stamp_recency(self._path(self.key(source, impl, name,
-                                                check_core)))
+        self._stamp_recency(self._path(self.key(source, impl, name)))
 
     def _stamp_recency(self, path: Path) -> None:
         """Mark ``path`` as the most recently used entry: a timestamp
@@ -285,12 +284,10 @@ class ArtifactStore:
         if self._approx_bytes > self.max_bytes:
             self._evict(keep=path)
 
-    def put(self, source: str, impl, name: str, check_core: bool,
-            program) -> None:
+    def put(self, source: str, impl, name: str, program) -> None:
         """Persist a compiled artifact atomically, then enforce the
         size bound."""
-        self._save(self.key(source, impl, name, check_core), program,
-                   "stores")
+        self._save(self.key(source, impl, name), program, "stores")
 
     def put_record(self, key: str, obj, kind: str = "record") -> None:
         """Persist an auxiliary record under a :meth:`record_key`
@@ -369,3 +366,14 @@ class ArtifactStore:
             except OSError:
                 pass
         self._approx_bytes = 0
+
+
+def as_store(store) -> Optional[ArtifactStore]:
+    """The one normaliser of a ``store`` argument: ``None`` stays
+    ``None``, a handle passes through, and a directory path (``str``
+    or :class:`~pathlib.Path`) opens a handle on it.  An explicit type
+    check, not duck typing: ``pathlib.Path`` has a ``.root`` of its
+    own (the filesystem root)."""
+    if store is None or isinstance(store, ArtifactStore):
+        return store
+    return ArtifactStore(store)

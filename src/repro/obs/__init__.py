@@ -228,9 +228,7 @@ def _install(ctx: ObsContext) -> Iterator[ObsContext]:
 
 @contextlib.contextmanager
 def tracing(path=None, identity: str = "",
-            profile_dir=None,
-            metrics: Optional[MetricsRegistry] = None
-            ) -> Iterator[ObsContext]:
+            profile_dir=None) -> Iterator[ObsContext]:
     """Install an observability context for the duration of the
     ``with`` block: metrics always collected; ``path`` additionally
     writes a JSON-lines trace there (closed with a final metrics
@@ -240,8 +238,8 @@ def tracing(path=None, identity: str = "",
     identical invocations produce diffable traces.  Nested uses chain
     (metrics propagate to the outer scope)."""
     tracer = Tracer(path, identity) if path is not None else None
-    ctx = ObsContext(tracer=tracer, metrics=metrics,
-                     profile_dir=profile_dir, parent=_ACTIVE)
+    ctx = ObsContext(tracer=tracer, profile_dir=profile_dir,
+                     parent=_ACTIVE)
     try:
         with _install(ctx):
             yield ctx

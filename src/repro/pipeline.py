@@ -7,7 +7,7 @@ program:
   preprocess, parse (Cabs), desugar (Ail), typecheck (Typed Ail),
   elaborate (Core) — and returns a reusable :class:`CompiledProgram`.
   Results are memoised in a bounded content-addressed in-memory cache
-  keyed on ``(source, impl, flags)``; see :func:`compile_cache_stats`
+  keyed on ``(source, impl, name)``; see :func:`compile_cache_stats`
   and :func:`clear_compile_cache`.  A persistent cross-process second
   level (an artifact store from :mod:`repro.farm.store`) can be
   installed with :func:`set_artifact_store`: it is consulted after an
@@ -18,11 +18,14 @@ program:
   the compiled artifact against a chosen memory object model in
   single-path or exhaustive mode — any number of times, under any
   number of models, without re-elaborating.  ``explore(store=)``
-  additionally persists exploration results in the artifact store
-  (:mod:`repro.farm.explorestore`, through
+  additionally persists exploration results as records in the
+  artifact store (:mod:`repro.farm.explorestore`, through
   :func:`repro.dynamics.explore.explore_space`): unchanged programs
   are never re-explored, and interrupted explorations resume from
-  their persisted frontier.
+  their persisted frontier.  Every ``store`` argument below is one
+  :class:`~repro.farm.store.ArtifactStore` handle (or a directory to
+  open one on) holding every record kind; ``repro.farm`` is imported
+  only when one is given.
 * :func:`run_c` / :func:`explore_c` are thin compile-then-execute
   wrappers over one model.
 * :func:`run_many` / :func:`explore_many` execute one program across a
@@ -90,21 +93,6 @@ class StaticsRecord:
     complete: bool
 
 
-def _as_artifact_store(store):
-    """Normalise any store-ish argument (an ``ArtifactStore``, an
-    ``ExploreStore`` view, or a directory path) to the backing
-    :class:`~repro.farm.store.ArtifactStore`."""
-    if store is None:
-        return None
-    if hasattr(store, "record_key"):
-        return store
-    inner = getattr(store, "store", None)
-    if inner is not None and hasattr(inner, "record_key"):
-        return inner
-    from .farm.store import ArtifactStore
-    return ArtifactStore(store)
-
-
 @dataclass
 class CompiledProgram:
     """A compiled C program: Cabs + Typed Ail + Core, ready to run under
@@ -164,9 +152,10 @@ class CompiledProgram:
             serialize_unseq_info,
         )
         from .statics.lint import LintInterp
-        store = _as_artifact_store(store)
         key = None
         if store is not None:
+            from .farm.store import as_store
+            store = as_store(store)
             key = store.record_key(
                 STATICS_RECORD_KIND, self.source, repr(self.impl),
                 name, str(STATICS_VERSION))
@@ -184,14 +173,15 @@ class CompiledProgram:
             serialize_unseq_info(self.core, report),
             list(report.findings),
             report.complete)
-        if store is not None and key is not None:
+        if store is not None:
             store.put_record(key, record, kind=STATICS_RECORD_KIND)
         return record
 
     def lint(self, store=None, name: str = "<string>") -> list:
         """The definite-UB lint findings for this artifact
         (:class:`repro.statics.lint.Finding` list, sorted by source
-        location)."""
+        location); ``store`` caches the analysis as in
+        :meth:`statics`."""
         return self.statics(store, name).findings
 
     def explore(self, model: str = "provenance",
@@ -210,20 +200,21 @@ class CompiledProgram:
         One in-process :class:`~repro.dynamics.explore.Explorer`
         walks the space through
         :func:`~repro.dynamics.explore.explore_space`.  ``store`` (an
-        :class:`~repro.farm.explorestore.ExploreStore`, an
-        :class:`~repro.farm.store.ArtifactStore`, or a directory
-        path) makes exploration incremental: a completed result for
-        this ``(source, impl, model, name, spec.key())`` space is
-        returned with zero paths re-run, and an interrupted one
-        persists its frontier and is resumed by the next call.
-        ``name`` is folded into the record key (source locations
-        embed it)."""
+        :class:`~repro.farm.store.ArtifactStore` or a directory path)
+        makes exploration incremental: a completed record for this
+        ``(source, impl, model, name, spec.key())`` space
+        (:func:`~repro.farm.explorestore.exploration_key`) is returned
+        with zero paths re-run, and an interrupted one persists its
+        frontier and is resumed by the next call.  ``name`` is folded
+        into the record key (source locations embed it)."""
         spec = ExploreSpec.build(spec, **knobs)
         key = None
         if store is not None:
-            from .farm.explorestore import ExploreStore
-            store = ExploreStore.wrap(store)
-            key = store.key(self.source, self.impl, model, name, spec)
+            from .farm.explorestore import exploration_key
+            from .farm.store import as_store
+            store = as_store(store)
+            key = exploration_key(store, self.source, self.impl, model,
+                                  name, spec)
             if spec.static_prune:
                 # Attach (store-cached) footprint annotations ahead of
                 # the driver factory's own ensure_annotated fallback.
@@ -247,9 +238,11 @@ _compile_cache: "OrderedDict[str, CompiledProgram]" = OrderedDict()
 _cache_stats = {"hits": 0, "misses": 0, "evictions": 0,
                 "translations": 0, "store_hits": 0}
 
-# Optional second cache level: a persistent cross-process artifact
-# store (duck-typed to repro.farm.store.ArtifactStore — get/put/stats).
-# Consulted after an in-memory miss and before the front end runs.
+# Optional second cache level: the process's persistent cross-process
+# artifact store (duck-typed to repro.farm.store.ArtifactStore —
+# get/put/touch).  Consulted after an in-memory miss and before the
+# front end runs; farm batches hand the same handle to their explore
+# and lint tasks.
 _artifact_store = None
 
 
@@ -269,13 +262,12 @@ def get_artifact_store():
     return _artifact_store
 
 
-def _cache_key(source: str, impl: Implementation, name: str,
-               check_core: bool) -> str:
+def _cache_key(source: str, impl: Implementation, name: str) -> str:
     """Content address of one front-end translation: the source text,
     the implementation environment (``repr`` of the frozen dataclass is
-    a complete fingerprint), and the compile flags."""
+    a complete fingerprint), and the name."""
     h = hashlib.sha256()
-    for part in (source, repr(impl), name, str(check_core)):
+    for part in (source, repr(impl), name):
         h.update(part.encode("utf-8", "surrogateescape"))
         h.update(b"\x00")
     return h.hexdigest()
@@ -297,7 +289,6 @@ def compile_cache_stats() -> Dict[str, int]:
 
 def compile_c(source: str, impl: Implementation = LP64,
               name: str = "<string>",
-              check_core: bool = True,
               use_cache: bool = True) -> CompiledProgram:
     """Run the front half of the pipeline: source -> Core.
 
@@ -306,8 +297,7 @@ def compile_c(source: str, impl: Implementation = LP64,
     shared, and safe to share, because execution state lives entirely
     in per-run drivers and memory models."""
     ctx = obs.active()
-    key = _cache_key(source, impl, name, check_core) if use_cache \
-        else None
+    key = _cache_key(source, impl, name) if use_cache else None
     if key is not None:
         with _cache_lock:
             cached = _compile_cache.get(key)
@@ -326,11 +316,11 @@ def compile_c(source: str, impl: Implementation = LP64,
                 # Keep the persistent entry's LRU recency in step with
                 # in-memory hits, or a hot artifact is evicted from
                 # disk while cold ones survive.
-                touch(source, impl, name, check_core)
+                touch(source, impl, name)
             return cached
         store = _artifact_store
         if store is not None:
-            program = store.get(source, impl, name, check_core)
+            program = store.get(source, impl, name)
             if program is not None:
                 with _cache_lock:
                     _cache_stats["store_hits"] += 1
@@ -365,12 +355,11 @@ def compile_c(source: str, impl: Implementation = LP64,
         typecheck(ail, impl)
     with obs.maybe_span(ctx, "pipeline.elaborate", profile=True):
         core = elaborate(ail, impl)
-    if check_core:
-        with obs.maybe_span(ctx, "pipeline.check_core", profile=True):
-            errors = typecheck_program(core)
-        if errors:
-            raise CoreTypeError("ill-formed Core produced by "
-                                "elaboration:\n" + "\n".join(errors))
+    with obs.maybe_span(ctx, "pipeline.check_core", profile=True):
+        errors = typecheck_program(core)
+    if errors:
+        raise CoreTypeError("ill-formed Core produced by "
+                            "elaboration:\n" + "\n".join(errors))
     program = CompiledProgram(source, impl, cabs, ail, core)
     if key is not None:
         with _cache_lock:
@@ -381,7 +370,7 @@ def compile_c(source: str, impl: Implementation = LP64,
                 _cache_stats["evictions"] += 1
         store = _artifact_store
         if store is not None:
-            store.put(source, impl, name, check_core, program)
+            store.put(source, impl, name, program)
     return program
 
 
@@ -467,12 +456,13 @@ def explore_many(source: str, models: Optional[Iterable[str]] = None,
     """Explore one program under many memory object models (default:
     all registered), compiling once per distinct implementation
     environment.  ``deadline_s`` is a per-model wall-clock budget for
-    the enumeration; ``store`` persists, reuses and resumes per-model
+    the enumeration; ``store`` (one handle, opened here once when a
+    directory is given) persists, reuses and resumes per-model
     exploration records (see :meth:`CompiledProgram.explore`)."""
     spec = ExploreSpec.build(spec, **knobs)
     if store is not None:
-        from .farm.explorestore import ExploreStore
-        store = ExploreStore.wrap(store)
+        from .farm.store import as_store
+        store = as_store(store)
     programs = _compile_per_impl(source, models, impl, name)
     return {model: program.explore(model, spec, deadline_s=deadline_s,
                                    store=store, name=name)
@@ -483,6 +473,7 @@ def lint_c(source: str, impl: Implementation = LP64,
            name: str = "<string>", store=None) -> list:
     """One-shot: compile (memoised) and lint a C program — the
     definite-UB findings of :mod:`repro.statics.lint`, sorted by
-    source location."""
+    source location; ``store`` caches the analysis as a ``"statics"``
+    record (:meth:`CompiledProgram.statics`)."""
     return compile_c(source, impl, name=name).lint(store, name=name)
 

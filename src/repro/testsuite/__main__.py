@@ -7,6 +7,7 @@ after a deliberate semantics change::
     python -m repro.testsuite                    # conformance check
     python -m repro.testsuite --update-goldens   # re-pin verdicts
     python -m repro.testsuite --models concrete,provenance --tests q1
+    python -m repro.testsuite --store DIR        # reuse Core + records
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ def main(argv=None) -> int:
                    help="restrict to these memory models")
     p.add_argument("--tests", default=None, metavar="T1,T2,...",
                    help="restrict to these test names")
-    p.add_argument("--explore-store", default=None, metavar="DIR",
-                   help="route explorations through an exploration-"
-                        "record store (incremental recomputation)")
+    p.add_argument("--store", default=None, metavar="DIR",
+                   help="artifact store directory: compiled Core and "
+                        "exploration records are reused across runs "
+                        "(incremental recomputation)")
     args = p.parse_args(argv)
 
     models = _csv(args.models) if args.models else None
@@ -61,10 +63,12 @@ def main(argv=None) -> int:
             print(f"unknown test(s): {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
-    store = args.explore_store
-    if store is not None:
-        from ..farm.explorestore import ExploreStore
-        store = ExploreStore(store)
+    store = None
+    if args.store is not None:
+        from ..farm.store import ArtifactStore
+        from ..pipeline import set_artifact_store
+        store = ArtifactStore(args.store)
+        set_artifact_store(store)
 
     if args.update_goldens:
         path = update_goldens(args.path, models=models, names=names,

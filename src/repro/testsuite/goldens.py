@@ -76,10 +76,10 @@ def compute_verdicts(models: Optional[Sequence[str]] = None,
                      store=None) -> Verdicts:
     """Live verdicts for ``names`` × ``models`` (default: the whole
     suite across all registered memory models) under ``spec``.
-    ``store`` optionally routes the explorations through an
-    exploration-record store (:mod:`repro.farm.explorestore`), so
-    golden regeneration rides the incremental re-exploration seam
-    too."""
+    ``store`` (an :class:`~repro.farm.store.ArtifactStore`)
+    optionally persists the explorations as records
+    (:mod:`repro.farm.explorestore`), so golden regeneration rides the
+    incremental re-exploration seam too."""
     model_list = list(models) if models is not None else list(MODELS)
     out: Verdicts = {}
     for name in (sorted(TESTS) if names is None else names):

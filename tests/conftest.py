@@ -14,6 +14,18 @@ import pytest
 from repro.pipeline import compile_c, explore_c, run_c
 
 
+@pytest.fixture
+def explore_stats():
+    """The exploration-record counters of everything the test runs
+    from here on: :func:`repro.farm.pool.task_stats` over an
+    :func:`repro.obs.collecting` registry — what the CLI's ``explore
+    store:`` line and a campaign's ``metrics["explore"]`` read."""
+    from repro import obs
+    from repro.farm.pool import task_stats
+    with obs.collecting() as registry:
+        yield lambda: task_stats(registry.to_dict())
+
+
 class FarmDaemon:
     """One real ``cerberus-py serve`` subprocess on a temp unix socket
     — the E2E server harness (tests/test_farm_server.py and

@@ -22,7 +22,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.farm.explorestore import ExploreStore
+from repro.farm.explorestore import RECORD_KIND, exploration_key
+from repro.farm.pool import task_stats
+from repro.farm.store import ArtifactStore
 from repro import obs
 from repro.pipeline import MODELS, compile_c, compile_for_model, run_many
 from repro.spec import ExploreSpec
@@ -159,39 +161,45 @@ class TestCrossBackendRecords:
     SRC = "int a, b; int main(void){ (a=1)+(b=2); return 0; }"
 
     def test_keys_differ_per_backend(self, tmp_path):
-        es = ExploreStore(tmp_path / "s")
+        es = ArtifactStore(tmp_path / "s")
         program = compile_for_model(self.SRC, "concrete")
-        k_compiled = es.key(self.SRC, program.impl, "concrete",
-                            spec=ExploreSpec(backend="compiled"))
-        k_tree = es.key(self.SRC, program.impl, "concrete",
-                        spec=ExploreSpec(backend="tree"))
+
+        def key(**knobs):
+            return exploration_key(es, self.SRC, program.impl,
+                                   "concrete", spec=ExploreSpec(**knobs))
+
+        k_compiled = key(backend="compiled")
+        k_tree = key(backend="tree")
         assert k_compiled != k_tree
-        assert k_compiled == es.key(self.SRC, program.impl, "concrete")
+        assert k_compiled == key()
 
     def test_cross_backend_resume_re_keys(self, tmp_path):
-        es = ExploreStore(tmp_path / "s")
+        es = ArtifactStore(tmp_path / "s")
         program = compile_for_model(self.SRC, "concrete")
-        cold = program.explore("concrete", max_paths=10_000, store=es,
-                               backend="compiled")
-        assert es.stats()["stores"] == 1
-        # Same space under the other backend: the compiled record is
-        # neither served nor resumed — a fresh live exploration under
-        # its own key.
-        other = program.explore("concrete", max_paths=10_000,
-                                store=es, backend="tree")
-        stats = es.stats()
-        assert stats["hits"] == 0          # no cross-backend serve
-        assert stats["resumes"] == 0       # no cross-backend resume
-        assert stats["stores"] == 2        # re-keyed fresh record
-        assert stats["live_paths"] == cold.paths_run + other.paths_run
+        with obs.collecting() as registry:
+            cold = program.explore("concrete", max_paths=10_000,
+                                   store=es, backend="compiled")
+            assert es.kind_stats(RECORD_KIND)["stores"] == 1
+            # Same space under the other backend: the compiled record
+            # is neither served nor resumed — a fresh live exploration
+            # under its own key.
+            other = program.explore("concrete", max_paths=10_000,
+                                    store=es, backend="tree")
+        stats = task_stats(registry.to_dict())
+        assert stats["explore_hits"] == 0    # no cross-backend serve
+        assert stats["explore_resumes"] == 0  # no cross-backend resume
+        assert stats["explore_puts"] == 2    # re-keyed fresh record
+        assert stats["explore_live_paths"] == \
+            cold.paths_run + other.paths_run
         assert other.behaviour_keys() == cold.behaviour_keys()
         # Each backend now warm-hits its own record.
         for backend, reference in (("compiled", cold),
                                    ("tree", other)):
-            before = es.stats()["live_paths"]
-            warm = program.explore("concrete", max_paths=10_000,
-                                   store=es, backend=backend)
-            assert es.stats()["live_paths"] == before  # zero re-run
+            with obs.collecting() as registry:
+                warm = program.explore("concrete", max_paths=10_000,
+                                       store=es, backend=backend)
+            assert task_stats(registry.to_dict())[
+                "explore_live_paths"] == 0  # zero re-run
             assert warm.behaviour_keys() == \
                 reference.behaviour_keys()
 

@@ -185,6 +185,32 @@ int main(void) {
             assert out.exit_code == code, model
 
 
+class TestBlockScopeExtern:
+    """§6.2.2p4: a block-scope ``extern`` declaration names the
+    file-scope object, whether it is defined before or after."""
+
+    PROGRAMS = [
+        ("int x = 5; int main(void){ extern int x; return x; }", 5),
+        ("int main(void){ extern int y; return y; } int y = 3;", 3),
+        # The assignment goes to the file-scope y, the return reads
+        # the automatic one.
+        ("int main(void){ int y = 1; { extern int y; y = 4; }"
+         " return y; } int y;", 1),
+    ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("src,code", PROGRAMS,
+                             ids=["defined_before", "defined_after",
+                                  "shadows_automatic"])
+    def test_extern_names_the_file_scope_object(self, src, code,
+                                                backend):
+        outcomes = run_many(src, backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status in ("done", "exit"), (model, out)
+            assert out.exit_code == code, model
+
+
 class TestInitialiserEdges:
     def test_partial_array_zeroes_rest(self, run_ok):
         out = run_ok(r'''

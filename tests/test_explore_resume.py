@@ -18,10 +18,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.cli import main as cli_main
 from repro.dynamics.explore import Explorer
-from repro.farm.explorestore import ExplorationRecord, ExploreStore
+from repro.farm.explorestore import (
+    RECORD_KIND, ExplorationRecord, exploration_key,
+)
 from repro.farm.frontier import explore_farm
+from repro.farm.pool import task_stats
+from repro.farm.store import ArtifactStore
 from repro.pipeline import compile_c
 from repro.spec import ExploreSpec
 
@@ -59,6 +64,10 @@ def serial(program):
             for s, por in CONFIGS}
 
 
+def _get(store, key):
+    return store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
+
+
 def _same(result, reference):
     assert result.paths_run == reference.paths_run
     assert result.pruned == reference.pruned
@@ -73,11 +82,12 @@ class TestBudgetResume:
 
     @pytest.mark.parametrize("strategy,por", CONFIGS)
     def test_cut_and_resume_equals_serial(self, tmp_path, program,
-                                          serial, strategy, por):
+                                          serial, strategy, por,
+                                          explore_stats):
         reference = serial[(strategy, por)]
         rng = random.Random(hash((strategy, por)) & 0xFFFF)
         cut = rng.randrange(1, reference.paths_run)
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         part = program.explore("concrete", max_paths=cut,
                                strategy=strategy, por=por, seed=11,
                                store=store)
@@ -87,16 +97,16 @@ class TestBudgetResume:
                                strategy=strategy, por=por, seed=11,
                                store=store)
         _same(full, reference)
-        assert store.stats()["resumes"] == 1
+        assert explore_stats()["explore_resumes"] == 1
         # Everything ran exactly once, split across the two calls.
-        assert store.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
 
     def test_many_rounds_of_resumption(self, tmp_path, program,
-                                       serial):
+                                       serial, explore_stats):
         """A chain of small budget increments converges to the serial
         result with no path run twice."""
         reference = serial[("dfs", False)]
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         rng = random.Random(0xC0FFEE)
         budget = 0
         result = None
@@ -106,14 +116,14 @@ class TestBudgetResume:
                                      strategy="dfs", seed=11,
                                      store=store)
         _same(result, reference)
-        assert store.stats()["live_paths"] == reference.paths_run
-        assert store.stats()["resumes"] >= 2
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert explore_stats()["explore_resumes"] >= 2
 
     def test_ub_behaviours_survive_resumption(self, tmp_path):
         program = compile_c(RACE)
         reference = program.explore("concrete", max_paths=BIG)
         assert reference.has_ub()
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=3, store=store)
         full = program.explore("concrete", max_paths=BIG, store=store)
         _same(full, reference)
@@ -128,10 +138,10 @@ class TestDeadlineResume:
 
     @pytest.mark.parametrize("strategy,por", CONFIGS)
     def test_interrupt_resume_converges(self, tmp_path, program,
-                                        serial, strategy, por):
+                                        serial, strategy, por, explore_stats):
         reference = serial[(strategy, por)]
         rng = random.Random(hash(("deadline", strategy, por)))
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         result = None
         for _ in range(500):
             deadline = rng.uniform(0.005, 0.04)
@@ -144,7 +154,7 @@ class TestDeadlineResume:
         assert result is not None and result.exhausted, \
             "deadline-interrupted exploration never converged"
         _same(result, reference)
-        assert store.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
 
 
 class TestKillResume:
@@ -156,13 +166,15 @@ class TestKillResume:
         reference = serial[("dfs", False)]
         root = tmp_path / "store"
         program.explore("concrete", max_paths=200, strategy="dfs",
-                        seed=11, store=ExploreStore(root))
-        fresh = ExploreStore(root)         # simulated new process
-        full = program.explore("concrete", max_paths=BIG,
-                               strategy="dfs", seed=11, store=fresh)
+                        seed=11, store=ArtifactStore(root))
+        fresh = ArtifactStore(root)         # simulated new process
+        with obs.collecting() as registry:
+            full = program.explore("concrete", max_paths=BIG,
+                                   strategy="dfs", seed=11, store=fresh)
         _same(full, reference)
-        assert fresh.stats()["resumes"] == 1
-        assert fresh.stats()["live_paths"] == \
+        counts = task_stats(registry.to_dict())
+        assert counts["explore_resumes"] == 1
+        assert counts["explore_live_paths"] == \
             reference.paths_run - 200
 
     def test_warm_hit_runs_zero_paths(self, tmp_path, program,
@@ -170,13 +182,15 @@ class TestKillResume:
         reference = serial[("dfs", False)]
         root = tmp_path / "store"
         program.explore("concrete", max_paths=BIG, strategy="dfs",
-                        seed=11, store=ExploreStore(root))
-        fresh = ExploreStore(root)
-        warm = program.explore("concrete", max_paths=BIG,
-                               strategy="dfs", seed=11, store=fresh)
+                        seed=11, store=ArtifactStore(root))
+        fresh = ArtifactStore(root)
+        with obs.collecting() as registry:
+            warm = program.explore("concrete", max_paths=BIG,
+                                   strategy="dfs", seed=11, store=fresh)
         _same(warm, reference)
-        assert fresh.stats()["hits"] == 1
-        assert fresh.stats()["live_paths"] == 0    # zero paths re-run
+        counts = task_stats(registry.to_dict())
+        assert counts["explore_hits"] == 1
+        assert counts["explore_live_paths"] == 0    # zero paths re-run
 
 
 class TestOneLifecycle:
@@ -199,15 +213,34 @@ class TestOneLifecycle:
                                                  capsys):
         store = str(tmp_path / "store")
         first, second = tmp_path / "r1.json", tmp_path / "r2.json"
-        self._sweep(capsys, "--explore-store", store, "--max-paths",
-                    "5", "--report", str(first))
-        resumed = self._sweep(capsys, "--explore-store", store,
-                              "--report", str(second))
+        self._sweep(capsys, "--store", store, "--max-paths", "5",
+                    "--report", str(first))
+        resumed = self._sweep(capsys, "--store", store, "--report",
+                              str(second))
         explore = json.loads(second.read_text())["metrics"]["explore"]
         assert explore["resumes"] == 1
         assert explore["live_paths"] == 495     # 500 - the 5 recorded
         # The resumed sweep prints what a storeless one prints.
         assert resumed == self._sweep(capsys)
+
+    def test_cli_store_resumes_a_partial_record(self, tmp_path,
+                                                capsys):
+        """``--store`` alone makes a CLI exploration incremental: the
+        one store holds the record, and the ``explore store:`` line
+        reads the invocation's metrics."""
+        store = str(tmp_path / "store")
+
+        def run(*extra):
+            cli_main([self.EXAMPLE, "--exhaustive", *extra])
+            return capsys.readouterr().out.splitlines()
+
+        run("--store", store, "--max-paths", "5")
+        resumed = run("--store", store)
+        assert "explore store: hits=1 resumes=1 live paths=495" \
+            in resumed
+        # The resumed run prints what a storeless one prints.
+        assert [line for line in resumed
+                if not line.startswith("explore store:")] == run()
 
     def test_storeless_exploration_imports_no_farm_module(self):
         script = (
@@ -236,7 +269,7 @@ class TestOneLifecycle:
         program.explore("concrete", max_paths=5)
         assert reads == []
         program.explore("concrete", max_paths=5,
-                        store=ExploreStore(tmp_path / "store"))
+                        store=ArtifactStore(tmp_path / "store"))
         assert len(reads) == 1
 
 
@@ -263,12 +296,12 @@ class TestRestorableOrder:
 
 class TestPartialRecordShape:
     def test_partial_record_is_resumable_cut(self, tmp_path, program):
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=50, strategy="dfs",
                         seed=11, store=store)
-        key = store.key(PAIR, program.impl, "concrete",
-                        spec=ExploreSpec(strategy="dfs", seed=11))
-        rec = store.get(key)
+        key = exploration_key(store, PAIR, program.impl, "concrete",
+                              spec=ExploreSpec(strategy="dfs", seed=11))
+        rec = _get(store, key)
         assert isinstance(rec, ExplorationRecord)
         assert not rec.complete
         assert rec.frontier                 # the cut, ready to resume
@@ -305,8 +338,8 @@ class TestPartialRecordShape:
             cut, [PathNode((1,))]).exhausted
 
     def test_spent_budget_returns_partial_unexhausted(self, tmp_path,
-                                                      program):
-        store = ExploreStore(tmp_path / "store")
+                                                      program, explore_stats):
+        store = ArtifactStore(tmp_path / "store")
         first = program.explore("concrete", max_paths=50,
                                 strategy="dfs", seed=11, store=store)
         again = program.explore("concrete", max_paths=50,
@@ -314,7 +347,7 @@ class TestPartialRecordShape:
         assert again.paths_run == 50
         assert not again.exhausted
         assert again.behaviour_keys() == first.behaviour_keys()
-        assert store.stats()["live_paths"] == 50   # nothing re-run
+        assert explore_stats()["explore_live_paths"] == 50   # nothing re-run
 
 
 class TestRecordFidelity:
@@ -323,10 +356,10 @@ class TestRecordFidelity:
     record covering more paths than the requested budget is neither
     served nor clobbered."""
 
-    def test_memory_options_do_not_alias(self, tmp_path):
+    def test_memory_options_do_not_alias(self, tmp_path, explore_stats):
         from repro.memory.base import MemoryOptions
         program = compile_c("int main(void){ int x; return x == x; }")
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         flagged = program.explore(
             "concrete", options=MemoryOptions(uninit_read="ub"),
             max_paths=BIG, store=store)
@@ -335,14 +368,14 @@ class TestRecordFidelity:
             "concrete", options=MemoryOptions(uninit_read="stable"),
             max_paths=BIG, store=store)
         assert not stable.has_ub()     # not the cached "ub" verdict
-        assert store.stats()["hits"] == 0
-        assert store.stats()["stores"] == 2
+        assert explore_stats()["explore_hits"] == 0
+        assert explore_stats()["explore_puts"] == 2
 
     def test_small_budget_never_served_a_bigger_record(self, tmp_path,
                                                        program,
-                                                       serial):
+                                                       serial, explore_stats):
         reference = serial[("dfs", False)]
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=BIG, strategy="dfs",
                         seed=11, store=store)
         cold = program.explore("concrete", max_paths=4,
@@ -354,15 +387,15 @@ class TestRecordFidelity:
         assert small.behaviour_keys() == cold.behaviour_keys()
         # ... and the fuller record survived: a full request still
         # warm-hits with zero paths re-run.
-        before = store.stats()["live_paths"]
+        before = explore_stats()["explore_live_paths"]
         warm = program.explore("concrete", max_paths=BIG,
                                strategy="dfs", seed=11, store=store)
         _same(warm, reference)
-        assert store.stats()["live_paths"] == before
+        assert explore_stats()["explore_live_paths"] == before
 
 
 class TestDeadlineTooSmallForOnePath:
-    def test_progress_is_forced_not_livelocked(self, tmp_path):
+    def test_progress_is_forced_not_livelocked(self, tmp_path, explore_stats):
         """When not even one path fits the deadline, the path is
         *abandoned* — counted (each store-backed invocation advances
         at least one path, no livelock) but recorded as no behaviour:
@@ -372,7 +405,7 @@ class TestDeadlineTooSmallForOnePath:
                 " for (i = 0; i < 50000; i++) s += i;"
                 " return (int)(s & 1); }")
         program = compile_c(slow)
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         result = program.explore("concrete", max_paths=BIG,
                                  max_steps=10_000_000,
                                  deadline_s=0.001, store=store)
@@ -380,30 +413,28 @@ class TestDeadlineTooSmallForOnePath:
         assert result.abandoned == 1
         assert result.outcomes == []       # no phantom behaviour
         assert not result.exhausted
-        assert store.stats()["live_paths"] == 1
+        assert explore_stats()["explore_live_paths"] == 1
         # The permanent loss survives the record round-trip: a later
         # warm/resumed result can never claim exhaustion.
-        key = store.key(slow, program.impl, "concrete",
-                        spec=ExploreSpec(max_steps=10_000_000))
-        rec = store.get(key)
+        key = exploration_key(store, slow, program.impl, "concrete",
+                              spec=ExploreSpec(max_steps=10_000_000))
+        rec = _get(store, key)
         assert rec is not None and not rec.exhausted
 
 
 class TestStoreArgumentNormalisation:
-    def test_explore_store_path_accepts_every_store_shape(self,
-                                                          tmp_path):
-        """``pathlib.Path`` has a ``.root`` attribute of its own (the
+    def test_as_store_accepts_every_store_shape(self, tmp_path):
+        """One normaliser turns every ``store`` argument into a handle.
+        ``pathlib.Path`` has a ``.root`` attribute of its own (the
         filesystem root!) — normalisation must never mistake it for a
         store's directory."""
-        from repro.farm.pool import explore_store_path
-        from repro.farm.store import ArtifactStore
+        from repro.farm.store import as_store
         p = tmp_path / "records"
-        assert explore_store_path(None) is None
-        assert explore_store_path(p) == str(p)
-        assert explore_store_path(str(p)) == str(p)
+        assert as_store(None) is None
+        assert as_store(p).root == p
+        assert as_store(str(p)).root == p
         backing = ArtifactStore(p)
-        assert explore_store_path(backing) == str(p)
-        assert explore_store_path(ExploreStore(backing)) == str(p)
+        assert as_store(backing) is backing
 
 
 @pytest.mark.slow_sweep
@@ -417,13 +448,13 @@ class TestDeepResume:
               "{ (a = 1) + (b = 2) + (c = 3); return a + b + c - 6; }")
 
     @pytest.mark.parametrize("strategy", ["dfs", "bfs", "coverage"])
-    def test_deep_deadline_resume(self, tmp_path, strategy):
+    def test_deep_deadline_resume(self, tmp_path, strategy, explore_stats):
         program = compile_c(self.TRIPLE)
         reference = program.explore("concrete", max_paths=1_000_000,
                                     strategy=strategy, por=True,
                                     seed=5)
         rng = random.Random(hash(("deep", strategy)))
-        store = ExploreStore(tmp_path / "store")
+        store = ArtifactStore(tmp_path / "store")
         result = None
         for _ in range(2000):
             result = program.explore("concrete", max_paths=1_000_000,
@@ -434,7 +465,7 @@ class TestDeepResume:
                 break
         assert result is not None and result.exhausted
         _same(result, reference)
-        assert store.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
 
 
 class TestFarmResume:
@@ -442,66 +473,67 @@ class TestFarmResume:
     warm hit re-runs zero paths, and a serial interruption can be
     finished by a sharded farm run (and vice versa)."""
 
-    def test_farm_warm_hit(self, tmp_path, serial):
+    def test_farm_warm_hit(self, tmp_path, serial, explore_stats):
         reference = serial[("dfs", False)]
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         cold = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         _same(cold, reference)
         warm = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         _same(warm, reference)
-        assert es.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
 
     def test_serial_interrupt_farm_finish(self, tmp_path, program,
-                                          serial):
+                                          serial, explore_stats):
         reference = serial[("dfs", False)]
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
                         store=es)
         full = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         _same(full, reference)
-        assert es.stats()["resumes"] == 1
-        assert es.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_resumes"] == 1
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
 
     def test_farm_interrupt_serial_finish(self, tmp_path, program,
-                                          serial):
+                                          serial, explore_stats):
         reference = serial[("dfs", False)]
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         part = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=120),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         assert not part.exhausted
         full = program.explore("concrete", max_paths=BIG,
                                strategy="dfs", store=es)
         _same(full, reference)
-        assert es.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_live_paths"] == reference.paths_run
 
     def test_farm_spent_budget_is_not_a_resume(self, tmp_path,
-                                               program):
+                                               program, explore_stats):
         """A farm call whose budget the record exactly spends runs
         nothing: no resume counted, no byte-identical re-put."""
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
                         store=es)
         again = explore_farm(PAIR, "concrete",
                              spec=ExploreSpec(max_paths=150),
-                             jobs=2, explore_store=es)
+                             jobs=2, store=es)
         assert not again.exhausted
         assert again.paths_run == 150      # served from the record
-        stats = es.stats()
-        assert stats["resumes"] == 0
-        assert stats["stores"] == 1        # only the original put
-        assert stats["live_paths"] == 150
+        counts = explore_stats()
+        assert counts["explore_resumes"] == 0
+        assert counts["explore_puts"] == 1  # only the original put
+        assert counts["explore_live_paths"] == 150
 
     def test_overshot_record_still_serves_its_own_budget(self,
                                                          tmp_path,
                                                          program,
-                                                         serial):
+                                                         serial,
+                                                         explore_stats):
         """Ceiling-split shards can overshoot the budget, so a farm
         record's paths_run may exceed the max_paths that produced it.
         The stored producing budget proves the identical call made
@@ -509,58 +541,58 @@ class TestFarmResume:
         instead of silently re-exploring live every time."""
         from repro.dynamics.explore import ExplorationResult
         reference = serial[("dfs", False)]
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         overshot = ExplorationResult(
             outcomes=list(reference.outcomes), exhausted=False,
             paths_run=110)                 # 110 paths from budget 100
-        key = es.key(PAIR, program.impl, "concrete",
-                     spec=ExploreSpec(strategy="dfs"))
-        es.put(key, ExplorationRecord.from_result(overshot,
-                                                  budget=100))
+        key = exploration_key(es, PAIR, program.impl, "concrete",
+                              spec=ExploreSpec(strategy="dfs"))
+        es.put_record(key, ExplorationRecord.from_result(
+            overshot, budget=100), kind=RECORD_KIND)
         again = explore_farm(PAIR, "concrete",
                              spec=ExploreSpec(max_paths=100),
-                             jobs=2, explore_store=es)
+                             jobs=2, store=es)
         assert again.paths_run == 110      # served, not re-explored
-        assert es.stats()["live_paths"] == 0
+        assert explore_stats()["explore_live_paths"] == 0
         # ... while a strictly smaller budget still refuses it.
         small = explore_farm(PAIR, "concrete",
                              spec=ExploreSpec(max_paths=50),
-                             jobs=2, explore_store=es)
+                             jobs=2, store=es)
         assert small.paths_run < 110
-        assert es.stats()["live_paths"] > 0
+        assert explore_stats()["explore_live_paths"] > 0
         # ... and did not clobber the fuller record.
-        assert es.get(key).paths_run == 110
+        assert _get(es, key).paths_run == 110
 
     def test_farm_small_budget_leaves_bigger_record_intact(
-            self, tmp_path, program, serial):
+            self, tmp_path, program, serial, explore_stats):
         """A farm request under a smaller budget than the record
         covers runs live and must not clobber the fuller record."""
         reference = serial[("dfs", False)]
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
                         store=es)
         small = explore_farm(PAIR, "concrete",
                              spec=ExploreSpec(max_paths=60),
-                             jobs=2, explore_store=es)
+                             jobs=2, store=es)
         assert not small.exhausted
         # Ran live near its budget (the ceiling split can overshoot
         # by at most one path per shard), not the record's 150.
         assert small.paths_run < 100
-        assert es.stats()["stores"] == 1   # record not clobbered
+        assert explore_stats()["explore_puts"] == 1   # record not clobbered
         full = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         _same(full, reference)             # resumed from the record
 
-    def test_farm_por_resume(self, tmp_path, serial):
+    def test_farm_por_resume(self, tmp_path, serial, explore_stats):
         reference = serial[("dfs", True)]
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         part = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=15, por=True),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         assert not part.exhausted
         full = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG, por=True),
-                            jobs=2, explore_store=es)
+                            jobs=2, store=es)
         _same(full, reference)
-        assert es.stats()["live_paths"] == reference.paths_run
+        assert explore_stats()["explore_live_paths"] == reference.paths_run

@@ -11,7 +11,10 @@ from repro.farm.campaign import csmith_campaign, suite_campaign
 from repro.farm.pool import (
     SweepTask, run_tasks, shard_select, sweep,
 )
-from repro.pipeline import MODELS, clear_compile_cache, compile_c
+from repro.pipeline import (
+    MODELS, clear_compile_cache, compile_c, get_artifact_store,
+    set_artifact_store,
+)
 from repro.spec import ExploreSpec
 from repro.testsuite import TESTS, run_suite_many
 
@@ -74,9 +77,14 @@ class TestSweep:
         assert "DesugarError" in result.error
 
     @pytest.mark.parametrize("mode, programs", [
-        # a program that stops the driver with a Python exception,
-        # next to a passing one
-        ("run", [("void", "void main(void){}\n"), ("hello", HELLO)]),
+        # a program that stops the task with a Python exception
+        # (member access on a struct rvalue is still an internal
+        # error), next to a passing one
+        ("run", [("rvalue", "struct S { int y; };\n"
+                            "struct S mk(void){ struct S s = {2};"
+                            " return s; }\n"
+                            "int main(void){ return mk().y; }\n"),
+                 ("hello", HELLO)]),
         # a task kind no recipe handles
         ("nope", [("hello", HELLO),
                   ("ret3", "int main(void){ return 3; }")]),
@@ -109,7 +117,7 @@ class TestSweep:
         store = tmp_path / "store"
         clear_compile_cache()
         [r] = sweep([("racy", RACY)], models=["concrete"], jobs=1,
-                    mode="explore", store=store, explore_store=store)
+                    mode="explore", store=store)
         assert r.ok, r.error
         assert r.stats["translations"] == 1
         assert r.stats["store_puts"] == 1
@@ -118,10 +126,53 @@ class TestSweep:
             r.data["explorations"]["concrete"].paths_run
         job = server.JobSpec(source=RACY, name="racy",
                              models=("concrete",), mode="explore")
-        payload = server._execute_job(job.to_dict(), str(store), None)
+        previous = set_artifact_store(ArtifactStore(store))
+        try:
+            payload = server._execute_job(job.to_dict(), str(store),
+                                          None)
+        finally:
+            set_artifact_store(previous)
         assert payload["ok"], payload["error"]
         assert payload["stats"]["explore_hits"] == 1
         assert payload["stats"]["explore_live_paths"] == 0
+
+    def test_daemon_worker_scans_its_store_once(self, tmp_path,
+                                                monkeypatch):
+        # A daemon worker installs the daemon's handle once, as
+        # _init_server_worker does; its explore jobs open no handle of
+        # their own, so the worker scans the store directory at most
+        # once in its life, not once per job.
+        from repro.farm import server
+        from repro.farm.pool import _init_worker
+        from repro.farm.store import ArtifactStore
+        handle = ArtifactStore(tmp_path / "store")
+        previous = get_artifact_store()
+        _init_worker(handle)
+        opened, scans = [], []
+        init, size_bytes = ArtifactStore.__init__, \
+            ArtifactStore.size_bytes
+        monkeypatch.setattr(
+            ArtifactStore, "__init__",
+            lambda self, *a, **kw: opened.append(a) or init(self, *a,
+                                                            **kw))
+        monkeypatch.setattr(
+            ArtifactStore, "size_bytes",
+            lambda self: scans.append(self) or size_bytes(self))
+        try:
+            for i in range(4):
+                job = server.JobSpec(
+                    source=RACY.replace("'b'", f"'{i}'"),
+                    name=f"racy{i}", models=("concrete",),
+                    mode="explore")
+                payload = server._execute_job(job.to_dict(),
+                                              str(handle.root), None)
+                assert payload["ok"], payload["error"]
+                assert payload["stats"]["explore_puts"] == 1
+        finally:
+            set_artifact_store(previous)
+            clear_compile_cache()
+        assert opened == []
+        assert len(scans) <= 1
 
     def test_sharded_sweep(self):
         programs = [(f"p{i}", f"int main(void){{ return {i}; }}")
@@ -348,12 +399,16 @@ class TestFarmCli:
         out = capsys.readouterr().out
         assert "concrete" in out and "strict" in out
 
-    def test_single_file_shard_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [("--shard", "0/2"),
+                                      ("--explore-store", "es")])
+    def test_single_file_store_and_shard_flags_are_gone(self, tmp_path,
+                                                        flag):
+        # --models already picks one program's models, and --store is
+        # the one store: the main CLI has neither flag.
         path = self._write(tmp_path, HELLO)
-        assert cli_main([path, "--models", "concrete,strict",
-                         "--shard", "0/2"]) == 0
-        out = capsys.readouterr().out
-        assert "concrete" in out and "strict" not in out
+        with pytest.raises(SystemExit) as exc:
+            cli_main([path, "--models", "concrete,strict", *flag])
+        assert exc.value.code == 2
 
     def test_farm_csmith_needs_corpus(self, capsys):
         assert cli_main(["farm", "csmith"]) == 2

@@ -18,7 +18,9 @@ from pathlib import Path
 import pytest
 
 from repro.ctypes.implementation import ILP32, LP64
-from repro.farm.explorestore import ExplorationRecord, ExploreStore
+from repro.farm.explorestore import (
+    RECORD_KIND, ExplorationRecord, exploration_key,
+)
 from repro.farm.store import ArtifactStore, STORE_SCHEMA_VERSION
 from repro.spec import ExploreSpec
 from repro.pipeline import (
@@ -45,6 +47,10 @@ def _entry_paths(s: ArtifactStore):
                   if not p.name.startswith(".tmp-"))
 
 
+def _get(store: ArtifactStore, key: str):
+    return store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
+
+
 class TestStoreBasics:
     def test_put_on_translate_get_on_fresh_cache(self, store):
         program = compile_c(SRC)
@@ -60,7 +66,6 @@ class TestStoreBasics:
     def test_key_discriminates_impl_and_flags(self, store):
         k = store.key(SRC, LP64)
         assert k != store.key(SRC, ILP32)
-        assert k != store.key(SRC, LP64, check_core=False)
         assert k != store.key(SRC + " ", LP64)
         assert k == store.key(SRC, LP64)
 
@@ -68,7 +73,7 @@ class TestStoreBasics:
         s = ArtifactStore(tmp_path / "s")
         assert s.get(SRC, LP64) is None
         program = compile_c(SRC, use_cache=False)
-        s.put(SRC, LP64, "<string>", True, program)
+        s.put(SRC, LP64, "<string>", program)
         loaded = s.get(SRC, LP64)
         assert loaded.run("provenance").exit_code == 42
 
@@ -158,7 +163,7 @@ class TestEviction:
     def _put(self, s, i):
         src = f"int main(void){{ return {i}; }}"
         program = compile_c(src, use_cache=False)
-        s.put(src, LP64, "<string>", True, program)
+        s.put(src, LP64, "<string>", program)
         return src
 
     def test_eviction_respects_size_bound(self, tmp_path):
@@ -247,9 +252,9 @@ class TestHitRecency:
         s = ArtifactStore(tmp_path / "ticks")
         a = "int main(void){ return 10; }"
         b = "int main(void){ return 11; }"
-        s.put(a, LP64, "<string>", True,
+        s.put(a, LP64, "<string>",
               compile_c(a, use_cache=False))
-        s.put(b, LP64, "<string>", True,
+        s.put(b, LP64, "<string>",
               compile_c(b, use_cache=False))
         s.get(a, LP64)                           # immediately after
         mtimes = {p.name: p.stat().st_mtime for p in _entry_paths(s)}
@@ -263,9 +268,9 @@ class TestCounterReads:
     def test_stats_scans_once_and_explore_stats_never(self, tmp_path,
                                                       monkeypatch):
         s = ArtifactStore(tmp_path / "s")
-        es = ExploreStore(s)
         s.put_record(s.record_key("x", "1"), [1, 2, 3])
-        es.put(es.key(UNSEQ, LP64, "concrete"), "not a record")
+        s.put_record(exploration_key(s, UNSEQ, LP64, "concrete"),
+                     "not a record", kind=RECORD_KIND)
         scans = []
         entries = ArtifactStore._entries
         monkeypatch.setattr(ArtifactStore, "_entries",
@@ -277,119 +282,126 @@ class TestCounterReads:
         assert stats["size_bytes"] == sum(
             p.stat().st_size for p in _entry_paths(s))
         scans.clear()
-        assert es.stats() == {"hits": 0, "misses": 0, "stores": 1,
-                              "corrupt": 0, "resumes": 0,
-                              "live_paths": 0}
+        assert s.kind_stats(RECORD_KIND) == {"hits": 0, "misses": 0,
+                                             "stores": 1, "corrupt": 0}
         assert scans == []
 
 
 class TestExplorationRecords:
     """Exploration records ride the same store: corruption falls back
     to a silent re-explore, their bytes count against the LRU bound,
-    and a schema bump invalidates them together with the artifacts."""
+    and a schema bump invalidates them together with the artifacts.
+    Their per-kind counters are the store's (``kind_stats``); the
+    paths explored live are the ``explore.live_paths`` metric."""
 
     def _explore(self, tmp_path, subdir="s", max_paths=100_000):
-        es = ExploreStore(ArtifactStore(tmp_path / subdir))
+        store = ArtifactStore(tmp_path / subdir)
         program = compile_c(UNSEQ, use_cache=False)
         result = program.explore("concrete", max_paths=max_paths,
-                                 store=es)
-        return es, program, result
+                                 store=store)
+        return store, program, result
 
-    def test_record_round_trip(self, tmp_path):
-        es, program, cold = self._explore(tmp_path)
-        warm = program.explore("concrete", max_paths=100_000, store=es)
+    def test_record_round_trip(self, tmp_path, explore_stats):
+        store, program, cold = self._explore(tmp_path)
+        warm = program.explore("concrete", max_paths=100_000,
+                               store=store)
         assert warm.paths_run == cold.paths_run
         assert warm.behaviour_keys() == cold.behaviour_keys()
-        stats = es.stats()
-        assert stats == {**stats, "hits": 1, "misses": 1, "stores": 1,
-                         "live_paths": cold.paths_run}
+        stats = store.kind_stats(RECORD_KIND)
+        assert stats == {**stats, "hits": 1, "misses": 1, "stores": 1}
+        assert explore_stats()["explore_live_paths"] == cold.paths_run
 
-    def test_corrupt_record_re_explores_silently(self, tmp_path):
-        es, program, cold = self._explore(tmp_path)
-        key = es.key(UNSEQ, program.impl, "concrete")
-        [path] = [p for p in _entry_paths(es.store)
+    def test_corrupt_record_re_explores_silently(self, tmp_path,
+                                                 explore_stats):
+        store, program, cold = self._explore(tmp_path)
+        key = exploration_key(store, UNSEQ, program.impl, "concrete")
+        [path] = [p for p in _entry_paths(store)
                   if p.name == f"{key}.pkl"]
         path.write_bytes(b"\x00garbage, not a record")
-        redo = program.explore("concrete", max_paths=100_000, store=es)
+        redo = program.explore("concrete", max_paths=100_000,
+                               store=store)
         assert redo.paths_run == cold.paths_run        # re-explored
         assert redo.behaviour_keys() == cold.behaviour_keys()
-        stats = es.stats()
+        stats = store.kind_stats(RECORD_KIND)
         assert stats["corrupt"] == 1
         assert stats["hits"] == 0 and stats["misses"] == 2
-        assert stats["live_paths"] == 2 * cold.paths_run
+        assert explore_stats()["explore_live_paths"] == 2 * cold.paths_run
         # ... and the damaged entry was replaced by a good one.
-        assert es.stats()["stores"] == 2
+        assert store.kind_stats(RECORD_KIND)["stores"] == 2
 
     def test_truncated_record_is_a_miss(self, tmp_path):
-        es, program, _ = self._explore(tmp_path)
-        key = es.key(UNSEQ, program.impl, "concrete")
-        [path] = [p for p in _entry_paths(es.store)
+        store, program, _ = self._explore(tmp_path)
+        key = exploration_key(store, UNSEQ, program.impl, "concrete")
+        [path] = [p for p in _entry_paths(store)
                   if p.name == f"{key}.pkl"]
         path.write_bytes(path.read_bytes()[:10])
-        assert es.get(key) is None
-        assert es.stats()["corrupt"] == 1
+        assert _get(store, key) is None
+        assert store.kind_stats(RECORD_KIND)["corrupt"] == 1
 
     def test_foreign_object_under_record_key_is_a_miss(self, tmp_path):
-        es, program, _ = self._explore(tmp_path)
-        key = es.key(UNSEQ, program.impl, "concrete")
-        es.store.put_record(key, {"not": "a record"})
-        before = es.stats()
-        assert es.get(key) is None
-        after = es.stats()
+        store, program, _ = self._explore(tmp_path)
+        key = exploration_key(store, UNSEQ, program.impl, "concrete")
+        store.put_record(key, {"not": "a record"}, kind=RECORD_KIND)
+        before = store.kind_stats(RECORD_KIND)
+        assert _get(store, key) is None
+        after = store.kind_stats(RECORD_KIND)
         # Counted as a miss (never a hit) so explore_hit_rate stays
         # truthful, and dropped like any corrupt entry.
         assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"] + 1
         assert after["corrupt"] == before["corrupt"] + 1
-        assert es.store.get_record(key) is None    # entry dropped
+        assert store.get_record(key) is None    # entry dropped
 
     def test_record_key_discriminates_the_space(self, tmp_path):
-        es = ExploreStore(tmp_path / "k")
+        store = ArtifactStore(tmp_path / "k")
         base = ExploreSpec(entry="main", max_steps=500_000,
                            strategy="dfs", seed=None, por=False)
-        k = es.key(UNSEQ, LP64, "concrete", "<string>", base)
-        assert k != es.key(UNSEQ, LP64, "provenance", "<string>", base)
-        assert k != es.key(UNSEQ, ILP32, "concrete", "<string>", base)
-        assert k != es.key(UNSEQ + " ", LP64, "concrete", "<string>",
-                           base)
-        assert k != es.key(UNSEQ, LP64, "concrete", "other.c", base)
+
+        def key(source, impl, model, name, spec):
+            return exploration_key(store, source, impl, model, name,
+                                   spec)
+
+        k = key(UNSEQ, LP64, "concrete", "<string>", base)
+        assert k != key(UNSEQ, LP64, "provenance", "<string>", base)
+        assert k != key(UNSEQ, ILP32, "concrete", "<string>", base)
+        assert k != key(UNSEQ + " ", LP64, "concrete", "<string>",
+                        base)
+        assert k != key(UNSEQ, LP64, "concrete", "other.c", base)
         for twist in (dict(strategy="bfs"), dict(seed=3),
                       dict(por=True), dict(entry="go"),
                       dict(max_steps=1000)):
-            assert k != es.key(UNSEQ, LP64, "concrete", "<string>",
-                               replace(base, **twist)), twist
-        assert k == es.key(UNSEQ, LP64, "concrete", "<string>", base)
+            assert k != key(UNSEQ, LP64, "concrete", "<string>",
+                            replace(base, **twist)), twist
+        assert k == key(UNSEQ, LP64, "concrete", "<string>", base)
 
     def test_eviction_counts_exploration_bytes(self, tmp_path):
         probe = ArtifactStore(tmp_path / "probe")
-        es_probe = ExploreStore(probe)
         program = compile_c(UNSEQ, use_cache=False)
-        program.explore("concrete", max_paths=100_000, store=es_probe)
+        program.explore("concrete", max_paths=100_000, store=probe)
         record_size = probe.size_bytes()
         assert record_size > 0
         # Room for ~2 records: the third put must evict the oldest.
         store = ArtifactStore(tmp_path / "bounded",
                               max_bytes=int(record_size * 2.5))
-        es = ExploreStore(store)
         keys = []
         for i, model in enumerate(["concrete", "provenance", "gcc"]):
-            program.explore(model, max_paths=100_000, store=es)
-            keys.append(es.key(UNSEQ, program.impl, model))
+            program.explore(model, max_paths=100_000, store=store)
+            keys.append(exploration_key(store, UNSEQ, program.impl,
+                                        model))
         assert store.stats()["evictions"] >= 1
         assert store.size_bytes() <= store.max_bytes
-        assert es.get(keys[0]) is None         # oldest record evicted
-        assert es.get(keys[2]) is not None     # newest kept
+        assert _get(store, keys[0]) is None     # oldest record evicted
+        assert _get(store, keys[2]) is not None  # newest kept
 
     def test_records_and_artifacts_share_the_bound(self, tmp_path):
         """A flood of exploration records must evict old compiled
         artifacts too — one budget, not two."""
         probe = ArtifactStore(tmp_path / "probe")
-        probe.put(SRC, LP64, "<string>", True,
+        probe.put(SRC, LP64, "<string>",
                   compile_c(SRC, use_cache=False))
         artifact_size = probe.size_bytes()
         program = compile_c(UNSEQ, use_cache=False)
-        program.explore("concrete", max_paths=100_000,
-                        store=ExploreStore(probe))
+        program.explore("concrete", max_paths=100_000, store=probe)
         record_size = probe.size_bytes() - artifact_size
         assert record_size > 0
         # Room for the artifact plus ~2 exploration records: the
@@ -397,44 +409,42 @@ class TestExplorationRecords:
         store = ArtifactStore(
             tmp_path / "shared",
             max_bytes=artifact_size + int(record_size * 2.5))
-        store.put(SRC, LP64, "<string>", True,
+        store.put(SRC, LP64, "<string>",
                   compile_c(SRC, use_cache=False))
         assert store.get(SRC, LP64) is not None
-        es = ExploreStore(store)
         for model in ("concrete", "provenance", "gcc", "strict"):
-            program.explore(model, max_paths=100_000, store=es)
+            program.explore(model, max_paths=100_000, store=store)
         assert store.size_bytes() <= store.max_bytes
         assert store.get(SRC, LP64) is None    # artifact paid the bill
 
     def test_schema_bump_invalidates_records_and_artifacts(
-            self, tmp_path):
+            self, tmp_path, explore_stats):
         """One version bump (e.g. 2 -> 3) must orphan *both* record
         families at once: stale Core layouts and stale exploration
         state are equally unsafe to deserialise."""
         root = tmp_path / "versioned"
         old = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
-        old.put(SRC, LP64, "<string>", True,
+        old.put(SRC, LP64, "<string>",
                 compile_c(SRC, use_cache=False))
-        es_old = ExploreStore(old)
         program = compile_c(UNSEQ, use_cache=False)
         cold = program.explore("concrete", max_paths=100_000,
-                               store=es_old)
+                               store=old)
         assert old.get(SRC, LP64) is not None
-        assert es_old.stats()["stores"] == 1
+        assert old.kind_stats(RECORD_KIND)["stores"] == 1
 
         new = ArtifactStore(root,
                             schema_version=STORE_SCHEMA_VERSION + 1)
-        es_new = ExploreStore(new)
         assert new.get(SRC, LP64) is None      # artifact invalidated
+        before = explore_stats()["explore_live_paths"]
         redo = program.explore("concrete", max_paths=100_000,
-                               store=es_new)
-        assert es_new.stats()["hits"] == 0     # record invalidated
-        assert es_new.stats()["live_paths"] == cold.paths_run
+                               store=new)
+        assert new.kind_stats(RECORD_KIND)["hits"] == 0  # invalidated
+        assert explore_stats()["explore_live_paths"] - before == cold.paths_run
         assert redo.behaviour_keys() == cold.behaviour_keys()
         # The old-schema store still serves its own entries.
         assert old.get(SRC, LP64) is not None
-        assert es_old.get(es_old.key(UNSEQ, program.impl,
-                                     "concrete")) is not None
+        assert _get(old, exploration_key(old, UNSEQ, program.impl,
+                                         "concrete")) is not None
 
 
 class TestSchemaVersion:
@@ -442,7 +452,7 @@ class TestSchemaVersion:
         root = tmp_path / "versioned"
         v1 = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
         program = compile_c(SRC, use_cache=False)
-        v1.put(SRC, LP64, "<string>", True, program)
+        v1.put(SRC, LP64, "<string>", program)
         assert v1.get(SRC, LP64) is not None
 
         v2 = ArtifactStore(root,

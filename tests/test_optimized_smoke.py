@@ -75,7 +75,8 @@ if any(o.stdout != "3f\n" for o in bf.values()):
 # explore -> warm record hit (zero paths re-run) -> budget-interrupted
 # partial -> resumed completion, all checked explicitly.
 import shutil, tempfile
-from repro.farm.explorestore import ExploreStore
+from repro import obs
+from repro.farm.store import ArtifactStore
 from repro.pipeline import compile_c
 
 UNSEQ = "int a, b; int main(void){ (a=1)+(b=2); return a+b-3; }"
@@ -83,27 +84,31 @@ root = tempfile.mkdtemp(prefix="smoke-explore-")
 try:
     program = compile_c(UNSEQ)
     plain = program.explore("concrete", max_paths=100_000)
-    es = ExploreStore(root)
-    cold = program.explore("concrete", max_paths=100_000, store=es)
-    if cold.paths_run != plain.paths_run or \
-            cold.behaviour_keys() != plain.behaviour_keys():
-        sys.exit("store-backed exploration diverged under -O")
-    warm = program.explore("concrete", max_paths=100_000, store=es)
-    if es.stats()["live_paths"] != plain.paths_run:
+    es = ArtifactStore(root)
+    with obs.collecting() as counted:
+        cold = program.explore("concrete", max_paths=100_000, store=es)
+        if cold.paths_run != plain.paths_run or \
+                cold.behaviour_keys() != plain.behaviour_keys():
+            sys.exit("store-backed exploration diverged under -O")
+        warm = program.explore("concrete", max_paths=100_000, store=es)
+    if counted.counters.get("explore.live_paths") != plain.paths_run:
         sys.exit("warm exploration re-ran paths under -O")
     if warm.behaviour_keys() != plain.behaviour_keys():
         sys.exit("warm exploration record diverged under -O")
-    es2 = ExploreStore(root + "-resume")
-    part = program.explore("concrete", max_paths=40, store=es2)
-    if part.paths_run != 40 or part.exhausted:
-        sys.exit("budget interruption broke under -O")
-    full = program.explore("concrete", max_paths=100_000, store=es2)
+    es2 = ArtifactStore(root + "-resume")
+    with obs.collecting() as counted:
+        part = program.explore("concrete", max_paths=40, store=es2)
+        if part.paths_run != 40 or part.exhausted:
+            sys.exit("budget interruption broke under -O")
+        full = program.explore("concrete", max_paths=100_000,
+                               store=es2)
     if full.paths_run != plain.paths_run or not full.exhausted or \
             full.behaviour_keys() != plain.behaviour_keys():
         sys.exit("resumed exploration diverged under -O: "
                  f"{full.paths_run} vs {plain.paths_run}")
-    if es2.stats()["resumes"] != 1 or \
-            es2.stats()["live_paths"] != plain.paths_run:
+    if counted.counters.get("explore.resumes") != 1 or \
+            counted.counters.get("explore.live_paths") \
+            != plain.paths_run:
         sys.exit("resume accounting broke under -O")
 finally:
     shutil.rmtree(root, ignore_errors=True)

@@ -180,6 +180,31 @@ int main(void) { pr('a') + pr('b'); return 0; }'''
         assert sweep_key == single_key
 
 
+class TestMainResult:
+    """A ``main`` whose result is not an integer — ``void main``, or
+    an unspecified ``int`` under the models that read it as such —
+    exits 0 on both back ends, in one run and under ``--models
+    all``, instead of ending in a Python exception."""
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("source, models", [
+        ("void main(void){}\n", list(MODELS)),
+        ("int main(void){ int x; return x; }\n",
+         ["provenance", "cheri", "gcc"]),
+    ], ids=["void_main", "unspecified_result"])
+    def test_exits_zero(self, tmp_path, capsys, source, models,
+                        backend):
+        path = tmp_path / "p.c"
+        path.write_text(source)
+        assert cli_main([str(path), "--backend", backend]) == 0
+        cli_main([str(path), "--models", "all", "--backend", backend])
+        lines = dict(line.split(None, 1)
+                     for line in capsys.readouterr().out.splitlines())
+        assert len(lines) == len(MODELS)
+        for model in models:
+            assert lines[model] == "exit=0 stdout=''", model
+
+
 class TestCli:
     def _write(self, tmp_path, source):
         f = tmp_path / "prog.c"

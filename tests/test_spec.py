@@ -22,7 +22,7 @@ import pytest
 from repro import cli
 from repro.cli import main as cli_main
 from repro.core.pretty import pretty_program
-from repro.farm.explorestore import ExploreStore
+from repro.farm.store import ArtifactStore
 from repro.farm.frontier import explore_farm
 from repro.farm.server import validate_submit
 from repro.memory.base import MemoryOptions
@@ -70,13 +70,14 @@ class _KeySpy:
 
     def __init__(self, monkeypatch):
         self.keys = []
-        get = ExploreStore.get
+        get = ArtifactStore.get_record
 
-        def spy(store, key):
-            self.keys.append(key)
-            return get(store, key)
+        def spy(store, key, *args, **kwargs):
+            if kwargs.get("kind") == "exploration":
+                self.keys.append(key)
+            return get(store, key, *args, **kwargs)
 
-        monkeypatch.setattr(ExploreStore, "get", spy)
+        monkeypatch.setattr(ArtifactStore, "get_record", spy)
 
     def last(self) -> str:
         assert self.keys, "no exploration record was looked up"
@@ -117,7 +118,7 @@ class TestFieldWalk:
     def test_every_field_but_the_budget_changes_the_record_key(
             self, tmp_path, monkeypatch):
         spy = _KeySpy(monkeypatch)
-        es = ExploreStore(tmp_path / "store")
+        es = ArtifactStore(tmp_path / "store")
         program = compile_c(SRC)
 
         def serial_key(spec):
@@ -125,8 +126,7 @@ class TestFieldWalk:
             return spy.last()
 
         def farm_key(spec):
-            explore_farm(SRC, "concrete", spec=spec, jobs=2,
-                         explore_store=es)
+            explore_farm(SRC, "concrete", spec=spec, jobs=2, store=es)
             return spy.last()
 
         for seam in (serial_key, farm_key):

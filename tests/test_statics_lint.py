@@ -25,7 +25,8 @@ Three layers of guarantees are pinned here:
 import pytest
 
 from repro.errors import CerberusError
-from repro.farm.explorestore import ExploreStore
+from repro import obs
+from repro.farm.explorestore import exploration_key
 from repro.farm.pool import SweepTask, execute_task
 from repro.farm.store import ArtifactStore
 from repro.pipeline import (
@@ -283,11 +284,11 @@ class TestStaticsStore:
         assert store.stats()["record_stores"] == 2
 
     def test_explore_key_has_static_prune_part(self, tmp_path):
-        es = ExploreStore(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         from repro.ctypes.implementation import LP64
-        k_off = es.key(DISJOINT, LP64, "concrete")
-        k_on = es.key(DISJOINT, LP64, "concrete",
-                      spec=ExploreSpec(static_prune=True))
+        k_off = exploration_key(store, DISJOINT, LP64, "concrete")
+        k_on = exploration_key(store, DISJOINT, LP64, "concrete",
+                               spec=ExploreSpec(static_prune=True))
         assert k_off != k_on
 
     def test_store_backed_static_explore(self, tmp_path):
@@ -301,10 +302,10 @@ class TestStaticsStore:
         assert r1.exhausted
         clear_compile_cache()
         fresh = compile_c(DISJOINT)
-        es = ExploreStore(store)
-        r2 = fresh.explore("concrete", store=es, max_paths=200,
-                           static_prune=True)
-        assert es.stats()["live_paths"] == 0
+        with obs.collecting() as registry:
+            r2 = fresh.explore("concrete", store=store, max_paths=200,
+                               static_prune=True)
+        assert registry.counters.get("explore.live_paths", 0) == 0
         assert sorted(o.summary() for o in r1.distinct()) == \
             sorted(o.summary() for o in r2.distinct())
 
