@@ -19,10 +19,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro import obs
+from repro.farm.pool import task_stats
 from repro.farm.store import ArtifactStore
 from repro.pipeline import (
-    MODELS, clear_compile_cache, compile_cache_stats, run_many,
-    set_artifact_store,
+    MODELS, clear_compile_cache, run_many, set_artifact_store,
 )
 
 PROGRAMS = {
@@ -91,16 +92,19 @@ int main(void) {
 
 
 def _sweep():
+    """One pass over the corpus: its verdicts and its compile/store
+    counters (translations, store hits)."""
     clear_compile_cache()
     verdicts = {}
-    for name, src in PROGRAMS.items():
-        outcomes = run_many(src, name=name)
-        verdicts[name] = {
-            model: (o.status, o.exit_code,
-                    o.ub.name if o.ub else None, o.stdout)
-            for model, o in outcomes.items()
-        }
-    return verdicts, compile_cache_stats()
+    with obs.collecting() as registry:
+        for name, src in PROGRAMS.items():
+            outcomes = run_many(src, name=name)
+            verdicts[name] = {
+                model: (o.status, o.exit_code,
+                        o.ub.name if o.ub else None, o.stdout)
+                for model, o in outcomes.items()
+            }
+    return verdicts, task_stats(registry.to_dict())
 
 
 def test_fragment_sweep():

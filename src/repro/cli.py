@@ -739,7 +739,7 @@ def serve_main(argv) -> int:
 
     with _obs_scope(args, identity) as ctx:
         asyncio.run(_serve())
-    c = server.counters
+    c = server.counter_table()
     print(f"cerberus-py serve: drained — {c['accepted']} accepted, "
           f"{c['jobs_completed']} completed, "
           f"{c['dedup_coalesced']} coalesced, "

@@ -1330,8 +1330,21 @@ class Elaborator:
         raise InternalError("index outside lvalue conversion", e.loc)
 
     def _rv_EMember(self, e: A.EMember) -> K.Expr:
-        raise InternalError("member access outside lvalue conversion",
-                            e.loc)
+        # A member of a struct or union rvalue (§6.5.2.3p3), e.g. a
+        # call's result: the value goes to a temporary object that dies
+        # with the expression (§6.2.4p8), the member is loaded from it.
+        assert e.base.ty is not None and e.ty is not None
+        rec = e.base.ty.ty
+        tmp, v = self.fresh_name("rvtmp"), self.fresh_name("rv")
+        ptr = K.PMemberShift(K.PSym(tmp), rec.tag, e.member, loc=e.loc)
+        bf = self._member_bitfield(e)
+        load = self.act_load_bits(bf, ptr, e.loc) if bf is not None \
+            else self.act_load(e.ty.ty, ptr, e.loc)
+        store = self.act_store(rec, K.PSym(tmp), K.PSym(v), e.loc)
+        return K.EScope(
+            [K.ScopedCreate(tmp, rec, "rvalue", loc=e.loc)],
+            _sseq(PatSym(v), self.rv(e.base),
+                  _sseq(PatWild(), store, load), loc=e.loc))
 
     def _rv_ECompound(self, e: A.ECompound) -> K.Expr:
         raise InternalError("compound literal outside lvalue conversion",

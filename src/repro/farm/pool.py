@@ -287,6 +287,29 @@ def task_stats(metrics: Optional[dict]) -> Dict[str, int]:
     return {key: count(pattern) for key, pattern in _STATS.items()}
 
 
+def store_stats(metrics: Optional[dict]) -> Dict[str, object]:
+    """The store table of a metrics snapshot (the daemon's ``stats``
+    reply): ``by_kind`` hits/misses/stores/corrupt, their totals (the
+    ``compiled`` kind's bare, other kinds' as ``record_*``), and
+    ``evictions``."""
+    counters = (metrics or {}).get("counters", {})
+    events = ("hits", "misses", "stores", "corrupt")
+    by_kind: Dict[str, Dict[str, int]] = {}
+    for name, n in counters.items():
+        family, _, rest = name.partition(".")
+        kind, _, event = rest.rpartition(".")
+        if family == "store" and kind and event in events:
+            by_kind.setdefault(kind, dict.fromkeys(events, 0))[event] += n
+    table = dict.fromkeys(("hits", "misses", "stores", "record_hits",
+                           "record_misses", "record_stores"), 0)
+    table.update(evictions=counters.get("store.evictions", 0), corrupt=0)
+    for kind, per in by_kind.items():
+        for event, n in per.items():
+            bare = kind == "compiled" or event == "corrupt"
+            table[event if bare else "record_" + event] += n
+    return dict(table, by_kind=dict(sorted(by_kind.items())))
+
+
 # -- the worker ---------------------------------------------------------------
 
 def execute_task(task: SweepTask) -> TaskResult:

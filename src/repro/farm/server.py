@@ -24,7 +24,10 @@ Robustness properties
   computation; later waiters attach to the in-flight job
   (``server.dedup_coalesced``), and finished payloads are persisted
   so re-submissions are served from the result record
-  (``server.result_cache_hits``) without touching the pool.
+  (``server.result_cache_hits``) without touching the pool — but
+  only a payload no clock shaped: a worker's (never the daemon's
+  ``job-timeout``/``job-failed``), every exploration exhausted or at
+  ``max_paths``.  Anything else runs again, resuming its record.
 * **Crash-safe queue** — accepting a job persists it *before* the
   submit response: a ``"job"`` record (the spec) plus membership in
   the ``"jobqueue"`` pending-index record, both in the artifact
@@ -49,13 +52,13 @@ Robustness properties
   ``drain_timeout`` for in-flight jobs, persists what remains in the
   pending index, and exits; nothing accepted is ever lost.
 
-Observability: the daemon mirrors its counters to the active
-:mod:`repro.obs` context (``server.*`` counters, a
+Observability: the daemon counts in one :mod:`repro.obs` scope kept
+installed for its life (chained to a ``cerberus-py serve --trace``
+scope, so a trace sees every count once): ``server.*`` counters, a
 ``server.queue_depth`` gauge, one ``server.job`` span per executed
-job carrying the job id and state), so ``cerberus-py serve --trace
-FILE`` produces a trace readable by ``cerberus-py stats``; worker-side
-metrics ship back with each payload and are merged in, exactly like
-farm campaigns.
+job, its own store accesses, and every worker payload's merged
+``metrics``.  The ``stats`` reply reads that scope, so it counts the
+daemon and its workers.
 
 The JSON protocol (version 1)
 =============================
@@ -113,15 +116,15 @@ Responses (success)::
     result:             {"ok": true, "job": ID, "state": "done"|
                          "failed", "report": PAYLOAD}
     stats:              {"ok": true, "protocol": 1, "server": {...},
-                         "store": ArtifactStore.stats()}
+                         "store": {...}}
     health:             {"ok": true, "protocol": 1, "status":
                          "serving"|"draining", "pid": N}
     shutdown:           {"ok": true, "draining": true, "inflight": N}
 
-The ``stats`` op's ``store`` object is
-:meth:`~repro.farm.store.ArtifactStore.stats` of the daemon's store:
-flat and per-kind hits/misses/stores/corrupt, evictions, and the
-entry count and size in bytes.
+The ``stats`` op's ``server.counters`` lists :data:`SERVER_COUNTERS`;
+its ``store`` object is :func:`~repro.farm.pool.store_stats` of the
+daemon's scope (flat and per-kind hits/misses/stores/corrupt,
+evictions) plus the entry count and size in bytes.
 
 ``PAYLOAD`` is the JSON form of one farm
 :class:`~repro.farm.pool.TaskResult`
@@ -167,6 +170,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import json
 import multiprocessing
 import os
@@ -179,7 +183,8 @@ from .. import obs
 from ..obs.trace import run_id_for
 from ..spec import ExploreSpec, SpecError
 from .pool import (
-    SweepTask, _init_worker, execute_task, task_result_to_json,
+    SweepTask, _init_worker, execute_task, store_stats,
+    task_result_to_json,
 )
 from .store import ArtifactStore, as_store
 
@@ -193,6 +198,11 @@ RESULT_RECORD_KIND = "jobresult"
 QUEUE_RECORD_KIND = "jobqueue"
 
 _DEFAULT_MAX_REQUEST = 8 * 1024 * 1024
+
+#: The ``server.*`` counters the ``stats`` reply lists.
+SERVER_COUNTERS = ("requests", "submits", "accepted", "dedup_coalesced",
+                   "result_cache_hits", "jobs_executed", "jobs_completed",
+                   "jobs_failed", "jobs_timeout", "resumed", "rejects")
 
 
 class ProtocolError(Exception):
@@ -384,6 +394,15 @@ def _warm_worker() -> int:
     return os.getpid()
 
 
+def _reusable(payload: dict, spec: JobSpec) -> bool:
+    """Whether a finished payload may answer a new submission of
+    ``spec``: a worker produced it (the daemon's own errors are
+    structured objects) and no deadline cut an exploration short."""
+    return not isinstance(payload.get("error"), dict) and all(
+        e["exhausted"] or e["paths_run"] >= spec.spec.max_paths
+        for e in (payload.get("explorations") or {}).values())
+
+
 def _execute_job(spec_dict: dict, explore_dir: Optional[str],
                  deadline_s: Optional[float]) -> dict:
     """Run one job in a pool worker: exactly the farm task recipe
@@ -454,32 +473,28 @@ class FarmServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
         self._executor = None
-        self.counters: Dict[str, int] = {
-            "requests": 0, "submits": 0, "accepted": 0,
-            "dedup_coalesced": 0, "result_cache_hits": 0,
-            "jobs_executed": 0, "jobs_completed": 0,
-            "jobs_failed": 0, "jobs_timeout": 0, "resumed": 0,
-            "rejects": 0,
-        }
+        self.obs: Optional[obs.ObsContext] = None   # set by start()
+        self._obs_scope = contextlib.ExitStack()
         self._queue_key = self.store.record_key(QUEUE_RECORD_KIND,
                                                 "pending")
 
-    # -- counters / obs mirrors -----------------------------------------------
+    # -- counters -------------------------------------------------------------
 
     def _inc(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-        ctx = obs.active()
-        if ctx is not None:
-            ctx.inc(f"server.{name}", n)
+        self.obs.inc(f"server.{name}", n)
+
+    def counter_table(self) -> Dict[str, int]:
+        """Every :data:`SERVER_COUNTERS` name and its count so far."""
+        counters = self.obs.metrics.counters
+        return {name: counters.get(f"server.{name}", 0)
+                for name in SERVER_COUNTERS}
 
     def _queue_depth(self) -> int:
         return sum(1 for j in self._jobs.values()
                    if j.state in ("queued", "running"))
 
     def _gauge_depth(self) -> None:
-        ctx = obs.active()
-        if ctx is not None:
-            ctx.gauge("server.queue_depth", self._queue_depth())
+        self.obs.gauge("server.queue_depth", self._queue_depth())
 
     # -- crash-safe queue records ---------------------------------------------
 
@@ -517,29 +532,19 @@ class FarmServer:
             payload = self.store.get_record(self._result_key(job_id),
                                             dict,
                                             kind=RESULT_RECORD_KIND)
-            if payload is not None:
-                job = Job(JobSpec(source=""), job_id,
-                          state="done" if payload.get("ok")
-                          else "failed",
-                          accepted_m=time.monotonic(),
-                          payload=payload)
-                spec_dict = self.store.get_record(
-                    self._job_key(job_id), dict, kind=JOB_RECORD_KIND)
-                if spec_dict is not None:
-                    job.spec = JobSpec.from_dict(spec_dict)
-                job.done.set()
-                self._jobs[job_id] = job
-                continue
             spec_dict = self.store.get_record(self._job_key(job_id),
                                               dict,
                                               kind=JOB_RECORD_KIND)
-            if spec_dict is None:
-                continue   # evicted or corrupt: nothing to resume
-            job = Job(JobSpec.from_dict(spec_dict), job_id,
-                      accepted_m=time.monotonic())
-            self._jobs[job_id] = job
-            self._spawn(job)
-            resumed += 1
+            if payload is not None:
+                self._answered(JobSpec.from_dict(spec_dict)
+                               if spec_dict is not None
+                               else JobSpec(source=""), job_id, payload)
+            elif spec_dict is not None:   # else evicted or corrupt
+                job = Job(JobSpec.from_dict(spec_dict), job_id,
+                          accepted_m=time.monotonic())
+                self._jobs[job_id] = job
+                self._spawn(job)
+                resumed += 1
         if resumed:
             self._inc("resumed", resumed)
         self._persist_pending()
@@ -548,8 +553,13 @@ class FarmServer:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> int:
-        """Bind the socket, pre-warm the pool, recover the persisted
-        queue; returns the number of resumed jobs."""
+        """Install the daemon's metrics scope, bind the socket,
+        pre-warm the pool, recover the persisted queue; returns the
+        number of resumed jobs."""
+        parent = obs.active()
+        self.obs = self._obs_scope.enter_context(obs.install(
+            obs.ObsContext(tracer=getattr(parent, "tracer", None),
+                           parent=parent)))
         self._stopped = asyncio.Event()
         methods = multiprocessing.get_all_start_methods()
         mp_ctx = multiprocessing.get_context(
@@ -608,6 +618,7 @@ class FarmServer:
             os.unlink(self.socket_path)
         except OSError:
             pass
+        self._obs_scope.close()
         self._stopped.set()
 
     # -- connection handling --------------------------------------------------
@@ -676,9 +687,7 @@ class FarmServer:
             return await handler(msg)
         except ProtocolError as exc:
             self._inc("rejects")
-            ctx = obs.active()
-            if ctx is not None:
-                ctx.inc(f"server.errors.{exc.code}")
+            self._inc(f"errors.{exc.code}")
             return exc.to_json()
         except Exception as exc:   # never a traceback on the wire
             self._inc("rejects")
@@ -701,27 +710,19 @@ class FarmServer:
         coalesced = cached = False
 
         job = self._jobs.get(job_id)
-        if job is not None:
-            if job.state in ("queued", "running"):
-                coalesced = True
-                self._inc("dedup_coalesced")
-            else:
-                cached = True
-                self._inc("result_cache_hits")
+        if job is not None and job.state in ("queued", "running"):
+            coalesced = True
+            self._inc("dedup_coalesced")
         else:
-            payload = self.store.get_record(
-                self._result_key(job_id), dict,
-                kind=RESULT_RECORD_KIND)
-            if payload is not None:
-                # A previous incarnation finished this exact request.
+            payload = job.payload if job is not None \
+                else self.store.get_record(self._result_key(job_id),
+                                           dict,
+                                           kind=RESULT_RECORD_KIND)
+            if payload is not None and _reusable(payload, spec):
                 cached = True
                 self._inc("result_cache_hits")
-                job = Job(spec, job_id, accepted_m=time.monotonic(),
-                          state="done" if payload.get("ok")
-                          else "failed",
-                          payload=payload)
-                job.done.set()
-                self._jobs[job_id] = job
+                if job is None:
+                    job = self._answered(spec, job_id, payload)
             else:
                 active = self._client_jobs.setdefault(client, set())
                 active &= {j for j in active
@@ -780,12 +781,17 @@ class FarmServer:
             if payload is None:
                 raise ProtocolError("unknown-job",
                                     f"unknown job {job_id!r}", "job")
-            job = Job(JobSpec(source=""), job_id,
-                      accepted_m=time.monotonic(),
-                      state="done" if payload.get("ok") else "failed",
-                      payload=payload)
-            job.done.set()
-            self._jobs[job_id] = job
+            job = self._answered(JobSpec(source=""), job_id, payload)
+        return job
+
+    def _answered(self, spec: JobSpec, job_id: str,
+                  payload: dict) -> Job:
+        """Register a job a known ``payload`` already finished."""
+        job = Job(spec, job_id, accepted_m=time.monotonic(),
+                  state="done" if payload.get("ok") else "failed",
+                  payload=payload)
+        job.done.set()
+        self._jobs[job_id] = job
         return job
 
     async def _op_stats(self, msg: dict) -> dict:
@@ -803,9 +809,10 @@ class FarmServer:
                 "quota": self.quota,
                 "queue_depth": self._queue_depth(),
                 "jobs": states,
-                "counters": dict(self.counters),
+                "counters": self.counter_table(),
             },
-            "store": self.store.stats(),
+            "store": dict(store_stats(self.obs.metrics.to_dict()),
+                          **self.store.stats()),
         }
 
     async def _op_health(self, msg: dict) -> dict:
@@ -838,9 +845,8 @@ class FarmServer:
         job.state = "running"
         self._inc("jobs_executed")
         self._gauge_depth()
-        ctx = obs.active()
-        t0 = ctx.tracer.now() if ctx is not None \
-            and ctx.tracer is not None else 0.0
+        ctx = self.obs
+        t0 = ctx.tracer.now() if ctx.tracer is not None else 0.0
         w0 = time.perf_counter()
         loop = asyncio.get_running_loop()
         try:
@@ -875,14 +881,13 @@ class FarmServer:
         elif not payload.get("timed_out"):
             self._inc("jobs_failed")   # timeouts counted above
         wall = time.perf_counter() - w0
-        if ctx is not None:
-            ctx.merge(payload.get("metrics"))
-            ctx.observe("span.server.job", wall)
-            if ctx.tracer is not None:
-                ctx.tracer.emit_span(
-                    "server.job", t0, wall, 0.0, 0,
-                    {"job": job.job_id, "name": job.spec.name,
-                     "mode": job.spec.mode, "state": job.state})
+        ctx.merge(payload.get("metrics"))
+        ctx.observe("span.server.job", wall)
+        if ctx.tracer is not None:
+            ctx.tracer.emit_span(
+                "server.job", t0, wall, 0.0, 0,
+                {"job": job.job_id, "name": job.spec.name,
+                 "mode": job.spec.mode, "state": job.state})
         self._persist_result(job)
         self._persist_pending()
         for client in job.clients:

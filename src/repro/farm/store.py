@@ -28,9 +28,8 @@ Durability properties:
   deserialises into a miss (and is unlinked best-effort): callers
   recompile or re-explore, they never crash on a bad store.  Each
   such fallback is *visible*: a :class:`StoreCorruptionWarning` is
-  issued, the per-kind ``corrupt`` counters in :meth:`stats` tick,
-  and an obs counter (``store.<kind>.corrupt``) records it in traces
-  and campaign reports.
+  issued, and ``store.<kind>.corrupt`` ticks (see Counting below),
+  so traces, task ``stats`` and the daemon's ``stats`` reply show it.
 * **Bounded size, LRU eviction** — the store never holds more than
   ``max_bytes`` of artifacts; reads refresh an entry's mtime, and the
   least-recently-used entries are evicted first (the newest entry is
@@ -38,6 +37,11 @@ Durability properties:
 * **Concurrency** — many processes may share one store directory:
   writes are atomic, reads tolerate concurrent eviction, and eviction
   tolerates concurrent unlinks.
+
+Counting: a handle keeps no counters.  Each access ticks
+``store.<kind>.hits``/``misses``/``stores``/``corrupt`` (an eviction
+pass ``store.evictions``) in the active :mod:`repro.obs` scope, if
+any; :meth:`ArtifactStore.stats` is only the directory scan.
 """
 
 from __future__ import annotations
@@ -83,9 +87,6 @@ _MAGIC = "cerberus-farm-artifact"
 
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
-#: The per-record-kind counters (:meth:`ArtifactStore.kind_stats`).
-_KIND_EVENTS = ("hits", "misses", "stores", "corrupt")
-
 
 class StoreCorruptionWarning(UserWarning):
     """A store entry failed to deserialise (truncated, garbled, wrong
@@ -111,15 +112,6 @@ class ArtifactStore:
         self.schema_version = (STORE_SCHEMA_VERSION
                                if schema_version is None
                                else schema_version)
-        self._counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "stores": 0,
-            "record_hits": 0, "record_misses": 0, "record_stores": 0,
-            "evictions": 0, "corrupt": 0,
-        }
-        # Per record kind ("compiled" / "exploration" / "statics" /
-        # ...): {kind: {"hits": n, "misses": n, "stores": n,
-        # "corrupt": n}}, additive to the flat totals above.
-        self._kind_counters: Dict[str, Dict[str, int]] = {}
         # Approximate on-disk footprint, maintained incrementally so
         # a put under the bound costs O(1) — the full directory scan
         # only runs when the estimate crosses ``max_bytes``.  It may
@@ -159,18 +151,15 @@ class ArtifactStore:
 
     # -- read side ------------------------------------------------------------
 
-    def _kind_event(self, kind: str, event: str) -> None:
-        """One per-kind counter tick, mirrored to the active obs
-        context (``store.<kind>.<event>``) when observability is on."""
-        per = self._kind_counters.setdefault(
-            kind, dict.fromkeys(_KIND_EVENTS, 0))
-        per[event] += 1
+    @staticmethod
+    def _count(kind: str, *events: str) -> None:
+        """Tick ``store.<kind>.<event>`` in the active obs scope."""
         ctx = obs.active()
         if ctx is not None:
-            ctx.inc(f"store.{kind}.{event}")
+            for event in events:
+                ctx.inc(f"store.{kind}.{event}")
 
-    def _load(self, key: str, hit: str, miss: str, expect=None,
-              kind: str = "compiled"):
+    def _load(self, key: str, expect=None, kind: str = "compiled"):
         """Load any stored object by key, or ``None`` on miss.
 
         Any failure — missing file, short read, unpickling error,
@@ -182,8 +171,7 @@ class ArtifactStore:
         try:
             blob = path.read_bytes()
         except OSError:
-            self._counters[miss] += 1
-            self._kind_event(kind, "misses")
+            self._count(kind, "misses")
             return None
         try:
             magic, version, stored_key, obj = pickle.loads(blob)
@@ -193,10 +181,7 @@ class ArtifactStore:
             if expect is not None and not isinstance(obj, expect):
                 raise ValueError("foreign object under the key")
         except Exception:
-            self._counters["corrupt"] += 1
-            self._counters[miss] += 1
-            self._kind_event(kind, "corrupt")
-            self._kind_event(kind, "misses")
+            self._count(kind, "corrupt", "misses")
             warnings.warn(
                 f"dropping corrupt {kind!r} store entry "
                 f"{key[:12]}... (falling back to regeneration)",
@@ -208,15 +193,13 @@ class ArtifactStore:
             return None
         # Refresh recency for LRU eviction.
         self._stamp_recency(path)
-        self._counters[hit] += 1
-        self._kind_event(kind, "hits")
+        self._count(kind, "hits")
         return obj
 
     def get(self, source: str, impl, name: str = "<string>"):
         """Load a compiled artifact, or ``None`` on miss (callers
         silently recompile — they never crash on a bad store)."""
-        return self._load(self.key(source, impl, name), "hits",
-                          "misses")
+        return self._load(self.key(source, impl, name))
 
     def get_record(self, key: str, expect=None,
                    kind: str = "record"):
@@ -224,10 +207,9 @@ class ArtifactStore:
         :meth:`record_key` address, or ``None`` on miss.  Damaged,
         stale-schema, or (with ``expect``) wrong-type entries are
         misses — counted as such — exactly as for artifacts.  Pass
-        the same ``kind`` used to build the key so the per-kind
-        counters attribute the access correctly."""
-        return self._load(key, "record_hits", "record_misses", expect,
-                          kind=kind)
+        the same ``kind`` used to build the key so the
+        ``store.<kind>.*`` counters attribute the access correctly."""
+        return self._load(key, expect, kind)
 
     def touch(self, source: str, impl, name: str = "<string>") -> None:
         """Refresh an entry's LRU recency without deserialising it.
@@ -253,8 +235,7 @@ class ArtifactStore:
 
     # -- write side -----------------------------------------------------------
 
-    def _save(self, key: str, obj, counter: str,
-              kind: str = "compiled") -> None:
+    def _save(self, key: str, obj, kind: str = "compiled") -> None:
         """Persist any object atomically under ``key``, then enforce
         the size bound (records and artifacts share one LRU budget)."""
         path = self._path(key)
@@ -275,8 +256,7 @@ class ArtifactStore:
                 pass
             raise
         self._stamp_recency(path)
-        self._counters[counter] += 1
-        self._kind_event(kind, "stores")
+        self._count(kind, "stores")
         if self._approx_bytes is None:
             self._approx_bytes = self.size_bytes()
         else:
@@ -287,7 +267,7 @@ class ArtifactStore:
     def put(self, source: str, impl, name: str, program) -> None:
         """Persist a compiled artifact atomically, then enforce the
         size bound."""
-        self._save(self.key(source, impl, name), program, "stores")
+        self._save(self.key(source, impl, name), program)
 
     def put_record(self, key: str, obj, kind: str = "record") -> None:
         """Persist an auxiliary record under a :meth:`record_key`
@@ -295,7 +275,7 @@ class ArtifactStore:
         compiled artifacts: atomic publish, corruption -> miss, and
         the shared size-bounded LRU (exploration bytes count against
         ``max_bytes`` like any other entry)."""
-        self._save(key, obj, "record_stores", kind=kind)
+        self._save(key, obj, kind)
 
     def _entries(self):
         """All stored artifacts as (mtime, size, path), oldest first."""
@@ -329,37 +309,23 @@ class ArtifactStore:
             total -= size
             evicted += 1
         self._approx_bytes = total  # resynchronised with the scan
-        if evicted:
-            self._counters["evictions"] += evicted
-            ctx = obs.active()
-            if ctx is not None:
-                ctx.inc("store.evictions", evicted)
+        ctx = obs.active()
+        if evicted and ctx is not None:
+            ctx.inc("store.evictions", evicted)
 
     # -- observability --------------------------------------------------------
 
     def size_bytes(self) -> int:
         return sum(size for _, size, _ in self._entries())
 
-    def kind_stats(self, kind: str) -> Dict[str, int]:
-        """This process's hits/misses/stores/corrupt counters for one
-        record kind — counters only, no directory scan."""
-        return dict(self._kind_counters.get(
-            kind, dict.fromkeys(_KIND_EVENTS, 0)))
-
     def stats(self) -> Dict[str, int]:
-        """Per-process counters plus the current on-disk footprint
-        (one directory scan).  ``by_kind`` breaks
-        hits/misses/stores/corrupt down per record kind, additively to
-        the flat totals."""
+        """The on-disk footprint, from one directory scan."""
         entries = self._entries()
-        return dict(self._counters,
-                    by_kind={k: dict(v) for k, v
-                             in sorted(self._kind_counters.items())},
-                    entries=len(entries),
-                    size_bytes=sum(size for _, size, _ in entries))
+        return {"entries": len(entries),
+                "size_bytes": sum(size for _, size, _ in entries)}
 
     def clear(self) -> None:
-        """Drop every stored artifact (counters are kept)."""
+        """Drop every stored artifact."""
         for _, _, path in self._entries():
             try:
                 path.unlink()

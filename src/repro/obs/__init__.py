@@ -60,7 +60,11 @@ RNG, so identical runs produce diffable traces):
   ``store.<kind>.*`` (hits/misses/stores/corrupt per record kind:
   compiled / exploration / statics), ``store.evictions``,
   ``pipeline.*`` (translations, cache_hits, cache_misses),
-  ``farm.*`` (tasks, timeouts, failures).  Histograms named
+  ``farm.*`` (tasks, timeouts, failures), ``server.*`` (the farm
+  daemon's ``SERVER_COUNTERS`` and ``errors.<code>``; the daemon
+  always counts, its workers' metrics merged in).  A count lives
+  nowhere else: the compile cache, the artifact store and the daemon
+  keep no tables of their own.  Histograms named
   ``span.<name>`` aggregate span wall-clock (``.cpu`` suffix for CPU
   time) — they carry phase timings across the farm's process
   boundary, where workers collect metrics but do not write trace
@@ -87,8 +91,8 @@ from .trace import TRACE_SCHEMA, Tracer, read_trace, run_id_for
 
 __all__ = [
     "MetricsRegistry", "ObsContext", "Tracer", "TRACE_SCHEMA",
-    "active", "collecting", "maybe_span", "merge_metric_dicts",
-    "read_trace", "run_id_for", "tracing",
+    "active", "collecting", "install", "maybe_span",
+    "merge_metric_dicts", "read_trace", "run_id_for", "tracing",
 ]
 
 #: The active observability context, or ``None`` (the default:
@@ -216,7 +220,9 @@ class ObsContext:
 
 
 @contextlib.contextmanager
-def _install(ctx: ObsContext) -> Iterator[ObsContext]:
+def install(ctx: ObsContext) -> Iterator[ObsContext]:
+    """Make ``ctx`` the active context for the ``with`` block (the
+    farm daemon keeps its one scope installed for its whole life)."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = ctx
@@ -241,7 +247,7 @@ def tracing(path=None, identity: str = "",
     ctx = ObsContext(tracer=tracer, profile_dir=profile_dir,
                      parent=_ACTIVE)
     try:
-        with _install(ctx):
+        with install(ctx):
             yield ctx
     finally:
         if tracer is not None:
@@ -260,7 +266,7 @@ def collecting(registry: Optional[MetricsRegistry] = None
     and forked execution produce identical totals, counted once."""
     registry = registry if registry is not None else MetricsRegistry()
     ctx = ObsContext(metrics=registry)
-    with _install(ctx):
+    with install(ctx):
         yield registry
 
 

@@ -7,13 +7,14 @@ program:
   preprocess, parse (Cabs), desugar (Ail), typecheck (Typed Ail),
   elaborate (Core) — and returns a reusable :class:`CompiledProgram`.
   Results are memoised in a bounded content-addressed in-memory cache
-  keyed on ``(source, impl, name)``; see :func:`compile_cache_stats`
-  and :func:`clear_compile_cache`.  A persistent cross-process second
-  level (an artifact store from :mod:`repro.farm.store`) can be
-  installed with :func:`set_artifact_store`: it is consulted after an
-  in-memory miss and filled after each front-end translation, so
-  repeated CLI / pytest / benchmark invocations skip the front end
-  entirely.
+  keyed on ``(source, impl, name)`` and emptied by
+  :func:`clear_compile_cache`; its hits, misses and translations are
+  ``pipeline.*`` :mod:`repro.obs` counters.  A persistent
+  cross-process second level (an artifact store from
+  :mod:`repro.farm.store`) can be installed with
+  :func:`set_artifact_store`: it is consulted after an in-memory miss
+  and filled after each front-end translation, so repeated CLI /
+  pytest / benchmark invocations skip the front end entirely.
 * :meth:`CompiledProgram.run` / :meth:`CompiledProgram.explore` execute
   the compiled artifact against a chosen memory object model in
   single-path or exhaustive mode — any number of times, under any
@@ -235,8 +236,6 @@ class CompiledProgram:
 _CACHE_CAPACITY = 128
 _cache_lock = threading.Lock()
 _compile_cache: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-_cache_stats = {"hits": 0, "misses": 0, "evictions": 0,
-                "translations": 0, "store_hits": 0}
 
 # Optional second cache level: the process's persistent cross-process
 # artifact store (duck-typed to repro.farm.store.ArtifactStore —
@@ -274,17 +273,9 @@ def _cache_key(source: str, impl: Implementation, name: str) -> str:
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached artifact and reset the hit/miss counters."""
+    """Drop every cached artifact."""
     with _cache_lock:
         _compile_cache.clear()
-        for k in _cache_stats:
-            _cache_stats[k] = 0
-
-
-def compile_cache_stats() -> Dict[str, int]:
-    """Cache observability: hits, misses, evictions, current size."""
-    with _cache_lock:
-        return dict(_cache_stats, size=len(_compile_cache))
 
 
 def compile_c(source: str, impl: Implementation = LP64,
@@ -297,39 +288,42 @@ def compile_c(source: str, impl: Implementation = LP64,
     shared, and safe to share, because execution state lives entirely
     in per-run drivers and memory models."""
     ctx = obs.active()
-    key = _cache_key(source, impl, name) if use_cache else None
-    if key is not None:
-        with _cache_lock:
-            cached = _compile_cache.get(key)
-            if cached is not None:
-                _compile_cache.move_to_end(key)
-                _cache_stats["hits"] += 1
-            else:
-                _cache_stats["misses"] += 1
-        if ctx is not None:
-            ctx.inc("pipeline.cache_hits" if cached is not None
-                    else "pipeline.cache_misses")
-        if cached is not None:
-            store = _artifact_store
-            touch = getattr(store, "touch", None)
-            if touch is not None:
-                # Keep the persistent entry's LRU recency in step with
-                # in-memory hits, or a hot artifact is evicted from
-                # disk while cold ones survive.
-                touch(source, impl, name)
-            return cached
-        store = _artifact_store
+    if not use_cache:
+        return _translate(source, impl, name, ctx)
+    key = _cache_key(source, impl, name)
+    with _cache_lock:
+        program = _compile_cache.get(key)
+        if program is not None:
+            _compile_cache.move_to_end(key)
+    if ctx is not None:
+        ctx.inc("pipeline.cache_hits" if program is not None
+                else "pipeline.cache_misses")
+    store = _artifact_store
+    if program is not None:
+        touch = getattr(store, "touch", None)
+        if touch is not None:
+            # Keep the persistent entry's LRU recency in step with
+            # in-memory hits, or a hot artifact is evicted from disk
+            # while cold ones survive.
+            touch(source, impl, name)
+        return program
+    if store is not None:
+        program = store.get(source, impl, name)
+    if program is None:
+        program = _translate(source, impl, name, ctx)
         if store is not None:
-            program = store.get(source, impl, name)
-            if program is not None:
-                with _cache_lock:
-                    _cache_stats["store_hits"] += 1
-                    _compile_cache[key] = program
-                    _compile_cache.move_to_end(key)
-                    while len(_compile_cache) > _CACHE_CAPACITY:
-                        _compile_cache.popitem(last=False)
-                        _cache_stats["evictions"] += 1
-                return program
+            store.put(source, impl, name, program)
+    with _cache_lock:
+        _compile_cache[key] = program
+        _compile_cache.move_to_end(key)
+        while len(_compile_cache) > _CACHE_CAPACITY:
+            _compile_cache.popitem(last=False)
+    return program
+
+
+def _translate(source: str, impl: Implementation, name: str,
+               ctx) -> CompiledProgram:
+    """The front end proper (one ``pipeline.translations`` tick)."""
     from .ctypes.types import IntKind
     predefined = {
         # Implementation-defined limit constants used by <limits.h>
@@ -340,8 +334,6 @@ def compile_c(source: str, impl: Implementation = LP64,
         "__cerberus_ulong_max":
             f"{impl.int_max(IntKind.ULONG)}UL",
     }
-    with _cache_lock:
-        _cache_stats["translations"] += 1
     if ctx is not None:
         ctx.inc("pipeline.translations")
     from .cpp.preprocessor import preprocess
@@ -360,18 +352,7 @@ def compile_c(source: str, impl: Implementation = LP64,
     if errors:
         raise CoreTypeError("ill-formed Core produced by "
                             "elaboration:\n" + "\n".join(errors))
-    program = CompiledProgram(source, impl, cabs, ail, core)
-    if key is not None:
-        with _cache_lock:
-            _compile_cache[key] = program
-            _compile_cache.move_to_end(key)
-            while len(_compile_cache) > _CACHE_CAPACITY:
-                _compile_cache.popitem(last=False)
-                _cache_stats["evictions"] += 1
-        store = _artifact_store
-        if store is not None:
-            store.put(source, impl, name, program)
-    return program
+    return CompiledProgram(source, impl, cabs, ail, core)
 
 
 def impl_for_model(model: str,

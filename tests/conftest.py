@@ -15,15 +15,22 @@ from repro.pipeline import compile_c, explore_c, run_c
 
 
 @pytest.fixture
-def explore_stats():
-    """The exploration-record counters of everything the test runs
-    from here on: :func:`repro.farm.pool.task_stats` over an
-    :func:`repro.obs.collecting` registry — what the CLI's ``explore
-    store:`` line and a campaign's ``metrics["explore"]`` read."""
+def counters():
+    """The counters of everything the test runs from here on, read
+    from the one counter channel, an :func:`repro.obs.collecting`
+    registry: ``counters()`` is its :func:`repro.farm.pool.task_stats`
+    table (translations, compile-cache and store hits, explore
+    resumes, ... — what the CLI's ``explore store:`` line, a task's
+    ``stats`` and a campaign's ``cache`` read), and
+    ``counters.registry`` is the registry itself, for a counter outside
+    that table (``store.evictions``, the ``statics`` kind, ...)."""
     from repro import obs
     from repro.farm.pool import task_stats
     with obs.collecting() as registry:
-        yield lambda: task_stats(registry.to_dict())
+        def read():
+            return task_stats(registry.to_dict())
+        read.registry = registry
+        yield read
 
 
 class FarmDaemon:

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.farm.explorestore import RECORD_KIND, exploration_key
+from repro.farm.explorestore import exploration_key
 from repro.farm.pool import task_stats
 from repro.farm.store import ArtifactStore
 from repro import obs
@@ -179,7 +179,7 @@ class TestCrossBackendRecords:
         with obs.collecting() as registry:
             cold = program.explore("concrete", max_paths=10_000,
                                    store=es, backend="compiled")
-            assert es.kind_stats(RECORD_KIND)["stores"] == 1
+            assert task_stats(registry.to_dict())["explore_puts"] == 1
             # Same space under the other backend: the compiled record
             # is neither served nor resumed — a fresh live exploration
             # under its own key.

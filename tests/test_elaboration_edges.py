@@ -211,6 +211,41 @@ class TestBlockScopeExtern:
             assert out.exit_code == code, model
 
 
+class TestRvalueMember:
+    """§6.5.2.3p3: a member of a struct or union rvalue — a call's
+    result — is read from a temporary holding the value."""
+
+    PROGRAMS = [
+        ("struct S { int x; int y; };\n"
+         "struct S mk(void){ struct S s = {1, 2}; return s; }\n"
+         "int main(void){ return mk().y; }", 2),
+        # a nested member, and three temporaries in one expression
+        ("struct In { int z; };\n"
+         "struct S { int x; struct In in; int y; };\n"
+         "struct S mk(int k){ struct S s = {k, {k}, k - 3}; return s; }\n"
+         "int main(void){ return mk(5).y*10 + mk(7).in.z + mk(1).x; }",
+         28),
+        ("union U { int i; unsigned char c[4]; };\n"
+         "union U mk(void){ union U u; u.i = 9; return u; }\n"
+         "int main(void){ return mk().i; }", 9),
+        # bit-field members load through loadbf
+        ("struct B { unsigned a : 3; unsigned b : 5; };\n"
+         "struct B mk(void){ struct B s = {5, 17}; return s; }\n"
+         "int main(void){ return mk().b + mk().a; }", 22),
+    ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("src,code", PROGRAMS,
+                             ids=["struct", "nested", "union",
+                                  "bitfield"])
+    def test_member_of_a_call_result(self, src, code, backend):
+        outcomes = run_many(src, backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status in ("done", "exit"), (model, out)
+            assert out.exit_code == code, model
+
+
 class TestInitialiserEdges:
     def test_partial_array_zeroes_rest(self, run_ok):
         out = run_ok(r'''

@@ -83,7 +83,7 @@ class TestBudgetResume:
     @pytest.mark.parametrize("strategy,por", CONFIGS)
     def test_cut_and_resume_equals_serial(self, tmp_path, program,
                                           serial, strategy, por,
-                                          explore_stats):
+                                          counters):
         reference = serial[(strategy, por)]
         rng = random.Random(hash((strategy, por)) & 0xFFFF)
         cut = rng.randrange(1, reference.paths_run)
@@ -97,12 +97,12 @@ class TestBudgetResume:
                                strategy=strategy, por=por, seed=11,
                                store=store)
         _same(full, reference)
-        assert explore_stats()["explore_resumes"] == 1
+        assert counters()["explore_resumes"] == 1
         # Everything ran exactly once, split across the two calls.
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_live_paths"] == reference.paths_run
 
     def test_many_rounds_of_resumption(self, tmp_path, program,
-                                       serial, explore_stats):
+                                       serial, counters):
         """A chain of small budget increments converges to the serial
         result with no path run twice."""
         reference = serial[("dfs", False)]
@@ -116,8 +116,8 @@ class TestBudgetResume:
                                      strategy="dfs", seed=11,
                                      store=store)
         _same(result, reference)
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
-        assert explore_stats()["explore_resumes"] >= 2
+        assert counters()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_resumes"] >= 2
 
     def test_ub_behaviours_survive_resumption(self, tmp_path):
         program = compile_c(RACE)
@@ -138,7 +138,7 @@ class TestDeadlineResume:
 
     @pytest.mark.parametrize("strategy,por", CONFIGS)
     def test_interrupt_resume_converges(self, tmp_path, program,
-                                        serial, strategy, por, explore_stats):
+                                        serial, strategy, por, counters):
         reference = serial[(strategy, por)]
         rng = random.Random(hash(("deadline", strategy, por)))
         store = ArtifactStore(tmp_path / "store")
@@ -154,7 +154,7 @@ class TestDeadlineResume:
         assert result is not None and result.exhausted, \
             "deadline-interrupted exploration never converged"
         _same(result, reference)
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_live_paths"] == reference.paths_run
 
 
 class TestKillResume:
@@ -338,7 +338,7 @@ class TestPartialRecordShape:
             cut, [PathNode((1,))]).exhausted
 
     def test_spent_budget_returns_partial_unexhausted(self, tmp_path,
-                                                      program, explore_stats):
+                                                      program, counters):
         store = ArtifactStore(tmp_path / "store")
         first = program.explore("concrete", max_paths=50,
                                 strategy="dfs", seed=11, store=store)
@@ -347,7 +347,7 @@ class TestPartialRecordShape:
         assert again.paths_run == 50
         assert not again.exhausted
         assert again.behaviour_keys() == first.behaviour_keys()
-        assert explore_stats()["explore_live_paths"] == 50   # nothing re-run
+        assert counters()["explore_live_paths"] == 50   # nothing re-run
 
 
 class TestRecordFidelity:
@@ -356,7 +356,7 @@ class TestRecordFidelity:
     record covering more paths than the requested budget is neither
     served nor clobbered."""
 
-    def test_memory_options_do_not_alias(self, tmp_path, explore_stats):
+    def test_memory_options_do_not_alias(self, tmp_path, counters):
         from repro.memory.base import MemoryOptions
         program = compile_c("int main(void){ int x; return x == x; }")
         store = ArtifactStore(tmp_path / "store")
@@ -368,12 +368,12 @@ class TestRecordFidelity:
             "concrete", options=MemoryOptions(uninit_read="stable"),
             max_paths=BIG, store=store)
         assert not stable.has_ub()     # not the cached "ub" verdict
-        assert explore_stats()["explore_hits"] == 0
-        assert explore_stats()["explore_puts"] == 2
+        assert counters()["explore_hits"] == 0
+        assert counters()["explore_puts"] == 2
 
     def test_small_budget_never_served_a_bigger_record(self, tmp_path,
                                                        program,
-                                                       serial, explore_stats):
+                                                       serial, counters):
         reference = serial[("dfs", False)]
         store = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=BIG, strategy="dfs",
@@ -387,15 +387,15 @@ class TestRecordFidelity:
         assert small.behaviour_keys() == cold.behaviour_keys()
         # ... and the fuller record survived: a full request still
         # warm-hits with zero paths re-run.
-        before = explore_stats()["explore_live_paths"]
+        before = counters()["explore_live_paths"]
         warm = program.explore("concrete", max_paths=BIG,
                                strategy="dfs", seed=11, store=store)
         _same(warm, reference)
-        assert explore_stats()["explore_live_paths"] == before
+        assert counters()["explore_live_paths"] == before
 
 
 class TestDeadlineTooSmallForOnePath:
-    def test_progress_is_forced_not_livelocked(self, tmp_path, explore_stats):
+    def test_progress_is_forced_not_livelocked(self, tmp_path, counters):
         """When not even one path fits the deadline, the path is
         *abandoned* — counted (each store-backed invocation advances
         at least one path, no livelock) but recorded as no behaviour:
@@ -413,7 +413,7 @@ class TestDeadlineTooSmallForOnePath:
         assert result.abandoned == 1
         assert result.outcomes == []       # no phantom behaviour
         assert not result.exhausted
-        assert explore_stats()["explore_live_paths"] == 1
+        assert counters()["explore_live_paths"] == 1
         # The permanent loss survives the record round-trip: a later
         # warm/resumed result can never claim exhaustion.
         key = exploration_key(store, slow, program.impl, "concrete",
@@ -448,7 +448,7 @@ class TestDeepResume:
               "{ (a = 1) + (b = 2) + (c = 3); return a + b + c - 6; }")
 
     @pytest.mark.parametrize("strategy", ["dfs", "bfs", "coverage"])
-    def test_deep_deadline_resume(self, tmp_path, strategy, explore_stats):
+    def test_deep_deadline_resume(self, tmp_path, strategy, counters):
         program = compile_c(self.TRIPLE)
         reference = program.explore("concrete", max_paths=1_000_000,
                                     strategy=strategy, por=True,
@@ -465,7 +465,7 @@ class TestDeepResume:
                 break
         assert result is not None and result.exhausted
         _same(result, reference)
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_live_paths"] == reference.paths_run
 
 
 class TestFarmResume:
@@ -473,7 +473,7 @@ class TestFarmResume:
     warm hit re-runs zero paths, and a serial interruption can be
     finished by a sharded farm run (and vice versa)."""
 
-    def test_farm_warm_hit(self, tmp_path, serial, explore_stats):
+    def test_farm_warm_hit(self, tmp_path, serial, counters):
         reference = serial[("dfs", False)]
         es = ArtifactStore(tmp_path / "store")
         cold = explore_farm(PAIR, "concrete",
@@ -484,10 +484,10 @@ class TestFarmResume:
                             spec=ExploreSpec(max_paths=BIG),
                             jobs=2, store=es)
         _same(warm, reference)
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_live_paths"] == reference.paths_run
 
     def test_serial_interrupt_farm_finish(self, tmp_path, program,
-                                          serial, explore_stats):
+                                          serial, counters):
         reference = serial[("dfs", False)]
         es = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=150, strategy="dfs",
@@ -496,11 +496,11 @@ class TestFarmResume:
                             spec=ExploreSpec(max_paths=BIG),
                             jobs=2, store=es)
         _same(full, reference)
-        assert explore_stats()["explore_resumes"] == 1
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_resumes"] == 1
+        assert counters()["explore_live_paths"] == reference.paths_run
 
     def test_farm_interrupt_serial_finish(self, tmp_path, program,
-                                          serial, explore_stats):
+                                          serial, counters):
         reference = serial[("dfs", False)]
         es = ArtifactStore(tmp_path / "store")
         part = explore_farm(PAIR, "concrete",
@@ -510,10 +510,10 @@ class TestFarmResume:
         full = program.explore("concrete", max_paths=BIG,
                                strategy="dfs", store=es)
         _same(full, reference)
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_live_paths"] == reference.paths_run
 
     def test_farm_spent_budget_is_not_a_resume(self, tmp_path,
-                                               program, explore_stats):
+                                               program, counters):
         """A farm call whose budget the record exactly spends runs
         nothing: no resume counted, no byte-identical re-put."""
         es = ArtifactStore(tmp_path / "store")
@@ -524,7 +524,7 @@ class TestFarmResume:
                              jobs=2, store=es)
         assert not again.exhausted
         assert again.paths_run == 150      # served from the record
-        counts = explore_stats()
+        counts = counters()
         assert counts["explore_resumes"] == 0
         assert counts["explore_puts"] == 1  # only the original put
         assert counts["explore_live_paths"] == 150
@@ -533,7 +533,7 @@ class TestFarmResume:
                                                          tmp_path,
                                                          program,
                                                          serial,
-                                                         explore_stats):
+                                                         counters):
         """Ceiling-split shards can overshoot the budget, so a farm
         record's paths_run may exceed the max_paths that produced it.
         The stored producing budget proves the identical call made
@@ -553,18 +553,18 @@ class TestFarmResume:
                              spec=ExploreSpec(max_paths=100),
                              jobs=2, store=es)
         assert again.paths_run == 110      # served, not re-explored
-        assert explore_stats()["explore_live_paths"] == 0
+        assert counters()["explore_live_paths"] == 0
         # ... while a strictly smaller budget still refuses it.
         small = explore_farm(PAIR, "concrete",
                              spec=ExploreSpec(max_paths=50),
                              jobs=2, store=es)
         assert small.paths_run < 110
-        assert explore_stats()["explore_live_paths"] > 0
+        assert counters()["explore_live_paths"] > 0
         # ... and did not clobber the fuller record.
         assert _get(es, key).paths_run == 110
 
     def test_farm_small_budget_leaves_bigger_record_intact(
-            self, tmp_path, program, serial, explore_stats):
+            self, tmp_path, program, serial, counters):
         """A farm request under a smaller budget than the record
         covers runs live and must not clobber the fuller record."""
         reference = serial[("dfs", False)]
@@ -578,13 +578,13 @@ class TestFarmResume:
         # Ran live near its budget (the ceiling split can overshoot
         # by at most one path per shard), not the record's 150.
         assert small.paths_run < 100
-        assert explore_stats()["explore_puts"] == 1   # record not clobbered
+        assert counters()["explore_puts"] == 1   # record not clobbered
         full = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG),
                             jobs=2, store=es)
         _same(full, reference)             # resumed from the record
 
-    def test_farm_por_resume(self, tmp_path, serial, explore_stats):
+    def test_farm_por_resume(self, tmp_path, serial, counters):
         reference = serial[("dfs", True)]
         es = ArtifactStore(tmp_path / "store")
         part = explore_farm(PAIR, "concrete",
@@ -595,4 +595,4 @@ class TestFarmResume:
                             spec=ExploreSpec(max_paths=BIG, por=True),
                             jobs=2, store=es)
         _same(full, reference)
-        assert explore_stats()["explore_live_paths"] == reference.paths_run
+        assert counters()["explore_live_paths"] == reference.paths_run

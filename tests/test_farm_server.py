@@ -201,6 +201,87 @@ def test_resubmission_is_served_from_result_record(farm_daemon):
         "jobs_executed"] == 0
 
 
+def test_stats_reply_counts_the_workers(farm_daemon):
+    """The ``stats`` reply reads the daemon's one metrics scope, into
+    which every worker payload is merged: the compiled artifact and
+    the exploration record a worker stored show up, with or without
+    ``--trace``."""
+    daemon = farm_daemon()
+    r = daemon.client().submit("int main(void){ return 3; }\n",
+                               models=["concrete"], mode="explore")
+    assert r["report"]["stats"]["translations"] == 1
+    stats = daemon.client().stats()
+    store = stats["store"]
+    assert store["by_kind"]["compiled"]["stores"] == 1
+    assert store["by_kind"]["exploration"]["stores"] == 1
+    assert store["stores"] == 1
+    assert store["record_stores"] >= 1 + 3   # + job, queue, result
+    assert {"entries", "size_bytes", "hits", "misses", "record_hits",
+            "record_misses", "evictions", "corrupt"} <= set(store)
+    assert set(stats["server"]["counters"]) == {
+        "requests", "submits", "accepted", "dedup_coalesced",
+        "result_cache_hits", "jobs_executed", "jobs_completed",
+        "jobs_failed", "jobs_timeout", "resumed", "rejects"}
+    assert stats["server"]["counters"]["jobs_completed"] == 1
+    assert stats["server"]["counters"]["resumed"] == 0
+
+
+def test_a_serve_trace_counts_each_event_once(farm_daemon, tmp_path):
+    """The daemon's scope is chained to the ``serve --trace`` scope:
+    the trace's final metrics hold every count once."""
+    trace = tmp_path / "serve.jsonl"
+    daemon = farm_daemon(extra_args=("--trace", str(trace)))
+    daemon.client().submit(OK, name="ok.c", models=["concrete"],
+                           mode="explore")
+    daemon.client().shutdown()
+    assert daemon.proc.wait(timeout=60) == 0
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    counters = records[-1]["metrics"]["counters"]
+    assert counters["store.compiled.stores"] == 1
+    assert counters["store.exploration.stores"] == 1
+    assert counters["server.jobs_completed"] == 1
+    assert sum(r["type"] == "span" and r["name"] == "server.job"
+               for r in records) == 1
+
+
+def test_a_deadline_cut_exploration_is_resumed_not_reused(farm_daemon):
+    """A payload the job timeout shaped is not a result: the same
+    submission runs again and resumes the partial record."""
+    daemon = farm_daemon(extra_args=("--job-timeout", "0.5"))
+    client = daemon.client()
+
+    def submit():
+        r = client.submit(SLOW, name="slow.c", models=["concrete"],
+                          mode="explore", max_paths=100_000)
+        cell = r["report"]["explorations"]["concrete"]
+        assert not cell["exhausted"]
+        return r, cell["paths_run"]
+
+    first, paths = submit()
+    again, more = submit()
+    assert not again["cached"]
+    assert more > paths
+
+
+def test_a_daemon_timeout_is_never_served_from_cache(farm_daemon):
+    """A ``job-timeout`` the daemon reported (here: the one worker is
+    still busy with a spinning job) is not the program's answer, in
+    this incarnation or the next."""
+    daemon = farm_daemon(extra_args=("--job-timeout", "0.5",
+                                     "--hard-timeout", "2"))
+    client = daemon.client()
+    spin = client.submit("int main(void){ for(;;); }\n",
+                         models=["concrete"], max_steps=10**9)
+    assert spin["report"]["error"]["code"] == "job-timeout"
+    stuck = client.submit(OK, name="ok.c", models=["concrete"])
+    assert stuck["report"]["error"]["code"] == "job-timeout"
+    daemon.kill9()
+    daemon2 = farm_daemon(store=daemon.store)
+    r = daemon2.client().submit(OK, name="ok.c", models=["concrete"])
+    assert not r["cached"]
+    assert r["report"]["verdicts"]["concrete"]["exit_code"] == 7
+
+
 def test_semantic_identity_ignores_client_label_wait(farm_daemon):
     """Satellite 2: the job id is a hash of the *semantic* fields
     only — client identity, labels, and wait flags never fork the
@@ -416,3 +497,43 @@ def test_submit_cli_exit_codes(farm_daemon, tmp_path):
     daemon.terminate()
     p = _submit_cli(daemon, str(ok_c), "--models", "concrete")
     assert p.returncode == 2 and "cannot reach server" in p.stderr
+
+
+def test_farm_sweep_through_the_server_prints_the_local_lines(
+        farm_daemon, tmp_path):
+    """``farm sweep --server`` (``sweep_campaign(server=)`` and
+    ``client.server_sweep``) prints the per-program lines and exit
+    code of a local ``farm sweep``, a front-end failure included."""
+    daemon = farm_daemon()
+    (tmp_path / "a.c").write_text(OK)
+    (tmp_path / "b.c").write_text(
+        '#include <stdio.h>\nint main(void){ printf("b\\n"); '
+        'return 0; }\n')
+    (tmp_path / "c.c").write_text(
+        "#include <stdarg.h>\n"
+        "int f(int n, ...){ va_list ap; va_start(ap, n);"
+        " int x = va_arg(ap, int); va_end(ap); return x; }\n"
+        "int main(void){ return f(1, 2); }\n")
+    src = os.path.dirname(os.path.dirname(
+        os.path.abspath(__import__("repro").__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def sweep(*extra):
+        p = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "farm", "sweep", "a.c",
+             "b.c", "c.c", "--models", "concrete,strict", *extra],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        lines = [line for line in p.stdout.splitlines()
+                 if line.split(" ", 1)[0] in ("a.c", "b.c", "c.c")]
+        return lines, p.returncode
+
+    local = sweep()
+    served = sweep("--server", daemon.socket_path)
+    assert served == local
+    lines, code = local
+    assert code == 2
+    assert len(lines) == 5
+    assert any(line.startswith("c.c") and "error: ParseError" in line
+               for line in lines)

@@ -24,8 +24,7 @@ from repro.farm.explorestore import (
 from repro.farm.store import ArtifactStore, STORE_SCHEMA_VERSION
 from repro.spec import ExploreSpec
 from repro.pipeline import (
-    clear_compile_cache, compile_c, compile_cache_stats,
-    set_artifact_store,
+    clear_compile_cache, compile_c, set_artifact_store,
 )
 
 SRC = "int main(void){ return 40 + 2; }"
@@ -51,15 +50,20 @@ def _get(store: ArtifactStore, key: str):
     return store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
 
 
+def _count(counters, name: str) -> int:
+    """One raw counter of the ``counters`` fixture's registry."""
+    return counters.registry.counters.get(name, 0)
+
+
 class TestStoreBasics:
-    def test_put_on_translate_get_on_fresh_cache(self, store):
+    def test_put_on_translate_get_on_fresh_cache(self, store, counters):
         program = compile_c(SRC)
-        assert store.stats()["stores"] == 1
-        assert compile_cache_stats()["translations"] == 1
+        assert counters()["store_puts"] == 1
+        assert counters()["translations"] == 1
         clear_compile_cache()            # simulate a fresh process
         again = compile_c(SRC)
-        assert compile_cache_stats()["translations"] == 0
-        assert store.stats()["hits"] == 1
+        assert counters()["translations"] == 1   # none since the clear
+        assert counters()["store_hits"] == 1
         assert again.run("concrete").exit_code == 42
         assert again is not program      # deserialised, not shared
 
@@ -85,17 +89,17 @@ class TestCrossProcess:
         store_dir = tmp_path / "xproc"
         child = (
             "import json, sys\n"
+            "from repro import obs\n"
+            "from repro.farm.pool import task_stats\n"
             "from repro.farm.store import ArtifactStore\n"
-            "from repro.pipeline import compile_c, "
-            "compile_cache_stats, set_artifact_store\n"
+            "from repro.pipeline import compile_c, set_artifact_store\n"
             f"store = ArtifactStore({str(store_dir)!r})\n"
             "set_artifact_store(store)\n"
-            f"program = compile_c({SRC!r})\n"
+            "with obs.collecting() as registry:\n"
+            f"    program = compile_c({SRC!r})\n"
             "out = program.run('concrete')\n"
             "print(json.dumps({'exit': out.exit_code,\n"
-            "    'translations': "
-            "compile_cache_stats()['translations'],\n"
-            "    'store': store.stats()}))\n"
+            "    'counts': task_stats(registry.to_dict())}))\n"
         )
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[1] / "src")
@@ -111,42 +115,45 @@ class TestCrossProcess:
 
         first = run_child()
         assert first["exit"] == 42
-        assert first["translations"] == 1
-        assert first["store"]["stores"] == 1
+        assert first["counts"]["translations"] == 1
+        assert first["counts"]["store_puts"] == 1
 
         second = run_child()
         assert second["exit"] == 42
-        assert second["translations"] == 0      # front end skipped
-        assert second["store"]["hits"] == 1
+        assert second["counts"]["translations"] == 0  # front end skipped
+        assert second["counts"]["store_hits"] == 1
 
 
 class TestCorruption:
-    def test_truncated_artifact_recompiles_silently(self, store):
+    def test_truncated_artifact_recompiles_silently(self, store,
+                                                    counters):
         compile_c(SRC)
         [path] = _entry_paths(store)
         path.write_bytes(path.read_bytes()[:20])  # truncate
         clear_compile_cache()
+        before = counters()["translations"]
         program = compile_c(SRC)                  # must not raise
         assert program.run("concrete").exit_code == 42
-        stats = store.stats()
-        assert stats["corrupt"] == 1
-        assert compile_cache_stats()["translations"] == 1
+        stats = counters()
+        assert stats["store_corrupt"] == 1
+        assert stats["translations"] - before == 1
 
-    def test_garbage_artifact_recompiles_silently(self, store):
+    def test_garbage_artifact_recompiles_silently(self, store,
+                                                  counters):
         compile_c(SRC)
         [path] = _entry_paths(store)
         path.write_bytes(b"\x00not a pickle at all")
         clear_compile_cache()
         assert compile_c(SRC).run("concrete").exit_code == 42
-        assert store.stats()["corrupt"] == 1
+        assert counters()["store_corrupt"] == 1
 
-    def test_foreign_pickle_rejected(self, store):
+    def test_foreign_pickle_rejected(self, store, counters):
         compile_c(SRC)
         [path] = _entry_paths(store)
         path.write_bytes(pickle.dumps(("wrong-magic", 1, "k", None)))
         clear_compile_cache()
         assert compile_c(SRC).run("concrete").exit_code == 42
-        assert store.stats()["corrupt"] == 1
+        assert counters()["store_corrupt"] == 1
 
     def test_corrupt_entry_is_dropped_then_replaced(self, store):
         compile_c(SRC)
@@ -166,7 +173,7 @@ class TestEviction:
         s.put(src, LP64, "<string>", program)
         return src
 
-    def test_eviction_respects_size_bound(self, tmp_path):
+    def test_eviction_respects_size_bound(self, tmp_path, counters):
         s0 = ArtifactStore(tmp_path / "probe")
         self._put(s0, 0)
         entry_size = s0.size_bytes()
@@ -175,8 +182,7 @@ class TestEviction:
         s = ArtifactStore(tmp_path / "bounded",
                           max_bytes=int(entry_size * 2.5))
         srcs = [self._put(s, i) for i in range(3)]
-        stats = s.stats()
-        assert stats["evictions"] >= 1
+        assert _count(counters, "store.evictions") >= 1
         assert s.size_bytes() <= s.max_bytes
         assert s.get(srcs[0], LP64) is None      # oldest evicted
         assert s.get(srcs[2], LP64) is not None  # newest kept
@@ -207,17 +213,17 @@ class TestHitRecency:
     artifact served from the in-memory cache since the process started
     must not be evicted from disk while cold entries survive."""
 
-    def test_in_memory_hit_touches_store_entry(self, store):
+    def test_in_memory_hit_touches_store_entry(self, store, counters):
         compile_c(SRC)                           # translate + put
         [path] = _entry_paths(store)
         os.utime(path, (1, 1))                   # age to the epoch
         program = compile_c(SRC)                 # in-memory hit
         assert program is not None
-        assert compile_cache_stats()["hits"] == 1
+        assert counters()["memory_hits"] == 1
         assert path.stat().st_mtime > 1          # recency refreshed
 
     def test_hot_entry_survives_eviction_despite_in_memory_hits(
-            self, tmp_path):
+            self, tmp_path, counters):
         probe = ArtifactStore(tmp_path / "probe")
         previous = set_artifact_store(probe)
         try:
@@ -236,7 +242,7 @@ class TestHitRecency:
                 compile_c(hot)                   # in-memory hits: touch
             filler = "int main(void){ return 3; }"
             compile_c(filler)                    # put -> evicts one
-            assert s.stats()["evictions"] >= 1
+            assert _count(counters, "store.evictions") >= 1
             clear_compile_cache()
             # Without touch-on-hit, `hot` would be the oldest entry on
             # disk and be evicted while the colder `cold` survives.
@@ -266,7 +272,8 @@ class TestHitRecency:
 
 class TestCounterReads:
     def test_stats_scans_once_and_explore_stats_never(self, tmp_path,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      counters):
         s = ArtifactStore(tmp_path / "s")
         s.put_record(s.record_key("x", "1"), [1, 2, 3])
         s.put_record(exploration_key(s, UNSEQ, LP64, "concrete"),
@@ -278,12 +285,13 @@ class TestCounterReads:
                             or entries(self))
         stats = s.stats()
         assert len(scans) == 1
-        assert stats["entries"] == 2
-        assert stats["size_bytes"] == sum(
-            p.stat().st_size for p in _entry_paths(s))
+        assert stats == {"entries": 2, "size_bytes": sum(
+            p.stat().st_size for p in _entry_paths(s))}
         scans.clear()
-        assert s.kind_stats(RECORD_KIND) == {"hits": 0, "misses": 0,
-                                             "stores": 1, "corrupt": 0}
+        stats = counters()
+        assert (stats["explore_hits"], stats["explore_misses"],
+                stats["explore_puts"], stats["store_corrupt"]) \
+            == (0, 0, 1, 0)
         assert scans == []
 
 
@@ -291,8 +299,9 @@ class TestExplorationRecords:
     """Exploration records ride the same store: corruption falls back
     to a silent re-explore, their bytes count against the LRU bound,
     and a schema bump invalidates them together with the artifacts.
-    Their per-kind counters are the store's (``kind_stats``); the
-    paths explored live are the ``explore.live_paths`` metric."""
+    Their per-kind counters are the ``store.exploration.*`` metrics
+    and the paths explored live the ``explore.live_paths`` one — all
+    read through the ``counters`` fixture."""
 
     def _explore(self, tmp_path, subdir="s", max_paths=100_000):
         store = ArtifactStore(tmp_path / subdir)
@@ -301,18 +310,19 @@ class TestExplorationRecords:
                                  store=store)
         return store, program, result
 
-    def test_record_round_trip(self, tmp_path, explore_stats):
+    def test_record_round_trip(self, tmp_path, counters):
         store, program, cold = self._explore(tmp_path)
         warm = program.explore("concrete", max_paths=100_000,
                                store=store)
         assert warm.paths_run == cold.paths_run
         assert warm.behaviour_keys() == cold.behaviour_keys()
-        stats = store.kind_stats(RECORD_KIND)
-        assert stats == {**stats, "hits": 1, "misses": 1, "stores": 1}
-        assert explore_stats()["explore_live_paths"] == cold.paths_run
+        stats = counters()
+        assert (stats["explore_hits"], stats["explore_misses"],
+                stats["explore_puts"]) == (1, 1, 1)
+        assert stats["explore_live_paths"] == cold.paths_run
 
     def test_corrupt_record_re_explores_silently(self, tmp_path,
-                                                 explore_stats):
+                                                 counters):
         store, program, cold = self._explore(tmp_path)
         key = exploration_key(store, UNSEQ, program.impl, "concrete")
         [path] = [p for p in _entry_paths(store)
@@ -322,34 +332,37 @@ class TestExplorationRecords:
                                store=store)
         assert redo.paths_run == cold.paths_run        # re-explored
         assert redo.behaviour_keys() == cold.behaviour_keys()
-        stats = store.kind_stats(RECORD_KIND)
-        assert stats["corrupt"] == 1
-        assert stats["hits"] == 0 and stats["misses"] == 2
-        assert explore_stats()["explore_live_paths"] == 2 * cold.paths_run
+        stats = counters()
+        assert _count(counters, "store.exploration.corrupt") == 1
+        assert stats["explore_hits"] == 0 and stats["explore_misses"] == 2
+        assert stats["explore_live_paths"] == 2 * cold.paths_run
         # ... and the damaged entry was replaced by a good one.
-        assert store.kind_stats(RECORD_KIND)["stores"] == 2
+        assert stats["explore_puts"] == 2
 
-    def test_truncated_record_is_a_miss(self, tmp_path):
+    def test_truncated_record_is_a_miss(self, tmp_path, counters):
         store, program, _ = self._explore(tmp_path)
         key = exploration_key(store, UNSEQ, program.impl, "concrete")
         [path] = [p for p in _entry_paths(store)
                   if p.name == f"{key}.pkl"]
         path.write_bytes(path.read_bytes()[:10])
         assert _get(store, key) is None
-        assert store.kind_stats(RECORD_KIND)["corrupt"] == 1
+        assert _count(counters, "store.exploration.corrupt") == 1
 
-    def test_foreign_object_under_record_key_is_a_miss(self, tmp_path):
+    def test_foreign_object_under_record_key_is_a_miss(self, tmp_path,
+                                                       counters):
         store, program, _ = self._explore(tmp_path)
         key = exploration_key(store, UNSEQ, program.impl, "concrete")
         store.put_record(key, {"not": "a record"}, kind=RECORD_KIND)
-        before = store.kind_stats(RECORD_KIND)
+        before = counters()
+        corrupt = _count(counters, "store.exploration.corrupt")
         assert _get(store, key) is None
-        after = store.kind_stats(RECORD_KIND)
+        after = counters()
         # Counted as a miss (never a hit) so explore_hit_rate stays
         # truthful, and dropped like any corrupt entry.
-        assert after["hits"] == before["hits"]
-        assert after["misses"] == before["misses"] + 1
-        assert after["corrupt"] == before["corrupt"] + 1
+        assert after["explore_hits"] == before["explore_hits"]
+        assert after["explore_misses"] == before["explore_misses"] + 1
+        assert _count(counters, "store.exploration.corrupt") \
+            == corrupt + 1
         assert store.get_record(key) is None    # entry dropped
 
     def test_record_key_discriminates_the_space(self, tmp_path):
@@ -374,7 +387,7 @@ class TestExplorationRecords:
                             replace(base, **twist)), twist
         assert k == key(UNSEQ, LP64, "concrete", "<string>", base)
 
-    def test_eviction_counts_exploration_bytes(self, tmp_path):
+    def test_eviction_counts_exploration_bytes(self, tmp_path, counters):
         probe = ArtifactStore(tmp_path / "probe")
         program = compile_c(UNSEQ, use_cache=False)
         program.explore("concrete", max_paths=100_000, store=probe)
@@ -388,7 +401,7 @@ class TestExplorationRecords:
             program.explore(model, max_paths=100_000, store=store)
             keys.append(exploration_key(store, UNSEQ, program.impl,
                                         model))
-        assert store.stats()["evictions"] >= 1
+        assert _count(counters, "store.evictions") >= 1
         assert store.size_bytes() <= store.max_bytes
         assert _get(store, keys[0]) is None     # oldest record evicted
         assert _get(store, keys[2]) is not None  # newest kept
@@ -418,7 +431,7 @@ class TestExplorationRecords:
         assert store.get(SRC, LP64) is None    # artifact paid the bill
 
     def test_schema_bump_invalidates_records_and_artifacts(
-            self, tmp_path, explore_stats):
+            self, tmp_path, counters):
         """One version bump (e.g. 2 -> 3) must orphan *both* record
         families at once: stale Core layouts and stale exploration
         state are equally unsafe to deserialise."""
@@ -430,16 +443,16 @@ class TestExplorationRecords:
         cold = program.explore("concrete", max_paths=100_000,
                                store=old)
         assert old.get(SRC, LP64) is not None
-        assert old.kind_stats(RECORD_KIND)["stores"] == 1
+        assert counters()["explore_puts"] == 1
 
         new = ArtifactStore(root,
                             schema_version=STORE_SCHEMA_VERSION + 1)
         assert new.get(SRC, LP64) is None      # artifact invalidated
-        before = explore_stats()["explore_live_paths"]
+        before = counters()["explore_live_paths"]
         redo = program.explore("concrete", max_paths=100_000,
                                store=new)
-        assert new.kind_stats(RECORD_KIND)["hits"] == 0  # invalidated
-        assert explore_stats()["explore_live_paths"] - before == cold.paths_run
+        assert counters()["explore_hits"] == 0  # invalidated
+        assert counters()["explore_live_paths"] - before == cold.paths_run
         assert redo.behaviour_keys() == cold.behaviour_keys()
         # The old-schema store still serves its own entries.
         assert old.get(SRC, LP64) is not None
@@ -448,7 +461,7 @@ class TestExplorationRecords:
 
 
 class TestSchemaVersion:
-    def test_schema_bump_invalidates_old_entries(self, tmp_path):
+    def test_schema_bump_invalidates_old_entries(self, tmp_path, counters):
         root = tmp_path / "versioned"
         v1 = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
         program = compile_c(SRC, use_cache=False)
@@ -458,23 +471,24 @@ class TestSchemaVersion:
         v2 = ArtifactStore(root,
                            schema_version=STORE_SCHEMA_VERSION + 1)
         assert v2.get(SRC, LP64) is None         # key no longer matches
-        assert v2.stats()["misses"] == 1
+        assert counters()["store_misses"] == 1
         # and the old store still serves its own entries
         assert v1.get(SRC, LP64) is not None
 
-    def test_schema_bump_recompiles_through_pipeline(self, tmp_path):
+    def test_schema_bump_recompiles_through_pipeline(self, tmp_path,
+                                                     counters):
         root = tmp_path / "versioned2"
         previous = set_artifact_store(ArtifactStore(root))
         try:
             clear_compile_cache()
             compile_c(SRC)
-            assert compile_cache_stats()["translations"] == 1
+            assert counters()["translations"] == 1
             set_artifact_store(
                 ArtifactStore(root,
                               schema_version=STORE_SCHEMA_VERSION + 1))
             clear_compile_cache()
             compile_c(SRC)
-            assert compile_cache_stats()["translations"] == 1
+            assert counters()["translations"] == 2   # one more
         finally:
             set_artifact_store(previous)
             clear_compile_cache()

@@ -15,7 +15,7 @@ import pytest
 import repro.obs as obs
 from repro.ctypes.implementation import LP64
 from repro.farm.campaign import sweep_campaign
-from repro.farm.pool import sweep
+from repro.farm.pool import store_stats, sweep
 from repro.farm.store import ArtifactStore, StoreCorruptionWarning
 from repro.obs.metrics import MetricsRegistry, merge_metric_dicts
 from repro.obs.stats import render_text, summarize_trace
@@ -297,8 +297,10 @@ class TestStoreCorruption:
         return s
 
     def test_corruption_warns_and_counts(self, tmp_path):
-        s = self._corrupt_one(tmp_path / "store")
-        stats = s.stats()
+        # The daemon's stats table (store_stats) over the one channel.
+        with obs.collecting() as registry:
+            self._corrupt_one(tmp_path / "store")
+        stats = store_stats(registry.to_dict())
         assert stats["corrupt"] == 1          # flat counter intact
         assert stats["by_kind"]["compiled"]["corrupt"] == 1
         assert stats["by_kind"]["compiled"]["stores"] == 2

@@ -5,8 +5,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.ctypes import ILP32
 from repro.pipeline import (
-    MODELS, clear_compile_cache, compile_c, compile_cache_stats,
-    explore_c, explore_many, run_c, run_many,
+    MODELS, clear_compile_cache, compile_c, explore_c, explore_many,
+    run_c, run_many,
 )
 
 
@@ -62,44 +62,53 @@ int main(void) { pr('a') + pr('b'); return 0; }'''
 class TestCompileCache:
     SRC = "int main(void){ return 41 + 1; }"
 
-    def test_cache_returns_same_artifact(self):
+    def test_cache_returns_same_artifact(self, counters):
         clear_compile_cache()
         a = compile_c(self.SRC)
         b = compile_c(self.SRC)
         assert a is b
-        stats = compile_cache_stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["size"] == 1
+        stats = counters()
+        assert stats["memory_hits"] == 1
+        assert stats["memory_misses"] == 1
+        # one cached artifact: the second compile translated nothing
+        assert stats["translations"] == 1
 
-    def test_cache_bypass_and_key_discrimination(self):
+    def test_cache_bypass_and_key_discrimination(self, counters):
         clear_compile_cache()
         a = compile_c(self.SRC)
         fresh = compile_c(self.SRC, use_cache=False)
         assert fresh is not a
-        assert compile_cache_stats()["size"] == 1
+        # The bypass neither consulted nor filled the cache.
+        stats = counters()
+        assert (stats["memory_hits"], stats["memory_misses"]) == (0, 1)
+        assert compile_c(self.SRC) is a
         other_impl = compile_c(self.SRC, impl=ILP32)
         other_src = compile_c("int main(void){ return 42; }")
         assert other_impl is not a
         assert other_src is not a
-        assert compile_cache_stats()["size"] == 3
+        # Three cached artifacts: compiling each again is a hit and
+        # translates nothing.
+        before = counters()["translations"]
+        assert compile_c(self.SRC) is a
+        assert compile_c(self.SRC, impl=ILP32) is other_impl
+        assert compile_c("int main(void){ return 42; }") is other_src
+        assert counters()["memory_hits"] == 4
+        assert counters()["translations"] == before
 
-    def test_clear_resets(self):
+    def test_clear_resets(self, counters):
         compile_c(self.SRC)
+        before = counters()["translations"]
         clear_compile_cache()
-        stats = compile_cache_stats()
-        assert stats == {"hits": 0, "misses": 0, "evictions": 0,
-                         "translations": 0, "store_hits": 0,
-                         "size": 0}
+        compile_c(self.SRC)                     # translates again
+        assert counters()["translations"] == before + 1
 
-    def test_translations_counted(self):
+    def test_translations_counted(self, counters):
         clear_compile_cache()
         compile_c(self.SRC)
         compile_c(self.SRC)                     # in-memory hit
-        stats = compile_cache_stats()
-        assert stats["translations"] == 1
+        assert counters()["translations"] == 1
         compile_c(self.SRC, use_cache=False)    # bypass still counts
-        assert compile_cache_stats()["translations"] == 2
+        assert counters()["translations"] == 2
 
 
 class TestBatchExecution:
@@ -138,19 +147,19 @@ int main(void) {
         assert many["strict"].status == "ub"
         assert many["concrete"].status == "done"
 
-    def test_run_many_compiles_once_per_impl(self):
+    def test_run_many_compiles_once_per_impl(self, counters):
         clear_compile_cache()
         run_many(self.SRC)
-        stats = compile_cache_stats()
+        stats = counters()
         # One translation per distinct implementation environment,
         # shared across all five models without even consulting the
         # cache again.
-        assert stats["misses"] == 2     # LP64 + CHERI128
-        assert stats["hits"] == 0
+        assert stats["memory_misses"] == 2     # LP64 + CHERI128
+        assert stats["memory_hits"] == 0
         run_many(self.SRC)              # warm: both impls cache-hit
-        stats = compile_cache_stats()
-        assert stats["misses"] == 2
-        assert stats["hits"] == 2
+        stats = counters()
+        assert stats["memory_misses"] == 2
+        assert stats["memory_hits"] == 2
 
     def test_run_many_model_subset(self):
         many = run_many(self.SRC, models=["gcc", "concrete"])

@@ -259,29 +259,30 @@ class TestStaticPruneEquivalence:
 
 
 class TestStaticsStore:
-    def test_statics_record_cached(self, tmp_path):
+    def test_statics_record_cached(self, tmp_path, counters):
+        statics = counters.registry.counters
         store = ArtifactStore(tmp_path)
         program = compile_c(DISJOINT)
         rec = program.statics(store)
         assert isinstance(rec, StaticsRecord)
         assert rec.version == STATICS_VERSION
         assert rec.complete
-        assert store.stats()["record_stores"] == 1
+        assert statics["store.statics.stores"] == 1
         # A freshly compiled artifact re-attaches from the cache: one
         # record hit, no second analysis stored.
         clear_compile_cache()
         fresh = compile_c(DISJOINT)
         rec2 = fresh.statics(store)
-        assert store.stats()["record_hits"] == 1
-        assert store.stats()["record_stores"] == 1
+        assert statics["store.statics.hits"] == 1
+        assert statics["store.statics.stores"] == 1
         assert rec2.table == rec.table
         assert getattr(fresh.core, "_statics_annotated", False)
 
-    def test_statics_key_separates_sources(self, tmp_path):
+    def test_statics_key_separates_sources(self, tmp_path, counters):
         store = ArtifactStore(tmp_path)
         compile_c(DISJOINT).statics(store)
         compile_c(RACE).statics(store)
-        assert store.stats()["record_stores"] == 2
+        assert counters.registry.counters["store.statics.stores"] == 2
 
     def test_explore_key_has_static_prune_part(self, tmp_path):
         store = ArtifactStore(tmp_path)
