@@ -12,9 +12,7 @@ Exploration flags (see :mod:`repro.dynamics.explore`):
 * ``--strategy dfs|bfs|random|coverage`` — the search strategy over
   the oracle-path frontier (``--seed`` seeds random/coverage);
 * ``--por`` — sleep-set partial-order reduction at unseq scheduling
-  points: identical behaviour sets, several-fold fewer paths;
-* ``--explore-jobs N`` — shard one program's exploration frontier
-  across N farm workers and merge the results.
+  points: identical behaviour sets, several-fold fewer paths.
 
 Farm flags (see :mod:`repro.farm`):
 
@@ -27,9 +25,9 @@ Farm flags (see :mod:`repro.farm`):
   frontier, and a single-model run prints an ``explore store:`` line
   read from the invocation's metrics (``farm sweep --store DIR``
   too);
-* ``--jobs N`` — run the ``--models`` sweep through N parallel worker
-  processes (one farm task per model at any N, so the printed lines
-  are the same; N=1 runs the tasks in-process);
+* ``--jobs N`` — N parallel worker processes (N=1 runs in-process):
+  one farm task per ``--models`` model (the same lines at any N), or
+  the shards of a single-model ``--exhaustive`` frontier;
 * ``cerberus-py farm suite|csmith|sweep ...`` — whole-corpus
   campaigns with JSON reports (per-program verdicts, cache hit rates,
   wall-clock); ``--shard I/N`` runs only the I-th of N deterministic
@@ -223,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="explore all allowed executions (test oracle "
                         "mode)")
-    p.add_argument("--explore-jobs", type=int, default=1, metavar="N",
-                   help="shard the exploration frontier across N farm "
-                        "workers (single-model --exhaustive only)")
     p.add_argument("--pp-core", action="store_true",
                    help="pretty-print the elaborated Core and exit")
     _add_spec_flags(p)
@@ -255,8 +250,8 @@ def _main_identity(args, source: str, spec: ExploreSpec) -> str:
     perturb the run id."""
     return "\x00".join([
         "run", args.file, source, args.impl, args.model,
-        str(args.models), str(args.exhaustive), str(args.explore_jobs),
-        str(args.jobs), str(args.pp_core),
+        str(args.models), str(args.exhaustive), str(args.jobs),
+        str(args.pp_core),
         json.dumps(spec.to_json(), sort_keys=True)])
 
 
@@ -315,10 +310,10 @@ def _dispatch_main(args, source: str, impl, spec) -> int:
         return 0
     if args.exhaustive:
         store = get_artifact_store() if args.store else None
-        if args.explore_jobs > 1:
+        if args.jobs > 1:
             from .farm.frontier import explore_farm
             result = explore_farm(source, args.model, impl, spec,
-                                  jobs=args.explore_jobs, store=store,
+                                  jobs=args.jobs, store=store,
                                   name=args.file)
         else:
             result = pipeline.explore(args.model, spec, store=store,
@@ -389,14 +384,6 @@ def _run_batch(args, source: str, impl, spec) -> int:
         print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
     from .farm.pool import SweepTask, run_tasks
-    if args.explore_jobs > 1:
-        # Two fan-out axes at once is not supported; refusing beats
-        # silently running an unsharded per-model exploration.
-        print("cerberus-py: --explore-jobs shards a single-model "
-              "exploration; it cannot be combined with --models "
-              "(use --jobs to fan the models out instead)",
-              file=sys.stderr)
-        return 2
     tasks = [SweepTask(index=i, name=args.file,
                        kind="explore" if args.exhaustive else "run",
                        source=source, models=(model,), impl=impl,
@@ -689,7 +676,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "crash-safe job queue live here — restart "
                         "with the same DIR to resume accepted jobs")
     p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="pre-warmed worker processes (default: 2)")
+                   help="worker processes (default: 2)")
     p.add_argument("--quota", type=int, default=16, metavar="N",
                    help="max unfinished jobs per client name "
                         "(0 = unlimited; default: 16)")
@@ -699,9 +686,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         "(exploration stops at the deadline)")
     p.add_argument("--hard-timeout", type=float, default=None,
                    metavar="S",
-                   help="hard per-job backstop: a job silent this "
-                        "long is reported job-timeout (default: "
-                        "4x --job-timeout + 30 when that is set)")
+                   help="hard per-job limit from when a worker takes "
+                        "it: the job is job-timeout, its worker replaced "
+                        "(default: 4x --job-timeout + 30 when that is set)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    metavar="S",
                    help="seconds to wait for in-flight jobs on "
@@ -728,17 +715,14 @@ def serve_main(argv) -> int:
     identity = "\x00".join(["serve", str(args.workers),
                             str(args.quota), str(args.job_timeout)])
 
-    async def _serve():
-        resumed = await server.start()
+    def listening(resumed: int) -> None:
         print(f"cerberus-py serve: listening on {args.socket} "
               f"({server.workers} workers"
               + (f", {resumed} jobs resumed" if resumed else "")
               + ")", file=sys.stderr, flush=True)
-        await server.wait_closed()
-        return server
 
     with _obs_scope(args, identity) as ctx:
-        asyncio.run(_serve())
+        asyncio.run(server.serve(listening))
     c = server.counter_table()
     print(f"cerberus-py serve: drained — {c['accepted']} accepted, "
           f"{c['jobs_completed']} completed, "

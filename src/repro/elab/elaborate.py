@@ -166,12 +166,12 @@ class Elaborator:
         assert fdef.body is not None
         body_stmt = self._function_body(fdef)
         default_rv: K.Pexpr
-        if isinstance(fty.ret.ty, Void):
-            default_rv = _pv(VUnit())
-        elif is_main:
+        if is_main and not isinstance(fty.ret.ty, Void):
             default_rv = _specified_int(0)  # §5.1.2.2.3: implicit 0
         else:
-            default_rv = _pv(VUnspecified(fty.ret.ty))
+            # Reaching } returns Unit: a call that uses the value of a
+            # non-void callee rejects it (§6.9.1p12, see _call).
+            default_rv = _pv(UNIT)
         ret_save = K.ESave(
             ret_label,
             [("ret.done", _pv(FALSE)), ("ret.value", default_rv)],
@@ -244,7 +244,7 @@ class Elaborator:
         if isinstance(s, A.SExpr):
             if s.expr is None:
                 return K.ESkip(loc=s.loc)
-            return _sseq(PatWild(), self.rv(s.expr), K.ESkip(),
+            return _sseq(PatWild(), self.discard(s.expr), K.ESkip(),
                          loc=s.loc)
         if isinstance(s, A.SIf):
             return self._if(s)
@@ -393,7 +393,7 @@ class Elaborator:
         body_wrap = K.ESave(cont, [("cont.skip", _pv(FALSE))],
                             K.EIf(K.PSym("cont.skip"), K.ESkip(), body),
                             loc=s.loc)
-        step = _sseq(PatWild(), self.rv(s.step), K.ESkip()) \
+        step = _sseq(PatWild(), self.discard(s.step), K.ESkip()) \
             if s.step is not None else K.ESkip()
         iteration = _sseq(PatWild(), body_wrap,
                           _sseq(PatWild(), step,
@@ -675,6 +675,17 @@ class Elaborator:
             raise InternalError(
                 f"rv: unhandled expression {type(e).__name__}", e.loc)
         return method(e)
+
+    def discard(self, e: A.Expr) -> K.Expr:
+        """Elaborate an expression evaluated as a void expression
+        (§6.8.3p2, §6.5.17p2): its value is never used, so a call in
+        it may return from a callee that reached its ``}``."""
+        if isinstance(e, A.ECall):
+            return self._call(e, used=False)
+        if isinstance(e, A.EComma):
+            return _sseq(PatWild(), self.discard(e.lhs),
+                         self.discard(e.rhs), loc=e.loc)
+        return self.rv(e)
 
     def _rv_EConv(self, e: A.EConv) -> K.Expr:
         if e.kind == "lvalue":
@@ -1257,6 +1268,9 @@ class Elaborator:
                               _pure(K.PSym(new), e.loc)))), loc=e.loc)
 
     def _rv_ECall(self, e: A.ECall) -> K.Expr:
+        return self._call(e, used=True)
+
+    def _call(self, e: A.ECall, used: bool) -> K.Expr:
         assert e.func.ty is not None
         fty = e.func.ty.ty
         assert isinstance(fty, Pointer) and isinstance(fty.to.ty,
@@ -1272,14 +1286,36 @@ class Elaborator:
                 assert a.ty is not None
                 ae = self._default_promote(ae, a.ty)
             arg_exprs.append(ae)
-        call = K.ECcall(K.PSym(f), [K.PSym(s) for s in arg_syms],
-                        ret_ty=fn.ret, loc=e.loc)
+        call: K.Expr = K.ECcall(K.PSym(f), [K.PSym(s) for s in arg_syms],
+                                ret_ty=fn.ret, loc=e.loc)
+        if used and not isinstance(fn.ret.ty, Void) \
+                and not self._always_returns(e.func):
+            # §6.9.1p12: using the value of a call whose callee reached
+            # its } (which returned Unit, see _proc) is undefined.
+            r = self.fresh_name("call")
+            call = _sseq(PatSym(r), call, K.ECase(K.PSym(r), [
+                (PatCtor("Unit", ()),
+                 _pure(K.PUndef(UB.FUNCTION_NO_RETURN_VALUE_USED,
+                                loc=e.loc))),
+                (PatWild(), _pure(K.PSym(r))),
+            ]), loc=e.loc)
         if not arg_exprs:
             return _wseq(PatSym(f), self.rv(e.func), call, loc=e.loc)
         pair = K.EUnseq([self.rv(e.func)] + arg_exprs, loc=e.loc)
         pat = PatCtor("Tuple", tuple([PatSym(f)] +
                                      [PatSym(s) for s in arg_syms]))
         return _wseq(pat, pair, call, loc=e.loc)
+
+    def _always_returns(self, func: A.Expr) -> bool:
+        """Whether a call through ``func`` never comes back from its
+        callee's ``}``: the callee is a library function (declared,
+        never defined) or its body ends in a ``return``."""
+        if isinstance(func, A.EConv) and func.kind == "fn-decay" \
+                and isinstance(func.operand, A.EId):
+            fdef = self.ail.functions.get(func.operand.sym)
+            return fdef is not None and (fdef.body is None
+                                         or _ends_in_return(fdef.body))
+        return False
 
     def _default_promote(self, ae: K.Expr, qty: QualType) -> K.Expr:
         ty = qty.ty
@@ -1297,7 +1333,7 @@ class Elaborator:
     def _rv_ECast(self, e: A.ECast) -> K.Expr:
         assert e.operand.ty is not None
         if isinstance(e.to.ty, Void):
-            return _sseq(PatWild(), self.rv(e.operand),
+            return _sseq(PatWild(), self.discard(e.operand),
                          _pure(_pv(VUnit()), e.loc), loc=e.loc)
         return self.conv(self.rv(e.operand), e.operand.ty, e.to, e.loc)
 
@@ -1320,7 +1356,7 @@ class Elaborator:
         ]), loc=e.loc)
 
     def _rv_EComma(self, e: A.EComma) -> K.Expr:
-        return _sseq(PatWild(), self.rv(e.lhs), self.rv(e.rhs),
+        return _sseq(PatWild(), self.discard(e.lhs), self.rv(e.rhs),
                      loc=e.loc)
 
     def _rv_EString(self, e: A.EString) -> K.Expr:
@@ -1517,6 +1553,19 @@ def _typed_hole(qty: QualType, name: str) -> A.Expr:
     hole = A.EId(A.Symbol(name, 0))
     hole.ty = qty
     return hole
+
+
+def _ends_in_return(s: A.Stmt) -> bool:
+    """Whether control never runs off the end of ``s``: it ends in a
+    ``return``, or in an ``if`` both of whose branches do."""
+    if isinstance(s, A.SBlock):
+        return bool(s.items) and _ends_in_return(s.items[-1])
+    if isinstance(s, A.SLabel):
+        return _ends_in_return(s.body)
+    if isinstance(s, A.SIf):
+        return s.els is not None and _ends_in_return(s.then) \
+            and _ends_in_return(s.els)
+    return isinstance(s, A.SReturn)
 
 
 def _contains_label(s) -> bool:

@@ -28,14 +28,14 @@ Layers
     (:func:`~repro.farm.store.as_store` normalises a directory).
 
 :mod:`repro.farm.pool` — :func:`~repro.farm.pool.sweep` and friends
-    A ``multiprocessing`` worker pool (fork-based where available)
-    with deterministic sharding (``shard_index``/``shard_count``),
-    per-task timeouts (cooperative wall-clock deadlines inside the
-    worker, a hard ``get(timeout)`` backstop in the parent), and
-    deterministic result aggregation.  ``sweep(programs, models,
-    jobs=N)`` runs a corpus of C programs across a list of memory
-    object models on top of ``run_many`` / ``explore_many``;
-    ``jobs=1`` runs the same tasks in-process.
+    :class:`~repro.farm.pool.WorkerPool`, the forked worker pool of
+    every ``--jobs N`` batch and of the daemon, with deterministic
+    sharding (``shard_index``/``shard_count``), per-task timeouts (a
+    cooperative deadline inside the worker; past the hard one, only
+    that worker is killed and replaced), and deterministic result
+    aggregation.  ``sweep(programs, models, jobs=N)`` runs a corpus of
+    C programs across a list of memory object models on top of
+    ``run_many`` / ``explore_many``; ``jobs=1`` runs them in-process.
     :func:`~repro.farm.pool.execute_task` is the only batch executor
     (the CLI's ``--models``, every campaign, farm-sharded exploration
     and the daemon's worker run through it) and the one failure
@@ -67,12 +67,12 @@ Layers
     :class:`~repro.farm.explorestore.ExplorationRecord` — the form
     the store persists, so a frontier crosses the worker
     boundary and reaches the store as the same ``PathNode`` values.
-    CLI: ``cerberus-py file.c --exhaustive --explore-jobs N``.
+    CLI: ``cerberus-py file.c --exhaustive --jobs N``.
 
 :mod:`repro.farm.server` / :mod:`repro.farm.client` — the daemon
     Semantics-as-a-service: :class:`~repro.farm.server.FarmServer` is
-    a persistent asyncio daemon owning one store + a pre-warmed worker
-    pool behind a JSON protocol on a unix socket (submit / status /
+    a persistent asyncio daemon owning one store + a worker pool
+    behind a JSON protocol on a unix socket (submit / status /
     result / stats / health / shutdown).  Identical in-flight
     submissions coalesce into one computation (semantic content
     addressing à la ``run_id_for``), the job queue persists as store

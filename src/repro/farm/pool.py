@@ -1,5 +1,5 @@
-"""Parallel sweep execution: a ``multiprocessing`` worker pool over
-compiled-artifact tasks.
+"""Parallel sweep execution: one worker pool over compiled-artifact
+tasks.
 
 One task = one program swept across a list of memory object models
 (via :func:`repro.pipeline.run_many` / ``explore_many``), or one test
@@ -21,17 +21,17 @@ exploration and the daemon's worker all come through it:
   ``shard_index`` modulo ``shard_count``, so ``N`` campaign workers
   started with ``--shard 0/N`` … ``--shard N-1/N`` partition a corpus
   exactly, with no coordination;
-* **aggregation** is order-independent — results carry the task index
-  and are re-sorted, so a parallel sweep reports in the same order as
-  a serial one;
+* **aggregation** is order-independent — results come back in task
+  order, so a parallel sweep reports in the same order as a serial
+  one;
 * **timeouts** are two-level — a cooperative wall-clock deadline
   inside the worker (exploration stops at the deadline, single runs
-  are bounded by ``max_steps``), and a hard ``AsyncResult.get(timeout)``
-  backstop in the parent that marks the task timed out and recycles
-  the pool.
+  are bounded by ``max_steps``), and a hard limit per call in
+  :class:`WorkerPool`: a task that overruns it is reported timed out,
+  and only the worker running it is killed and replaced.
 
-``jobs=1`` runs the same tasks serially in-process, no fork required.
-Workers are forked where available (Linux).  A batch has one store:
+``jobs=1`` runs the same tasks serially in-process; otherwise a forked
+:class:`WorkerPool`, the daemon's pool too, runs them.  A batch has one store:
 :func:`run_tasks` installs its :class:`~repro.farm.store.ArtifactStore`
 handle in-process or once in each worker, and every task uses that
 handle for every record kind — compiled artifacts, exploration
@@ -41,7 +41,10 @@ makes a parallel sweep execution-only: zero front-end translations.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import signal
+import threading
 import time
 from fnmatch import fnmatchcase
 from dataclasses import dataclass, field
@@ -55,7 +58,7 @@ from ..pipeline import (
     run_many, set_artifact_store,
 )
 from ..spec import ExploreSpec
-from .store import ArtifactStore, as_store
+from .store import as_store
 
 #: ``TaskResult.stats``: each key and the metric counter it reads
 #: (``*`` matches any record kind).
@@ -453,22 +456,121 @@ def _explore_shard(task: SweepTask):
                                          explorer.pending)
 
 
-def _init_worker(store: Optional[ArtifactStore]) -> None:
-    """Per-worker setup: a clean in-memory cache (fork inherits the
-    parent's; a worker starts cold, like any fresh process) and the
-    batch's store handle — the worker's copy, installed once for its
-    whole life, so its first write is its only directory scan.  Any
-    inherited observability context is dropped too: a forked child
-    must never double-write the parent's trace file."""
+class WorkerPool:
+    """Forked workers that each hold ``store`` for life and run ``fn``
+    one call at a time over their own pipe, fed by one thread each.  A
+    call past its ``timeout`` (counted from when a worker takes it)
+    fails with :class:`TimeoutError` and only its worker is SIGKILLed
+    and replaced; a worker that dies fails only its own call.  Workers
+    ignore SIGINT and SIGTERM: a signal drains through the owner."""
+
+    def __init__(self, fn, workers: int, store=None):
+        import queue
+        self._fn, self._store = fn, store
+        self._calls: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock, self._closed = threading.Lock(), False
+        self._workers = [self._spawn() for _ in range(max(1, workers))]
+        self._threads = [threading.Thread(target=self._feed, args=(i,),
+                                          daemon=True)
+                         for i in range(len(self._workers))]
+        for thread in self._threads:
+            thread.start()
+        atexit.register(self.shutdown)  # exit must not join a live worker
+
+    def submit(self, *args, timeout: Optional[float] = None):
+        """Queue ``fn(*args)``; its Future is cancelled at shutdown."""
+        from concurrent.futures import Future
+        future = Future()
+        with self._lock:
+            if self._closed:
+                future.cancel()
+            else:
+                self._calls.put((future, args, timeout))
+        return future
+
+    def _spawn(self):
+        mp = multiprocessing.get_context("fork")
+        conn, child = mp.Pipe()
+        proc = mp.Process(target=_serve,
+                          args=(child, self._fn, self._store))
+        proc.start()
+        child.close()
+        return proc, conn
+
+    def _feed(self, i: int) -> None:
+        """Worker ``i``'s thread: run the queued calls on it in turn."""
+        from concurrent.futures import InvalidStateError
+        for future, args, timeout in iter(self._calls.get, None):
+            if self._closed or future.cancelled():
+                future.cancel()
+                continue
+            proc, conn = self._workers[i]
+            try:
+                conn.send(args)
+                if not conn.poll(timeout):
+                    raise TimeoutError("call overran its hard timeout")
+                ok, value = conn.recv()
+            except (EOFError, OSError) as exc:  # it overran, or it died
+                with self._lock:
+                    proc.kill()
+                    proc.join()
+                    conn.close()
+                    if not self._closed:
+                        self._workers[i] = self._spawn()
+                ok, value = False, exc if isinstance(exc, TimeoutError) \
+                    else RuntimeError(f"worker process died (exit code "
+                                      f"{proc.exitcode})")
+            except Exception as exc:    # the arguments do not pickle
+                ok, value = False, exc
+            try:
+                if self._closed:        # shutdown killed its worker
+                    future.cancel()
+                elif ok:
+                    future.set_result(value)
+                else:
+                    future.set_exception(value)
+            except InvalidStateError:   # its owner cancelled it
+                pass
+
+    def shutdown(self) -> None:
+        """Cancel every unfinished call and SIGKILL the workers."""
+        atexit.unregister(self.shutdown)
+        with self._lock:
+            self._closed = True
+            for proc, _ in self._workers:
+                proc.kill()
+        for _ in self._threads:         # each cancels what it meets
+            self._calls.put(None)
+        for thread, (proc, conn) in zip(self._threads, self._workers):
+            thread.join()
+            proc.join()
+            conn.close()
+
+
+def _serve(conn, fn, store) -> None:
+    """A pool worker's life: start cold (no compile cache, no inherited
+    trace to double-write), install ``store`` once (its first write is
+    its only directory scan), and answer each call on ``conn`` with
+    ``(ok, result or exception)`` until the owner hangs up."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
     obs.reset()
     clear_compile_cache()
     set_artifact_store(store)
-
-
-def _timeout_result(task: SweepTask, timeout: float) -> TaskResult:
-    return TaskResult(task.index, task.name, task.kind, ok=False,
-                      timed_out=True,
-                      error=f"task exceeded {timeout:g}s wall-clock")
+    while True:
+        try:
+            args = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:        # the result does not pickle
+            conn.send((False, RuntimeError(
+                f"unpicklable result: {type(exc).__name__}: {exc}")))
 
 
 def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
@@ -479,18 +581,17 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
     ``store`` (a handle or a directory, normalised by
     :func:`~repro.farm.store.as_store`) is the batch's one store:
     ``jobs=1`` installs it in this process for the duration; ``jobs>1``
-    forks a worker pool and installs it once in each worker.  Tasks
-    use it for every record kind and open no handle of their own.
-    ``store=None`` falls back to the globally installed artifact
+    forks a :class:`WorkerPool` and installs it once in each worker.
+    Tasks use it for every record kind and open no handle of their
+    own.  ``store=None`` falls back to the globally installed artifact
     store, so ``set_artifact_store`` + farm runs compose.
 
-    ``task_timeout`` bounds each task's wall-clock.  In worker mode
-    it is a hard limit: a task that exceeds it is reported
-    ``timed_out``, the wedged pool is terminated, and a fresh pool
-    resumes the remaining tasks (already-finished results are kept).
-    In serial mode the limit is cooperative only — exploration stops
-    at the deadline; a single non-terminating run is bounded by
-    ``max_steps``, not wall-clock.
+    ``task_timeout`` bounds each task's wall-clock.  In worker mode it
+    is a hard limit from when a worker takes the task: a task that
+    exceeds it is reported ``timed_out`` and only its worker is
+    replaced.  In serial mode the limit is cooperative only —
+    exploration stops at the deadline; a single non-terminating run is
+    bounded by ``max_steps``, not wall-clock.
 
     Every task's metrics snapshot is merged into the active
     :mod:`repro.obs` context (a ``--trace``/``--metrics`` scope
@@ -511,75 +612,28 @@ def run_tasks(tasks: Sequence[SweepTask], jobs: int = 1,
         finally:
             set_artifact_store(previous)
     else:
-        results = _run_tasks_pooled(tasks, jobs, store, task_timeout)
-        results.sort(key=lambda r: r.index)
+        pool = WorkerPool(execute_task, min(jobs, len(tasks)), store)
+        try:
+            futures = [pool.submit(t, timeout=task_timeout)
+                       for t in tasks]
+            results = []
+            for t, future in zip(tasks, futures):
+                try:
+                    results.append(future.result())
+                except Exception as exc:  # a hard timeout, a dead worker
+                    late = isinstance(exc, TimeoutError)
+                    results.append(TaskResult(
+                        t.index, t.name, t.kind, ok=False, timed_out=late,
+                        error=f"task exceeded {task_timeout:g}s wall-clock"
+                        if late else f"worker failure: "
+                        f"{type(exc).__name__}: {exc}"))
+        finally:
+            pool.shutdown()
     ctx = obs.active()
     if ctx is not None:
         for r in results:
             ctx.merge(r.data.get("metrics"))
     return results
-
-
-def _run_tasks_pooled(tasks: List[SweepTask], jobs: int,
-                      store: Optional[ArtifactStore],
-                      task_timeout: Optional[float]
-                      ) -> List[TaskResult]:
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0])
-
-    def fresh_pool():
-        return ctx.Pool(jobs, initializer=_init_worker,
-                        initargs=(store,))
-
-    results: List[TaskResult] = []
-    remaining = list(tasks)
-    pool = fresh_pool()
-    try:
-        while remaining:
-            pending = [(t, pool.apply_async(execute_task, (t,)))
-                       for t in remaining]
-            remaining = []
-            restart = False
-            for task, async_result in pending:
-                if restart:
-                    # A wedged worker poisoned this pool; collect
-                    # whatever already finished and resubmit the rest
-                    # on a fresh pool instead of charging them the
-                    # dead pool's queueing delay.
-                    if async_result.ready():
-                        try:
-                            results.append(async_result.get())
-                        except Exception as exc:
-                            results.append(_failure_result(task, exc))
-                    else:
-                        remaining.append(task)
-                    continue
-                try:
-                    if task_timeout is None:
-                        results.append(async_result.get())
-                    else:
-                        results.append(async_result.get(task_timeout))
-                except multiprocessing.TimeoutError:
-                    results.append(_timeout_result(task, task_timeout))
-                    restart = True
-                except Exception as exc:  # worker died / unpicklable
-                    results.append(_failure_result(task, exc))
-            if restart:
-                pool.terminate()   # reclaim wedged workers
-                pool.join()
-                pool = fresh_pool() if remaining else None
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    return results
-
-
-def _failure_result(task: SweepTask, exc: Exception) -> TaskResult:
-    return TaskResult(task.index, task.name, task.kind, ok=False,
-                      error=f"worker failure: {type(exc).__name__}: "
-                            f"{exc}")
 
 
 def sweep(programs: Iterable, models: Optional[Iterable[str]] = None,

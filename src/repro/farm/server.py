@@ -5,10 +5,10 @@ boot, imports, cold caches — on every invocation.  :class:`FarmServer`
 is the service seam the ROADMAP (and PRs 2 and 5) named next: one
 persistent asyncio daemon owns one :class:`~repro.farm.store.
 ArtifactStore` — compiled artifacts, exploration records and its job
-queue — plus a pre-warmed forked worker pool whose workers each hold
-one handle on it for life, and serves C-semantics verdicts over a
-small JSON protocol on a unix socket.  Clients POST C source, the job
-envelope (impl, models, mode, lint) and the fields of one
+queue — plus a :class:`~repro.farm.pool.WorkerPool` whose forked
+workers each hold one handle on it for life, and serves C-semantics
+verdicts over a small JSON protocol on a unix socket.  Clients POST C
+source, the job envelope (impl, models, mode, lint) and the fields of one
 :class:`~repro.spec.ExploreSpec`, and get campaign-report payloads
 back.
 
@@ -44,9 +44,9 @@ Robustness properties
   exceeding it is a structured ``quota-exceeded`` error.
 * **Two-level timeouts** — a cooperative per-job wall-clock deadline
   travels into the worker (``job_timeout``: exploration stops at the
-  deadline exactly like farm tasks), and a hard ``hard_timeout``
-  backstop in the daemon marks a silent job ``job-timeout`` so its
-  waiters are never wedged.
+  deadline exactly like farm tasks), and past the hard
+  ``hard_timeout`` (from when a worker takes the job) only that
+  worker is killed and replaced and the job is ``job-timeout``.
 * **Graceful drain** — SIGTERM or the ``shutdown`` op stops
   accepting submissions (``shutting-down``), waits up to
   ``drain_timeout`` for in-flight jobs, persists what remains in the
@@ -169,10 +169,8 @@ Entry points: ``cerberus-py serve --socket S --store DIR`` /
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import json
-import multiprocessing
 import os
 import signal
 import time
@@ -183,10 +181,10 @@ from .. import obs
 from ..obs.trace import run_id_for
 from ..spec import ExploreSpec, SpecError
 from .pool import (
-    SweepTask, _init_worker, execute_task, store_stats,
+    SweepTask, WorkerPool, execute_task, store_stats,
     task_result_to_json,
 )
-from .store import ArtifactStore, as_store
+from .store import as_store
 
 #: Wire-protocol version: folded into every health/stats response and
 #: checked against each request's ``v`` field.
@@ -373,27 +371,6 @@ def validate_submit(msg: dict, max_source_bytes: int) -> JobSpec:
 
 # -- the worker side -----------------------------------------------------------
 
-def _init_server_worker(store: ArtifactStore) -> None:
-    """Pool-worker bootstrap for the daemon: the normal farm worker
-    init, which installs the daemon's store handle once for the
-    worker's whole life (every job shares it, so the worker scans the
-    store directory at most once), plus SIGTERM/SIGINT ignored — a
-    terminal or service manager signalling the daemon's process group
-    must drain through the daemon, not shoot the workers mid-job
-    (SIGKILL still works; the crash tests rely on it)."""
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _init_worker(store)
-
-
-def _warm_worker() -> int:
-    """A no-op task submitted once per worker at startup, so forking
-    and module imports happen before the first request, not during
-    it."""
-    import repro.pipeline  # noqa: F401  (fork keeps it warm)
-    return os.getpid()
-
-
 def _reusable(payload: dict, spec: JobSpec) -> bool:
     """Whether a finished payload may answer a new submission of
     ``spec``: a worker produced it (the daemon's own errors are
@@ -410,11 +387,10 @@ def _execute_job(spec_dict: dict, explore_dir: Optional[str],
     ride the same ``run_many`` / ``explore_many`` seams as the direct
     API, with the job's explorations persisted as records in the
     daemon's store — that persistence is what makes a SIGKILL'd
-    campaign resumable.  The job uses the handle
-    :func:`_init_server_worker` installed and opens none:
-    ``explore_dir`` only names that store's directory, and stays a
-    positional parameter because tracing wrappers hook this function
-    by position."""
+    campaign resumable.  The job uses the handle its pool worker
+    installed for life and opens none: ``explore_dir`` only names that
+    store's directory, and stays a positional parameter because
+    tracing wrappers hook this function by position."""
     job = JobSpec.from_dict(spec_dict)
     from ..ctypes.implementation import ILP32, LP64
     task = SweepTask(
@@ -442,9 +418,7 @@ class Job:
 
 
 class FarmServer:
-    """The long-lived daemon.  Construct, then ``await serve()`` (or
-    drive :meth:`start` / :meth:`wait_closed` separately from an
-    existing event loop, as the E2E tests do)."""
+    """The long-lived daemon.  Construct, then ``await serve()``."""
 
     def __init__(self, socket_path, store, workers: int = 2,
                  quota: int = 16,
@@ -472,7 +446,7 @@ class FarmServer:
         self._started_m = time.monotonic()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._executor = None
+        self._pool: Optional[WorkerPool] = None
         self.obs: Optional[obs.ObsContext] = None   # set by start()
         self._obs_scope = contextlib.ExitStack()
         self._queue_key = self.store.record_key(QUEUE_RECORD_KIND,
@@ -553,25 +527,17 @@ class FarmServer:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> int:
-        """Install the daemon's metrics scope, bind the socket,
-        pre-warm the pool, recover the persisted queue; returns the
+        """Install the daemon's metrics scope, fork the worker pool,
+        bind the socket, recover the persisted queue; returns the
         number of resumed jobs."""
         parent = obs.active()
         self.obs = self._obs_scope.enter_context(obs.install(
             obs.ObsContext(tracer=getattr(parent, "tracer", None),
                            parent=parent)))
         self._stopped = asyncio.Event()
-        methods = multiprocessing.get_all_start_methods()
-        mp_ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0])
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=mp_ctx,
-            initializer=_init_server_worker,
-            initargs=(self.store,))
-        # Fork + import every worker now, not on the first request.
-        warm = [self._executor.submit(_warm_worker)
-                for _ in range(self.workers)]
-        concurrent.futures.wait(warm, timeout=60)
+        # Workers run the module's _execute_job as it is now, so a
+        # wrapper installed before start() runs in them.
+        self._pool = WorkerPool(_execute_job, self.workers, self.store)
         try:
             os.unlink(self.socket_path)
         except OSError:
@@ -588,18 +554,23 @@ class FarmServer:
                 pass
         return self._recover_queue()
 
-    async def wait_closed(self) -> None:
-        await self._stopped.wait()
-
-    async def serve(self) -> None:
-        """start + run until drained (the ``cerberus-py serve``
-        main loop)."""
-        await self.start()
-        await self.wait_closed()
+    async def serve(self, on_listening=None) -> None:
+        """start + run until drained (``cerberus-py serve``), calling
+        ``on_listening(resumed)`` once bound.  Every way out kills the
+        workers (what still runs stays queued), so exit never waits."""
+        try:
+            resumed = await self.start()
+            if on_listening is not None:
+                on_listening(resumed)
+            await self._stopped.wait()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown()
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new submissions, wait (bounded)
-        for in-flight jobs, persist the pending index, close."""
+        for in-flight jobs, persist the pending index, close; serve()
+        then kills the workers, so a job still running stays queued."""
         if self._drain_started:
             return
         self._drain_started = True
@@ -610,8 +581,6 @@ class FarmServer:
             await asyncio.wait(set(self._tasks),
                                timeout=self.drain_timeout)
         self._persist_pending()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
         if self._server is not None:
             await self._server.wait_closed()
         try:
@@ -825,12 +794,10 @@ class FarmServer:
         drain = _field(msg, "drain", bool, True)
         inflight = self._queue_depth()
         self._draining = True
-        if drain:
-            asyncio.ensure_future(self.drain())
-        else:
+        if not drain:
             for task in self._tasks:
                 task.cancel()
-            asyncio.ensure_future(self.drain())
+        asyncio.ensure_future(self.drain())
         return {"ok": True, "draining": True, "inflight": inflight,
                 "_close": True}
 
@@ -848,23 +815,17 @@ class FarmServer:
         ctx = self.obs
         t0 = ctx.tracer.now() if ctx.tracer is not None else 0.0
         w0 = time.perf_counter()
-        loop = asyncio.get_running_loop()
         try:
-            future = loop.run_in_executor(
-                self._executor, _execute_job, job.spec.to_dict(),
-                str(self.store.root), self.job_timeout)
-            if self.hard_timeout is not None:
-                payload = await asyncio.wait_for(future,
-                                                 self.hard_timeout)
-            else:
-                payload = await future
+            payload = await asyncio.wrap_future(self._pool.submit(
+                job.spec.to_dict(), str(self.store.root),
+                self.job_timeout, timeout=self.hard_timeout))
         except asyncio.CancelledError:
-            # Drain-without-wait: leave the job queued-on-disk for
+            # Shutdown cut the job off: leave it queued-on-disk for
             # the next incarnation.
             job.state = "queued"
             job.done.set()
             return
-        except asyncio.TimeoutError:
+        except TimeoutError:
             payload = dict(error_payload(
                 "job-timeout",
                 f"job exceeded the {self.hard_timeout:g}s hard "

@@ -635,7 +635,9 @@ class AbsInterp:
                     else ("no", {})
             return "maybe", {}
         if ctor == "Unit":
-            return "yes", {}
+            if known:
+                return ("yes", {}) if av == UNIT else ("no", {})
+            return "maybe", {}
         return "maybe", self._top_bindings(pat)
 
     def _top_bindings(self, pat: K.Pattern) -> Dict[str, object]:
@@ -1038,6 +1040,12 @@ class AbsInterp:
         if kind == "fence":
             self._note_barrier()
             return UNIT
+        if kind == "storebf":
+            # A bit-field store writes part of its object, so an
+            # uninitialised cell becomes partial; it stays a barrier.
+            base, _ = self._ptr_parts(self.eval_pure(a.args[1], env, st))
+            if base not in (None, "null"):
+                self._store_cell(base, None, None, None, TOP, st)
         self._note_barrier()
         return TOP
 

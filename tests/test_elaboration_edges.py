@@ -246,6 +246,49 @@ class TestRvalueMember:
             assert out.exit_code == code, model
 
 
+class TestFallingOffTheEnd:
+    """§6.9.1p12: using the value of a call whose callee reached its
+    ``}`` is undefined; discarding that value is not."""
+
+    NORET = "int f(void){}\n"
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("main", [
+        "int main(void){ return f(); }",
+        # only the path that reaches } makes the call's value unusable
+        "int g(int x){ if (x) return 2; }\n"
+        "int main(void){ return g(1) + g(0); }",
+    ], ids=["plain", "one-path"])
+    def test_using_the_value_is_ub(self, main, backend):
+        src = self.NORET + main
+        outcomes = run_many(src, backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status == "ub", (model, out)
+            assert out.ub.name == "Function_no_return_value_used"
+            # the site is the call, on main's line
+            assert out.loc.line == src.count("\n") + 1, model
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("main", [
+        "int main(void){ f(); return 4; }",
+        "int main(void){ (void)f(); return 4; }",
+        "int main(void){ int i; for (i = 0; i < 2; f(), i++) f(), f();"
+        " return (f(), 4); }",
+    ], ids=["statement", "void-cast", "comma-and-for"])
+    def test_discarding_the_value_is_defined(self, main, backend):
+        outcomes = run_many(self.NORET + main, backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status in ("done", "exit"), (model, out)
+            assert out.exit_code == 4, model
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    def test_main_returns_zero_from_its_end(self, backend):
+        outcomes = run_many("int main(void){ }", backend=backend)
+        assert {out.exit_code for out in outcomes.values()} == {0}
+
+
 class TestInitialiserEdges:
     def test_partial_array_zeroes_rest(self, run_ok):
         out = run_ok(r'''

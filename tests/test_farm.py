@@ -2,6 +2,9 @@
 timeouts, campaign reports, and the re-backed batch consumers."""
 
 import json
+import os
+import threading
+import time
 
 import pytest
 
@@ -9,7 +12,7 @@ from repro.csmith import validate_programs
 from repro.cli import main as cli_main
 from repro.farm.campaign import csmith_campaign, suite_campaign
 from repro.farm.pool import (
-    SweepTask, run_tasks, shard_select, sweep,
+    SweepTask, WorkerPool, run_tasks, shard_select, sweep,
 )
 from repro.pipeline import (
     MODELS, clear_compile_cache, compile_c, get_artifact_store,
@@ -140,16 +143,16 @@ class TestSweep:
 
     def test_daemon_worker_scans_its_store_once(self, tmp_path,
                                                 monkeypatch):
-        # A daemon worker installs the daemon's handle once, as
-        # _init_server_worker does; its explore jobs open no handle of
-        # their own, so the worker scans the store directory at most
+        # A daemon worker starts cold and installs the daemon's handle
+        # once, as a pool worker does; its explore jobs open no handle
+        # of their own, so the worker scans the store directory at most
         # once in its life, not once per job.
         from repro.farm import server
-        from repro.farm.pool import _init_worker
         from repro.farm.store import ArtifactStore
         handle = ArtifactStore(tmp_path / "store")
         previous = get_artifact_store()
-        _init_worker(handle)
+        clear_compile_cache()
+        set_artifact_store(handle)
         opened, scans = [], []
         init, size_bytes = ArtifactStore.__init__, \
             ArtifactStore.size_bytes
@@ -246,6 +249,66 @@ class TestSweep:
                               deadline_s=0.0)
         assert not res.exhausted
         assert res.paths_run == 0
+
+
+def _pool_call(kind, pause=0.0):
+    """A :class:`WorkerPool` call: spin forever, die, answer with what
+    does not pickle, or echo."""
+    time.sleep(pause)
+    if kind == "spin":
+        while True:
+            pass
+    if kind == "die":
+        os._exit(3)
+    if kind == "pid":
+        return os.getpid()
+    if kind == "lock":
+        return threading.Lock()
+    return kind
+
+
+class TestWorkerPool:
+    def test_an_overrun_call_times_out_and_the_pool_serves_on(self):
+        pool = WorkerPool(_pool_call, 1)
+        try:
+            with pytest.raises(TimeoutError):
+                pool.submit("spin", timeout=0.5).result(timeout=30)
+            assert pool.submit("next").result(timeout=30) == "next"
+        finally:
+            pool.shutdown()
+
+    def test_an_unpicklable_result_fails_only_its_call(self):
+        pool = WorkerPool(_pool_call, 1)
+        try:
+            pid = pool.submit("pid").result(timeout=30)
+            with pytest.raises(RuntimeError, match="unpicklable"):
+                pool.submit("lock").result(timeout=30)
+            assert pool.submit("pid").result(timeout=30) == pid
+        finally:
+            pool.shutdown()
+
+    def test_a_dying_worker_fails_only_its_own_call(self):
+        pool = WorkerPool(_pool_call, 2)
+        try:
+            running = pool.submit("running", 0.5)
+            dying = pool.submit("die")
+            queued = [pool.submit(f"q{i}") for i in range(3)]
+            with pytest.raises(RuntimeError, match="died"):
+                dying.result(timeout=30)
+            assert running.result(timeout=30) == "running"
+            assert [f.result(timeout=30) for f in queued] \
+                == ["q0", "q1", "q2"]
+        finally:
+            pool.shutdown()
+
+    def test_shutdown_cancels_what_has_not_finished(self):
+        pool = WorkerPool(_pool_call, 1)
+        spinning = pool.submit("spin")
+        queued = pool.submit("queued")
+        time.sleep(0.2)
+        pool.shutdown()
+        assert spinning.cancelled() and queued.cancelled()
+        assert pool.submit("late").cancelled()
 
 
 class TestSuiteCampaign:

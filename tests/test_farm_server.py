@@ -32,6 +32,8 @@ SLOW = ("int a; int b; int c; int d;\n"
         "int main(void){ (a=1)+(b=2)+(c=3)+(d=4);"
         " return a+b+c+d-10; }\n")
 SLOW_PATHS = 4000
+#: Never ends; at ``max_steps=10**9`` only a timeout stops it.
+SPIN = "int main(void){ for(;;); }\n"
 
 
 def raw_request(socket_path: str, line: bytes) -> dict:
@@ -264,22 +266,69 @@ def test_a_deadline_cut_exploration_is_resumed_not_reused(farm_daemon):
 
 
 def test_a_daemon_timeout_is_never_served_from_cache(farm_daemon):
-    """A ``job-timeout`` the daemon reported (here: the one worker is
-    still busy with a spinning job) is not the program's answer, in
-    this incarnation or the next."""
+    """A ``job-timeout`` the daemon reported is not the program's
+    answer, in this incarnation or the next."""
+    args = ("--job-timeout", "0.5", "--hard-timeout", "2")
+    daemon = farm_daemon(extra_args=args)
+    client = daemon.client()
+    spin = client.submit(SPIN, models=["concrete"], max_steps=10**9)
+    assert spin["report"]["error"]["code"] == "job-timeout"
+    after = client.submit(OK, name="ok.c", models=["concrete"])
+    assert after["report"]["verdicts"]["concrete"]["exit_code"] == 7
+    daemon.kill9()
+    daemon2 = farm_daemon(store=daemon.store, extra_args=args)
+    again = daemon2.client().submit(SPIN, models=["concrete"],
+                                    max_steps=10**9)
+    assert not again["cached"]
+    assert again["report"]["error"]["code"] == "job-timeout"
+
+
+def test_a_hard_timeout_frees_its_worker(farm_daemon):
+    """A job past ``--hard-timeout`` costs only its own worker: the
+    worker is killed and replaced, the next job runs on the one-worker
+    daemon, and ``shutdown`` leaves nothing of its process group."""
     daemon = farm_daemon(extra_args=("--job-timeout", "0.5",
                                      "--hard-timeout", "2"))
     client = daemon.client()
-    spin = client.submit("int main(void){ for(;;); }\n",
-                         models=["concrete"], max_steps=10**9)
+    spin = client.submit(SPIN, models=["concrete"], max_steps=10**9)
     assert spin["report"]["error"]["code"] == "job-timeout"
-    stuck = client.submit(OK, name="ok.c", models=["concrete"])
-    assert stuck["report"]["error"]["code"] == "job-timeout"
-    daemon.kill9()
+    after = client.submit(OK, name="ok.c", models=["concrete"])
+    assert after["report"]["verdicts"]["concrete"]["exit_code"] == 7
+    client.shutdown()
+    deadline = time.monotonic() + 10
+    assert daemon.proc.wait(timeout=10) == 0
+    while True:
+        try:
+            os.killpg(daemon.proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a worker outlived the daemon"
+        time.sleep(0.05)
+
+
+@pytest.mark.parametrize("drain", [False, True],
+                         ids=["no-drain", "drain-timeout"])
+def test_a_shutdown_that_cuts_a_job_off_leaves_it_queued(farm_daemon,
+                                                        drain):
+    """``shutdown`` kills the worker mid-job — at once with ``drain:
+    false``, after ``--drain-timeout`` otherwise; the job stays queued
+    (never ``job-failed``) and the next incarnation on the store runs
+    it."""
+    daemon = farm_daemon(extra_args=("--drain-timeout", "0.3"))
+    client = daemon.client()
+    ack = client.submit(SLOW, name="slow.c", models=["concrete"],
+                        mode="explore", max_paths=SLOW_PATHS,
+                        wait=False)
+    time.sleep(0.3)   # let the worker pick it up
+    assert client.status(ack["job"])["state"] == "running"
+    assert client.shutdown(drain=drain)["draining"]
+    assert daemon.proc.wait(timeout=30) == 0
     daemon2 = farm_daemon(store=daemon.store)
-    r = daemon2.client().submit(OK, name="ok.c", models=["concrete"])
-    assert not r["cached"]
-    assert r["report"]["verdicts"]["concrete"]["exit_code"] == 7
+    client2 = daemon2.client()
+    assert client2.stats()["server"]["counters"]["resumed"] == 1
+    result = client2.wait_result(ack["job"], timeout=180)
+    assert result["state"] == "done"
+    assert result["report"]["explorations"]["concrete"]["paths_run"] >= 1
 
 
 def test_semantic_identity_ignores_client_label_wait(farm_daemon):

@@ -288,23 +288,16 @@ int main(void) { pr('a') + pr('b'); return 0; }''')
         assert "exit=0" in por
 
     def test_exhaustive_explore_jobs(self, tmp_path, capsys):
+        # --jobs shards a single-model exploration across the workers.
         path = self._write(tmp_path,
                            "int a, b; int main(void)"
                            "{ (a=1)+(b=2); return a+b-3; }")
-        code = cli_main([path, "--exhaustive", "--explore-jobs", "2",
-                         "--max-paths", "5000"])
+        code = cli_main([path, "--exhaustive", "--jobs", "2",
+                         "--max-paths", "5000", "--metrics"])
         assert code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "executions explored: 576 (complete)" in out
-
-    def test_explore_jobs_rejected_with_models(self, tmp_path, capsys):
-        # Two fan-out axes at once: refuse loudly, don't silently run
-        # an unsharded per-model exploration.
-        path = self._write(tmp_path, "int main(void){ return 0; }")
-        code = cli_main([path, "--models", "all", "--exhaustive",
-                         "--explore-jobs", "4"])
-        assert code == 2
-        assert "--explore-jobs" in capsys.readouterr().err
+        assert "farm.shards = " in err
 
     def test_model_flag(self, tmp_path):
         path = self._write(tmp_path, r'''

@@ -172,7 +172,7 @@ class TestSpecValues:
 
 def test_farm_static_prune_matches_serial(capsys):
     path = str(ROOT / "examples" / "c" / "unseq_commuting.c")
-    for extra in ([], ["--explore-jobs", "2"]):
+    for extra in ([], ["--jobs", "2"]):
         code = cli_main([path, "--exhaustive", "--static-prune",
                          *extra])
         out = capsys.readouterr().out

@@ -79,6 +79,14 @@ CLEAN = r'''
 int main(void) { int a = 3; return a - 3; }
 '''
 
+#: Its bit-field stores write part of ``s``; the bits they leave are
+#: never read, and every model runs it to exit 22.
+BITFIELDS = r'''
+struct B { unsigned a : 3; unsigned b : 5; };
+struct B mk(void){ struct B s; s.a = 5; s.b = 17; return s; }
+int main(void){ struct B t = mk(); return t.b + t.a; }
+'''
+
 
 def _annotations(source):
     program = compile_c(source).core
@@ -175,6 +183,14 @@ class TestLint:
 
     def test_clean_program_has_no_findings(self):
         assert self._findings(CLEAN) == []
+
+    def test_bitfield_stores_leave_a_partial_object(self):
+        """A struct whose bit-fields were stored is partly written:
+        reading it whole is at most a possible finding, as for a
+        partly written ``struct { int a, b; }``."""
+        findings = self._findings(BITFIELDS)
+        assert [f.severity for f in findings
+                if "Read_uninitialised" in f.names] == ["possible"]
 
     def test_finding_dict_round_trip(self):
         f = self._findings(UNINIT)[0]
@@ -338,6 +354,17 @@ class TestFarmLintFilter:
         assert summary.exhausted
         # Statically-commuting unseq points are never branched.
         assert summary.paths_run == 1
+
+    def test_bitfield_program_is_explored(self):
+        task = SweepTask(0, "bitfields", kind="explore",
+                         source=BITFIELDS, models=("concrete",),
+                         spec=ExploreSpec(max_paths=200), lint=True)
+        result = execute_task(task)
+        assert result.ok
+        assert "lint_filtered" not in result.data
+        summary = result.data["explorations"]["concrete"]
+        assert summary.exhausted
+        assert summary.behaviours == ["exit=22 stdout=''"]
 
     def test_suite_task_attaches_lint_without_skipping(self):
         task = SweepTask(0, "uninit_read", kind="suite",
