@@ -62,7 +62,7 @@ from .ctypes.implementation import ILP32, LP64
 from .dynamics.explore import STRATEGIES
 from .errors import CerberusError
 from .pipeline import (
-    MODELS, compile_c, get_artifact_store, lint_c, set_artifact_store,
+    MODELS, compile_for_model, get_artifact_store, lint_c, set_artifact_store,
 )
 from .spec import BACKENDS, ExploreSpec, SpecError
 
@@ -300,12 +300,12 @@ def _dispatch_main(args, source: str, impl, spec) -> int:
     if args.models and not args.pp_core:
         return _run_batch(args, source, impl, spec)
     try:
-        pipeline = compile_c(source, impl, name=args.file)
+        pipeline = compile_for_model(source, args.model, impl, name=args.file)
     except CerberusError as exc:
         print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
     if args.pp_core:
-        # Core is model-independent, so --pp-core wins over --models.
+        # --pp-core wins over --models: it prints the Core --model runs.
         print(pretty_program(pipeline.core))
         return 0
     if args.exhaustive:

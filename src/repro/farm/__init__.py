@@ -12,11 +12,11 @@ Layers
 ======
 
 :mod:`repro.farm.store` — :class:`~repro.farm.store.ArtifactStore`
-    The one store: a persistent, on-disk, content-addressed store of
-    every record kind — compiled artifacts (pickled
-    :class:`~repro.pipeline.CompiledProgram` objects keyed on
-    ``(source, impl, name, schema_version)``), exploration records,
-    static analyses and the daemon's queue.  Writes are atomic (temp
+    The one store: a persistent, on-disk, content-addressed cache of
+    compiled artifacts (pickled :class:`~repro.pipeline.CompiledProgram`
+    objects keyed on ``(source, impl, name)``), exploration records,
+    static analyses and job results, each also keyed on the build that
+    computed it.  Writes are atomic (temp
     file + ``os.replace``), corrupt or truncated entries fall back to
     silent regeneration, and the store is bounded by total size with
     LRU eviction (reads refresh an entry's recency).  A process holds
@@ -75,8 +75,8 @@ Layers
     behind a JSON protocol on a unix socket (submit / status /
     result / stats / health / shutdown).  Identical in-flight
     submissions coalesce into one computation (semantic content
-    addressing à la ``run_id_for``), the job queue persists as store
-    records so a ``kill -9`` server resumes every accepted job, and
+    addressing à la ``run_id_for``), the job queue persists beside
+    the store, so a ``kill -9`` server resumes every accepted job, and
     finished payloads are served from ``"jobresult"`` records across
     restarts.  :class:`~repro.farm.client.FarmClient` speaks the
     protocol; :func:`~repro.farm.client.server_sweep` /
@@ -117,7 +117,7 @@ CLI::
 
 from __future__ import annotations
 
-from .store import STORE_SCHEMA_VERSION, ArtifactStore
+from .store import ArtifactStore
 from .explorestore import ExplorationRecord
 from .pool import (
     SweepTask, TaskResult, Verdict, shard_select, sweep,
@@ -130,7 +130,6 @@ from .frontier import explore_farm
 
 __all__ = [
     "ArtifactStore",
-    "STORE_SCHEMA_VERSION",
     "ExplorationRecord",
     "SweepTask",
     "TaskResult",

@@ -13,7 +13,7 @@ resumable artifact, the way PR 1/2 did for translation:
   everything that determines the exploration — source text,
   implementation environment, memory model, every
   :class:`~repro.spec.ExploreSpec` field but the path budget, and the
-  store schema version.  A warm hit returns the recorded result with
+  build that computed it.  A warm hit returns the recorded result with
   **zero** paths re-run;
 * an **interrupted** exploration (wall-clock deadline, path budget,
   task kill) persists its live frontier — the picklable

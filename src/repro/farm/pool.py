@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -547,13 +548,23 @@ class WorkerPool:
             conn.close()
 
 
+def _exit_when_orphaned(owner: int) -> None:
+    """Exit the worker, even mid-call, once it outlives ``owner`` (an
+    owner killed before ``shutdown()``): nobody reads its answer."""
+    while os.getppid() == owner:
+        time.sleep(0.5)
+    os._exit(1)
+
+
 def _serve(conn, fn, store) -> None:
     """A pool worker's life: start cold (no compile cache, no inherited
     trace to double-write), install ``store`` once (its first write is
     its only directory scan), and answer each call on ``conn`` with
-    ``(ok, result or exception)`` until the owner hangs up."""
+    ``(ok, result or exception)`` until the owner hangs up or dies."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    threading.Thread(target=_exit_when_orphaned, daemon=True,
+                     args=(multiprocessing.parent_process().pid,)).start()
     obs.reset()
     clear_compile_cache()
     set_artifact_store(store)

@@ -4,8 +4,8 @@ The batch tool this repo grew up as pays its startup cost — process
 boot, imports, cold caches — on every invocation.  :class:`FarmServer`
 is the service seam the ROADMAP (and PRs 2 and 5) named next: one
 persistent asyncio daemon owns one :class:`~repro.farm.store.
-ArtifactStore` — compiled artifacts, exploration records and its job
-queue — plus a :class:`~repro.farm.pool.WorkerPool` whose forked
+ArtifactStore` — compiled artifacts, exploration records, job results
+— plus a :class:`~repro.farm.pool.WorkerPool` whose forked
 workers each hold one handle on it for life, and serves C-semantics
 verdicts over a small JSON protocol on a unix socket.  Clients POST C
 source, the job envelope (impl, models, mode, lint) and the fields of one
@@ -28,15 +28,18 @@ Robustness properties
   only a payload no clock shaped: a worker's (never the daemon's
   ``job-timeout``/``job-failed``), every exploration exhausted or at
   ``max_paths``.  Anything else runs again, resuming its record.
-* **Crash-safe queue** — accepting a job persists it *before* the
-  submit response: a ``"job"`` record (the spec) plus membership in
-  the ``"jobqueue"`` pending-index record, both in the artifact
-  store (atomic writes, schema-versioned).  A killed ``-9`` server
-  restarted on the same store re-enqueues every accepted-but-
-  unfinished job (``server.resumed``); completed payloads were
-  persisted as ``"jobresult"`` records, so clients that re-connect
-  and poll ``result`` get every answer.  Job explorations persist
-  their records in the same store, so a restart also rides PR 5's
+* **Crash-safe queue** — accepting a job writes its request (the
+  :class:`JobSpec` the id hashes) atomically to
+  ``<store>/queue/<job id>.json`` *before* the submit response, and
+  the file goes once the payload is stored as a ``"jobresult"``
+  record.  The queue is not a cache: no eviction ever drops a job.
+  A killed ``-9`` server restarted on the same store re-enqueues
+  every file left (``server.resumed``), so clients that re-connect
+  and poll ``result`` get the answer of every job that had not
+  finished.  A finished job's answer is served only while its
+  ``"jobresult"`` record, a cache entry, survives eviction; after
+  that, polling it is ``unknown-job``.  Job explorations persist
+  their records in the same store, so a restart also rides the
   frontier/record resume: per-model cells finished before the kill
   are never re-explored.
 * **Quotas** — at most ``quota`` unfinished jobs *accepted* per
@@ -49,8 +52,8 @@ Robustness properties
   worker is killed and replaced and the job is ``job-timeout``.
 * **Graceful drain** — SIGTERM or the ``shutdown`` op stops
   accepting submissions (``shutting-down``), waits up to
-  ``drain_timeout`` for in-flight jobs, persists what remains in the
-  pending index, and exits; nothing accepted is ever lost.
+  ``drain_timeout`` for in-flight jobs and exits; what it cut off
+  stays in the queue, so nothing accepted is ever lost.
 
 Observability: the daemon counts in one :mod:`repro.obs` scope kept
 installed for its life (chained to a ``cerberus-py serve --trace``
@@ -155,9 +158,10 @@ requested before completion), ``quota-exceeded``, ``shutting-down``,
 
 Versioning: ``PROTOCOL_VERSION`` gates the wire schema (bump on
 incompatible request/response changes — old clients get a
-``protocol-version`` error, not garbage); persisted job/jobresult
-records additionally ride the store's ``STORE_SCHEMA_VERSION``, so a
-store-format bump invalidates stale queue state wholesale.
+``protocol-version`` error, not garbage).  Like every store record, a
+``"jobresult"`` is keyed on the build, so a new build recomputes a
+resubmitted job an older one finished; queue files hold only
+requests, so it resumes what an older one accepted, under new code.
 
 Entry points: ``cerberus-py serve --socket S --store DIR`` /
 ``cerberus-py submit file.c --socket S ...`` (:mod:`repro.cli`),
@@ -175,6 +179,7 @@ import os
 import signal
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Optional, Set, Tuple
 
 from .. import obs
@@ -184,16 +189,14 @@ from .pool import (
     SweepTask, WorkerPool, execute_task, store_stats,
     task_result_to_json,
 )
-from .store import as_store
+from .store import as_store, write_atomic
 
 #: Wire-protocol version: folded into every health/stats response and
 #: checked against each request's ``v`` field.
 PROTOCOL_VERSION = 1
 
-#: Store record kinds of the crash-safe queue.
-JOB_RECORD_KIND = "job"
+#: The store record kind of a finished job's payload.
 RESULT_RECORD_KIND = "jobresult"
-QUEUE_RECORD_KIND = "jobqueue"
 
 _DEFAULT_MAX_REQUEST = 8 * 1024 * 1024
 
@@ -405,8 +408,8 @@ def _execute_job(spec_dict: dict, explore_dir: Optional[str],
 
 @dataclass
 class Job:
-    """One accepted job's in-memory state (its spec and payload are
-    additionally persisted as store records)."""
+    """One accepted job's in-memory state (its spec stays in the queue
+    directory until its payload is stored as a result record)."""
 
     spec: JobSpec
     job_id: str
@@ -449,8 +452,8 @@ class FarmServer:
         self._pool: Optional[WorkerPool] = None
         self.obs: Optional[obs.ObsContext] = None   # set by start()
         self._obs_scope = contextlib.ExitStack()
-        self._queue_key = self.store.record_key(QUEUE_RECORD_KIND,
-                                                "pending")
+        self._queue = self.store.root / "queue"
+        self._queue.mkdir(exist_ok=True)
 
     # -- counters -------------------------------------------------------------
 
@@ -470,58 +473,45 @@ class FarmServer:
     def _gauge_depth(self) -> None:
         self.obs.gauge("server.queue_depth", self._queue_depth())
 
-    # -- crash-safe queue records ---------------------------------------------
+    # -- crash-safe queue -----------------------------------------------------
 
-    def _job_key(self, job_id: str) -> str:
-        return self.store.record_key(JOB_RECORD_KIND, job_id)
+    def _queued(self, job_id: str) -> Path:
+        return self._queue / f"{job_id}.json"
 
     def _result_key(self, job_id: str) -> str:
         return self.store.record_key(RESULT_RECORD_KIND, job_id)
 
-    def _persist_pending(self) -> None:
-        pending = sorted(j.job_id for j in self._jobs.values()
-                         if j.state in ("queued", "running"))
-        self.store.put_record(self._queue_key, pending,
-                              kind=QUEUE_RECORD_KIND)
-
-    def _persist_job(self, job: Job) -> None:
-        self.store.put_record(self._job_key(job.job_id),
-                              job.spec.to_dict(),
-                              kind=JOB_RECORD_KIND)
-
-    def _persist_result(self, job: Job) -> None:
-        self.store.put_record(self._result_key(job.job_id),
-                              job.payload, kind=RESULT_RECORD_KIND)
-
     def _recover_queue(self) -> int:
-        """Re-enqueue every job the previous incarnation accepted but
-        never finished: the pending-index record names them, each
-        ``"job"`` record carries the spec, and a ``"jobresult"``
-        record (present when the crash hit between result persist and
-        index rewrite) short-circuits straight to done."""
-        pending = self.store.get_record(self._queue_key, list,
-                                        kind=QUEUE_RECORD_KIND) or []
+        """Re-enqueue every job a previous incarnation, of any build,
+        accepted but never finished, unless its result was stored
+        before the crash (then it answers) or its file does not parse
+        as a job of this build (then it fails ``job-failed``)."""
         resumed = 0
-        for job_id in pending:
+        for path in sorted(self._queue.glob("*.json")):
+            job_id = path.stem
+            try:
+                spec = JobSpec.from_dict(json.loads(path.read_bytes()))
+            except (ValueError, TypeError, OSError) as exc:
+                # A field this build lacks, not a job object, or not
+                # readable: answered, never skipped.
+                self._answered(JobSpec(source=""), job_id, error_payload(
+                    "job-failed", f"unreadable queued job: {exc}"))
+                with contextlib.suppress(OSError):
+                    path.unlink(missing_ok=True)
+                continue
             payload = self.store.get_record(self._result_key(job_id),
                                             dict,
                                             kind=RESULT_RECORD_KIND)
-            spec_dict = self.store.get_record(self._job_key(job_id),
-                                              dict,
-                                              kind=JOB_RECORD_KIND)
             if payload is not None:
-                self._answered(JobSpec.from_dict(spec_dict)
-                               if spec_dict is not None
-                               else JobSpec(source=""), job_id, payload)
-            elif spec_dict is not None:   # else evicted or corrupt
-                job = Job(JobSpec.from_dict(spec_dict), job_id,
-                          accepted_m=time.monotonic())
+                self._answered(spec, job_id, payload)
+                path.unlink(missing_ok=True)
+            else:
+                job = Job(spec, job_id, accepted_m=time.monotonic())
                 self._jobs[job_id] = job
                 self._spawn(job)
                 resumed += 1
         if resumed:
             self._inc("resumed", resumed)
-        self._persist_pending()
         return resumed
 
     # -- lifecycle ------------------------------------------------------------
@@ -569,8 +559,8 @@ class FarmServer:
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new submissions, wait (bounded)
-        for in-flight jobs, persist the pending index, close; serve()
-        then kills the workers, so a job still running stays queued."""
+        for in-flight jobs, close; serve() then kills the workers, so
+        a job still running stays queued."""
         if self._drain_started:
             return
         self._drain_started = True
@@ -580,7 +570,6 @@ class FarmServer:
         if self._tasks:
             await asyncio.wait(set(self._tasks),
                                timeout=self.drain_timeout)
-        self._persist_pending()
         if self._server is not None:
             await self._server.wait_closed()
         try:
@@ -706,10 +695,10 @@ class FarmServer:
                 job.clients.add(client)
                 active.add(job_id)
                 self._jobs[job_id] = job
-                # Persist BEFORE acknowledging: once the client sees
+                # Queue BEFORE acknowledging: once the client sees
                 # the job id, a kill -9 cannot lose the job.
-                self._persist_job(job)
-                self._persist_pending()
+                write_atomic(self._queued(job_id), json.dumps(
+                    spec.to_dict()).encode("utf-8"))
                 self._inc("accepted")
                 self._spawn(job)
         self._gauge_depth()
@@ -820,8 +809,8 @@ class FarmServer:
                 job.spec.to_dict(), str(self.store.root),
                 self.job_timeout, timeout=self.hard_timeout))
         except asyncio.CancelledError:
-            # Shutdown cut the job off: leave it queued-on-disk for
-            # the next incarnation.
+            # Shutdown cut the job off: its queue file stays for the
+            # next incarnation.
             job.state = "queued"
             job.done.set()
             return
@@ -849,8 +838,11 @@ class FarmServer:
                 "server.job", t0, wall, 0.0, 0,
                 {"job": job.job_id, "name": job.spec.name,
                  "mode": job.spec.mode, "state": job.state})
-        self._persist_result(job)
-        self._persist_pending()
+        # Store the result, then dequeue: a crash in between leaves a
+        # queued job that recovery answers from the stored result.
+        self.store.put_record(self._result_key(job.job_id),
+                              job.payload, kind=RESULT_RECORD_KIND)
+        self._queued(job.job_id).unlink(missing_ok=True)
         for client in job.clients:
             self._client_jobs.get(client, set()).discard(job.job_id)
         self._gauge_depth()

@@ -1,23 +1,29 @@
-"""Persistent, content-addressed store of compiled artifacts.
+"""Persistent, content-addressed cache of what the pipeline computes.
 
 The in-memory compile cache (:mod:`repro.pipeline`) dies with the
 process; every fresh CLI invocation, pytest worker, or benchmark round
 re-pays the whole front end.  :class:`ArtifactStore` persists pickled
 :class:`~repro.pipeline.CompiledProgram` artifacts on disk, keyed on
 the same content address as the in-memory cache — the source text, the
-implementation environment, the name — plus a
-``schema_version`` so that incompatible artifact layouts can never be
-deserialised into a newer interpreter.
+implementation environment, the name — plus the build that computed
+them.
 
-Beyond compiled artifacts, the store holds arbitrary *records* under
+Beyond compiled artifacts, the store holds derived *records* under
 kind-prefixed content addresses (:meth:`ArtifactStore.record_key` /
 ``get_record`` / ``put_record``): exploration records
 (:mod:`repro.farm.explorestore`), static analyses and the daemon's
-queue share the same durability, eviction, and schema-versioning
-machinery.  A process holds one handle: the entry point (the CLI's
-``--store``, the daemon, :func:`repro.farm.pool.run_tasks` per
-worker) opens it, every seam takes it as one ``store`` argument, and
-:func:`as_store` is the one normaliser of that argument.
+job results share the same durability and eviction machinery.  A
+process holds one handle: the entry point (the CLI's ``--store``, the
+daemon, :func:`repro.farm.pool.run_tasks` per worker) opens it, every
+seam takes it as one ``store`` argument, and :func:`as_store` is the
+one normaliser of that argument.
+
+One validity rule, decided here alone: every content address and
+entry header carries :func:`code_fingerprint`, so an entry another
+build wrote is a miss (it ages out through eviction), and no version
+is ever bumped.  The store is purely a cache: the daemon's queue,
+which is not, lives beside it in ``<root>/queue/`` (outside
+``objects/``, so eviction, ``clear()`` and ``stats()`` never see it).
 
 Durability properties:
 
@@ -46,6 +52,8 @@ any; :meth:`ArtifactStore.stats` is only the directory scan.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import os
 import pickle
@@ -57,40 +65,44 @@ from typing import Dict, Optional
 
 from .. import obs
 
-# Bump when CompiledProgram / the AST layout changes incompatibly: the
-# version is folded into the content address, so old entries simply
-# stop matching (and age out via LRU eviction).
-#
-# 2: bit-field members (Member.bit_width), variable length arrays
-#    (VarArray ctype, EVlaCreate Core node, loadbf/storebf actions) —
-#    artifacts pickled under version 1 predate these layouts.
-# 3: exploration records (repro.farm.explorestore.ExplorationRecord)
-#    join compiled artifacts in the store, and every content address
-#    is now kind-prefixed; version-2 compiled artifacts and any
-#    pre-record exploration state are invalidated together.
-# 4: static-analysis records ("statics" kind: per-unseq footprint
-#    annotation tables + lint findings, repro.pipeline.StaticsRecord)
-#    join the store, and exploration keys gain a static_prune part.
-# 5: back-end lowering records ("lowered" kind: frame/instruction
-#    layout tables, repro.pipeline.LoweredRecord) join the store, and
-#    exploration keys gain a backend part — version-4 exploration
-#    records predate the compiled back end and are invalidated.
-# 6: Core is a deterministic function of (source, impl, name) — per
-#    translation Symbol and fresh-name counters — so no artifact
-#    pickled under process-global names may load beside it; the
-#    "lowered" record kind is gone; exploration keys and daemon job
-#    records carry one repro.spec.ExploreSpec (options and
-#    exact_equality included).
-STORE_SCHEMA_VERSION = 6
-
 _MAGIC = "cerberus-farm-artifact"
 
 _DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """The build: sha256 over every ``repro`` module's relative path
+    and bytes.  Computed when a process opens its first store (never on
+    a storeless run) and kept for its life; forked workers inherit it."""
+    package = Path(__file__).resolve().parent.parent
+    h = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(package).as_posix()}\x00"
+                 f"{len(data)}\x00".encode("utf-8", "surrogateescape"))
+        h.update(data)
+    return h.hexdigest()
+
+
+def write_atomic(path: Path, payload: bytes) -> None:
+    """Publish ``payload`` at ``path`` (temp file + ``os.replace``): a
+    reader, or a restart after a kill, never sees a torn write."""
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 class StoreCorruptionWarning(UserWarning):
-    """A store entry failed to deserialise (truncated, garbled, wrong
-    schema, or a foreign object under the key).  The entry was dropped
+    """A store entry failed to deserialise (truncated, garbled, a bad
+    header, or a foreign object under the key).  The entry was dropped
     and the caller fell back to recompiling / re-exploring — correct
     but slow, so the fallback is surfaced rather than silent."""
 
@@ -101,17 +113,16 @@ class ArtifactStore:
     Install into the pipeline with
     :func:`repro.pipeline.set_artifact_store`; ``compile_c`` then
     consults it after the in-memory cache and before the front end.
+    ``build`` (for tests) stands in for another build's fingerprint.
     """
 
     def __init__(self, root, max_bytes: int = _DEFAULT_MAX_BYTES,
-                 schema_version: Optional[int] = None):
+                 build: Optional[str] = None):
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.objects.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
-        self.schema_version = (STORE_SCHEMA_VERSION
-                               if schema_version is None
-                               else schema_version)
+        self.build = code_fingerprint() if build is None else build
         # Approximate on-disk footprint, maintained incrementally so
         # a put under the bound costs O(1) — the full directory scan
         # only runs when the estimate crosses ``max_bytes``.  It may
@@ -131,11 +142,11 @@ class ArtifactStore:
     def record_key(self, kind: str, *parts: str) -> str:
         """The content address of one stored record: the record
         ``kind`` (``"compiled"``, ``"exploration"``, ...), its
-        identifying parts, and the schema version.  The kind prefix
-        keeps different record families from ever colliding in one
-        store directory."""
+        identifying parts, and the build that computes it.  The kind
+        prefix keeps different record families from ever colliding in
+        one store directory."""
         h = hashlib.sha256()
-        for part in (kind, *parts, str(self.schema_version)):
+        for part in (kind, *parts, self.build):
             h.update(part.encode("utf-8", "surrogateescape"))
             h.update(b"\x00")
         return h.hexdigest()
@@ -143,7 +154,7 @@ class ArtifactStore:
     def key(self, source: str, impl, name: str = "<string>") -> str:
         """The content address of one translation: source text,
         implementation environment (``repr`` of the frozen dataclass
-        is a complete fingerprint), name, schema version."""
+        is a complete fingerprint), name, build."""
         return self.record_key("compiled", source, repr(impl), name)
 
     def _path(self, key: str) -> Path:
@@ -163,7 +174,7 @@ class ArtifactStore:
         """Load any stored object by key, or ``None`` on miss.
 
         Any failure — missing file, short read, unpickling error,
-        wrong magic or schema, or (with ``expect``) an object of the
+        wrong magic or build, or (with ``expect``) an object of the
         wrong type under the key — is a miss; a damaged entry is
         dropped so the regenerated object can replace it, with a
         :class:`StoreCorruptionWarning` so the fallback is visible."""
@@ -174,8 +185,8 @@ class ArtifactStore:
             self._count(kind, "misses")
             return None
         try:
-            magic, version, stored_key, obj = pickle.loads(blob)
-            if (magic != _MAGIC or version != self.schema_version
+            magic, build, stored_key, obj = pickle.loads(blob)
+            if (magic != _MAGIC or build != self.build
                     or stored_key != key):
                 raise ValueError("store entry header mismatch")
             if expect is not None and not isinstance(obj, expect):
@@ -205,7 +216,7 @@ class ArtifactStore:
                    kind: str = "record"):
         """Load an auxiliary record (e.g. an exploration record) by a
         :meth:`record_key` address, or ``None`` on miss.  Damaged,
-        stale-schema, or (with ``expect``) wrong-type entries are
+        foreign-build, or (with ``expect``) wrong-type entries are
         misses — counted as such — exactly as for artifacts.  Pass
         the same ``kind`` used to build the key so the
         ``store.<kind>.*`` counters attribute the access correctly."""
@@ -240,21 +251,9 @@ class ArtifactStore:
         the size bound (records and artifacts share one LRU budget)."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(
-            (_MAGIC, self.schema_version, key, obj),
-            protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=".tmp-", suffix=".pkl")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        payload = pickle.dumps((_MAGIC, self.build, key, obj),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        write_atomic(path, payload)
         self._stamp_recency(path)
         self._count(kind, "stores")
         if self._approx_bytes is None:
@@ -280,9 +279,7 @@ class ArtifactStore:
     def _entries(self):
         """All stored artifacts as (mtime, size, path), oldest first."""
         out = []
-        for path in self.objects.glob("*/*.pkl"):
-            if path.name.startswith(".tmp-"):
-                continue
+        for path in self.objects.glob("*/*.pkl"):   # not a .tmp file
             try:
                 st = path.stat()
             except OSError:

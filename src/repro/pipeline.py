@@ -88,7 +88,6 @@ class StaticsRecord:
     aborted analysis keeps its findings — each is independently
     sound — but discards annotations)."""
 
-    version: int
     table: list
     findings: list
     complete: bool
@@ -146,11 +145,10 @@ class CompiledProgram:
 
         With ``store`` (an artifact store or directory path) the
         record is cached under the ``"statics"`` kind, keyed like the
-        compiled artifact itself plus ``STATICS_VERSION``, so repeated
-        campaigns never re-analyse an unchanged program."""
+        compiled artifact itself (build included): repeated campaigns
+        never re-analyse an unchanged program, nor read an old build's."""
         from .statics import (
-            STATICS_VERSION, analyze_program, apply_annotations,
-            serialize_unseq_info,
+            analyze_program, apply_annotations, serialize_unseq_info,
         )
         from .statics.lint import LintInterp
         key = None
@@ -158,19 +156,16 @@ class CompiledProgram:
             from .farm.store import as_store
             store = as_store(store)
             key = store.record_key(
-                STATICS_RECORD_KIND, self.source, repr(self.impl),
-                name, str(STATICS_VERSION))
+                STATICS_RECORD_KIND, self.source, repr(self.impl), name)
             record = store.get_record(key, StaticsRecord,
                                       kind=STATICS_RECORD_KIND)
             if record is not None \
-                    and record.version == STATICS_VERSION \
                     and apply_annotations(self.core, record.table):
                 return record
         with obs.maybe_span(obs.active(), "pipeline.statics",
                             profile=True, file=name):
             report = analyze_program(self.core, interp_cls=LintInterp)
         record = StaticsRecord(
-            STATICS_VERSION,
             serialize_unseq_info(self.core, report),
             list(report.findings),
             report.complete)

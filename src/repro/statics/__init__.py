@@ -45,9 +45,10 @@ table, serialized positionally over a deterministic DFS enumeration of
 ``unseq`` nodes, plus the lint findings) are cached in the
 :class:`~repro.farm.store.ArtifactStore` under the ``"statics"``
 record kind, keyed alongside compiled artifacts by ``(source,
-repr(impl), name, STATICS_VERSION)`` — the same content-addressing
-discipline as compiled Core, so a stale analysis can never outlive the
-artifact it describes.
+repr(impl), name)`` and, like every store record, by the build that
+computed them (:func:`repro.farm.store.code_fingerprint`): a change to
+this package's code is a miss, so an analysis an older linter produced
+is never served, and no version is bumped by hand.
 
 **Soundness contract.**  Static pre-pruning only ever *removes*
 interleavings that the dynamic sleep-set machinery would also have had
@@ -65,14 +66,14 @@ paths explored.
 """
 
 from .summary import (          # noqa: F401
-    ARange, StaticSummary, StaticsReport, STATICS_VERSION,
+    ARange, StaticSummary, StaticsReport,
     analyze_program, annotate_program, apply_annotations,
     collect_unseqs, ensure_annotated, resolve_hull, serialize_unseq_info,
 )
 from .lint import Finding, lint_program     # noqa: F401
 
 __all__ = [
-    "ARange", "StaticSummary", "StaticsReport", "STATICS_VERSION",
+    "ARange", "StaticSummary", "StaticsReport",
     "Finding", "analyze_program", "annotate_program",
     "apply_annotations", "collect_unseqs", "ensure_annotated",
     "lint_program", "resolve_hull", "serialize_unseq_info",

@@ -32,10 +32,6 @@ from ..source import Loc
 from .. import ub as UB
 from ..ub import UndefinedBehaviour
 
-# Bump when the analysis algorithm changes in a way that affects
-# cached annotations or findings (part of the store record key).
-STATICS_VERSION = 1
-
 TOP = ("top",)
 UNIT = ("unit",)
 UNSPEC = ("unspec",)
@@ -1160,20 +1156,23 @@ class AbsInterp:
         params = tuple(self.eval_pure(d, env, st)
                        for _, d in e.params)
         result = None
+        # What follows joins every iteration's normal exit: a re-entry
+        # starts from its jump's state, never from an earlier exit's.
+        out = st.copy()
+        out.reachable = False
         for iteration in range(self.LOOP_ITERS + 1):
             env2 = dict(env)
             env2.update(zip(names, params))
             if iteration > 0:
                 st.definite = False
             v = self.eval_expr(e.body, env2, st)
+            jump = st.jumps.pop(e.label, None)
             if st.reachable:
                 result = v if result is None else _join_av(result, v)
-            jump = st.jumps.pop(e.label, None)
+                out.absorb(st)
             if jump is None:
-                if not st.reachable and result is None:
-                    # Every path left via an outer label or return.
-                    return TOP
-                st.reachable = st.reachable or result is not None
+                st.cells, st.definite = out.cells, out.definite
+                st.reachable = out.reachable
                 return result if result is not None else TOP
             args, jst = jump
             jst.jumps = dict(st.jumps)
@@ -1183,8 +1182,11 @@ class AbsInterp:
             st.uninit_seen = jst.uninit_seen
             st.jumps = jst.jumps
             st.definite = st.definite and jst.definite
-            new_params = tuple(_join_av(p, a)
-                               for p, a in zip(params, args))
+            # The first re-entry takes its jump's arguments exact, as
+            # its state (``run ret(True, v)`` keeps ``v``); later ones
+            # join, so the parameters ascend to the check below.
+            new_params = args if iteration == 0 else tuple(
+                _join_av(p, a) for p, a in zip(params, args))
             if iteration >= self.LOOP_ITERS:
                 st.havoc(self._readonly)
                 st.definite = False
@@ -1199,8 +1201,9 @@ class AbsInterp:
         # precision for whatever follows.
         st.jumps.pop(e.label, None)
         st.havoc(self._readonly)
-        st.definite = False
         st.reachable = True
+        st.absorb(out)
+        st.definite = False
         return TOP
 
     # -- calls -------------------------------------------------------------

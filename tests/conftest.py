@@ -122,6 +122,38 @@ def farm_daemon():
 
 
 @pytest.fixture
+def farm_in_process():
+    """Factory fixture: ``serve(store, requests, **kw)`` starts a
+    :class:`~repro.farm.server.FarmServer` in this process on
+    ``store`` (a handle, so a test can stand in another build or a
+    byte budget), answers each request dict in turn, then shuts it
+    down without draining; returns ``(resumed, replies)``.  A job
+    still queued or running at the shutdown stays queued."""
+    import asyncio
+    import json
+    from repro.farm.server import FarmServer
+    tmp = tempfile.mkdtemp(prefix="cerb-ip-")
+
+    def serve(store, requests, **kw):
+        async def main():
+            server = FarmServer(os.path.join(tmp, "s.sock"), store, **kw)
+            try:
+                resumed = await server.start()
+                replies = [await server._dispatch(json.dumps(r).encode())
+                           for r in requests]
+                await server._dispatch(b'{"op": "shutdown", "drain": false}')
+                await server._stopped.wait()
+            finally:
+                if server._pool is not None:
+                    server._pool.shutdown()
+            return resumed, replies
+        return asyncio.run(main())
+
+    yield serve
+    shutil.rmtree(tmp, ignore_errors=True)
+
+
+@pytest.fixture
 def run():
     """Run a C program on a model; returns the Outcome."""
 

@@ -3,8 +3,12 @@ timeouts, campaign reports, and the re-backed batch consumers."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,49 @@ class TestWorkerPool:
         pool.shutdown()
         assert spinning.cancelled() and queued.cancelled()
         assert pool.submit("late").cancelled()
+
+    def test_a_worker_exits_when_its_owner_dies_mid_call(self,
+                                                          tmp_path):
+        """An owner killed before ``shutdown()`` (SIGTERM: no
+        ``atexit``) takes its workers with it, even one in the middle
+        of a call."""
+        owner = (
+            "import os, signal, sys, time\n"
+            "from repro.farm.pool import WorkerPool\n"
+            "def spin():\n"
+            "    while True:\n"
+            "        pass\n"
+            "pool = WorkerPool(spin, 1)\n"
+            "pool.submit()\n"
+            "time.sleep(0.3)\n"
+            "with open(sys.argv[1], 'w') as f:\n"
+            "    f.write(str(pool._workers[0][0].pid))\n"
+            "os.kill(os.getpid(), signal.SIGTERM)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1]
+                                / "src")
+        pid_file, err_file = tmp_path / "pid", tmp_path / "err"
+        with open(err_file, "w") as err:   # no pipe a worker could hold
+            code = subprocess.run(
+                [sys.executable, "-c", owner, str(pid_file)], env=env,
+                stdout=subprocess.DEVNULL, stderr=err,
+                timeout=60).returncode
+        assert code == -signal.SIGTERM, err_file.read_text()
+        worker = int(pid_file.read_text())
+
+        def alive():   # a zombie is gone: only its reaper is late
+            try:
+                with open(f"/proc/{worker}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 5
+        while alive() and time.monotonic() < deadline:
+            time.sleep(0.1)
+        if alive():
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail("the worker outlived its owner")
 
 
 class TestSuiteCampaign:

@@ -21,6 +21,7 @@ import pytest
 
 from repro.farm.client import FarmClient, ServerError
 from repro.farm.server import PROTOCOL_VERSION
+from repro.farm.store import ArtifactStore
 
 OK = "int main(void){ return 7; }\n"
 UNSEQ = "int x; int main(void){ return (x=1)+(x=2); }\n"
@@ -217,7 +218,8 @@ def test_stats_reply_counts_the_workers(farm_daemon):
     assert store["by_kind"]["compiled"]["stores"] == 1
     assert store["by_kind"]["exploration"]["stores"] == 1
     assert store["stores"] == 1
-    assert store["record_stores"] >= 1 + 3   # + job, queue, result
+    assert store["record_stores"] >= 1 + 1   # + result
+    assert os.listdir(os.path.join(daemon.store, "queue")) == []
     assert {"entries", "size_bytes", "hits", "misses", "record_hits",
             "record_misses", "evictions", "corrupt"} <= set(store)
     assert set(stats["server"]["counters"]) == {
@@ -478,6 +480,80 @@ def test_kill9_restart_resumes_every_accepted_job(farm_daemon):
     assert any("Unsequenced_race" in b for b in unseq["behaviours"])
     ok = results[acks[2]["job"]]["report"]["verdicts"]["concrete"]
     assert ok["exit_code"] == 7
+
+
+def _submits(*sources, **fields):
+    return [{"op": "submit", "source": source, "models": ["concrete"],
+             **fields} for source in sources]
+
+
+def test_an_evicting_store_loses_no_accepted_job(tmp_path,
+                                                  farm_in_process):
+    """The queue is not a cache: on a store whose byte budget keeps
+    only its newest entry, a restarted daemon still resumes every job
+    its predecessor accepted and answers each; the job the second
+    shutdown cut off stays queued."""
+    root = tmp_path / "store"
+    ret3, ret4 = ("int main(void){ return 3; }\n",
+                  "int main(void){ return 4; }\n")
+    spin = _submits(SPIN, max_steps=10**9, wait=False)
+    rest = _submits(ret3, ret4, wait=False)
+    resumed, acks = farm_in_process(ArtifactStore(root, max_bytes=1),
+                                    spin + rest, workers=1)
+    assert resumed == 0 and len({a["job"] for a in acks}) == 3
+    resumed, replies = farm_in_process(
+        ArtifactStore(root, max_bytes=1), _submits(ret3, ret4),
+        workers=2)
+    assert resumed == 3     # each reply is a resumed job's
+    assert all(r["coalesced"] or r["cached"] for r in replies)
+    assert [r["report"]["verdicts"]["concrete"]["exit_code"]
+            for r in replies] == [3, 4]
+    assert [p.stem for p in (root / "queue").iterdir()] \
+        == [acks[0]["job"]]
+
+
+def test_a_queued_job_survives_an_upgrade(tmp_path, farm_in_process):
+    """The queue holds requests only: a job one build accepted is
+    resumed by the next build and runs under its code — its result is
+    that build's record."""
+    root = tmp_path / "store"
+    _, [ack] = farm_in_process(ArtifactStore(root, build="old"),
+                               _submits(OK, wait=False))
+    new = ArtifactStore(root, build="new")
+    resumed, [reply] = farm_in_process(new, _submits(OK))
+    assert resumed == 1 and reply["coalesced"]
+    assert reply["report"]["verdicts"]["concrete"]["exit_code"] == 7
+    for store, kept in ((new, True),
+                        (ArtifactStore(root, build="old"), False)):
+        key = store.record_key("jobresult", ack["job"])
+        assert (store.get_record(key, dict) is not None) == kept
+    assert list((root / "queue").iterdir()) == []
+
+
+def test_recovery_answers_what_it_need_not_run(tmp_path,
+                                               farm_in_process):
+    """A queued job whose result was stored before the crash is
+    answered from it; one this build cannot read is answered
+    ``job-failed``, not skipped.  Neither stays queued."""
+    store = ArtifactStore(tmp_path / "store")
+    queue = store.root / "queue"
+    queue.mkdir()
+    (queue / "stored.json").write_text(json.dumps({"source": OK}))
+    store.put_record(store.record_key("jobresult", "stored"),
+                     {"ok": True, "verdicts": {}}, kind="jobresult")
+    aliens = {"alien": '{"source": "", "knob": 1}', "list": "[]",
+              "number": "5", "sourceless": "{}", "garbage": "{not json"}
+    for name, text in aliens.items():
+        (queue / f"{name}.json").write_text(text)
+    resumed, [stored, *answers] = farm_in_process(
+        store, [{"op": "result", "job": job}
+                for job in ["stored", *aliens]])
+    assert resumed == 0
+    assert stored["state"] == "done"
+    for alien in answers:
+        assert alien["state"] == "failed"
+        assert alien["report"]["error"]["code"] == "job-failed"
+    assert list(queue.iterdir()) == []
 
 
 def test_client_polling_survives_a_daemon_restart(farm_daemon):

@@ -1,16 +1,18 @@
-"""The persistent artifact store: durability, bounds, versioning.
+"""The persistent artifact store: durability, bounds, build keying.
 
 Covers the store's contract end to end: cache hits across *separate
 processes* (a subprocess round-trip), silent recompilation on
 corrupted or truncated artifacts, LRU eviction under the size bound,
-and invalidation on a ``schema_version`` bump — for compiled
-artifacts *and* for the exploration records
-(:mod:`repro.farm.explorestore`) that share the store.
+and invalidation by a change of build (a stand-in ``build=``) — for
+compiled artifacts *and* for every record kind that shares the store:
+exploration records (:mod:`repro.farm.explorestore`), static analyses
+and the daemon's job results.
 """
 
 import os
 import pickle
 from dataclasses import replace
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from repro.ctypes.implementation import ILP32, LP64
 from repro.farm.explorestore import (
     RECORD_KIND, ExplorationRecord, exploration_key,
 )
-from repro.farm.store import ArtifactStore, STORE_SCHEMA_VERSION
+from repro.farm.store import ArtifactStore, code_fingerprint
 from repro.spec import ExploreSpec
 from repro.pipeline import (
     clear_compile_cache, compile_c, set_artifact_store,
@@ -53,6 +55,17 @@ def _get(store: ArtifactStore, key: str):
 def _count(counters, name: str) -> int:
     """One raw counter of the ``counters`` fixture's registry."""
     return counters.registry.counters.get(name, 0)
+
+
+def _python(code: str, *args, src_root=None) -> str:
+    """Run ``code`` in a fresh interpreter on ``src_root`` (this
+    checkout's ``src`` by default); returns its stdout."""
+    env = dict(os.environ)
+    src_root = src_root or str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = f"{src_root}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          check=True).stdout
 
 
 class TestStoreBasics:
@@ -101,17 +114,10 @@ class TestCrossProcess:
             "print(json.dumps({'exit': out.exit_code,\n"
             "    'counts': task_stats(registry.to_dict())}))\n"
         )
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src_root + os.pathsep \
-            + env.get("PYTHONPATH", "")
 
         def run_child():
-            proc = subprocess.run([sys.executable, "-c", child],
-                                  capture_output=True, text=True,
-                                  env=env, check=True)
             import json
-            return json.loads(proc.stdout)
+            return json.loads(_python(child))
 
         first = run_child()
         assert first["exit"] == 42
@@ -298,7 +304,8 @@ class TestCounterReads:
 class TestExplorationRecords:
     """Exploration records ride the same store: corruption falls back
     to a silent re-explore, their bytes count against the LRU bound,
-    and a schema bump invalidates them together with the artifacts.
+    and a change of build invalidates them together with the
+    artifacts.
     Their per-kind counters are the ``store.exploration.*`` metrics
     and the paths explored live the ``explore.live_paths`` one — all
     read through the ``counters`` fixture."""
@@ -431,45 +438,96 @@ class TestExplorationRecords:
         assert store.get(SRC, LP64) is None    # artifact paid the bill
 
     def test_schema_bump_invalidates_records_and_artifacts(
-            self, tmp_path, counters):
-        """One version bump (e.g. 2 -> 3) must orphan *both* record
-        families at once: stale Core layouts and stale exploration
-        state are equally unsafe to deserialise."""
+            self, tmp_path, counters, farm_in_process):
+        """A store another build filled misses every record kind at
+        once: its Core, explorations, analyses and job results are
+        that build's answers, not this one's."""
         root = tmp_path / "versioned"
-        old = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
+        old = ArtifactStore(root, build="an older build")
         old.put(SRC, LP64, "<string>",
                 compile_c(SRC, use_cache=False))
         program = compile_c(UNSEQ, use_cache=False)
         cold = program.explore("concrete", max_paths=100_000,
                                store=old)
+        program.statics(old)
+        submit = {"op": "submit", "source": SRC, "models": ["concrete"]}
+        _, [first] = farm_in_process(old, [submit])
         assert old.get(SRC, LP64) is not None
         assert counters()["explore_puts"] == 1
+        assert not first["cached"]
 
-        new = ArtifactStore(root,
-                            schema_version=STORE_SCHEMA_VERSION + 1)
+        new = ArtifactStore(root)
         assert new.get(SRC, LP64) is None      # artifact invalidated
+        previous = set_artifact_store(new)
+        try:
+            clear_compile_cache()
+            before = counters()["translations"]
+            compile_c(SRC)
+            assert counters()["translations"] == before + 1
+        finally:
+            set_artifact_store(previous)
+            clear_compile_cache()
         before = counters()["explore_live_paths"]
         redo = program.explore("concrete", max_paths=100_000,
                                store=new)
         assert counters()["explore_hits"] == 0  # invalidated
         assert counters()["explore_live_paths"] - before == cold.paths_run
         assert redo.behaviour_keys() == cold.behaviour_keys()
-        # The old-schema store still serves its own entries.
+        program.statics(new)                   # a fresh analysis
+        statics = counters.registry.counters
+        assert statics.get("store.statics.hits", 0) == 0
+        assert statics["store.statics.stores"] == 2
+        _, [again] = farm_in_process(new, [submit])
+        assert not again["cached"]             # recomputed, not served
+        assert again["report"]["verdicts"] == first["report"]["verdicts"]
+        # The older build's store still serves its own entries.
         assert old.get(SRC, LP64) is not None
         assert _get(old, exploration_key(old, UNSEQ, program.impl,
                                          "concrete")) is not None
 
 
 class TestSchemaVersion:
+    def test_only_a_store_fingerprints_the_build(self, tmp_path):
+        """The build is hashed when a process opens its first store:
+        ``import repro.cli`` and a storeless ``--models all`` run never
+        pay for it."""
+        source = tmp_path / "p.c"
+        source.write_text(SRC)
+        out = _python(
+            "import sys, repro.cli\n"
+            "from repro.farm.store import ArtifactStore, code_fingerprint\n"
+            "rc = repro.cli.main([sys.argv[1], '--models', 'all'])\n"
+            "before = code_fingerprint.cache_info().currsize\n"
+            "store = ArtifactStore(sys.argv[2])\n"
+            "print(rc, before, code_fingerprint.cache_info().currsize,\n"
+            "      store.build == code_fingerprint())\n",
+            source, tmp_path / "store")
+        assert out.splitlines()[-1] == "0 0 1 True"
+
+    def test_a_changed_module_is_another_build(self, tmp_path):
+        """One comment appended to one module changes the build, so a
+        store the unchanged code filled is a miss for the changed
+        code."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        copy = tmp_path / "src"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns(
+            "__pycache__"))
+        code = ("from repro.farm.store import code_fingerprint\n"
+                "print(code_fingerprint())\n")
+        here = _python(code)
+        assert _python(code, src_root=copy) == here
+        with open(copy / "repro" / "elab" / "elaborate.py", "a") as f:
+            f.write("# another build\n")
+        assert _python(code, src_root=copy) != here
+
     def test_schema_bump_invalidates_old_entries(self, tmp_path, counters):
         root = tmp_path / "versioned"
-        v1 = ArtifactStore(root, schema_version=STORE_SCHEMA_VERSION)
+        v1 = ArtifactStore(root)
         program = compile_c(SRC, use_cache=False)
         v1.put(SRC, LP64, "<string>", program)
         assert v1.get(SRC, LP64) is not None
 
-        v2 = ArtifactStore(root,
-                           schema_version=STORE_SCHEMA_VERSION + 1)
+        v2 = ArtifactStore(root, build="a newer build")
         assert v2.get(SRC, LP64) is None         # key no longer matches
         assert counters()["store_misses"] == 1
         # and the old store still serves its own entries
@@ -483,9 +541,7 @@ class TestSchemaVersion:
             clear_compile_cache()
             compile_c(SRC)
             assert counters()["translations"] == 1
-            set_artifact_store(
-                ArtifactStore(root,
-                              schema_version=STORE_SCHEMA_VERSION + 1))
+            set_artifact_store(ArtifactStore(root, build="a newer build"))
             clear_compile_cache()
             compile_c(SRC)
             assert counters()["translations"] == 2   # one more

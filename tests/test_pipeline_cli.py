@@ -214,6 +214,32 @@ class TestMainResult:
             assert lines[model] == "exit=0 stdout=''", model
 
 
+class TestModelImplementation:
+    """A single-model run compiles for its model as ``--models`` does:
+    cheri upgrades LP64 to CHERI128 (16-byte pointers), an explicit
+    ``--impl ILP32`` wins, and the other models keep the ``--impl``
+    sizes; ``--pp-core`` prints the Core that ``--model`` runs."""
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("impl, size, cheri",
+                             [("LP64", 8, 16), ("ILP32", 4, 4)])
+    def test_model_and_models_agree(self, tmp_path, capsys, backend,
+                                    impl, size, cheri):
+        path = tmp_path / "p.c"
+        path.write_text("int main(void){ return (int)sizeof(void*); }\n")
+        flags = ["--impl", impl, "--backend", backend]
+        cli_main([str(path), "--models", "all", *flags])
+        lines = dict(line.split(None, 1)
+                     for line in capsys.readouterr().out.splitlines())
+        for model in MODELS:
+            want = cheri if model == "cheri" else size
+            assert cli_main([str(path), "--model", model, *flags]) \
+                == want, model
+            assert lines[model] == f"exit={want} stdout=''", model
+        cli_main([str(path), "--model", "cheri", "--pp-core", *flags])
+        assert f"Specified({cheri})" in capsys.readouterr().out
+
+
 class TestCli:
     def _write(self, tmp_path, source):
         f = tmp_path / "prog.c"

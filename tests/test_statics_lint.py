@@ -35,7 +35,7 @@ from repro.pipeline import (
 )
 from repro.spec import ExploreSpec
 from repro.statics import (
-    STATICS_VERSION, analyze_program, apply_annotations,
+    analyze_program, apply_annotations,
     collect_unseqs, lint_program, serialize_unseq_info,
 )
 from repro.testsuite.goldens import (
@@ -88,6 +88,30 @@ int main(void){ struct B t = mk(); return t.b + t.a; }
 '''
 
 
+#: Each shape's first iteration leaves its loop, ``switch`` or
+#: ``goto`` block both normally (``p`` still points at ``b``) and by a
+#: jump its Core ``save`` re-enters (``p`` points at ``a``); with
+#: ``argc`` 0 the normal exit is taken, so ``f()`` writes ``b`` while
+#: ``g()`` reads it.
+EXIT_AND_JUMP_HEAD = r'''
+int a, b;
+int *p = &b;
+int f(void) { *p = 1; return 0; }
+int g(void) { return b; }
+int main(int argc, char **argv) {
+'''
+EXIT_AND_JUMP = {
+    "for-break": "for (int i = 0; i < argc; i++) "
+                 "{ if (i == 3) { p = &a; break; } }",
+    "while": "int x = argc; while (x) { x = 0; p = &a; }",
+    "switch": "switch (argc) { case 5: p = &a; break; }",
+    "continue": "int i = 0; while (i < argc) "
+                "{ i++; if (i == 1) continue; p = &a; }",
+    "goto": "if (argc == 5) { p = &a; goto out; } out: ;",
+}
+EXIT_AND_JUMP_TAIL = "\n  return f() + g();\n}\n"
+
+
 def _annotations(source):
     program = compile_c(source).core
     analyze_program(program)
@@ -124,6 +148,21 @@ class TestSummaries:
         infos = [i for i in _annotations(CALLS) if i is not None]
         assert any(not commutes and None in children
                    for commutes, children in infos)
+
+    @pytest.mark.parametrize("shape", sorted(EXIT_AND_JUMP))
+    def test_an_exit_before_a_reentry_reaches_what_follows(self, shape):
+        """The state after a save joins every iteration's normal exit:
+        ``p`` may still point at ``b``, so ``f() + g()`` must not
+        commute."""
+        source = EXIT_AND_JUMP_HEAD + EXIT_AND_JUMP[shape] \
+            + EXIT_AND_JUMP_TAIL
+        program = compile_c(source).core
+        analyze_program(program)
+        line = source.count("\n", 0, source.index("return f()")) + 1
+        infos = [u._static_unseq for u in collect_unseqs(program)
+                 if u.loc.line == line
+                 and getattr(u, "_static_unseq", None) is not None]
+        assert infos and not any(commutes for commutes, _ in infos)
 
     def test_annotation_round_trip(self):
         """Serialized tables re-attach onto a freshly compiled copy of
@@ -191,6 +230,28 @@ class TestLint:
         findings = self._findings(BITFIELDS)
         assert [f.severity for f in findings
                 if "Read_uninitialised" in f.names] == ["possible"]
+
+    @pytest.mark.parametrize("source", [
+        "int f(int x){ while (1) { return x; } }\n"
+        "int main(void){ return f(1) - 1; }",
+        "int f(void){ return 1; } int (*fp)(void) = f;\n"
+        "int main(void){ return fp() - 1; }",
+    ], ids=["return-in-loop", "function-pointer"])
+    def test_a_returned_value_reaches_its_call(self, source):
+        """A return's value survives the return save's re-entry, so a
+        callee that always returns leaves its call's value exact."""
+        assert self._findings(source) == []
+
+    @pytest.mark.parametrize("source", [
+        "int f(void){} int main(void){ return f(); }",
+        "int f(int x){ if (x) return 1; }\n"
+        "int main(void){ return f(0); }",
+    ], ids=["no-return", "one-path"])
+    def test_a_callee_that_reaches_its_end_is_flagged(self, source):
+        """§6.9.1p12: the used value of a call whose callee may reach
+        its ``}`` keeps its finding."""
+        assert [f.names for f in self._findings(source)] \
+            == [("Function_no_return_value_used",)]
 
     def test_finding_dict_round_trip(self):
         f = self._findings(UNINIT)[0]
@@ -273,6 +334,22 @@ class TestStaticPruneEquivalence:
             checked += 1
         assert checked >= 50   # the suite actually ran
 
+    @pytest.mark.parametrize("shape", sorted(EXIT_AND_JUMP))
+    def test_an_exit_before_a_reentry_keeps_both_orders(self, shape):
+        """``f()`` and ``g()`` touch ``b`` on the path taken, so static
+        pre-pruning must keep both of their orders (against a serial
+        exploration: dynamic POR is off on both sides)."""
+        source = EXIT_AND_JUMP_HEAD + EXIT_AND_JUMP[shape] \
+            + EXIT_AND_JUMP_TAIL
+        program = compile_c(source)
+        off = program.explore("concrete", max_paths=200)
+        on = program.explore("concrete", max_paths=200,
+                             static_prune=True)
+        assert off.exhausted and on.exhausted
+        assert sorted(o.summary() for o in on.distinct()) == \
+            sorted(o.summary() for o in off.distinct()) == \
+            ["exit=0 stdout=''", "exit=1 stdout=''"]
+
 
 class TestStaticsStore:
     def test_statics_record_cached(self, tmp_path, counters):
@@ -281,7 +358,6 @@ class TestStaticsStore:
         program = compile_c(DISJOINT)
         rec = program.statics(store)
         assert isinstance(rec, StaticsRecord)
-        assert rec.version == STATICS_VERSION
         assert rec.complete
         assert statics["store.statics.stores"] == 1
         # A freshly compiled artifact re-attaches from the cache: one

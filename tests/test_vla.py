@@ -6,7 +6,7 @@ sizes that are negative, zero, unspecified or absurdly large.
 
 import pytest
 
-from repro.farm.store import ArtifactStore, STORE_SCHEMA_VERSION
+from repro.farm.store import ArtifactStore
 from repro.pipeline import (
     MODELS, clear_compile_cache, compile_c, explore_c, run_c, run_many,
     set_artifact_store,
@@ -175,12 +175,6 @@ int main(void) {
 
 
 class TestFarmRoundTrip:
-    def test_schema_version_covers_the_widened_fragment(self):
-        # Version 1 artifacts predate Member.bit_width / VarArray /
-        # EVlaCreate; the bump keeps them from deserialising into this
-        # interpreter.
-        assert STORE_SCHEMA_VERSION >= 2
-
     def test_bitfield_vla_artifact_survives_the_store(self, tmp_path,
                                                       counters):
         store = ArtifactStore(tmp_path / "store")
