@@ -1,9 +1,10 @@
 """E9 — Fig. 2: coverage of the Core syntax.
 
 Checks that every construct of the paper's Core grammar exists in our
-Core AST (with the save/run re-establishment deviation and the EScope
-addition documented in DESIGN.md), and that the elaboration of a
-feature-rich program exercises the sequencing constructs.
+Core AST (with the save/run re-establishment deviation that the module
+docstring of ``repro.core.ast`` documents, and its ``EScope``
+addition), and that the elaboration of a feature-rich program
+exercises the sequencing constructs.
 """
 
 from repro.core import ast as K, pretty_program

@@ -1,8 +1,7 @@
 """Benchmark harness configuration.
 
-Each ``bench_e*.py`` regenerates one table or figure of the paper
-(see DESIGN.md's experiment index and EXPERIMENTS.md for the
-paper-vs-measured record). Run with::
+Each ``bench_e*.py`` regenerates one table or figure of the paper,
+which its module docstring names. Run with::
 
     pytest benchmarks/ --benchmark-only
 

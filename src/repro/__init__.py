@@ -24,15 +24,22 @@ the De Facto Standards* (PLDI 2016). The public surface:
 * :mod:`repro.obs` — the observability layer: metrics, span tracing,
   and per-phase profiling hooks (``with repro.obs.tracing(path): ...``).
 
-See README.md for a tour and DESIGN.md for the architecture.
+The command line is :mod:`repro.cli` (``cerberus-py``); each
+subpackage's docstring describes its layer.
 """
 
-from . import obs
-from .pipeline import (
+import time as _time
+
+#: ``(perf_counter, process_time)`` when this package started
+#: executing: where the CLI's ``cli.import`` trace span begins.
+_started = (_time.perf_counter(), _time.process_time())
+
+from . import obs  # noqa: E402
+from .pipeline import (  # noqa: E402
     CompiledProgram, compile_c, explore_c, explore_many, run_c,
     run_many,
 )
-from .spec import ExploreSpec, RunSpec
+from .spec import ExploreSpec, RunSpec  # noqa: E402
 
 __version__ = "1.0.0"
 

@@ -16,13 +16,14 @@ Expression nodes carry a ``ty`` annotation slot which the type checker
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..ctypes.types import QualType, TagEnv
+from ..nodeclass import nodeclass
 from ..source import Loc
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Symbol:
     """A resolved identifier: source name plus an id unique within its
     translation unit (numbered by the desugarer, so one source always
@@ -39,7 +40,7 @@ class Symbol:
 # Expressions
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Expr:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
     # Filled by the type checker: the expression's C type and whether the
@@ -48,12 +49,12 @@ class Expr:
     is_lvalue: bool = field(default=False, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class EId(Expr):
     sym: Symbol
 
 
-@dataclass
+@nodeclass
 class EConstInt(Expr):
     """An integer constant; ``base`` and ``suffix`` drive its C type
     (§6.4.4.1p5)."""
@@ -63,13 +64,13 @@ class EConstInt(Expr):
     suffix: str = ""
 
 
-@dataclass
+@nodeclass
 class EConstFloat(Expr):
     value: float
     suffix: str = ""
 
 
-@dataclass
+@nodeclass
 class EString(Expr):
     """A string literal, referring to its implicitly allocated object."""
 
@@ -77,88 +78,88 @@ class EString(Expr):
     value: bytes
 
 
-@dataclass
+@nodeclass
 class ECall(Expr):
     func: Expr
     args: List[Expr]
 
 
-@dataclass
+@nodeclass
 class EMember(Expr):
     base: Expr
     member: str
     arrow: bool
 
 
-@dataclass
+@nodeclass
 class EUnary(Expr):
     op: str              # & * + - ~ !
     operand: Expr
 
 
-@dataclass
+@nodeclass
 class EBinary(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@nodeclass
 class EIndex(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass
+@nodeclass
 class ECast(Expr):
     to: QualType
     operand: Expr
 
 
-@dataclass
+@nodeclass
 class EAssign(Expr):
     op: str              # = or compound (*=, ...)
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@nodeclass
 class ECond(Expr):
     cond: Expr
     then: Expr
     els: Expr
 
 
-@dataclass
+@nodeclass
 class EComma(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@nodeclass
 class EIncrDecr(Expr):
     op: str              # "++" / "--"
     is_postfix: bool
     base: Expr
 
 
-@dataclass
+@nodeclass
 class ESizeofType(Expr):
     of: QualType
 
 
-@dataclass
+@nodeclass
 class EAlignofType(Expr):
     of: QualType
 
 
-@dataclass
+@nodeclass
 class EOffsetof(Expr):
     record: QualType
     member: str
 
 
-@dataclass
+@nodeclass
 class ECompound(Expr):
     """A compound literal: an unnamed object with the given init."""
 
@@ -169,7 +170,7 @@ class ECompound(Expr):
 
 # An implicit-conversion wrapper inserted by the type checker (lvalue
 # conversion, array/function decay, arithmetic conversions, ...).
-@dataclass
+@nodeclass
 class EConv(Expr):
     kind: str            # "lvalue", "decay", "fn-decay", "arith", "assign"
     to: QualType
@@ -180,36 +181,36 @@ class EConv(Expr):
 # Initialisers (normalised against the declared type)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Init:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class InitScalar(Init):
     expr: Expr
 
 
-@dataclass
+@nodeclass
 class InitArray(Init):
     # Element inits by index; missing indices are zero-initialised.
     elems: List[Tuple[int, Init]]
     size: int
 
 
-@dataclass
+@nodeclass
 class InitStruct(Init):
     # Member inits by name (in member order); missing ones zeroed.
     members: List[Tuple[str, Init]]
 
 
-@dataclass
+@nodeclass
 class InitUnion(Init):
     member: str
     init: Init
 
 
-@dataclass
+@nodeclass
 class InitString(Init):
     """char array initialised from a string literal."""
 
@@ -221,17 +222,17 @@ class InitString(Init):
 # Statements
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Stmt:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class SBlock(Stmt):
     items: List[Union["SDecl", Stmt]] = field(default_factory=list)
 
 
-@dataclass
+@nodeclass
 class SDecl(Stmt):
     """A block-scope object declaration (one declarator)."""
 
@@ -241,19 +242,19 @@ class SDecl(Stmt):
     is_static: bool = False
 
 
-@dataclass
+@nodeclass
 class SExpr(Stmt):
     expr: Optional[Expr]
 
 
-@dataclass
+@nodeclass
 class SIf(Stmt):
     cond: Expr
     then: Stmt
     els: Optional[Stmt]
 
 
-@dataclass
+@nodeclass
 class SWhile(Stmt):
     """The unified loop form: ``for`` and ``do``-``while`` desugar into
     this (paper §5.1 — "desugaring for- and do-while loops into while").
@@ -269,7 +270,7 @@ class SWhile(Stmt):
     loc_hint: str = "while"
 
 
-@dataclass
+@nodeclass
 class SSwitch(Stmt):
     cond: Expr
     body: Stmt
@@ -280,40 +281,40 @@ class SSwitch(Stmt):
     break_sym: Optional[Symbol] = None
 
 
-@dataclass
+@nodeclass
 class SCaseMarker(Stmt):
     """Marks where a case/default label sits inside a switch body."""
 
     sym: Symbol
 
 
-@dataclass
+@nodeclass
 class SLabel(Stmt):
     sym: Symbol
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SGoto(Stmt):
     sym: Symbol
 
 
-@dataclass
+@nodeclass
 class SBreak(Stmt):
     pass
 
 
-@dataclass
+@nodeclass
 class SContinue(Stmt):
     pass
 
 
-@dataclass
+@nodeclass
 class SReturn(Stmt):
     expr: Optional[Expr]
 
 
-@dataclass
+@nodeclass
 class SPar(Stmt):
     """cppmem-style thread creation {{{ e1 ||| e2 }}} — only produced by
     the concurrency test helpers, not by C desugaring."""
@@ -325,7 +326,7 @@ class SPar(Stmt):
 # Declarations and programs
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class ObjectDef:
     """A file-scope object (or string-literal / compound-literal object)."""
 
@@ -336,7 +337,7 @@ class ObjectDef:
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class FunctionDef:
     sym: Symbol
     qty: QualType                     # a Function type
@@ -346,7 +347,7 @@ class FunctionDef:
     variadic: bool = False
 
 
-@dataclass
+@nodeclass
 class Program:
     tags: TagEnv
     objects: List[ObjectDef] = field(default_factory=list)

@@ -9,9 +9,10 @@ replacement, loop desugaring, ...) happens in Cabs_to_Ail (paper §5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import List, Optional, Tuple, Union
 
+from ..nodeclass import nodeclass
 from ..source import Loc
 
 
@@ -19,17 +20,17 @@ from ..source import Loc
 # Expressions (§6.5)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Expr:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class EIdent(Expr):
     name: str
 
 
-@dataclass
+@nodeclass
 class EIntConst(Expr):
     """An integer constant with its spelling (type determined per
     §6.4.4.1p5 during desugaring)."""
@@ -40,21 +41,21 @@ class EIntConst(Expr):
     suffix: str          # normalised, e.g. "", "u", "l", "ull"
 
 
-@dataclass
+@nodeclass
 class EFloatConst(Expr):
     text: str
     value: float
     suffix: str          # "", "f", "l"
 
 
-@dataclass
+@nodeclass
 class ECharConst(Expr):
     text: str
     value: int
     wide: bool
 
 
-@dataclass
+@nodeclass
 class EStringLit(Expr):
     """Adjacent string literals already concatenated (phase 6)."""
 
@@ -63,103 +64,103 @@ class EStringLit(Expr):
     wide: bool
 
 
-@dataclass
+@nodeclass
 class EParen(Expr):
     inner: Expr
 
 
-@dataclass
+@nodeclass
 class EIndex(Expr):
     base: Expr
     index: Expr
 
 
-@dataclass
+@nodeclass
 class ECall(Expr):
     func: Expr
     args: List[Expr]
 
 
-@dataclass
+@nodeclass
 class EMember(Expr):
     base: Expr
     member: str
     arrow: bool          # True for ->
 
 
-@dataclass
+@nodeclass
 class EPostIncr(Expr):
     base: Expr
     op: str              # "++" or "--"
 
 
-@dataclass
+@nodeclass
 class ECompoundLiteral(Expr):
     type_name: "TypeName"
     init: "Initializer"
 
 
-@dataclass
+@nodeclass
 class EPreIncr(Expr):
     base: Expr
     op: str              # "++" or "--"
 
 
-@dataclass
+@nodeclass
 class EUnary(Expr):
     op: str              # & * + - ~ !
     operand: Expr
 
 
-@dataclass
+@nodeclass
 class ESizeofExpr(Expr):
     operand: Expr
 
 
-@dataclass
+@nodeclass
 class ESizeofType(Expr):
     type_name: "TypeName"
 
 
-@dataclass
+@nodeclass
 class EAlignofType(Expr):
     type_name: "TypeName"
 
 
-@dataclass
+@nodeclass
 class ECast(Expr):
     type_name: "TypeName"
     operand: Expr
 
 
-@dataclass
+@nodeclass
 class EBinary(Expr):
     op: str              # * / % + - << >> < > <= >= == != & ^ | && ||
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@nodeclass
 class EConditional(Expr):
     cond: Expr
     then: Optional[Expr]  # None for the GNU a ?: b extension (unsupported)
     els: Expr
 
 
-@dataclass
+@nodeclass
 class EAssign(Expr):
     op: str              # = *= /= %= += -= <<= >>= &= ^= |=
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@nodeclass
 class EComma(Expr):
     lhs: Expr
     rhs: Expr
 
 
-@dataclass
+@nodeclass
 class EOffsetof(Expr):
     """__cerberus_offsetof(type, member) — what <stddef.h> expands to."""
 
@@ -167,7 +168,7 @@ class EOffsetof(Expr):
     member: str
 
 
-@dataclass
+@nodeclass
 class EGeneric(Expr):
     """_Generic (§6.5.1.1) — parsed, rejected later as unsupported."""
 
@@ -179,14 +180,14 @@ class EGeneric(Expr):
 # Declarations (§6.7)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class TypeSpec:
     """One declaration specifier."""
 
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class TSKeyword(TypeSpec):
     """void/char/int/short/long/signed/unsigned/float/double/_Bool/
     _Complex."""
@@ -194,12 +195,12 @@ class TSKeyword(TypeSpec):
     name: str
 
 
-@dataclass
+@nodeclass
 class TSTypedefName(TypeSpec):
     name: str
 
 
-@dataclass
+@nodeclass
 class TSStructOrUnion(TypeSpec):
     is_union: bool
     tag: Optional[str]
@@ -207,21 +208,21 @@ class TSStructOrUnion(TypeSpec):
     members: Optional[List["StructDeclaration"]]
 
 
-@dataclass
+@nodeclass
 class TSEnum(TypeSpec):
     tag: Optional[str]
     # (name, optional constant expression); None for a reference.
     enumerators: Optional[List[Tuple[str, Optional[Expr]]]]
 
 
-@dataclass
+@nodeclass
 class TSAtomic(TypeSpec):
     """_Atomic(type-name)."""
 
     type_name: "TypeName"
 
 
-@dataclass
+@nodeclass
 class StructDeclaration:
     specs: "DeclSpecs"
     # Each declarator optionally with a bitfield width expression.
@@ -229,7 +230,7 @@ class StructDeclaration:
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class DeclSpecs:
     """Separated declaration specifiers (§6.7p1)."""
 
@@ -243,23 +244,23 @@ class DeclSpecs:
 
 # Declarators (§6.7.6): a chain from the identifier outwards.
 
-@dataclass
+@nodeclass
 class Declarator:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class DIdent(Declarator):
     name: Optional[str]  # None for abstract declarators
 
 
-@dataclass
+@nodeclass
 class DPointer(Declarator):
     qualifiers: List[str]
     inner: Declarator
 
 
-@dataclass
+@nodeclass
 class DArray(Declarator):
     inner: Declarator
     size: Optional[Expr]
@@ -268,14 +269,14 @@ class DArray(Declarator):
     is_star: bool = False
 
 
-@dataclass
+@nodeclass
 class ParamDecl:
     specs: DeclSpecs
     declarator: Optional[Declarator]
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class DFunction(Declarator):
     inner: Declarator
     params: List[ParamDecl]
@@ -284,7 +285,7 @@ class DFunction(Declarator):
     ident_list: Optional[List[str]] = None
 
 
-@dataclass
+@nodeclass
 class TypeName:
     specs: DeclSpecs
     declarator: Optional[Declarator]  # abstract
@@ -293,51 +294,51 @@ class TypeName:
 
 # Initializers (§6.7.9)
 
-@dataclass
+@nodeclass
 class Designator:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class DesignMember(Designator):
     name: str
 
 
-@dataclass
+@nodeclass
 class DesignIndex(Designator):
     index: Expr
 
 
-@dataclass
+@nodeclass
 class Initializer:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class InitExpr(Initializer):
     expr: Expr
 
 
-@dataclass
+@nodeclass
 class InitList(Initializer):
     items: List[Tuple[List[Designator], Initializer]]
 
 
-@dataclass
+@nodeclass
 class InitDeclarator:
     declarator: Declarator
     init: Optional[Initializer]
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class Declaration:
     specs: DeclSpecs
     declarators: List[InitDeclarator]
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class StaticAssert:
     cond: Expr
     message: Optional[str]
@@ -348,66 +349,66 @@ class StaticAssert:
 # Statements (§6.8)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Stmt:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class SLabeled(Stmt):
     label: str
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SCase(Stmt):
     expr: Expr
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SDefault(Stmt):
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SCompound(Stmt):
     # block-items: declarations, statements or static asserts
     items: List[Union[Declaration, Stmt, StaticAssert]] = \
         field(default_factory=list)
 
 
-@dataclass
+@nodeclass
 class SExpr(Stmt):
     expr: Optional[Expr]  # None for the null statement ';'
 
 
-@dataclass
+@nodeclass
 class SIf(Stmt):
     cond: Expr
     then: Stmt
     els: Optional[Stmt]
 
 
-@dataclass
+@nodeclass
 class SSwitch(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SWhile(Stmt):
     cond: Expr
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SDoWhile(Stmt):
     body: Stmt
     cond: Expr
 
 
-@dataclass
+@nodeclass
 class SFor(Stmt):
     init: Optional[Union[Declaration, Expr]]
     cond: Optional[Expr]
@@ -415,22 +416,22 @@ class SFor(Stmt):
     body: Stmt
 
 
-@dataclass
+@nodeclass
 class SGoto(Stmt):
     label: str
 
 
-@dataclass
+@nodeclass
 class SContinue(Stmt):
     pass
 
 
-@dataclass
+@nodeclass
 class SBreak(Stmt):
     pass
 
 
-@dataclass
+@nodeclass
 class SReturn(Stmt):
     expr: Optional[Expr]
 
@@ -439,7 +440,7 @@ class SReturn(Stmt):
 # External definitions (§6.9)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class FunctionDef:
     specs: DeclSpecs
     declarator: Declarator
@@ -447,7 +448,7 @@ class FunctionDef:
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class TranslationUnit:
     decls: List[Union[Declaration, FunctionDef, StaticAssert]] = \
         field(default_factory=list)

@@ -54,17 +54,17 @@ import argparse
 import contextlib
 import json
 import sys
+import time
 from typing import Optional, Tuple
 
-from . import obs
+from . import _started, obs
 from .core.pretty import pretty_program
 from .ctypes.implementation import ILP32, LP64
-from .dynamics.explore import STRATEGIES
 from .errors import CerberusError
 from .pipeline import (
     MODELS, compile_for_model, get_artifact_store, lint_c, set_artifact_store,
 )
-from .spec import BACKENDS, ExploreSpec, SpecError
+from .spec import BACKENDS, STRATEGIES, ExploreSpec, SpecError
 
 
 def _parse_shard(text: Optional[str]) -> Tuple[int, int]:
@@ -123,6 +123,7 @@ def _obs_wanted(args) -> bool:
     return bool(args.trace or args.metrics or args.profile)
 
 
+@contextlib.contextmanager
 def _obs_scope(args, identity: str, counted: bool = False):
     """The observability context of one CLI invocation, or a no-op
     scope when no obs flag was given and the invocation need not be
@@ -130,11 +131,15 @@ def _obs_scope(args, identity: str, counted: bool = False):
     from the invocation's metrics).  ``identity`` must be built
     from the invocation's *content* (source + semantic flags) — never
     from output paths like --trace/--profile/--report, which must not
-    change the run id of otherwise identical runs."""
+    change the run id of otherwise identical runs.  The context
+    starts with the ``cli.import`` span."""
     if not (counted or _obs_wanted(args)):
-        return contextlib.nullcontext(None)
-    return obs.tracing(args.trace or None, identity=identity,
-                       profile_dir=args.profile or None)
+        yield None
+        return
+    with obs.tracing(args.trace or None, identity=identity,
+                     profile_dir=args.profile or None) as ctx:
+        ctx.add_span("cli.import", *_IMPORT_SPAN)
+        yield ctx
 
 
 def _print_metrics(ctx) -> None:
@@ -169,7 +174,7 @@ def _add_farm_flags(p: argparse.ArgumentParser) -> None:
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     """The flags of the :class:`~repro.spec.ExploreSpec` fields a
     command line can set (:func:`_spec` reads them back)."""
-    p.add_argument("--strategy", choices=sorted(STRATEGIES),
+    p.add_argument("--strategy", choices=STRATEGIES,
                    default="dfs",
                    help="exploration search strategy (default: dfs, "
                         "the exhaustive oracle-of-record; bfs, "
@@ -880,6 +885,13 @@ def stats_main(argv) -> int:
         # `stats t.jsonl | head` closing the pipe early is normal use
         sys.stderr.close()      # suppress the interpreter's warning
     return 0
+
+
+#: The ``cli.import`` span, ``(start, wall, cpu)``: from when the
+#: ``repro`` package started executing to the end of this module's
+#: import, i.e. to :func:`main`.
+_IMPORT_SPAN = (_started[0], time.perf_counter() - _started[0],
+                time.process_time() - _started[1])
 
 
 if __name__ == "__main__":

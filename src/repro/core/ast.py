@@ -8,8 +8,8 @@ first-class values representing C type AST terms, and the novel
 sequencing constructs (unseq / let weak / let strong / let atomic /
 indet / bound / nd / save / run / par / wait).
 
-Deviation from the paper (documented in DESIGN.md): ``save``/``run`` are
-given *dynamically-enclosing re-establishment* semantics — ``run l(args)``
+Deviation from the paper: ``save``/``run`` are given
+*dynamically-enclosing re-establishment* semantics — ``run l(args)``
 re-enters the dynamically enclosing ``save l`` with rebound parameters —
 and the elaboration encodes break/continue/return/goto with guard
 parameters accordingly.
@@ -17,11 +17,12 @@ parameters accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Tuple
 
 from ..ctypes.types import CType, QualType, TagEnv
 from ..ctypes.implementation import Implementation
+from ..nodeclass import nodeclass
 from ..source import Loc
 from ..ub import UBName
 
@@ -29,18 +30,18 @@ from ..ub import UBName
 # Patterns
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Pattern:
     pass
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class PatWild(Pattern):
     def __str__(self) -> str:
         return "_"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class PatSym(Pattern):
     name: str
 
@@ -48,7 +49,7 @@ class PatSym(Pattern):
         return self.name
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class PatCtor(Pattern):
     """Constructor patterns: Specified/Unspecified/Tuple/Cons/Nil/
     True/False/IVmax-style value constructors."""
@@ -68,43 +69,43 @@ class PatCtor(Pattern):
 # Pure expressions (pe of Fig. 2)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Pexpr:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class PSym(Pexpr):
     name: str
 
 
-@dataclass
+@nodeclass
 class PVal(Pexpr):
     value: object  # a runtime value (see dynamics.evaluator)
 
 
-@dataclass
+@nodeclass
 class PImpl(Pexpr):
     """<impl-const>: an implementation-defined constant."""
 
     name: str
 
 
-@dataclass
+@nodeclass
 class PUndef(Pexpr):
     """undef(ub-name): reaching this is undefined behaviour (§5.4)."""
 
     ub: UBName
 
 
-@dataclass
+@nodeclass
 class PError(Pexpr):
     """error(msg): an implementation-defined static error."""
 
     msg: str
 
 
-@dataclass
+@nodeclass
 class PCtor(Pexpr):
     """Constructor application: Specified/Unspecified/Tuple/Cons/Nil/
     Array/IVmax..."""
@@ -113,32 +114,32 @@ class PCtor(Pexpr):
     args: List[Pexpr]
 
 
-@dataclass
+@nodeclass
 class PCase(Pexpr):
     scrutinee: Pexpr
     branches: List[Tuple[Pattern, Pexpr]]
 
 
-@dataclass
+@nodeclass
 class PArrayShift(Pexpr):
     ptr: Pexpr
     elem_ty: CType
     index: Pexpr
 
 
-@dataclass
+@nodeclass
 class PMemberShift(Pexpr):
     ptr: Pexpr
     tag: str
     member: str
 
 
-@dataclass
+@nodeclass
 class PNot(Pexpr):
     operand: Pexpr
 
 
-@dataclass
+@nodeclass
 class PBinop(Pexpr):
     """Core binary operators over mathematical integers / booleans:
     + - * / rem_t rem_f ^ (exponentiation) == != < <= > >= /\\ \\/ ."""
@@ -148,20 +149,20 @@ class PBinop(Pexpr):
     rhs: Pexpr
 
 
-@dataclass
+@nodeclass
 class PStruct(Pexpr):
     tag: str
     members: List[Tuple[str, Pexpr]]
 
 
-@dataclass
+@nodeclass
 class PUnion(Pexpr):
     tag: str
     member: str
     value: Pexpr
 
 
-@dataclass
+@nodeclass
 class PCall(Pexpr):
     """Pure Core function call — either a Core-defined fun or one of the
     native auxiliary functions the elaboration uses (integer_promotion,
@@ -172,14 +173,14 @@ class PCall(Pexpr):
     args: List[Pexpr]
 
 
-@dataclass
+@nodeclass
 class PLet(Pexpr):
     pat: Pattern
     bound: Pexpr
     body: Pexpr
 
 
-@dataclass
+@nodeclass
 class PIf(Pexpr):
     cond: Pexpr
     then: Pexpr
@@ -190,7 +191,7 @@ class PIf(Pexpr):
 # Memory actions (a / pa of Fig. 2)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Action:
     """One memory action; ``polarity`` is positive by default — negative
     actions (``neg``) are sequenced only by ``let strong`` (§5.6)."""
@@ -209,17 +210,17 @@ class Action:
 # Effectful expressions (e of Fig. 2)
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class Expr:
     loc: Loc = field(default_factory=Loc.unknown, kw_only=True)
 
 
-@dataclass
+@nodeclass
 class EPure(Expr):
     pe: Pexpr
 
 
-@dataclass
+@nodeclass
 class EPtrOp(Expr):
     """ptrop: pointer operations involving the memory state."""
 
@@ -231,37 +232,37 @@ class EPtrOp(Expr):
     aux: Optional[object] = None
 
 
-@dataclass
+@nodeclass
 class EAction(Expr):
     action: Action
 
 
-@dataclass
+@nodeclass
 class ECase(Expr):
     scrutinee: Pexpr
     branches: List[Tuple[Pattern, Expr]]
 
 
-@dataclass
+@nodeclass
 class ELet(Expr):
     pat: Pattern
     bound: Pexpr
     body: Expr
 
 
-@dataclass
+@nodeclass
 class EIf(Expr):
     cond: Pexpr
     then: Expr
     els: Expr
 
 
-@dataclass
+@nodeclass
 class ESkip(Expr):
     pass
 
 
-@dataclass
+@nodeclass
 class EProc(Expr):
     """pcall of a named Core procedure."""
 
@@ -269,7 +270,7 @@ class EProc(Expr):
     args: List[Pexpr]
 
 
-@dataclass
+@nodeclass
 class ECcall(Expr):
     """Call of a C function through a function-designator value; the
     body is indeterminately sequenced w.r.t. the enclosing expression
@@ -280,14 +281,14 @@ class ECcall(Expr):
     ret_ty: Optional[QualType] = None
 
 
-@dataclass
+@nodeclass
 class EUnseq(Expr):
     """unseq(e1..en): arbitrary interleaving, reduces to a tuple."""
 
     exprs: List[Expr]
 
 
-@dataclass
+@nodeclass
 class EWseq(Expr):
     """let weak pat = e1 in e2: positive actions of e1 sequence before
     e2."""
@@ -297,7 +298,7 @@ class EWseq(Expr):
     second: Expr
 
 
-@dataclass
+@nodeclass
 class ESseq(Expr):
     """let strong pat = e1 in e2: all actions of e1 sequence before e2."""
 
@@ -306,7 +307,7 @@ class ESseq(Expr):
     second: Expr
 
 
-@dataclass
+@nodeclass
 class EAtomicSeq(Expr):
     """let atomic (sym : oTy) = a1 in pa2: the two actions are
     sequenced and form an atomic unit no other action may come between
@@ -317,7 +318,7 @@ class EAtomicSeq(Expr):
     second: Action
 
 
-@dataclass
+@nodeclass
 class EIndet(Expr):
     """indet[n](e): e is indeterminately sequenced w.r.t. its context."""
 
@@ -325,7 +326,7 @@ class EIndet(Expr):
     body: Expr
 
 
-@dataclass
+@nodeclass
 class EBound(Expr):
     """bound[n](e): delimits the context of indet[n]."""
 
@@ -333,14 +334,14 @@ class EBound(Expr):
     body: Expr
 
 
-@dataclass
+@nodeclass
 class ENd(Expr):
     """nd(e1..en): nondeterministic choice."""
 
     exprs: List[Expr]
 
 
-@dataclass
+@nodeclass
 class ESave(Expr):
     """save label(x_i := default_i) in e  (see module docstring for the
     re-establishment semantics used here)."""
@@ -350,44 +351,44 @@ class ESave(Expr):
     body: Expr
 
 
-@dataclass
+@nodeclass
 class ERun(Expr):
     label: str
     args: List[Pexpr]
 
 
-@dataclass
+@nodeclass
 class EPar(Expr):
     exprs: List[Expr]
 
 
-@dataclass
+@nodeclass
 class EWait(Expr):
     thread: Pexpr
 
 
-@dataclass
+@nodeclass
 class EReturn(Expr):
     """return(pe): return from the current Core procedure."""
 
     pe: Pexpr
 
 
-@dataclass
+@nodeclass
 class EScope(Expr):
-    """Block-structured object lifetime (deviation, see DESIGN.md): on
-    entry, a ``create`` is performed for every declared object of the C
-    block (§6.2.4p5-6: lifetimes start at block entry) and the resulting
-    pointers are bound to the given Core symbols; on any exit — normal,
-    ``run``, or procedure return — the objects are killed. Equivalent to
-    Cerberus's save/run annotations carrying scope create/kill sets
-    (paper §5.8)."""
+    """Block-structured object lifetime (an addition to the paper's
+    Core): on entry, a ``create`` is performed for every declared object
+    of the C block (§6.2.4p5-6: lifetimes start at block entry) and the
+    resulting pointers are bound to the given Core symbols; on any exit
+    — normal, ``run``, or procedure return — the objects are killed.
+    Equivalent to Cerberus's save/run annotations carrying scope
+    create/kill sets (paper §5.8)."""
 
     creates: List["ScopedCreate"]
     body: Expr
 
 
-@dataclass
+@nodeclass
 class ScopedCreate:
     sym: str
     ty: CType
@@ -396,7 +397,7 @@ class ScopedCreate:
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class EVlaCreate(Expr):
     """Create a variable length array object at its declaration point
     (§6.2.4p7: a VLA's lifetime starts at the declaration, not at block
@@ -414,7 +415,7 @@ class EVlaCreate(Expr):
 # Definitions and programs
 # --------------------------------------------------------------------------
 
-@dataclass
+@nodeclass
 class FunDef:
     """A pure Core function definition."""
 
@@ -423,7 +424,7 @@ class FunDef:
     body: Pexpr
 
 
-@dataclass
+@nodeclass
 class ProcDef:
     """An effectful Core procedure definition."""
 
@@ -437,7 +438,7 @@ class ProcDef:
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class GlobDef:
     """A C object with static storage duration: name, ctype, and the
     Core expression computing its initial value (or None for
@@ -450,7 +451,7 @@ class GlobDef:
     loc: Loc = field(default_factory=Loc.unknown)
 
 
-@dataclass
+@nodeclass
 class Program:
     """The result of elaborating a C program (paper Fig. 2 caption)."""
 
@@ -462,3 +463,70 @@ class Program:
     main: Optional[str] = None
     # implementation-defined constants
     impl_constants: Dict[str, object] = field(default_factory=dict)
+
+
+# --------------------------------------------------------------------------
+# Traversals
+# --------------------------------------------------------------------------
+
+def _subexprs(node: Expr) -> List[Expr]:
+    """The effectful sub-expressions of ``node``, in program order."""
+    if isinstance(node, (EUnseq, ENd, EPar)):
+        return node.exprs
+    if isinstance(node, ECase):
+        return [body for _, body in node.branches]
+    if isinstance(node, EIf):
+        return [node.then, node.els]
+    if isinstance(node, (EWseq, ESseq)):
+        return [node.first, node.second]
+    if isinstance(node, (ELet, EIndet, EBound, ESave, EScope)):
+        return [node.body]
+    return []
+
+
+def _walk(e: Expr) -> List[Expr]:
+    """``e`` and all its effectful sub-expressions, in pre-order."""
+    out: List[Expr] = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(_subexprs(node)))
+    return out
+
+
+def collect_unseqs(program: Program) -> List[EUnseq]:
+    """Every ``unseq`` node of a program in one deterministic DFS
+    order — the positional basis for serialized annotation tables."""
+    roots = [g.init for g in program.globs if g.init is not None]
+    roots.extend(proc.body for proc in program.procs.values())
+    return [node for root in roots for node in _walk(root)
+            if isinstance(node, EUnseq)]
+
+
+def calling_children(node: EUnseq) -> frozenset:
+    """The indices of the children of ``node`` that may call a
+    procedure or a C function (cached on the node).  Such a call runs
+    whole before another child resumes, so its first action does not
+    stand for what the child does at its next scheduling point."""
+    calls = node.__dict__.get("_calling")
+    if calls is None:
+        calls = node._calling = frozenset(
+            i for i, child in enumerate(node.exprs) if _may_call(child))
+    return calls
+
+
+def _may_call(e: Expr) -> bool:
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (EProc, ECcall)):
+            return True
+        if isinstance(node, EUnseq):
+            # Nested unseqs answer from their own cache: one walk over
+            # the program in all.
+            if calling_children(node):
+                return True
+        else:
+            stack.extend(_subexprs(node))
+    return False

@@ -9,8 +9,10 @@ table, mirroring Ail's normalised canonical type forms (paper §5.1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, List, Optional, Tuple
+
+from ..nodeclass import nodeclass
 
 
 class IntKind(enum.Enum):
@@ -53,7 +55,7 @@ class CType:
         return True
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Void(CType):
     def __str__(self) -> str:
         return "void"
@@ -62,7 +64,7 @@ class Void(CType):
         return False
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Integer(CType):
     kind: IntKind
 
@@ -80,7 +82,7 @@ class Integer(CType):
         return Integer(_UNSIGNED_OF.get(self.kind, self.kind))
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Floating(CType):
     kind: FloatKind
 
@@ -88,7 +90,7 @@ class Floating(CType):
         return self.kind.value
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Qualifiers:
     const: bool = False
     volatile: bool = False
@@ -122,7 +124,7 @@ NO_QUALS = Qualifiers()
 CONST = Qualifiers(const=True)
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class QualType:
     """A possibly-qualified type — the thing declarations bind."""
 
@@ -140,7 +142,7 @@ class QualType:
         return QualType(self.ty, NO_QUALS)
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Pointer(CType):
     to: QualType
 
@@ -148,7 +150,7 @@ class Pointer(CType):
         return f"{self.to}*"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Array(CType):
     of: QualType
     size: Optional[int]  # None for incomplete array types
@@ -161,7 +163,7 @@ class Array(CType):
         return self.size is not None
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VarArray(CType):
     """A variable length array type (§6.7.6.2p4): element type plus the
     desugarer-introduced *hidden size variable* holding the runtime
@@ -182,7 +184,7 @@ class VarArray(CType):
         return True
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class Function(CType):
     ret: QualType
     params: Tuple[QualType, ...]
@@ -199,7 +201,7 @@ class Function(CType):
         return f"{self.ret}({ps})"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class StructRef(CType):
     tag: str  # unique tag id issued by the TagEnv
 
@@ -211,7 +213,7 @@ class StructRef(CType):
         return defn is not None and defn.complete
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class UnionRef(CType):
     tag: str
 
@@ -223,7 +225,7 @@ class UnionRef(CType):
         return defn is not None and defn.complete
 
 
-@dataclass
+@nodeclass
 class Member:
     """One struct/union member.  ``bit_width`` is None for ordinary
     members; a bit-field member carries its declared width in bits.
@@ -237,7 +239,7 @@ class Member:
     bit_width: Optional[int] = None
 
 
-@dataclass
+@nodeclass
 class TagDef:
     """Definition of a struct or union tag."""
 

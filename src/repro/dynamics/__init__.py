@@ -41,15 +41,10 @@ from .values import (
     VPointer, VFunction, VSpecified, VUnspecified, VMemStruct,
 )
 from .driver import Driver, Oracle, Outcome, PathPruned, run_program
-from .explore import (
-    ExplorationResult, Explorer, PathNode, STRATEGIES, explore_space,
-)
 
 __all__ = [
     "Value", "VUnit", "VBool", "VCtype", "VTuple", "VList", "VInteger",
     "VFloating", "VPointer", "VFunction", "VSpecified", "VUnspecified",
     "VMemStruct",
     "Driver", "Oracle", "Outcome", "PathPruned", "run_program",
-    "ExplorationResult", "Explorer", "PathNode", "STRATEGIES",
-    "explore_space",
 ]

@@ -117,14 +117,15 @@ class Level:
     indices of the children not done yet.  An inline level also keeps
     its parent's chain and lock count from before it began."""
 
-    __slots__ = ("parent", "fr", "frame", "hulls", "kids", "ctxs",
-                 "cand", "current", "chain", "lock0")
+    __slots__ = ("parent", "fr", "frame", "hulls", "calls", "kids",
+                 "ctxs", "cand", "current", "chain", "lock0")
 
-    def __init__(self, parent, fr, frame, hulls, kids):
+    def __init__(self, parent, fr, frame, hulls, calls, kids):
         self.parent: Ctx = parent
         self.fr = fr
         self.frame = frame
         self.hulls = hulls
+        self.calls = calls
         self.kids: list = kids
         self.ctxs: List[Ctx] = []
         self.cand = tuple(range(len(kids)))
@@ -136,7 +137,7 @@ class Level:
 #: The child of an inline level (it runs in the parent context).
 _INLINE = object()
 #: The join's view of an ``unseq`` whose children were all pure.
-_NO_CONTEXTS = Level(None, None, 0, None, [])
+_NO_CONTEXTS = Level(None, None, 0, None, frozenset(), [])
 
 
 class _SlotEnvView:
@@ -324,7 +325,10 @@ class CompiledEvaluator:
         frame = next(self._unseq_counter)
         ctx = self.ctx
         kids = list(site.kids)
-        lv = Level(ctx, fr, frame, hulls, kids)
+        calls = site.calls
+        if calls is None:
+            calls = site.calls = K.calling_children(site.node)
+        lv = Level(ctx, fr, frame, hulls, calls, kids)
         eff = site.eff
         if not eff:
             # Only pure children: every choice is made right here.
@@ -442,8 +446,10 @@ class CompiledEvaluator:
         fr = lv.fr
         while lv.cand:
             cand = lv.cand
-            meta = (lv.frame, cand) if lv.hulls is None else \
-                (lv.frame, cand, tuple([lv.hulls[i] for i in cand]))
+            meta = (lv.frame, cand)
+            if lv.hulls is not None or lv.calls:
+                meta += (None if lv.hulls is None
+                         else tuple([lv.hulls[i] for i in cand]), lv.calls)
             i = cand[self.handle(("choose", "unseq", len(cand), meta),
                                  self.thread)]
             kid = lv.kids[i]

@@ -54,7 +54,7 @@ Hit counts live in ``LoweredProgram.fused``.
 
 Static-analysis annotations (:mod:`repro.statics`) are re-keyed from
 AST node identity onto **stable instruction ids**: every ``unseq``
-captures its positional index in :func:`repro.statics.collect_unseqs`
+captures its positional index in :func:`repro.core.ast.collect_unseqs`
 order (the basis the persisted ``"statics"`` tables use), and
 resolves footprint hulls through a slot-backed environment view.
 
@@ -146,15 +146,21 @@ class LoweredFun:
 
 
 class UnseqSite:
-    """What the machine needs to interleave one ``unseq``: its stable
-    instruction id, per child a ``(closure, result slot)`` pair when it
-    is pure or its start pc when it is not, the mode slot, the join pc,
-    and the scope for hull resolution."""
+    """What the machine needs to interleave one ``unseq``: its node
+    and stable instruction id, the children that may call (read from
+    the node when it is first interleaved:
+    :func:`~repro.core.ast.calling_children`), per child a ``(closure,
+    result slot)`` pair when it is pure or its start pc when it is
+    not, the mode slot, the join pc, and the scope for hull
+    resolution."""
 
-    __slots__ = ("uidx", "kids", "eff", "us", "join", "env_slots")
+    __slots__ = ("node", "uidx", "calls", "kids", "eff", "us", "join",
+                 "env_slots")
 
-    def __init__(self, uidx, kids, us, join, env_slots):
+    def __init__(self, node, uidx, kids, us, join, env_slots):
+        self.node = node
         self.uidx = uidx
+        self.calls: Optional[frozenset] = None
         self.kids = kids
         self.eff = tuple(i for i, k in enumerate(kids)
                          if k.__class__ is int)
@@ -227,8 +233,7 @@ class _Lowerer:
         self.impl = program.impl
         self.tags = program.tags
         self.out = LoweredProgram()
-        from ...statics import collect_unseqs
-        self.out.unseq_nodes = collect_unseqs(program)
+        self.out.unseq_nodes = K.collect_unseqs(program)
         self._unseq_ids = {id(node): i for i, node
                            in enumerate(self.out.unseq_nodes)}
         self.fused: Dict[str, int] = {
@@ -1342,7 +1347,7 @@ class _Lowerer:
                  starts[eff[k]] if k < len(eff) else -1)
                 for k in range(len(eff) + 1)]
         tup = dest if binds is None else None
-        site = UnseqSite(self._unseq_ids.get(id(e), -1),
+        site = UnseqSite(e, self._unseq_ids.get(id(e), -1),
                          tuple((pures[i], rs[i]) if pure[i] else starts[i]
                                for i in range(n)),
                          us, join, dict(scope))

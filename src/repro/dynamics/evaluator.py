@@ -622,7 +622,10 @@ class Evaluator:
         channel ``(frame, candidates)``, and every action request is
         annotated with this frame's ``(frame, child)`` pair on its way
         up — together they let the explorer recover each candidate's
-        pending action footprint for partial-order reduction.
+        pending action footprint for partial-order reduction.  When a
+        child may call (:func:`~repro.core.ast.calling_children`), the
+        channel carries those children as a fourth component: a call
+        runs whole, so its first action is not the child's transition.
 
         With ``static_prune`` on and a ``_static_unseq`` annotation
         present (:mod:`repro.statics`), two refinements apply ahead of
@@ -663,6 +666,7 @@ class Evaluator:
             hulls = tuple(
                 resolve_hull(info, env, self.global_env, self.model)
                 for info in static[1])
+        calls = K.calling_children(e)
         gens = [self.eval_expr(c, env) for c in e.exprs]
         n = len(gens)
         frame = next(self._unseq_counter)
@@ -682,8 +686,10 @@ class Evaluator:
             if current is None or done[current] or \
                     current not in candidates:
                 cand = tuple(candidates)
-                meta = (frame, cand) if hulls is None else \
-                    (frame, cand, tuple(hulls[i] for i in cand))
+                meta = (frame, cand)
+                if hulls is not None or calls:
+                    meta += (None if hulls is None
+                             else tuple(hulls[i] for i in cand), calls)
                 pick = yield ("choose", "unseq", len(candidates),
                               meta)
                 current = candidates[pick]

@@ -30,8 +30,12 @@ Conflicting pairs inside *indeterminately sequenced* regions (function
 calls inside the expression, §5.6 point 6) are exempt from the
 unsequenced-race UB but not from ordering: both orders of two
 conflicting calls remain observable, so for POR purposes they stay
-dependent — and in practice their scope creates are barriers, which
-keeps them fully explored.
+dependent.  A call runs whole before another candidate resumes, so a
+candidate that may call (the fourth metadata component,
+:func:`~repro.core.ast.calling_children`) has no trustworthy next
+transition: its first action stands for none of the call's later ones
+(``int f(void){ *p = 1; return 0; }`` reads ``p`` first, then writes
+``b``), so it gets no sleep entry and causes none.
 
 Everything unknown is treated as dependent: unattributable or
 barrier next actions produce no sleep entries and barrier events wake
@@ -160,22 +164,25 @@ def _unseq_siblings(base: Tuple[int, ...], ev_idx: int,
     sibling the surviving independent entries plus an entry for every
     previously explored alternative whose next action commutes.
 
-    When the evaluator resolved static footprint hulls for this frame
-    (``static_prune``: a third meta component, aligned with the
-    candidate list), they stand in for next transitions the event log
-    cannot attribute — each hull covers *all* of its candidate's
-    actions, so a sleep entry derived from it is a superset footprint:
-    wake-ups fire no later than with the exact next action, keeping
-    the prune a subset of what exact sleep sets would allow."""
+    A candidate that may call (``meta[3]``) has no exact next
+    transition.  When the evaluator resolved static footprint hulls
+    for this frame (``static_prune``: a third meta component, aligned
+    with the candidate list, or None), they stand in for next
+    transitions the event log cannot attribute — each hull covers
+    *all* of its candidate's actions, so a sleep entry derived from it
+    is a superset footprint: wake-ups fire no later than with the
+    exact next action, keeping the prune a subset of what exact sleep
+    sets would allow."""
     frame, cands = meta[0], meta[1]
     static = meta[2] if len(meta) > 2 else None
+    calls = meta[3] if len(meta) > 3 else ()
     asleep = {z[1] for z in live if z[0] == frame}
     cache: dict = {}
 
     def t_of(alt: int):
         if alt not in cache:
-            t = next_transition(events, ev_idx, frame,
-                                cands[alt], completed)
+            t = None if cands[alt] in calls else next_transition(
+                events, ev_idx, frame, cands[alt], completed)
             if t is None and static is not None:
                 t = static[alt]
             cache[alt] = t

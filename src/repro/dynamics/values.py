@@ -3,7 +3,6 @@ pattern matching over them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.ast import Pattern, PatCtor, PatSym, PatWild
@@ -13,13 +12,14 @@ from ..memory.values import (
     FloatingValue, IntegerValue, MemValue, MVArray, MVFloating, MVInteger,
     MVPointer, MVStruct, MVUnion, MVUnspecified, PointerValue,
 )
+from ..nodeclass import nodeclass
 
 
 class Value:
     """Base class of Core runtime values."""
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VUnit(Value):
     def __repr__(self) -> str:
         return "Unit"
@@ -28,7 +28,7 @@ class VUnit(Value):
 UNIT = VUnit()
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VBool(Value):
     b: bool
 
@@ -40,7 +40,7 @@ TRUE = VBool(True)
 FALSE = VBool(False)
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VCtype(Value):
     ty: CType
 
@@ -48,7 +48,7 @@ class VCtype(Value):
         return f"'{self.ty}'"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VTuple(Value):
     items: Tuple[Value, ...]
 
@@ -56,12 +56,12 @@ class VTuple(Value):
         return "(" + ", ".join(repr(v) for v in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VList(Value):
     items: Tuple[Value, ...]
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VInteger(Value):
     ival: IntegerValue
 
@@ -69,12 +69,12 @@ class VInteger(Value):
         return repr(self.ival)
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VFloating(Value):
     fval: FloatingValue
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VPointer(Value):
     ptr: PointerValue
 
@@ -82,7 +82,7 @@ class VPointer(Value):
         return repr(self.ptr)
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VFunction(Value):
     """A C function designator value."""
 
@@ -92,7 +92,7 @@ class VFunction(Value):
         return f"cfunction({self.name})"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VSpecified(Value):
     """Specified(object_value): a non-unspecified loaded value."""
 
@@ -102,7 +102,7 @@ class VSpecified(Value):
         return f"Specified({self.value!r})"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VUnspecified(Value):
     """Unspecified(ctype) (§2.4: unspecified values propagate
     daemonically through the elaborated arithmetic)."""
@@ -113,14 +113,14 @@ class VUnspecified(Value):
         return f"Unspecified({self.ty})"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class VMemStruct(Value):
     """A loaded aggregate value, kept in memory-value form."""
 
     mv: MemValue
 
 
-@dataclass
+@nodeclass
 class VScopeList(Value):
     """The mutable list of objects created in the dynamically innermost
     ``EScope`` — VLA creates append their pointers so every scope exit

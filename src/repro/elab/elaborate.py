@@ -10,16 +10,19 @@ order constraints of §6.5 are expressed with ``unseq`` / ``let weak`` /
 ``undef(...)`` tests in the generated Core (§5.4); unspecified values
 are treated daemonically and propagated through (unsigned) arithmetic.
 
-Control flow uses ``save``/``run`` with guard parameters (DESIGN.md
-deviation): loops re-enter via a backward ``run``; ``break``/
-``continue``/``return``/``goto`` escape by re-entering an enclosing
-``save`` with a guard that short-circuits the body. C block lifetimes
-map to ``EScope`` (create-at-block-entry / kill-at-exit, §5.7-5.8).
+Control flow uses ``save``/``run`` with guard parameters (the
+deviation from the paper that the module docstring of
+:mod:`repro.core.ast` documents): loops re-enter via a backward
+``run``; ``break``/``continue``/``return``/``goto`` escape by
+re-entering an enclosing ``save`` with a guard that short-circuits the
+body. C block lifetimes map to ``EScope`` (create-at-block-entry /
+kill-at-exit, §5.7-5.8).
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -77,6 +80,14 @@ def _wseq(pat: Pattern, first: K.Expr, second: K.Expr,
     return K.EWseq(pat, first, second, loc=loc)
 
 
+#: Why a label below the top level of a function body is unsupported.
+_NESTED_LABEL = (
+    "goto label nested inside a sub-statement (only labels at the top "
+    "level of a function body are supported: a goto re-enters the "
+    "function's one label dispatcher, which runs the top-level "
+    "statements from the label on)")
+
+
 def _seq_all(exprs: List[K.Expr], last: K.Expr) -> K.Expr:
     out = last
     for e in reversed(exprs):
@@ -108,6 +119,8 @@ class Elaborator:
         self.fn_names: Dict[A.Symbol, str] = {
             sym: sym.name for sym in ail.functions}
         self._names = itertools.count(1)
+        # The temporaries of the full expression being elaborated.
+        self._temps: Optional[List[K.ScopedCreate]] = None
 
     def fresh_name(self, base: str) -> str:
         """E.fresh_symbol of the paper's elaboration monad (Fig. 3),
@@ -132,8 +145,8 @@ class Elaborator:
         name = str(obj.sym)
         init: Optional[K.Expr] = None
         if obj.init is not None:
-            stores = self.init_stores(K.PSym(name), obj.qty, obj.init,
-                                      zero_first=True)
+            stores = self.initialise(K.PSym(name), obj.qty, obj.init,
+                                     zero_first=True)
             init = _seq_all(stores, _pure(_pv(UNIT)))
         readonly = obj.qty.quals.const or isinstance(obj.init,
                                                      A.InitString)
@@ -190,8 +203,9 @@ class Elaborator:
 
     def _function_body(self, fdef: A.FunctionDef) -> K.Expr:
         """Elaborate the function body; if it contains labels, build the
-        goto dispatcher (DESIGN.md: labels must sit at the top level of
-        the function body block)."""
+        goto dispatcher: one ``save`` around the body's label segments,
+        which a ``goto`` re-enters with its segment's index, so labels
+        must sit at the top level of the function body block."""
         body = fdef.body
         assert body is not None
         has_labels = _contains_label(body)
@@ -204,10 +218,7 @@ class Elaborator:
                 segments.append((item.sym, [item.body]))
             else:
                 if _contains_label(item):
-                    raise UnsupportedError(
-                        "goto label nested inside a sub-statement (only "
-                        "function-top-level labels are supported; see "
-                        "DESIGN.md)", item.loc)
+                    raise UnsupportedError(_NESTED_LABEL, item.loc)
                 segments[-1][1].append(item)
         fn = self._fn
         assert fn is not None
@@ -244,8 +255,8 @@ class Elaborator:
         if isinstance(s, A.SExpr):
             if s.expr is None:
                 return K.ESkip(loc=s.loc)
-            return _sseq(PatWild(), self.discard(s.expr), K.ESkip(),
-                         loc=s.loc)
+            return _sseq(PatWild(), self.full(self.discard, s.expr),
+                         K.ESkip(), loc=s.loc)
         if isinstance(s, A.SIf):
             return self._if(s)
         if isinstance(s, A.SWhile):
@@ -253,9 +264,7 @@ class Elaborator:
         if isinstance(s, A.SSwitch):
             return self._switch(s)
         if isinstance(s, A.SLabel):
-            raise UnsupportedError(
-                "goto label nested inside a sub-statement (only "
-                "function-top-level labels are supported)", s.loc)
+            raise UnsupportedError(_NESTED_LABEL, s.loc)
         if isinstance(s, A.SGoto):
             fn = self._fn
             assert fn is not None
@@ -304,10 +313,9 @@ class Elaborator:
                                             item.sym.name, loc=item.loc))
                 if item.init is not None:
                     zero = not isinstance(item.init, A.InitScalar)
-                    stores = self.init_stores(K.PSym(str(item.sym)),
-                                              item.qty, item.init,
-                                              zero_first=zero)
-                    exprs.extend(stores)
+                    exprs.extend(self.initialise(
+                        K.PSym(str(item.sym)), item.qty, item.init,
+                        zero_first=zero))
             else:
                 self._pending_compounds = decls
                 exprs.append(self.stmt(item))
@@ -352,7 +360,7 @@ class Elaborator:
         ], loc=item.loc), loc=item.loc)
 
     def _if(self, s: A.SIf) -> K.Expr:
-        cond = self.rv(s.cond)
+        cond = self.full(self.rv, s.cond)
         then = self.stmt(s.then)
         els = self.stmt(s.els) if s.els is not None else K.ESkip()
         v = self.fresh_name("if.cond")
@@ -393,13 +401,14 @@ class Elaborator:
         body_wrap = K.ESave(cont, [("cont.skip", _pv(FALSE))],
                             K.EIf(K.PSym("cont.skip"), K.ESkip(), body),
                             loc=s.loc)
-        step = _sseq(PatWild(), self.discard(s.step), K.ESkip()) \
+        step = _sseq(PatWild(), self.full(self.discard, s.step),
+                     K.ESkip()) \
             if s.step is not None else K.ESkip()
         iteration = _sseq(PatWild(), body_wrap,
                           _sseq(PatWild(), step,
                                 K.ERun(loop, [], loc=s.loc)))
         test_then_iterate = _sseq(
-            PatSym(cond_v), self.rv(s.cond),
+            PatSym(cond_v), self.full(self.rv, s.cond),
             K.ECase(K.PSym(cond_v), [
                 (PatCtor("Unspecified", (PatWild(),)),
                  _pure(K.PUndef(UB.UNSPECIFIED_VALUE_CONTROL_FLOW,
@@ -410,7 +419,7 @@ class Elaborator:
             ]), loc=s.loc)
         if s.loc_hint == "do":
             loop_body = _sseq(PatWild(), body_wrap, _sseq(
-                PatSym(cond_v), self.rv(s.cond),
+                PatSym(cond_v), self.full(self.rv, s.cond),
                 K.ECase(K.PSym(cond_v), [
                     (PatCtor("Unspecified", (PatWild(),)),
                      _pure(K.PUndef(UB.UNSPECIFIED_VALUE_CONTROL_FLOW,
@@ -503,7 +512,7 @@ class Elaborator:
                                 K.EIf(K.PSym("brk.done"), K.ESkip(),
                                       dispatch), loc=s.loc)
         return _sseq(
-            PatSym(v), self.rv(s.cond),
+            PatSym(v), self.full(self.rv, s.cond),
             K.ECase(K.PSym(v), [
                 (PatCtor("Unspecified", (PatWild(),)),
                  _pure(K.PUndef(UB.UNSPECIFIED_VALUE_CONTROL_FLOW,
@@ -518,7 +527,7 @@ class Elaborator:
             rv: K.Expr = _pure(_pv(VUnit()) if isinstance(
                 fn.ret_ty.ty, Void) else _pv(VUnspecified(fn.ret_ty.ty)))
         else:
-            rv = self.rv(s.expr)
+            rv = self.full(self.rv, s.expr)
         v = self.fresh_name("ret.v")
         return _sseq(PatSym(v), rv,
                      K.ERun(fn.ret_label, [_pv(TRUE), K.PSym(v)],
@@ -675,6 +684,34 @@ class Elaborator:
             raise InternalError(
                 f"rv: unhandled expression {type(e).__name__}", e.loc)
         return method(e)
+
+    @contextmanager
+    def _temporaries(self):
+        """Collect the temporaries of one full expression (§6.8p4):
+        those holding array members of rvalues (see :meth:`lv`), which
+        are created around it and die when it ends (§6.2.4p8)."""
+        outer, self._temps = self._temps, []
+        try:
+            yield self._temps
+        finally:
+            self._temps = outer
+
+    def full(self, elaborate, e: A.Expr) -> K.Expr:
+        """``elaborate(e)`` for the full expression ``e``, inside the
+        scope of its temporaries."""
+        with self._temporaries() as temps:
+            core = elaborate(e)
+        return K.EScope(temps, core) if temps else core
+
+    def initialise(self, ptr: K.Pexpr, qty: QualType, init: A.Init,
+                   zero_first: bool) -> List[K.Expr]:
+        """:meth:`init_stores` for a declaration's initialiser, a full
+        expression: its stores, inside the scope of its temporaries."""
+        with self._temporaries() as temps:
+            stores = self.init_stores(ptr, qty, init, zero_first)
+        if temps:
+            return [K.EScope(temps, _seq_all(stores[:-1], stores[-1]))]
+        return stores
 
     def discard(self, e: A.Expr) -> K.Expr:
         """Elaborate an expression evaluated as a void expression
@@ -1525,6 +1562,22 @@ class Elaborator:
             rec = e.base.ty.ty
             assert isinstance(rec, (StructRef, UnionRef))
             p = self.fresh_name("mv")
+            if not e.base.is_lvalue:
+                # An array member of a struct or union rvalue, e.g.
+                # ``mk().a[1]`` (it decays, §6.3.2.1p3): the value goes
+                # to a temporary that lives to the end of the full
+                # expression (§6.2.4p8).
+                if self._temps is None:
+                    raise InternalError("rvalue member outside a full "
+                                        "expression", e.loc)
+                v = self.fresh_name("rv")
+                self._temps.append(K.ScopedCreate(p, rec, "rvalue",
+                                                  loc=e.loc))
+                return _sseq(PatSym(v), self.rv(e.base), _sseq(
+                    PatWild(), self.act_store(rec, K.PSym(p), K.PSym(v),
+                                              e.loc),
+                    _pure(K.PMemberShift(K.PSym(p), rec.tag, e.member,
+                                         loc=e.loc), e.loc)), loc=e.loc)
             return _sseq(PatSym(p), self.lv(e.base),
                          _pure(K.PMemberShift(K.PSym(p), rec.tag,
                                               e.member, loc=e.loc),

@@ -99,7 +99,11 @@ Layers
 Quick start
 ===========
 
->>> from repro.farm import ArtifactStore, sweep, suite_campaign
+The package imports none of its modules: a plain ``--models`` run
+loads only :mod:`~repro.farm.pool` and :mod:`~repro.farm.store`.
+
+>>> from repro.farm.pool import sweep
+>>> from repro.farm.campaign import suite_campaign
 >>> results = sweep([("p", "int main(void){ return 0; }")],
 ...                 models=["concrete", "provenance"], jobs=2)
 >>> report, campaign = suite_campaign(["concrete"], jobs=4,
@@ -114,33 +118,3 @@ CLI::
     cerberus-py serve --socket /run/cerb.sock --store DIR --workers 4
     cerberus-py submit file.c --socket /run/cerb.sock --models all
 """
-
-from __future__ import annotations
-
-from .store import ArtifactStore
-from .explorestore import ExplorationRecord
-from .pool import (
-    SweepTask, TaskResult, Verdict, shard_select, sweep,
-    task_result_from_json, task_result_to_json,
-)
-from .campaign import (
-    CampaignReport, csmith_campaign, suite_campaign, sweep_campaign,
-)
-from .frontier import explore_farm
-
-__all__ = [
-    "ArtifactStore",
-    "ExplorationRecord",
-    "SweepTask",
-    "TaskResult",
-    "Verdict",
-    "shard_select",
-    "sweep",
-    "task_result_from_json",
-    "task_result_to_json",
-    "CampaignReport",
-    "suite_campaign",
-    "csmith_campaign",
-    "sweep_campaign",
-    "explore_farm",
-]

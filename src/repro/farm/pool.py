@@ -42,7 +42,6 @@ makes a parallel sweep execution-only: zero front-end translations.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import signal
 import threading
@@ -490,6 +489,7 @@ class WorkerPool:
         return future
 
     def _spawn(self):
+        import multiprocessing
         mp = multiprocessing.get_context("fork")
         conn, child = mp.Pipe()
         proc = mp.Process(target=_serve,
@@ -561,6 +561,7 @@ def _serve(conn, fn, store) -> None:
     trace to double-write), install ``store`` once (its first write is
     its only directory scan), and answer each call on ``conn`` with
     ``(ok, result or exception)`` until the owner hangs up or dies."""
+    import multiprocessing
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     threading.Thread(target=_exit_when_orphaned, daemon=True,

@@ -526,7 +526,10 @@ class FarmServer:
                            parent=parent)))
         self._stopped = asyncio.Event()
         # Workers run the module's _execute_job as it is now, so a
-        # wrapper installed before start() runs in them.
+        # wrapper installed before start() runs in them; they inherit
+        # the explorer and its record type, so no job imports them.
+        from ..dynamics import explore  # noqa: F401
+        from . import explorestore  # noqa: F401
         self._pool = WorkerPool(_execute_job, self.workers, self.store)
         try:
             os.unlink(self.socket_path)

@@ -13,7 +13,7 @@ provenance so that user code copying pointer representation bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..ctypes.implementation import Implementation
@@ -22,6 +22,7 @@ from ..ctypes.types import (
     TagEnv, UnionRef,
 )
 from ..errors import InternalError
+from ..nodeclass import nodeclass
 
 
 # --------------------------------------------------------------------------
@@ -124,12 +125,12 @@ NULL_POINTER = PointerValue(0, PROV_EMPTY)
 # Memory values (the trees stored/loaded by typed accesses)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MemValue:
     pass
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVUnspecified(MemValue):
     ty: CType
 
@@ -137,7 +138,7 @@ class MVUnspecified(MemValue):
         return f"unspec({self.ty})"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVInteger(MemValue):
     ty: Integer
     ival: IntegerValue
@@ -146,13 +147,13 @@ class MVInteger(MemValue):
         return f"{self.ival!r}:{self.ty}"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVFloating(MemValue):
     ty: Floating
     fval: FloatingValue
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVPointer(MemValue):
     to: QualType
     ptr: PointerValue
@@ -161,19 +162,19 @@ class MVPointer(MemValue):
         return f"{self.ptr!r}"
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVArray(MemValue):
     elem_ty: CType
     elems: Tuple[MemValue, ...]
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVStruct(MemValue):
     tag: str
     members: Tuple[Tuple[str, MemValue], ...]
 
 
-@dataclass(frozen=True)
+@nodeclass(frozen=True)
 class MVUnion(MemValue):
     tag: str
     member: str

@@ -41,7 +41,10 @@ RNG, so identical runs produce diffable traces):
   "cpu_s": C, "attrs": {...}, "run": R}`` — one closed span: ``t0``
   is the start offset from trace start (monotonic), ``wall_s`` /
   ``cpu_s`` the elapsed wall and CPU time, ``depth`` the nesting
-  level.  Span names: ``pipeline.lex`` / ``pipeline.parse`` /
+  level.  Span names: ``cli.import`` (from when the ``repro``
+  package started executing to the end of ``repro.cli``'s import,
+  where ``main()`` starts: it began before the trace did, so its
+  ``t0`` is negative), ``pipeline.lex`` / ``pipeline.parse`` /
   ``pipeline.desugar`` / ``pipeline.typecheck`` /
   ``pipeline.elaborate`` / ``pipeline.check_core`` /
   ``pipeline.statics`` (front-end phases), ``explore`` (one
@@ -198,6 +201,18 @@ class ObsContext:
                                       attrs or None)
             if prof is not None:
                 self._dump_profile(name, prof)
+
+    def add_span(self, name: str, start: float, wall: float,
+                 cpu: float) -> None:
+        """Record a region measured before this scope opened: it began
+        at ``start`` (``perf_counter``), so its trace ``t0`` is
+        negative."""
+        self.observe(f"span.{name}", wall)
+        self.observe(f"span.{name}.cpu", cpu)
+        if self.tracer is not None:
+            t0_rel = self.tracer.now() - (time.perf_counter() - start)
+            self.tracer.emit_span(name, t0_rel, wall, cpu,
+                                  self.tracer.depth, None)
 
     def _dump_profile(self, name: str, prof) -> None:
         """Persist one phase capture: binary ``.pstats`` (load with

@@ -43,7 +43,7 @@ import random
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from . import obs
 from .ail.desugar import desugar
@@ -54,9 +54,6 @@ from .core.typecheck import typecheck_program
 from .cparser import parse_tokens
 from .ctypes.implementation import Implementation, LP64, CHERI128
 from .dynamics.driver import Oracle, Outcome, run_program
-from .dynamics.explore import (
-    ExplorationResult, Explorer, driver_factory, explore_space,
-)
 from .elab import elaborate
 from .errors import CoreTypeError
 from .memory.base import MemoryModel
@@ -66,6 +63,9 @@ from .memory.provenance import GccPersonaModel, ProvenanceModel
 from .memory.strict import StrictIsoModel
 from .spec import ExploreSpec, RunSpec
 from .typing import typecheck
+
+if TYPE_CHECKING:
+    from .dynamics.explore import ExplorationResult
 
 MODELS: Dict[str, type] = {
     "concrete": ConcreteModel,
@@ -83,7 +83,7 @@ STATICS_RECORD_KIND = "statics"
 class StaticsRecord:
     """One persisted static analysis (:mod:`repro.statics`): the
     positional per-``unseq`` annotation table (aligned with
-    :func:`repro.statics.collect_unseqs` order), the lint findings,
+    :func:`repro.core.ast.collect_unseqs` order), the lint findings,
     and whether the abstract interpretation ran to completion (an
     aborted analysis keeps its findings — each is independently
     sound — but discards annotations)."""
@@ -203,6 +203,7 @@ class CompiledProgram:
         with zero paths re-run, and an interrupted one persists its
         frontier and is resumed by the next call.  ``name`` is folded
         into the record key (source locations embed it)."""
+        from .dynamics.explore import Explorer, driver_factory, explore_space
         spec = ExploreSpec.build(spec, **knobs)
         key = None
         if store is not None:

@@ -45,6 +45,10 @@ from .memory.base import MemoryOptions
 #: The evaluator back ends (see :mod:`repro.dynamics`).
 BACKENDS = ("compiled", "tree")
 
+#: The search strategies, sorted (see
+#: :mod:`repro.dynamics.explore.strategies`).
+STRATEGIES = ("bfs", "coverage", "dfs", "random")
+
 #: Fields that bound how much of a space one call walks, not which
 #: space: left out of :meth:`RunSpec.key`.
 BUDGETS = ("max_paths",)
@@ -62,11 +66,7 @@ class SpecError(ValueError):
 def choices(name: str) -> tuple:
     """The closed value domain of the spec field ``name`` (the fields
     whose metadata carries ``choices``)."""
-    if name == "backend":
-        return BACKENDS
-    # Imported late: the explorer package imports this module.
-    from .dynamics.explore.strategies import STRATEGIES
-    return tuple(sorted(STRATEGIES))
+    return BACKENDS if name == "backend" else STRATEGIES
 
 
 def _admits(ty, value) -> bool:

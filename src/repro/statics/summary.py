@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core import ast as K
+from ..core.ast import collect_unseqs
 from ..ctypes.types import CType, Integer
 from ..source import Loc
 from .. import ub as UB
@@ -1309,44 +1310,6 @@ class AbsInterp:
 # --------------------------------------------------------------------------
 # Whole-program entry points
 # --------------------------------------------------------------------------
-
-def _walk_exprs(e: K.Expr, out: List[K.EUnseq]) -> None:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, K.EUnseq):
-            out.append(node)
-            stack.extend(reversed(node.exprs))
-        elif isinstance(node, (K.ECase,)):
-            for _, body in reversed(node.branches):
-                stack.append(body)
-        elif isinstance(node, (K.ELet, K.EIf)):
-            if isinstance(node, K.EIf):
-                stack.append(node.els)
-                stack.append(node.then)
-            else:
-                stack.append(node.body)
-        elif isinstance(node, (K.EWseq, K.ESseq)):
-            stack.append(node.second)
-            stack.append(node.first)
-        elif isinstance(node, (K.EIndet, K.EBound, K.ESave,
-                               K.EScope)):
-            stack.append(node.body)
-        elif isinstance(node, (K.ENd, K.EPar)):
-            stack.extend(reversed(node.exprs))
-
-
-def collect_unseqs(program: K.Program) -> List[K.EUnseq]:
-    """Every ``unseq`` node of a program in one deterministic DFS
-    order — the positional basis for serialized annotation tables."""
-    out: List[K.EUnseq] = []
-    for g in program.globs:
-        if g.init is not None:
-            _walk_exprs(g.init, out)
-    for proc in program.procs.values():
-        _walk_exprs(proc.body, out)
-    return out
-
 
 def analyze_program(program: K.Program, impl=None,
                     interp_cls=None) -> StaticsReport:

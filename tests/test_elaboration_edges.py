@@ -232,18 +232,47 @@ class TestRvalueMember:
         ("struct B { unsigned a : 3; unsigned b : 5; };\n"
          "struct B mk(void){ struct B s = {5, 17}; return s; }\n"
          "int main(void){ return mk().b + mk().a; }", 22),
+        # an array member decays to a pointer into the temporary
+        ("struct S { int a[3]; int y; };\n"
+         "struct S mk(void){ struct S s = {{1,2,3}, 4}; return s; }\n"
+         "int main(void){ return mk().a[1]; }", 2),
+        # ... which lives to the end of the full expression: a
+        # declaration, a condition, a call's argument, a nested member
+        ("struct S { int a[3]; };\n"
+         "struct T { struct S s; };\n"
+         "struct S mk(int k){ struct S s = {{k, k+1, k+2}}; return s; }\n"
+         "struct T mt(void){ struct T t = {{{7, 8, 9}}}; return t; }\n"
+         "int sum(int *p, int n){ int s = 0;\n"
+         "  for (int i = 0; i < n; i++) s += p[i]; return s; }\n"
+         "int main(void){ int x = mk(1).a[2];\n"
+         "  if (mk(2).a[0] != 2) return 1;\n"
+         "  while (mk(x).a[0] < 5) x++;\n"
+         "  return sum(mk(3).a, 3) + mt().s.a[1] + x; }", 25),
     ]
 
     @pytest.mark.parametrize("backend", ["compiled", "tree"])
     @pytest.mark.parametrize("src,code", PROGRAMS,
                              ids=["struct", "nested", "union",
-                                  "bitfield"])
+                                  "bitfield", "array", "array-scopes"])
     def test_member_of_a_call_result(self, src, code, backend):
         outcomes = run_many(src, backend=backend)
         assert len(outcomes) == 5
         for model, out in outcomes.items():
             assert out.status in ("done", "exit"), (model, out)
             assert out.exit_code == code, model
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    def test_the_temporary_dies_with_its_full_expression(self, backend):
+        """§6.2.4p8: a pointer into the temporary dangles once the
+        declaration that took it ends."""
+        outcomes = run_many(
+            "struct S { int a[3]; };\n"
+            "struct S mk(void){ struct S s = {{1, 2, 3}}; return s; }\n"
+            "int main(void){ int *p = mk().a; return *p; }",
+            backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status == "ub", (model, out)
 
 
 class TestFallingOffTheEnd:

@@ -161,6 +161,22 @@ class TestCliRoundTrip:
             summary["metrics"]["counters"]["explore.paths"]
         assert summary["phases"]["pipeline.parse"]["count"] == 1
 
+    def test_the_trace_sees_the_import(self, tmp_path):
+        """``cli.import`` runs from when the ``repro`` package started
+        executing to ``main()``: before the trace opened, so its start
+        offset is negative, and ``stats`` lists it among the phases."""
+        (tmp_path / "p.c").write_text(SRC_OK)
+        r = _cli(["p.c", "--trace", "t.jsonl"], tmp_path)
+        assert r.returncode == 42, r.stderr
+        spans = [rec for rec in read_trace(str(tmp_path / "t.jsonl"))
+                 if rec.get("name") == "cli.import"]
+        assert len(spans) == 1
+        assert spans[0]["t0"] < 0 < spans[0]["wall_s"]
+        assert -spans[0]["t0"] >= spans[0]["wall_s"]
+        s = _cli(["stats", "t.jsonl"], tmp_path)
+        assert any(line.split()[:2] == ["cli.import", "1"]
+                   for line in s.stdout.splitlines())
+
     def test_models_trace_counts_each_task_once(self, tmp_path):
         # --models runs one farm task per model; their metrics reach
         # the trace and --metrics exactly once.
