@@ -103,8 +103,11 @@ def _verdict(outcome):
 
 def sweep_recompile():
     """The old shape: one full front-end translation per model."""
-    return {model: compile_c(SOURCE, CHERI128, use_cache=False)
-            .run(model) for model in MODEL_LIST}
+    outcomes = {}
+    for model in MODEL_LIST:
+        clear_compile_cache()
+        outcomes[model] = compile_c(SOURCE, CHERI128).run(model)
+    return outcomes
 
 
 def sweep_compile_once():

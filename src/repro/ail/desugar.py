@@ -255,6 +255,8 @@ class Desugarer:
         init: Optional[A.Init] = None
         if idecl.init is not None:
             init = self.normalize_init(qty, idecl.init)
+            if file_scope or "static" in storage:
+                _check_static_init(name, init)
         if merged:
             # Tentative definitions merge (§6.9.2).
             obj = self._file_scope_objects[name]
@@ -1244,6 +1246,29 @@ def _const_binop(op: str, a, b):
         "|": lambda: int(a) | int(b),
     }
     return table[op]()
+
+
+#: The operators a constant expression may not contain (§6.6p3).
+_NOT_CONSTANT = {A.ECall: "a function call", A.EAssign: "an assignment",
+                 A.EIncrDecr: "an increment or decrement",
+                 A.EComma: "a comma operator"}
+
+
+def _check_static_init(name: str, node) -> None:
+    """§6.7.9p4: an initialiser of an object with static storage
+    duration holds only constant expressions, so none of these
+    operators outside the (unevaluated) operand of ``sizeof``."""
+    if isinstance(node, (list, tuple)):
+        for item in node:
+            _check_static_init(name, item)
+    elif isinstance(node, (A.Expr, A.Init)):
+        what = _NOT_CONSTANT.get(type(node))
+        if what:
+            raise DesugarError(f"initializer of static object '{name}' is not "
+                               f"a constant expression: it contains {what} "
+                               f"(§6.6p3)", node.loc, iso="6.7.9p4")
+        if not (isinstance(node, A.EUnary) and node.op == "sizeof"):
+            _check_static_init(name, list(vars(node).values()))
 
 
 def _is_char_array(ty: Array) -> bool:

@@ -5,7 +5,10 @@ Modes mirror the paper's tool: run one path, explore all allowed
 behaviours, or pretty-print the elaborated Core. ``--models`` compiles
 once and executes the shared artifact under a whole list of memory
 object models, printing one verdict per model (the paper's cross-model
-comparison).
+comparison).  A single-model run is a one-model batch: every verdict
+but a sharded ``--exhaustive --jobs N`` one comes from
+:func:`repro.farm.pool.execute_task`, and ``--pp-core`` is the one
+direct compile.
 
 Exploration flags (see :mod:`repro.dynamics.explore`):
 
@@ -302,53 +305,87 @@ def main(argv=None) -> int:
 
 
 def _dispatch_main(args, source: str, impl, spec) -> int:
-    if args.models and not args.pp_core:
-        return _run_batch(args, source, impl, spec)
-    try:
-        pipeline = compile_for_model(source, args.model, impl, name=args.file)
-    except CerberusError as exc:
-        print(f"cerberus-py: {exc}", file=sys.stderr)
-        return 2
     if args.pp_core:
         # --pp-core wins over --models: it prints the Core --model runs.
-        print(pretty_program(pipeline.core))
+        try:
+            program = compile_for_model(source, args.model, impl,
+                                        name=args.file)
+        except CerberusError as exc:
+            print(f"cerberus-py: {exc}", file=sys.stderr)
+            return 2
+        print(pretty_program(program.core))
         return 0
-    if args.exhaustive:
-        store = get_artifact_store() if args.store else None
-        if args.jobs > 1:
-            from .farm.frontier import explore_farm
-            result = explore_farm(source, args.model, impl, spec,
-                                  jobs=args.jobs, store=store,
-                                  name=args.file)
-        else:
-            result = pipeline.explore(args.model, spec, store=store,
-                                      name=args.file)
-        pruned = f", {result.pruned} pruned" if result.pruned else ""
-        print(f"executions explored: {result.paths_run} "
-              f"({'complete' if result.exhausted else 'budget hit'}"
-              f"{pruned})")
-        if store is not None:
-            counters = obs.active().metrics.counters
-            print(f"explore store: "
-                  f"hits={counters.get('store.exploration.hits', 0)} "
-                  f"resumes={counters.get('explore.resumes', 0)} "
-                  f"live paths={counters.get('explore.live_paths', 0)}")
-        for outcome in result.distinct():
-            print(f"  {outcome.summary()}")
-        return 1 if result.has_ub() else 0
-    outcome = pipeline.run(args.model, spec)
-    sys.stdout.write(outcome.stdout)
-    if outcome.status == "ub":
-        print(f"\nUndefined behaviour: {outcome.ub} "
-              f"[{outcome.loc}] {outcome.ub_detail}", file=sys.stderr)
-        return 1
-    if outcome.status == "error":
-        print(f"\nerror: {outcome.error}", file=sys.stderr)
+    from .farm.pool import ExploreSummary, SweepTask, run_tasks
+    if args.exhaustive and args.jobs > 1 and not args.models:
+        from .farm.frontier import explore_farm
+        try:
+            result = ExploreSummary.from_result(explore_farm(
+                source, args.model, impl, spec, jobs=args.jobs,
+                store=get_artifact_store() if args.store else None,
+                name=args.file))
+        except CerberusError as exc:
+            print(f"cerberus-py: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
+        return _print_exploration(args, result)
+    try:
+        models = _parse_models(args.models) if args.models \
+            else [args.model]
+    except argparse.ArgumentTypeError as exc:
+        print(f"cerberus-py: {exc}", file=sys.stderr)
         return 2
-    if outcome.status == "timeout":
+    results = run_tasks([SweepTask(
+        index=i, name=args.file, source=source, models=(model,),
+        kind="explore" if args.exhaustive else "run", impl=impl,
+        spec=spec) for i, model in enumerate(models)], jobs=args.jobs)
+    if args.models:
+        lines, code = _model_lines(zip(models, results))
+        for line in lines:
+            print(line)
+        return code
+    [r] = results
+    if not r.ok:
+        print(f"cerberus-py: {r.error}", file=sys.stderr)
+        return 2
+    if args.exhaustive:
+        return _print_exploration(args, r.data["explorations"][args.model])
+    return _print_verdict(r.data["verdicts"][args.model])
+
+
+def _print_verdict(v) -> int:
+    """Print a single-model :class:`~repro.farm.pool.Verdict` (stdout,
+    then any UB, error or timeout line) and return its exit code."""
+    sys.stdout.write(v.stdout)
+    if v.status == "ub":
+        # A UB site without a line prints as the unknown location.
+        print(f"\nUndefined behaviour: {v.ub} "
+              f"[{v.ub_loc or '<unknown>'}] {v.ub_detail}",
+              file=sys.stderr)
+        return 1
+    if v.status == "error":
+        print(f"\nerror: {v.error}", file=sys.stderr)
+        return 2
+    if v.status == "timeout":
         print("\ntimeout", file=sys.stderr)
         return 3
-    return outcome.exit_code or 0
+    return v.exit_code or 0
+
+
+def _print_exploration(args, e) -> int:
+    """Print a single-model :class:`~repro.farm.pool.ExploreSummary`
+    (paths, ``--store`` counters, sorted behaviours); its exit code."""
+    pruned = f", {e.pruned} pruned" if e.pruned else ""
+    print(f"executions explored: {e.paths_run} "
+          f"({'complete' if e.exhausted else 'budget hit'}{pruned})")
+    if args.store:
+        counters = obs.active().metrics.counters
+        print(f"explore store: "
+              f"hits={counters.get('store.exploration.hits', 0)} "
+              f"resumes={counters.get('explore.resumes', 0)} "
+              f"live paths={counters.get('explore.live_paths', 0)}")
+    for behaviour in e.behaviours:
+        print(f"  {behaviour}")
+    return 1 if e.has_ub else 0
 
 
 def _model_lines(rows):
@@ -362,9 +399,7 @@ def _model_lines(rows):
             summary, status = f"error: {r.error}", "error"
         elif model in r.data.get("explorations", {}):
             e = r.data["explorations"][model]
-            summary = f"{e.paths_run:4d} paths  " \
-                + " | ".join(e.behaviours)
-            status = "ub" if e.has_ub else "done"
+            summary, status = e.summary(), "ub" if e.has_ub else "done"
         else:
             v = r.data["verdicts"][model]
             summary, status = v.summary(), v.status
@@ -374,31 +409,6 @@ def _model_lines(rows):
         if status in statuses:
             return lines, code
     return lines, 0
-
-
-def _run_batch(args, source: str, impl, spec) -> int:
-    """--models: one farm task per model through
-    :func:`repro.farm.pool.run_tasks` — in-process at ``--jobs 1``,
-    across worker processes otherwise (a warm ``--store`` makes every
-    worker execution-only, and with ``--exhaustive`` serves and
-    resumes its exploration records) — and one printed line per
-    model."""
-    try:
-        models = _parse_models(args.models)
-    except argparse.ArgumentTypeError as exc:
-        print(f"cerberus-py: {exc}", file=sys.stderr)
-        return 2
-    from .farm.pool import SweepTask, run_tasks
-    tasks = [SweepTask(index=i, name=args.file,
-                       kind="explore" if args.exhaustive else "run",
-                       source=source, models=(model,), impl=impl,
-                       spec=spec)
-             for i, model in enumerate(models)]
-    results = run_tasks(tasks, jobs=args.jobs)
-    lines, code = _model_lines(zip(models, results))
-    for line in lines:
-        print(line)
-    return code
 
 
 # -- the lint subcommand -------------------------------------------------------
@@ -635,23 +645,19 @@ def _dispatch_farm(args, models) -> int:
         mode="explore" if args.exhaustive else "run", spec=_spec(args),
         store=args.store, shard=args.shard, lint=args.lint,
         task_timeout=args.task_timeout, server=args.server)
-    for entry in campaign.results:
-        for model, verdict in entry.get("verdicts", {}).items():
-            print(f"{entry['program']:32s} {model:12s} {verdict}")
-        for model, ex in entry.get("explorations", {}).items():
-            print(f"{entry['program']:32s} {model:12s} "
-                  f"{ex['paths']:4d} paths  "
-                  + " | ".join(ex["behaviours"]))
-        if entry.get("lint_filtered"):
-            print(f"{entry['program']:32s} {'lint':12s} "
+    for r in results:
+        for model, cell in (*r.data.get("verdicts", {}).items(),
+                            *r.data.get("explorations", {}).items()):
+            print(f"{r.name:32s} {model:12s} {cell.summary()}")
+        if r.data.get("lint_filtered"):
+            print(f"{r.name:32s} {'lint':12s} "
                   f"exploration skipped (definite static finding)")
-        for finding in entry.get("lint", []):
-            print(f"{entry['program']:32s} {'lint':12s} "
+        for finding in r.data.get("lint", []):
+            print(f"{r.name:32s} {'lint':12s} "
                   f"{finding['loc']}: {finding['severity']}: "
                   f"{finding['detail']}")
-        if entry.get("error"):
-            print(f"{entry['program']:32s} {'-':12s} "
-                  f"error: {entry['error']}")
+        if r.error:
+            print(f"{r.name:32s} {'-':12s} error: {r.error}")
     _finish_campaign(campaign, args.report)
     any_ub = campaign.summary.get("ub", 0) > 0
     bad = any(not r.ok for r in results)

@@ -259,18 +259,24 @@ def csmith_campaign(seeds: Optional[Sequence[int]] = None,
 
     The corpus is an explicit ``seeds`` list (or ``range(seed_base,
     seed_base + count)``) — sharded campaign workers therefore
-    partition exactly the same corpus deterministically.  Returns
+    partition exactly the same corpus deterministically.  Each program
+    is generated here and runs as a plain ``run`` task; its verdicts
+    are classified against the generator's expected output.  Returns
     ``(ValidationReport, CampaignReport)``."""
-    from ..csmith.reference import ValidationReport, resolve_seeds
+    from ..csmith.generator import generate_program
+    from ..csmith.reference import (
+        ValidationReport, classify_outcomes, resolve_seeds,
+    )
 
     seeds = resolve_seeds(count, seeds, seed_base)
     model_list = list(models) if models else ["concrete"]
-    sharded = shard_select(list(seeds), *shard)
+    programs = [generate_program(seed, size)
+                for seed in shard_select(list(seeds), *shard)]
     spec = ExploreSpec(max_steps=max_steps)
-    tasks = [SweepTask(index=i, name=f"csmith-{seed}", kind="csmith",
-                       models=tuple(model_list), spec=spec,
-                       csmith_seed=seed, csmith_size=size)
-             for i, seed in enumerate(sharded)]
+    tasks = [SweepTask(index=i, name=f"csmith-{p.seed}",
+                       source=p.source, models=tuple(model_list),
+                       spec=spec)
+             for i, p in enumerate(programs)]
     start = time.perf_counter()
     task_results = run_tasks(tasks, jobs=jobs, store=store,
                              task_timeout=task_timeout)
@@ -278,15 +284,16 @@ def csmith_campaign(seeds: Optional[Sequence[int]] = None,
 
     report = ValidationReport()
     entries: List[dict] = []
-    for seed, r in zip(sharded, task_results):
+    for program, r in zip(programs, task_results):
         report.total += 1
         entry = _base_entry(r)
-        entry["seed"] = seed
-        category = r.data.get("category")
+        entry["seed"] = program.seed
         if r.timed_out:
             category = "timeout"
-        elif category is None:
+        elif not r.ok:
             category = "failed"
+        else:
+            category = classify_outcomes(program, r.data["verdicts"])
         entry["category"] = category
         if category == "agree":
             report.agree += 1
@@ -294,10 +301,10 @@ def csmith_campaign(seeds: Optional[Sequence[int]] = None,
             report.timeout += 1
         elif category == "failed":
             report.failed += 1
-            report.failures.append(seed)
+            report.failures.append(program.seed)
         else:
             report.disagree += 1
-            report.disagreements.append(seed)
+            report.disagreements.append(program.seed)
         entry["verdicts"] = {m: v.summary() for m, v in
                              r.data.get("verdicts", {}).items()}
         entries.append(entry)

@@ -2,11 +2,12 @@
 tasks.
 
 One task = one program swept across a list of memory object models
-(via :func:`repro.pipeline.run_many` / ``explore_many``), or one test
-suite entry, or one Csmith seed.  :func:`run_tasks` ->
+(via :func:`repro.pipeline.run_many` / ``explore_many``), or one shard
+of a split frontier, or one test suite entry.  :func:`run_tasks` ->
 :func:`execute_task` is the one place a batch is executed, reported
-and counted — the CLI's ``--models``, the campaigns, farm-sharded
-exploration and the daemon's worker all come through it:
+and counted — every CLI verdict (a single-model run is a one-model
+batch), the campaigns, farm-sharded exploration and the daemon's
+worker all come through it:
 
 * **one failure boundary** — any exception a task raises becomes a
   failed :class:`TaskResult` whose ``error`` names it, with the same
@@ -120,12 +121,21 @@ class ExploreSummary:
     diverged: int = 0
     abandoned: int = 0
 
+    @classmethod
+    def from_result(cls, r) -> "ExploreSummary":
+        return cls(r.paths_run, r.exhausted, r.behaviours(), r.has_ub(),
+                   r.pruned, r.diverged, r.abandoned)
+
+    def summary(self) -> str:
+        """The line ``--models``, ``submit`` and ``farm sweep`` print."""
+        return f"{self.paths_run:4d} paths  " + " | ".join(self.behaviours)
+
 
 @dataclass
 class SweepTask:
     """One unit of farm work under one :class:`~repro.spec.ExploreSpec`
-    (``run``/``csmith`` tasks read only its run fields).  ``kind``
-    selects the worker recipe:
+    (``run`` tasks read only its run fields).  ``kind`` selects one of
+    four worker recipes:
 
     * ``"run"`` — run ``source`` once per model (:func:`run_many`);
     * ``"explore"`` — explore per model, publishing, reusing and
@@ -140,9 +150,7 @@ class SweepTask:
       form the store persists) in ``data["shard"]`` for
       :func:`~repro.farm.frontier.explore_farm` to merge;
     * ``"suite"`` — the named de facto test-suite entry across models
-      (explored without a store);
-    * ``"csmith"`` — generate the seeded program, run it across
-      models, classify against the generator's expected output.
+      (explored without a store).
     """
 
     index: int
@@ -152,8 +160,6 @@ class SweepTask:
     models: Tuple[str, ...] = ()
     impl: Implementation = LP64
     spec: ExploreSpec = ExploreSpec()
-    csmith_seed: int = 0                # "csmith": generator seed
-    csmith_size: int = 12
     deadline_s: Optional[float] = None  # cooperative in-task deadline
     prefix: Tuple[int, ...] = ()        # explore_shard: subtree root
     sleep: Tuple = ()                   # explore_shard: POR sleep set
@@ -186,9 +192,9 @@ class TaskResult:
     # data["metrics"])
     stats: Dict[str, int] = field(default_factory=dict)
     # kind-specific payload: "verdicts" ({model: Verdict}),
-    # "explorations" ({model: ExploreSummary}), "results"
-    # (List[TestResult]), "category" (csmith classification), and
-    # for every executed task "metrics" (its repro.obs snapshot)
+    # "explorations" ({model: ExploreSummary}), "shard"
+    # (ExplorationRecord), "results" (List[TestResult]), and for every
+    # executed task "metrics" (its repro.obs snapshot)
     data: Dict[str, object] = field(default_factory=dict)
 
 
@@ -366,10 +372,7 @@ def _execute_task(task: SweepTask) -> TaskResult:
                     name=task.name, deadline_s=task.deadline_s,
                     store=get_artifact_store())
                 result.data["explorations"] = {
-                    m: ExploreSummary(r.paths_run, r.exhausted,
-                                      r.behaviours(), r.has_ub(),
-                                      r.pruned, r.diverged,
-                                      r.abandoned)
+                    m: ExploreSummary.from_result(r)
                     for m, r in explorations.items()}
         elif task.kind == "explore_shard":
             result.data["shard"] = _explore_shard(task)
@@ -384,25 +387,6 @@ def _execute_task(task: SweepTask) -> TaskResult:
                                       source=TESTS[task.name].source,
                                       impl=task.impl)
                 result.data["lint"] = _lint_findings(lint_task)
-        elif task.kind == "csmith":
-            from ..csmith.generator import generate_program
-            from ..csmith.reference import classify_outcomes
-            program = generate_program(task.csmith_seed,
-                                       task.csmith_size)
-            try:
-                outcomes = run_many(program.source, task.models,
-                                    task.impl, task.spec,
-                                    name=task.name)
-            except CerberusError as exc:
-                result.data["category"] = "failed"
-                result.data["verdicts"] = {}
-                result.error = f"{type(exc).__name__}: {exc}"
-            else:
-                result.data["category"] = classify_outcomes(program,
-                                                            outcomes)
-                result.data["verdicts"] = {
-                    m: Verdict.from_outcome(o)
-                    for m, o in outcomes.items()}
         else:
             raise ValueError(f"unknown task kind {task.kind!r}")
     except Exception as exc:

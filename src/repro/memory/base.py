@@ -10,7 +10,6 @@ questions of paper §2 (Q2, Q5, Q9, Q25, Q31, Q48-Q59, Q62, Q73-Q81...).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -174,29 +173,6 @@ class MemoryModel:
                    self.impl.alignof(ty, self.tags))
             self._ty_cache[id(ty)] = hit
         return hit[1], hit[2]
-
-    # -- snapshots (exhaustive exploration) ------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "allocations": copy.deepcopy(self.allocations),
-            "next_aid": self._next_aid,
-            "static_top": self._static_top,
-            "stack_top": self._stack_top,
-            "heap_top": self._heap_top,
-            "stable_seed": self._stable_seed,
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.allocations = copy.deepcopy(snap["allocations"])
-        self._live = {aid: a for aid, a in self.allocations.items()
-                      if a.alive}
-        self._last_hit = None
-        self._next_aid = snap["next_aid"]
-        self._static_top = snap["static_top"]
-        self._stack_top = snap["stack_top"]
-        self._heap_top = snap["heap_top"]
-        self._stable_seed = snap["stable_seed"]
 
     # -- allocation --------------------------------------------------------------
 

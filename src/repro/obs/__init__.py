@@ -130,7 +130,6 @@ class ObsContext:
         self.profile_dir = str(profile_dir) \
             if profile_dir is not None else None
         self.parent = parent
-        self._profile_seq = 0
 
     # -- metric emission (propagates up the parent chain) ---------------------
 
@@ -217,16 +216,17 @@ class ObsContext:
     def _dump_profile(self, name: str, prof) -> None:
         """Persist one phase capture: binary ``.pstats`` (load with
         :mod:`pstats`) plus a human-readable top-25-by-cumulative
-        ``.txt`` next to it."""
+        ``.txt`` next to it, numbered after the captures already in the
+        directory (the scopes that share it never overwrite one)."""
         import io
         import pstats
         from pathlib import Path
         directory = Path(self.profile_dir)
         directory.mkdir(parents=True, exist_ok=True)
-        self._profile_seq += 1
         safe = "".join(c if c.isalnum() or c in "._-" else "_"
                        for c in name)
-        base = directory / f"{self._profile_seq:03d}-{safe}"
+        seq = len(list(directory.glob("*.pstats"))) + 1
+        base = directory / f"{seq:03d}-{safe}"
         prof.dump_stats(str(base) + ".pstats")
         out = io.StringIO()
         stats = pstats.Stats(prof, stream=out)
@@ -270,17 +270,21 @@ def tracing(path=None, identity: str = "",
 
 
 @contextlib.contextmanager
-def collecting(registry: Optional[MetricsRegistry] = None
-               ) -> Iterator[MetricsRegistry]:
-    """Install a metrics-only scope (no trace file) and yield its
-    registry — the farm uses this around each worker task to collect
-    the per-task metrics it ships back to the parent.  The scope is
-    *isolated* (writes do not propagate to any enclosing context):
-    the snapshot travels to the parent explicitly — over IPC for farm
-    workers, via :meth:`ObsContext.merge` in the campaign — so serial
-    and forked execution produce identical totals, counted once."""
-    registry = registry if registry is not None else MetricsRegistry()
+def collecting() -> Iterator[MetricsRegistry]:
+    """Install a scope with its own metrics and yield its registry —
+    the farm uses this around each task to collect the per-task
+    metrics it ships back to the parent.  The metrics are *isolated*
+    (writes do not propagate to any enclosing context): the snapshot
+    travels to the parent explicitly — over IPC for farm workers, via
+    :meth:`ObsContext.merge` in the campaign — so serial and forked
+    execution produce identical totals, counted once.  The enclosing
+    scope's tracer and profile directory carry over: a task run
+    in-process writes its spans and captures where its invocation
+    does (a forked worker starts with :func:`reset`)."""
+    registry, outer = MetricsRegistry(), _ACTIVE
     ctx = ObsContext(metrics=registry)
+    if outer is not None:
+        ctx.tracer, ctx.profile_dir = outer.tracer, outer.profile_dir
     with install(ctx):
         yield registry
 

@@ -275,17 +275,14 @@ def clear_compile_cache() -> None:
 
 
 def compile_c(source: str, impl: Implementation = LP64,
-              name: str = "<string>",
-              use_cache: bool = True) -> CompiledProgram:
+              name: str = "<string>") -> CompiledProgram:
     """Run the front half of the pipeline: source -> Core.
 
-    Translations are memoised (``use_cache=False`` bypasses the cache,
-    e.g. for benchmarking the raw front end); the returned artifact is
-    shared, and safe to share, because execution state lives entirely
-    in per-run drivers and memory models."""
+    Translations are memoised (:func:`clear_compile_cache` forgets
+    them, so the next compile translates again); the returned artifact
+    is shared, and safe to share, because execution state lives
+    entirely in per-run drivers and memory models."""
     ctx = obs.active()
-    if not use_cache:
-        return _translate(source, impl, name, ctx)
     key = _cache_key(source, impl, name)
     with _cache_lock:
         program = _compile_cache.get(key)

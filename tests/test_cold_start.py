@@ -126,7 +126,7 @@ class TestStoreLoad:
             "# a field-less node unpickles without state, yet is built\n"
             "wild = [x for x in a if type(x) is K.PatWild]\n"
             "built = all(nodeclass.is_built(type(x)) for x in a)\n"
-            "fresh = compile_c(src, name='p', use_cache=False).core\n"
+            "fresh = compile_c(src, name='p').core\n"
             "# TagEnv compares by identity, so tags compare by content\n"
             "same = all(getattr(loaded, f.name) == getattr(fresh, f.name)\n"
             "           for f in dataclasses.fields(loaded)\n"

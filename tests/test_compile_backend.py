@@ -26,7 +26,9 @@ from repro.farm.explorestore import exploration_key
 from repro.farm.pool import task_stats
 from repro.farm.store import ArtifactStore
 from repro import obs
-from repro.pipeline import MODELS, compile_c, compile_for_model, run_many
+from repro.pipeline import (
+    MODELS, clear_compile_cache, compile_c, compile_for_model, run_many,
+)
 from repro.spec import ExploreSpec
 from repro.testsuite.goldens import (
     GOLDEN_SPEC, behaviour_set, compute_verdicts,
@@ -217,7 +219,8 @@ class TestLowering:
         assert compile_c(self.SRC).lowered() is first
 
     def test_one_lowering_serves_every_model(self):
-        program = compile_c(self.SRC, use_cache=False)
+        clear_compile_cache()
+        program = compile_c(self.SRC)
         lowered = program.lowered()
         for model in ("concrete", "provenance"):
             out = program.run(model, backend="compiled")
@@ -225,7 +228,8 @@ class TestLowering:
             assert program.lowered() is lowered
 
     def test_tree_backend_never_lowers(self, tmp_path):
-        program = compile_c(self.SRC, use_cache=False)
+        clear_compile_cache()
+        program = compile_c(self.SRC)
         result = program.explore("concrete", max_paths=10,
                                  store=tmp_path / "s", backend="tree")
         assert result.paths_run >= 1
@@ -234,7 +238,8 @@ class TestLowering:
     def test_every_lowering_is_traced_once(self):
         # A run's first driver lowers the program; that lowering is
         # the one pipeline.lower span, with its fusion counts.
-        program = compile_c(self.SRC, use_cache=False)
+        clear_compile_cache()
+        program = compile_c(self.SRC)
         with obs.collecting() as registry:
             for model in ("concrete", "provenance"):
                 program.run(model, backend="compiled")

@@ -3,8 +3,9 @@ scopes, initialiser corner cases, conversions."""
 
 import pytest
 
-from repro.errors import UnsupportedError
-from repro.pipeline import compile_c, run_c, run_many
+from repro.cli import main as cli_main
+from repro.errors import DesugarError, UnsupportedError
+from repro.pipeline import MODELS, compile_c, run_c, run_many
 
 
 class TestGotoRestrictions:
@@ -316,6 +317,63 @@ class TestFallingOffTheEnd:
     def test_main_returns_zero_from_its_end(self, backend):
         outcomes = run_many("int main(void){ }", backend=backend)
         assert {out.exit_code for out in outcomes.values()} == {0}
+
+
+class TestStaticInitialiser:
+    """§6.7.9p4: the initialiser of an object with static storage
+    duration holds only constant expressions, and a constant
+    expression contains no call, assignment, increment, decrement or
+    comma operator (§6.6p3) outside the operand of ``sizeof``."""
+
+    PROBES = [
+        "struct S { int y; };\n"
+        "struct S mk(void){ struct S s = {4}; return s; }\n"
+        "int x = mk().y;\nint main(void){ return x; }\n",
+        "int f(void){ return 3; }\n"
+        "int main(void){ static int y = f(); return y; }\n",
+        "int a;\nint b = (a = 2, 3);\nint main(void){ return b; }\n",
+    ]
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("src", PROBES,
+                             ids=["rvalue-member", "block-static-call",
+                                  "comma"])
+    def test_the_cli_rejects_it_under_every_model(self, tmp_path, capsys,
+                                                  src, backend):
+        path = tmp_path / "p.c"
+        path.write_text(src)
+        for model in MODELS:
+            assert cli_main([str(path), "--model", model,
+                             "--backend", backend]) == 2, model
+            err = capsys.readouterr().err
+            assert err.startswith("cerberus-py: DesugarError: "), err
+            assert "[ISO C11 §6.7.9p4]" in err, err
+
+    @pytest.mark.parametrize("src, what", [
+        ("int f(void); int x = f();", "a function call"),
+        ("int f(void); int x; int x = 1 + f();", "a function call"),
+        ("int a; int *p = &a; int b = (*p = 1);", "an assignment"),
+        ("int a; int b = a++;", "an increment or decrement"),
+        ("int main(void){ static int c = (1, 2); return c; }",
+         "a comma operator"),
+        ("int f(void); int a[2] = {1, f()};", "a function call"),
+    ], ids=["call", "tentative-merge", "assign", "incr", "block-comma",
+            "in-a-list"])
+    def test_each_operator_is_named(self, src, what):
+        with pytest.raises(DesugarError, match=f"contains {what}") as exc:
+            compile_c(src)
+        assert exc.value.iso == "6.7.9p4"
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    def test_an_unevaluated_sizeof_operand_is_allowed(self, backend):
+        outcomes = run_many("int f(void){ return 3; }\n"
+                            "int n = sizeof(f());\n"
+                            "int main(void){ static int m = sizeof f();"
+                            " return n + m; }\n", backend=backend)
+        assert len(outcomes) == 5
+        for model, out in outcomes.items():
+            assert out.status in ("done", "exit"), (model, out)
+            assert out.exit_code == 8, model
 
 
 class TestInitialiserEdges:

@@ -466,6 +466,34 @@ class TestCsmithCampaign:
         assert camp.summary["agree"] == parallel.agree
         assert [e["seed"] for e in camp.results] == seeds
 
+    def test_programs_run_as_plain_run_tasks(self, monkeypatch):
+        """The campaign generates each program itself and submits a
+        ``run`` task: a program the front end rejects is a failed
+        task, counted in the campaign's farm failures."""
+        import repro.csmith.generator as generator
+        generate = generator.generate_program
+
+        def rejected_at(seed, size=12):
+            program = generate(seed, size)
+            if seed == 9501:
+                program.source += "int broken = ;\n"
+            return program
+
+        monkeypatch.setattr(generator, "generate_program", rejected_at)
+        report, camp = csmith_campaign(seeds=[9500, 9501], size=6,
+                                       models=["concrete", "strict"])
+        assert (report.agree, report.failed, report.failures) == \
+            (1, 1, [9501])
+        agree, failed = camp.results
+        assert set(agree["verdicts"]) == {"concrete", "strict"}
+        assert failed["category"] == "failed"
+        assert failed["error"].startswith("ParseError: ")
+        assert failed["verdicts"] == {}
+        assert camp.metrics["farm"]["failures"] == 1
+        workers = camp.metrics["workers"]["counters"]
+        assert workers["farm.tasks"] == 2
+        assert workers["farm.task_failures"] == 1
+
 
 class TestFarmCli:
     def _write(self, tmp_path, source):

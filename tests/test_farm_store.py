@@ -89,7 +89,7 @@ class TestStoreBasics:
     def test_store_survives_direct_get_put(self, tmp_path):
         s = ArtifactStore(tmp_path / "s")
         assert s.get(SRC, LP64) is None
-        program = compile_c(SRC, use_cache=False)
+        program = compile_c(SRC)
         s.put(SRC, LP64, "<string>", program)
         loaded = s.get(SRC, LP64)
         assert loaded.run("provenance").exit_code == 42
@@ -175,7 +175,7 @@ class TestCorruption:
 class TestEviction:
     def _put(self, s, i):
         src = f"int main(void){{ return {i}; }}"
-        program = compile_c(src, use_cache=False)
+        program = compile_c(src)
         s.put(src, LP64, "<string>", program)
         return src
 
@@ -265,9 +265,9 @@ class TestHitRecency:
         a = "int main(void){ return 10; }"
         b = "int main(void){ return 11; }"
         s.put(a, LP64, "<string>",
-              compile_c(a, use_cache=False))
+              compile_c(a))
         s.put(b, LP64, "<string>",
-              compile_c(b, use_cache=False))
+              compile_c(b))
         s.get(a, LP64)                           # immediately after
         mtimes = {p.name: p.stat().st_mtime for p in _entry_paths(s)}
         assert len(set(mtimes.values())) == 2    # no tie
@@ -312,7 +312,7 @@ class TestExplorationRecords:
 
     def _explore(self, tmp_path, subdir="s", max_paths=100_000):
         store = ArtifactStore(tmp_path / subdir)
-        program = compile_c(UNSEQ, use_cache=False)
+        program = compile_c(UNSEQ)
         result = program.explore("concrete", max_paths=max_paths,
                                  store=store)
         return store, program, result
@@ -396,7 +396,7 @@ class TestExplorationRecords:
 
     def test_eviction_counts_exploration_bytes(self, tmp_path, counters):
         probe = ArtifactStore(tmp_path / "probe")
-        program = compile_c(UNSEQ, use_cache=False)
+        program = compile_c(UNSEQ)
         program.explore("concrete", max_paths=100_000, store=probe)
         record_size = probe.size_bytes()
         assert record_size > 0
@@ -418,9 +418,9 @@ class TestExplorationRecords:
         artifacts too — one budget, not two."""
         probe = ArtifactStore(tmp_path / "probe")
         probe.put(SRC, LP64, "<string>",
-                  compile_c(SRC, use_cache=False))
+                  compile_c(SRC))
         artifact_size = probe.size_bytes()
-        program = compile_c(UNSEQ, use_cache=False)
+        program = compile_c(UNSEQ)
         program.explore("concrete", max_paths=100_000, store=probe)
         record_size = probe.size_bytes() - artifact_size
         assert record_size > 0
@@ -430,7 +430,7 @@ class TestExplorationRecords:
             tmp_path / "shared",
             max_bytes=artifact_size + int(record_size * 2.5))
         store.put(SRC, LP64, "<string>",
-                  compile_c(SRC, use_cache=False))
+                  compile_c(SRC))
         assert store.get(SRC, LP64) is not None
         for model in ("concrete", "provenance", "gcc", "strict"):
             program.explore(model, max_paths=100_000, store=store)
@@ -445,8 +445,8 @@ class TestExplorationRecords:
         root = tmp_path / "versioned"
         old = ArtifactStore(root, build="an older build")
         old.put(SRC, LP64, "<string>",
-                compile_c(SRC, use_cache=False))
-        program = compile_c(UNSEQ, use_cache=False)
+                compile_c(SRC))
+        program = compile_c(UNSEQ)
         cold = program.explore("concrete", max_paths=100_000,
                                store=old)
         program.statics(old)
@@ -523,7 +523,7 @@ class TestSchemaVersion:
     def test_schema_bump_invalidates_old_entries(self, tmp_path, counters):
         root = tmp_path / "versioned"
         v1 = ArtifactStore(root)
-        program = compile_c(SRC, use_cache=False)
+        program = compile_c(SRC)
         v1.put(SRC, LP64, "<string>", program)
         assert v1.get(SRC, LP64) is not None
 

@@ -63,16 +63,6 @@ class TestAllocation:
         with pytest.raises(MemoryError_):
             m.kill(p.with_addr(p.addr + 4), dyn=True)
 
-    def test_snapshot_restore(self):
-        m = ProvenanceModel(LP64, TagEnv())
-        p = m.create(_INT, 4, "x", "static")
-        m.store(_QINT, p, iv(1))
-        snap = m.snapshot()
-        m.store(_QINT, p, iv(2))
-        m.restore(snap)
-        _, out = m.load(_QINT, p)
-        assert out.ival.value == 1
-
 
 class TestProvenanceChecking:
     def test_wrong_provenance_flagged(self):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.obs as obs
+from repro.cli import main as cli_main
 from repro.ctypes.implementation import LP64
 from repro.farm.campaign import sweep_campaign
 from repro.farm.pool import store_stats, sweep
@@ -92,6 +93,25 @@ class TestMetricsRegistry:
             outer.merge(inner.to_dict())
             assert outer.metrics.to_dict()["counters"][
                 "task.work"] == 3
+
+    def test_collecting_scope_writes_the_enclosing_trace(self, tmp_path):
+        # Its metrics are its own, but its spans go to the enclosing
+        # scope's trace file and captures to its profile directory,
+        # numbered after the enclosing scope's own.
+        path, prof = tmp_path / "t.jsonl", tmp_path / "prof"
+        with obs.tracing(str(path), profile_dir=str(prof)) as outer:
+            with outer.span("first", profile=True):
+                pass
+            with obs.collecting() as inner:
+                with obs.active().span("task", profile=True):
+                    pass
+        spans = [r["name"] for r in read_trace(str(path))
+                 if r["type"] == "span"]
+        assert spans == ["first", "task"]
+        assert "span.task" in inner.to_dict()["histograms"]
+        assert "span.task" not in outer.metrics.to_dict()["histograms"]
+        assert sorted(p.name for p in prof.glob("*.pstats")) == \
+            ["001-first.pstats", "002-task.pstats"]
 
 
 class TestTracing:
@@ -194,6 +214,44 @@ class TestCliRoundTrip:
             assert summary["phases"][f"pipeline.{phase}"]["count"] == 2
         s = _cli(["stats", "t.jsonl"], tmp_path)
         assert "pipeline.parse" in s.stdout
+
+    @pytest.mark.parametrize("flag", ["--models", "--model"])
+    def test_an_in_process_task_writes_its_spans(self, tmp_path, flag):
+        """A task run in-process (a single-model run, or ``--models``
+        at ``--jobs 1``) writes its front-end and exploration spans and
+        its paths timeline into the invocation's trace; its metrics
+        still reach the trace once, through the batch's merge."""
+        (tmp_path / "p.c").write_text(SRC_UNSEQ)
+        trace = tmp_path / "t.jsonl"
+        assert cli_main([str(tmp_path / "p.c"), flag, "concrete",
+                         "--exhaustive", "--trace", str(trace)]) == 0
+        records = read_trace(str(trace))
+        spans = [r["name"] for r in records if r["type"] == "span"]
+        for phase in ("lex", "parse", "desugar", "typecheck",
+                      "elaborate", "check_core", "lower"):
+            assert spans.count(f"pipeline.{phase}") == 1, phase
+        assert spans.count("explore") == 1
+        assert {r["name"] for r in records
+                if r["type"] == "timeline"} == {"explore.paths"}
+        hists = records[-1]["metrics"]["histograms"]
+        assert hists["span.pipeline.parse"]["count"] == 1
+        assert hists["span.explore"]["count"] == 1
+
+    def test_in_process_tasks_write_profile_captures(self, tmp_path):
+        # --models all translates twice (LP64, and CHERI128 for
+        # cheri): every phase is captured twice, numbered apart.
+        (tmp_path / "p.c").write_text(SRC_OK)
+        prof = tmp_path / "prof"
+        assert cli_main([str(tmp_path / "p.c"), "--models", "all",
+                         "--profile", str(prof)]) == 0
+        captures = sorted(p.stem for p in prof.glob("*.pstats"))
+        phases = [c.split("-", 1)[1] for c in captures]
+        for phase in ("lex", "parse", "desugar", "typecheck",
+                      "elaborate", "check_core"):
+            assert phases.count(f"pipeline.{phase}") == 2, phase
+        assert len({c.split("-", 1)[0] for c in captures}) == \
+            len(captures)
+        assert len(list(prof.glob("*.txt"))) == len(captures)
 
     def test_run_id_is_deterministic_across_invocations(
             self, tmp_path):

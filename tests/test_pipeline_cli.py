@@ -73,14 +73,9 @@ class TestCompileCache:
         # one cached artifact: the second compile translated nothing
         assert stats["translations"] == 1
 
-    def test_cache_bypass_and_key_discrimination(self, counters):
+    def test_cache_key_discrimination(self, counters):
         clear_compile_cache()
         a = compile_c(self.SRC)
-        fresh = compile_c(self.SRC, use_cache=False)
-        assert fresh is not a
-        # The bypass neither consulted nor filled the cache.
-        stats = counters()
-        assert (stats["memory_hits"], stats["memory_misses"]) == (0, 1)
         assert compile_c(self.SRC) is a
         other_impl = compile_c(self.SRC, impl=ILP32)
         other_src = compile_c("int main(void){ return 42; }")
@@ -107,8 +102,6 @@ class TestCompileCache:
         compile_c(self.SRC)
         compile_c(self.SRC)                     # in-memory hit
         assert counters()["translations"] == 1
-        compile_c(self.SRC, use_cache=False)    # bypass still counts
-        assert counters()["translations"] == 2
 
 
 class TestBatchExecution:
@@ -270,7 +263,10 @@ class TestCli:
     def test_static_error_reported(self, tmp_path, capsys):
         path = self._write(tmp_path, "int main(void){ return y; }")
         assert cli_main([path]) == 2
-        assert "desugaring" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the failed task's text: the exception named, as --models
+        assert err.startswith("cerberus-py: DesugarError: ")
+        assert "desugaring" in err
 
     def test_pp_core(self, tmp_path, capsys):
         path = self._write(tmp_path, "int main(void){ return 1 << 2; }")
@@ -399,6 +395,65 @@ int main(void) {
         assert all(m in out for m in MODELS)
         assert cli_main([path, "--models", "nope"]) == 2
         assert "unknown model" in capsys.readouterr().err
+
+
+class TestSingleModelTask:
+    """A single-model run is a one-model batch through ``run_tasks``
+    -> ``execute_task``: a program that raises is a classified failure
+    — ``cerberus-py: <error>``, exit 2, no traceback — in run mode and
+    exhaustive mode alike, as ``--models`` reports it."""
+
+    PROBES = {
+        "printf-n": ('#include <stdio.h>\nint main(void){ int n = 0; '
+                     'printf("ab%n\\n", &n); return n; }\n', "%n"),
+        "printf-Lf": ('#include <stdio.h>\nint main(void){ long double '
+                      'x = 1.5L; printf("%Lf\\n", x); return 0; }\n',
+                      "%L"),
+    }
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    @pytest.mark.parametrize("mode", [[], ["--exhaustive", "--jobs", "1"]],
+                             ids=["run", "exhaustive"])
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_a_raising_program_is_a_classified_failure(
+            self, tmp_path, capsys, probe, mode, backend):
+        source, conversion = self.PROBES[probe]
+        path = tmp_path / "p.c"
+        path.write_text(source)
+        assert cli_main([str(path), "--model", "concrete",
+                         "--backend", backend, *mode]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("cerberus-py: InternalError: "), err
+        assert f"unsupported conversion {conversion}" in err
+        assert "Traceback" not in err
+        cli_main([str(path), "--models", "concrete",
+                  "--backend", backend, *mode])
+        line = capsys.readouterr().out
+        assert line == f"concrete     error: {err[len('cerberus-py: '):]}"
+
+    def test_exhaustive_listing_identical_at_any_jobs(self, tmp_path,
+                                                      capsys):
+        # --jobs 1 runs one explore task, --jobs 2 shards the frontier
+        # (explore_farm): one listing, behaviours sorted.
+        path = tmp_path / "p.c"
+        path.write_text("#include <stdio.h>\nint x;\n"
+                        "int f(void){ x = 1; return 0; }\n"
+                        "int g(void){ x = 2; return 0; }\n"
+                        "int main(void){ int y = f() + g();"
+                        " printf(\"%d\\n\", x); return y; }\n")
+        runs = []
+        for jobs in ("1", "2"):
+            code = cli_main([str(path), "--exhaustive", "--jobs", jobs])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("executions explored: ")
+        assert lines[0].endswith(" (complete)")
+        assert lines[1:] == ["  exit=0 stdout='1\\n'",
+                             "  exit=0 stdout='2\\n'"]
 
 
 class TestUnspecifiedOptions:

@@ -27,7 +27,7 @@ from repro.farm.frontier import explore_farm
 from repro.farm.server import validate_submit
 from repro.memory.base import MemoryOptions
 from repro.obs.trace import run_id_for
-from repro.pipeline import compile_c, explore_c, run_c
+from repro.pipeline import clear_compile_cache, compile_c, explore_c, run_c
 from repro.spec import BUDGETS, ExploreSpec, RunSpec, SpecError, choices
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,7 +189,7 @@ from repro.testsuite.programs import TESTS
 h = hashlib.sha256()
 for name in sorted(TESTS):
     try:
-        core = compile_c(TESTS[name].source, use_cache=False).core
+        core = compile_c(TESTS[name].source).core
     except Exception as exc:
         h.update(type(exc).__name__.encode())
         continue
@@ -201,8 +201,10 @@ print(h.hexdigest())
 class TestDeterministicCore:
     def test_repeated_compiles_print_identical_core(self):
         src = (ROOT / "examples" / "c" / "provenance_tour.c").read_text()
-        first = pretty_program(compile_c(src, use_cache=False).core)
-        second = pretty_program(compile_c(src, use_cache=False).core)
+        clear_compile_cache()
+        first = pretty_program(compile_c(src).core)
+        clear_compile_cache()                   # a second translation
+        second = pretty_program(compile_c(src).core)
         assert first == second
 
     def test_core_is_independent_of_the_hash_seed(self):
