@@ -10,11 +10,11 @@ floor so a regression in the lowering or the machine fails CI instead
 of silently eroding the back end's reason to exist.
 
 Exploration runs the same machine, with every ``unseq`` interleaved
-through the oracle and every action logged for partial-order
-reduction.  One explored path (a driver with an event-logging oracle
-and an empty prefix — the explorer's first path) is timed next to the
-plain run of each shape, and the aggregate explored/run ratio must
-stay at or below ``MAX_EXPLORED_RATIO``.
+through the oracle (actions are logged only for partial-order
+reduction).  One explored path (a driver handed an oracle with an
+empty prefix and no event log — the explorer's first path without
+POR) is timed next to the plain run of each shape, and the aggregate
+explored/run ratio must stay at or below ``MAX_EXPLORED_RATIO``.
 
 PR 7's telemetry is the measuring stick: each timed run executes
 under ``obs.collecting()`` and the numbers come from the driver's own
@@ -162,9 +162,11 @@ int main(void) {
 
 
 def _explored_path(program):
-    """The explorer's first path: an event-logging oracle, no prefix."""
+    """The explorer's first path without POR: the driver is handed an
+    oracle with no prefix, so it asks at every choice point, and the
+    oracle keeps the choice trace only (the event log is POR's)."""
     return Driver(program.core, program.make_model(MODEL),
-                  Oracle(record_events=True)).run()
+                  Oracle()).run()
 
 
 def _observed_run(program, backend, explored=False):

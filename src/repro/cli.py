@@ -315,7 +315,7 @@ def _dispatch_main(args, source: str, impl, spec) -> int:
             return 2
         print(pretty_program(program.core))
         return 0
-    from .farm.pool import ExploreSummary, SweepTask, run_tasks
+    from .farm.pool import ExploreSummary, SweepTask, TaskFailure, run_tasks
     if args.exhaustive and args.jobs > 1 and not args.models:
         from .farm.frontier import explore_farm
         try:
@@ -323,11 +323,14 @@ def _dispatch_main(args, source: str, impl, spec) -> int:
                 source, args.model, impl, spec, jobs=args.jobs,
                 store=get_artifact_store() if args.store else None,
                 name=args.file))
-        except CerberusError as exc:
-            print(f"cerberus-py: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            return 2
-        return _print_exploration(args, result)
+        except CerberusError as exc:    # raised while seeding
+            error = f"{type(exc).__name__}: {exc}"
+        except TaskFailure as exc:      # raised in a shard
+            error = str(exc)
+        else:
+            return _print_exploration(args, result)
+        print(f"cerberus-py: {error}", file=sys.stderr)
+        return 2
     try:
         models = _parse_models(args.models) if args.models \
             else [args.model]

@@ -7,12 +7,13 @@ select whether to perform an exhaustive search for all allowed executions
 or pseudorandomly explore single execution paths" (paper §5.1): here the
 monad is reified as the :class:`Oracle` — a replayable sequence of
 choices.  The state-space explorer (:mod:`repro.dynamics.explore`)
-enumerates oracle paths under a pluggable search strategy; the random
-driver draws them from a seed.  Beyond the choice trace, the oracle
-records a unified *event log* — scheduling choices with their unseq
-frame metadata, and performed actions with footprints and scheduling
-chains — which the explorer's sleep-set partial-order reduction feeds
-on, and it hosts the live sleep set the POR scheduler consults
+enumerates oracle paths under a pluggable search strategy, branching
+on the oracle's choice trace; the random driver draws them from a
+seed.  Under partial-order reduction the oracle also records a unified
+*event log* — scheduling choices with their unseq frame metadata, and
+performed actions with footprints and scheduling chains — which the
+explorer's sleep-set reduction feeds on, and it hosts the live sleep
+set the POR scheduler consults
 (:exc:`PathPruned` aborts a path whose remaining interleavings are
 re-orderings of executions already covered).
 """
@@ -81,9 +82,10 @@ class Oracle:
     scheduling avoids sleeping candidates and raises :exc:`PathPruned`
     when none remain; conflicting (or barrier) actions wake entries.
 
-    ``record_events`` turns the event log on — only the explorer reads
-    it, so plain single-run oracles skip the per-action bookkeeping
-    (and the unbounded list) entirely.
+    ``record_events`` turns the event log on — only the explorer's
+    POR reads it, so plain single runs and exploration without POR
+    skip the per-action bookkeeping (and the unbounded list) entirely:
+    their siblings come from the choice trace alone.
     """
 
     def __init__(self, path: Optional[List[int]] = None,
@@ -183,11 +185,11 @@ class Outcome:
                              str(self.loc) if self.loc.line > 0 else "")
         if self.status in ("done", "exit"):
             return f"exit={self.exit_code} stdout={self.stdout!r}"
-        if self.status == "abort":
-            return "abort"
-        if self.status == "error":
-            return f"error: {self.error}"
-        return self.status
+        line = f"error: {self.error}" if self.status == "error" \
+            else self.status
+        # The stdout tells such behaviours apart (behaviour_key keys
+        # on it), so two of them never print as one line.
+        return f"{line} stdout={self.stdout!r}" if self.stdout else line
 
 
 @dataclass
@@ -220,13 +222,13 @@ class Driver:
                  deadline: Optional[float] = None):
         self.program = program
         self.model = model
-        self.oracle = oracle or Oracle()
+        self.oracle = Oracle() if oracle is None else oracle
         self.model.choose = self.oracle.choose
         static_prune = getattr(spec, "static_prune", False)
         # POR bookkeeping (event log + live sleep set) is only worth
-        # feeding when someone is listening: the single-run fast path
-        # must not pay for it (ROADMAP: "event logging is zero-cost
-        # when not exploring").
+        # feeding when someone is listening: the single-run fast path,
+        # and exploration without POR, must not pay for it (ROADMAP:
+        # "event logging is zero-cost when not exploring").
         self._por_notify = self.oracle.events is not None \
             or bool(self.oracle.sleep)
         self.threads: Dict[int, _Thread] = {}
@@ -234,13 +236,12 @@ class Driver:
             from .compile import CompiledEvaluator
             self.evaluator = CompiledEvaluator(
                 program, model, static_prune=static_prune)
-            # A plain oracle (no replay prefix, no rng, no POR
-            # listeners) picks candidate 0 at every unseq choice, which
-            # is program order: the machine then runs unseq children
-            # one after the other without asking it.
-            self.evaluator.attach(
-                self, not self._por_notify and not self.oracle.path
-                and self.oracle.rng is None)
+            # The driver's own oracle picks candidate 0 at every unseq
+            # choice, which is program order: the machine then runs
+            # unseq children one after the other without asking it.
+            # A caller's oracle (an explorer's, a seeded one) sees
+            # every choice point.
+            self.evaluator.attach(self, oracle is None)
         else:
             self.evaluator = Evaluator(program, model,
                                        static_prune=static_prune)

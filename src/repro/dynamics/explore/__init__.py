@@ -13,23 +13,29 @@ state-space engine over oracle choice prefixes:
     tags).
 
 :mod:`~repro.dynamics.explore.por`
-    Sleep-set partial-order reduction at ``unseq`` scheduling points:
-    the evaluator tags each scheduling choice with its unseq frame and
-    candidate children, each performed action with the frame chain
-    that scheduled it, and the explorer prunes sibling orders whose
-    next actions do not conflict (no overlapping
+    Frontier nodes and sibling generation: siblings come from a run's
+    choice trace, and every sibling of one run shares that run's
+    choice tuple, so a child costs O(1) however deep it branches.
+    With ``por=True``, sleep-set partial-order reduction at ``unseq``
+    scheduling points: the evaluator tags each scheduling choice with
+    its unseq frame and candidate children, the oracle logs each
+    performed action with the frame chain that scheduled it (the
+    event log, recorded only under POR), and the explorer prunes
+    sibling orders whose next actions do not conflict (no overlapping
     :class:`~repro.memory.base.Footprint` with a write), provably
     preserving the set of distinct behaviours.
 
 :mod:`~repro.dynamics.explore.engine`
     The replay loop — each popped path prefix is re-run on a fresh
-    driver, sibling prefixes are generated from the recorded
-    choice/action event log, and the frontier can be handed off
-    mid-flight for farm sharding (:mod:`repro.farm.frontier`).
+    driver, sibling prefixes are generated from the run's choice
+    trace (under POR, its event log), and the frontier can be handed
+    off mid-flight for farm sharding (:mod:`repro.farm.frontier`).
 
 :mod:`~repro.dynamics.explore.result`
     :class:`ExplorationResult` — outcome accounting, behaviour
-    deduplication (UB name *and* location), shard merging.
+    deduplication (UB name *and* location), shard merging.  Only the
+    first outcome of each behaviour keeps its choice trace: that
+    behaviour's replayable witness.
 
 The resume seam
 ===============

@@ -4,9 +4,12 @@ frontier of oracle choice prefixes.
 Each popped :class:`~repro.dynamics.explore.por.PathNode` is re-run on
 a fresh driver (and fresh memory model) with an
 :class:`~repro.dynamics.driver.Oracle` replaying its prefix; sibling
-prefixes are generated from the run's recorded choice/action event log
-(:func:`~repro.dynamics.explore.por.generate_branches`).  The engine
-adds, on top of the historical replay-DFS:
+prefixes come from the run's choice trace
+(:func:`~repro.dynamics.explore.por.generate_branches`), all of them
+sharing one tuple of the run's choices, so a child costs O(1).  The
+per-action event log belongs to POR: the oracle records it only when
+``spec.por`` is on.  The engine adds, on top of the historical
+replay-DFS:
 
 * pluggable :class:`~repro.dynamics.explore.strategies.SearchStrategy`
   frontier orderings (``dfs``/``bfs``/``random``/``coverage``);
@@ -72,9 +75,11 @@ class Explorer:
         # merged accounting equals an uninterrupted run's.
         self.requeue_interrupted = requeue_interrupted
         self._pending: List[PathNode] = []
-        # (node, events, completed) of a last path whose siblings are
+        # (node, trace, completed) of a last path whose siblings are
         # built only when ``pending`` is read.
         self._deferred: Optional[tuple] = None
+        #: The largest frontier of the last :meth:`run`.
+        self.frontier_peak = 0
 
     @property
     def pending(self) -> List[PathNode]:
@@ -91,9 +96,8 @@ class Explorer:
     def pending(self, nodes: List[PathNode]) -> None:
         self._pending = nodes
 
-    def _push_branches(self, node, events, completed, ctx) -> None:
-        points = generate_branches(node, events, self.spec.por,
-                                   completed)
+    def _push_branches(self, node, log, completed, ctx) -> None:
+        points = generate_branches(node, log, self.spec.por, completed)
         if ctx is not None and points:
             ctx.inc("explore.choice_points", len(points))
         for point in reversed(points):
@@ -104,8 +108,10 @@ class Explorer:
         """One enumeration.  With observability on, the whole run is
         an ``explore`` span, per-enumeration counters (paths, pruned,
         diverged, abandoned, requeued, choice points) are recorded,
-        and — when tracing to a file — a cumulative paths-over-time
-        timeline is sampled (the paths/sec curve)."""
+        the largest frontier of the run is observed
+        (``explore.frontier_peak``), and — when tracing to a file — a
+        cumulative paths-over-time timeline is sampled (the paths/sec
+        curve)."""
         ctx = obs.active()
         if ctx is None:
             return self._run(None)
@@ -116,6 +122,7 @@ class Explorer:
         ctx.inc("explore.pruned", result.pruned)
         ctx.inc("explore.diverged", result.diverged)
         ctx.inc("explore.abandoned", result.abandoned)
+        ctx.observe("explore.frontier_peak", self.frontier_peak)
         return result
 
     def _run(self, ctx) -> ExplorationResult:
@@ -131,6 +138,9 @@ class Explorer:
             if not isinstance(node, PathNode):
                 node = PathNode(tuple(node))
             self.strategy.push(node)
+        por = self.spec.por
+        witnessed = set()           # behaviour keys holding a trace
+        self.frontier_peak = len(self.strategy)
         while len(self.strategy):
             if result.paths_run >= self.spec.max_paths or \
                     (deadline is not None and
@@ -144,9 +154,8 @@ class Explorer:
                 # dispatches it across shards), exhausted untouched.
                 break
             node = self.strategy.pop()
-            oracle = Oracle(list(node.choices),
-                            sleep=node.sleep if self.spec.por else (),
-                            record_events=True)
+            oracle = Oracle(node.choices, sleep=node.sleep if por else (),
+                            record_events=por)
             driver = self.make_driver(oracle)
             if deadline is not None:
                 driver.deadline = deadline   # cooperative in-path stop
@@ -198,26 +207,34 @@ class Explorer:
             if outcome.status == "pruned":
                 result.pruned += 1
             else:
+                # Only the first outcome of a behaviour keeps its
+                # trace: that behaviour's replayable witness.
+                key = ExplorationResult.behaviour_key(outcome)
+                if key in witnessed:
+                    outcome.trace = []
+                else:
+                    witnessed.add(key)
                 result.outcomes.append(outcome)
             # Deepest point first, alternatives in order: under the
             # LIFO dfs strategy the earliest flip pops next — exactly
             # the historical DFS order.
             completed = outcome.status in ("done", "exit")
-            if result.paths_run >= self.spec.max_paths \
-                    and not self.spec.por:
+            if result.paths_run >= self.spec.max_paths and not por:
                 # The budget is spent, so this path's siblings only
-                # matter to a reader of ``pending``: build them then
-                # (a deep path has O(depth**2) prefix entries).
+                # matter to a reader of ``pending``: build them then.
                 # Without POR every choice point of arity > 1 yields
                 # siblings.
-                self._deferred = (node, oracle.events, completed)
-                fresh = oracle.trace[len(node.choices):]
+                self._deferred = (node, oracle.trace, completed)
+                fresh = oracle.trace[node.depth:]
                 if ctx is not None and fresh:
                     ctx.inc("explore.choice_points", len(fresh))
                 if any(n > 1 for _tag, n, _c in fresh):
                     result.exhausted = False
                 continue
-            self._push_branches(node, oracle.events, completed, ctx)
+            self._push_branches(node, oracle.events if por
+                                else oracle.trace, completed, ctx)
+            if len(self.strategy) > self.frontier_peak:
+                self.frontier_peak = len(self.strategy)
         if self._deferred is None:
             self.pending = self.strategy.drain()
         if tracer is not None:

@@ -1,4 +1,12 @@
-"""Sleep-set partial-order reduction at ``unseq`` scheduling points.
+"""Sibling generation, and sleep-set partial-order reduction at
+``unseq`` scheduling points.
+
+Siblings come from a run's *choice trace*: every choice point past
+the replayed prefix yields one :class:`PathNode` per untried
+alternative, and every sibling made from one run shares that run's
+choice tuple, built once, so a child costs O(1) however deep its
+branch point.  The per-action *event log* belongs to POR: only with
+``por=True`` does the explorer's oracle record it.
 
 The evaluator's ``("choose", "unseq", n, meta)`` request carries the
 unseq frame id and the candidate child indices; every performed memory
@@ -46,8 +54,7 @@ by the POR soundness tests (identical ``distinct()`` behaviour sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..actions import footprints_conflict
 
@@ -58,15 +65,77 @@ from ..actions import footprints_conflict
 SleepEntry = Tuple[int, int, int, int, bool]
 
 
-@dataclass(frozen=True)
 class PathNode:
     """One frontier element: a replayable oracle choice prefix, the
     sleep set active at its branch point, and the ``(tag, alt)`` flip
-    that created it (coverage-guided search keys on it)."""
+    that created it (coverage-guided search keys on it).
 
-    choices: Tuple[int, ...] = ()
-    sleep: Tuple[SleepEntry, ...] = ()
-    flip: Optional[Tuple[str, int]] = None
+    A sibling costs O(1): it keeps the choice tuple ``run`` of the run
+    it was made from, shared by every sibling of that run, plus its
+    branch ``point`` and alternative ``alt``.  Its prefix
+    :attr:`choices` is ``run[:point] + (alt,)``, built only when asked
+    for (a pop, a shard prefix, a comparison).  A node made from an
+    explicit prefix, ``PathNode(choices, sleep, flip)``, holds that
+    prefix as ``run`` and no ``alt``.  Equality and hashing go by
+    ``(choices, sleep, flip)``; the pickled form keeps ``run`` shared,
+    so the pickle memo writes a run's tuple once for all its
+    siblings."""
+
+    __slots__ = ("run", "point", "alt", "sleep", "flip")
+
+    def __init__(self, choices: Tuple[int, ...] = (),
+                 sleep: Tuple[SleepEntry, ...] = (),
+                 flip: Optional[Tuple[str, int]] = None):
+        self.run = tuple(choices)
+        self.point = len(self.run)
+        self.alt = None
+        self.sleep = sleep
+        self.flip = flip
+
+    @property
+    def choices(self) -> Tuple[int, ...]:
+        if self.alt is None:
+            return self.run
+        return self.run[:self.point] + (self.alt,)
+
+    @property
+    def depth(self) -> int:
+        """``len(choices)``, without building it."""
+        return self.point if self.alt is None else self.point + 1
+
+    def _key(self) -> tuple:
+        return self.choices, self.sleep, self.flip
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PathNode:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"PathNode(choices={self.choices!r}, "
+                f"sleep={self.sleep!r}, flip={self.flip!r})")
+
+    def __reduce__(self):
+        return _sibling, (self.run, self.point, self.alt, self.sleep,
+                          self.flip)
+
+
+def _sibling(run: Tuple[int, ...], point: int, alt: Optional[int],
+             sleep: Tuple[SleepEntry, ...],
+             flip: Optional[Tuple[str, int]]) -> PathNode:
+    """The node ``run[:point] + (alt,)`` sharing ``run`` (the whole
+    ``run``, ``point == len(run)``, when ``alt`` is None); also the
+    pickled form's constructor."""
+    node = object.__new__(PathNode)
+    node.run = run
+    node.point = point
+    node.alt = alt
+    node.sleep = sleep
+    node.flip = flip
+    return node
 
 
 # The transition of a candidate that completes without performing any
@@ -109,24 +178,46 @@ def next_transition(events: List[tuple], start: int, frame: int,
 
 def generate_branches(node: PathNode, events: List[tuple],
                       por: bool,
-                      completed: bool = False) -> List[List[PathNode]]:
+                      completed: bool = False
+                      ) -> List[Sequence[PathNode]]:
     """Sibling prefixes for every *new* choice point of a completed
     (or pruned) run, grouped per point in forward order.
 
-    Without POR this reproduces the historical DFS branching exactly:
-    every untried alternative of every choice point beyond the
-    replayed prefix.  With POR, ``unseq`` points skip alternatives
-    that are asleep (their order is covered by an earlier sibling's
-    subtree) and pass sleep sets down per the sleep-set rule."""
-    out: List[List[PathNode]] = []
-    live: List[SleepEntry] = list(node.sleep) if por else []
-    branch_at = len(node.choices)
-    taken: List[int] = []
+    ``events`` is the run's log: without POR its choice trace, the
+    oracle's ``(tag, n, chosen)`` entries, from which every untried
+    alternative of every choice point beyond the replayed prefix is a
+    sibling; with POR its event log, where ``unseq`` points skip
+    alternatives that are asleep (their order is covered by an earlier
+    sibling's subtree) and pass sleep sets down per the sleep-set
+    rule.  Every sibling shares one tuple of the run's choices."""
+    branch_at = node.depth
+    if not por:
+        run = tuple([chosen for _tag, _n, chosen in events])
+        flips: dict = {}        # tag -> its (tag, alt) flips, shared
+        out = []
+        for point in range(branch_at, len(events)):
+            tag, n, chosen = events[point]
+            row = flips.get(tag)
+            if row is None or len(row) < n:
+                row = flips[tag] = [(tag, alt) for alt in range(n)]
+            # A flip changes control flow arbitrarily, so siblings
+            # start with an empty sleep set.
+            if n == 2:          # most points: one sibling
+                alt = 1 - chosen
+                out.append((_sibling(run, point, alt, (), row[alt]),))
+            else:
+                out.append(tuple([_sibling(run, point, alt, (), row[alt])
+                                  for alt in range(n) if alt != chosen]))
+        return out
+    run = tuple([ev[3] for ev in events if ev[0] == "choose"])
+    out: List[Sequence[PathNode]] = []
+    live: List[SleepEntry] = list(node.sleep)
+    seen = 0                    # choice points so far
     for ev_idx, ev in enumerate(events):
         if ev[0] == "act":
             # Wake-up propagation starts at the branch point; events
             # in the replayed region pre-date every live entry.
-            if live and len(taken) >= branch_at:
+            if live and seen >= branch_at:
                 _, _kind, fp, is_write, _chain, barrier = ev
                 if barrier or fp is None:
                     live = []
@@ -137,25 +228,22 @@ def generate_branches(node: PathNode, events: List[tuple],
                                 fp.addr, fp.size, is_write)]
             continue
         _, tag, n, chosen, meta = ev
-        point = len(taken)
-        base = tuple(taken)
-        taken.append(chosen)
+        point, seen = seen, seen + 1
         if point < branch_at:
             continue
-        if por and tag == "unseq" and meta is not None:
-            out.append(_unseq_siblings(base, ev_idx, events, live,
-                                       tag, n, chosen, meta,
+        if tag == "unseq" and meta is not None:
+            out.append(_unseq_siblings(run, point, ev_idx, events,
+                                       live, tag, n, chosen, meta,
                                        completed))
         else:
-            # A flip at a non-unseq point changes control flow
-            # arbitrarily, so siblings restart with an empty sleep
-            # set (conservative: prunes less, never more).
-            out.append([PathNode(base + (alt,), (), (tag, alt))
+            # As without POR: a non-unseq flip restarts with an empty
+            # sleep set (conservative: prunes less, never more).
+            out.append([_sibling(run, point, alt, (), (tag, alt))
                         for alt in range(n) if alt != chosen])
     return out
 
 
-def _unseq_siblings(base: Tuple[int, ...], ev_idx: int,
+def _unseq_siblings(run: Tuple[int, ...], point: int, ev_idx: int,
                     events: List[tuple], live: List[SleepEntry],
                     tag: str, n: int, chosen: int,
                     meta: tuple, completed: bool) -> List[PathNode]:
@@ -209,6 +297,7 @@ def _unseq_siblings(base: Tuple[int, ...], ev_idx: int,
                         t_j[0], t_j[1], t_j[2], addr, size, is_write):
                     sleep.append((frame, cands[j],
                                   t_j[0], t_j[1], t_j[2]))
-        nodes.append(PathNode(base + (alt,), tuple(sleep), (tag, alt)))
+        nodes.append(_sibling(run, point, alt, tuple(sleep),
+                              (tag, alt)))
         explored.append(alt)
     return nodes

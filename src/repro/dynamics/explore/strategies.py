@@ -121,7 +121,7 @@ class BfsStrategy(SearchStrategy):
 
     def push(self, node: PathNode) -> None:
         heapq.heappush(self._heap,
-                       (len(node.choices), next(self._seq), node))
+                       (node.depth, next(self._seq), node))
 
     def pop(self) -> PathNode:
         return heapq.heappop(self._heap)[2]

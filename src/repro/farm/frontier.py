@@ -26,7 +26,10 @@ parallelises the same way corpora do:
    is hit the totals equal a serial exploration's — and the merge is
    ``exhausted`` only when no part lost a subtree and no node is left
    over (a shard's remainder, or the root of a shard whose worker
-   failed).
+   died or overran its hard timeout).  A shard whose program raised
+   fails the whole exploration with that error
+   (:class:`~repro.farm.pool.TaskFailure`), as the same path does in
+   a serial run.
 
 The global ``max_paths`` budget is split evenly across shards
 (ceiling), which bounds the merged total near the serial budget but
@@ -65,7 +68,7 @@ from ..dynamics.explore import (
 from ..pipeline import compile_for_model
 from ..spec import ExploreSpec
 from .explorestore import exploration_key
-from .pool import SweepTask, run_tasks
+from .pool import SweepTask, TaskFailure, run_tasks
 from .store import as_store
 
 #: Seed until there are this many roots per worker.
@@ -161,6 +164,11 @@ def explore_farm(source: str,
         parts = [seeded]
         leftover: List[PathNode] = []
         for node, r in zip(roots, results):
+            if not r.ok and "metrics" in r.data:
+                # The shard ran and its program raised: the
+                # exploration fails as a serial one does.  (A worker
+                # that died or overran sent no metrics.)
+                raise TaskFailure(r.error)
             shard = r.data.get("shard") if r.ok else None
             if shard is None:
                 # Worker died or timed out hard: its partial work is

@@ -176,6 +176,13 @@ class SweepTask:
     submitted_m: Optional[float] = None
 
 
+class TaskFailure(Exception):
+    """A task whose work raised, re-raised by an owner that cannot
+    report a partial batch (:func:`~repro.farm.frontier.explore_farm`
+    for a shard whose program raised): its text is the task's
+    ``error``, ``"<exception type>: <message>"``."""
+
+
 @dataclass
 class TaskResult:
     index: int

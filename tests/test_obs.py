@@ -15,6 +15,7 @@ import pytest
 import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.ctypes.implementation import LP64
+from repro.dynamics.explore import Explorer, driver_factory
 from repro.farm.campaign import sweep_campaign
 from repro.farm.pool import store_stats, sweep
 from repro.farm.store import ArtifactStore, StoreCorruptionWarning
@@ -180,6 +181,31 @@ class TestCliRoundTrip:
         assert summary["explorer"]["paths"] == \
             summary["metrics"]["counters"]["explore.paths"]
         assert summary["phases"]["pipeline.parse"]["count"] == 1
+
+    def test_exhaustive_metrics_list_the_frontier_peak(self, tmp_path,
+                                                        capsys):
+        """The explorer observes its largest frontier once per
+        exploration (``explore.frontier_peak``), so ``--exhaustive
+        --metrics`` lists it."""
+        (tmp_path / "p.c").write_text(SRC_UNSEQ)
+        assert cli_main([str(tmp_path / "p.c"), "--model", "concrete",
+                         "--exhaustive", "--metrics"]) == 0
+        assert "explore.frontier_peak: count=1 " in \
+            capsys.readouterr().err
+        program = compile_c(SRC_UNSEQ)
+        spec = ExploreSpec(max_paths=50)
+        explorer = Explorer(driver_factory(
+            program.core, lambda: program.make_model("concrete", spec),
+            spec), spec)
+        sizes = []
+        push = explorer.strategy.push
+        explorer.strategy.push = lambda node: (
+            push(node), sizes.append(len(explorer.strategy)))
+        with obs.collecting() as registry:
+            explorer.run()
+        peak = registry.to_dict()["histograms"]["explore.frontier_peak"]
+        assert peak["count"] == 1
+        assert peak["max"] == explorer.frontier_peak == max(sizes) > 1
 
     def test_the_trace_sees_the_import(self, tmp_path):
         """``cli.import`` runs from when the ``repro`` package started

@@ -432,6 +432,54 @@ class TestSingleModelTask:
         line = capsys.readouterr().out
         assert line == f"concrete     error: {err[len('cerberus-py: '):]}"
 
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    def test_a_raising_shard_fails_as_a_serial_run(self, tmp_path,
+                                                   capsys, backend):
+        # Only paths where f wrote x last reach the %n printf: at
+        # --jobs 2 one of them runs in a shard, whose error is the
+        # exploration's, as at --jobs 1.
+        path = tmp_path / "p.c"
+        path.write_text(
+            "#include <stdio.h>\nint x;\n"
+            "int f(void){ x = 1; return 0; }\n"
+            "int g(void){ x = 2; return 0; }\n"
+            "int h(void){ return 0; }\n"
+            "int main(void){ int n; int y = f() + g();"
+            " int z = h() + h() + h();"
+            " if (x == 1) printf(\"%n\", &n); return y + z; }\n")
+        runs = []
+        for jobs in ("1", "2"):
+            code = cli_main([str(path), "--model", "concrete",
+                             "--exhaustive", "--backend", backend,
+                             "--jobs", jobs])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out) == (2, "")
+        assert err.startswith("cerberus-py: InternalError: ")
+        assert err.endswith("unsupported conversion %n\n")
+
+    @pytest.mark.parametrize("backend", ["compiled", "tree"])
+    def test_one_line_per_behaviour(self, tmp_path, capsys, backend):
+        # Two timeouts told apart by their stdout are two behaviours,
+        # and list as two lines.
+        path = tmp_path / "p.c"
+        path.write_text(
+            "#include <stdio.h>\n"
+            "int f(void){ putchar('a'); return 0; }\n"
+            "int g(void){ putchar('b'); return 0; }\n"
+            "int main(void){ f() + g(); for(;;); }\n")
+        flags = ["--exhaustive", "--max-steps", "3000", "--backend",
+                 backend]
+        assert cli_main([str(path), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  timeout stdout='ab'", "  timeout stdout='ba'"]
+        assert cli_main([str(path), "--models", "concrete,strict",
+                         *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{model:12s}    8 paths  timeout stdout='ab' | "
+            "timeout stdout='ba'" for model in ("concrete", "strict")]
+
     def test_exhaustive_listing_identical_at_any_jobs(self, tmp_path,
                                                       capsys):
         # --jobs 1 runs one explore task, --jobs 2 shards the frontier
