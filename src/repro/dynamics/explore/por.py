@@ -193,21 +193,13 @@ def generate_branches(node: PathNode, events: List[tuple],
     branch_at = node.depth
     if not por:
         run = tuple([chosen for _tag, _n, chosen in events])
-        flips: dict = {}        # tag -> its (tag, alt) flips, shared
         out = []
         for point in range(branch_at, len(events)):
             tag, n, chosen = events[point]
-            row = flips.get(tag)
-            if row is None or len(row) < n:
-                row = flips[tag] = [(tag, alt) for alt in range(n)]
             # A flip changes control flow arbitrarily, so siblings
             # start with an empty sleep set.
-            if n == 2:          # most points: one sibling
-                alt = 1 - chosen
-                out.append((_sibling(run, point, alt, (), row[alt]),))
-            else:
-                out.append(tuple([_sibling(run, point, alt, (), row[alt])
-                                  for alt in range(n) if alt != chosen]))
+            out.append([_sibling(run, point, alt, (), (tag, alt))
+                        for alt in range(n) if alt != chosen])
         return out
     run = tuple([ev[3] for ev in events if ev[0] == "choose"])
     out: List[Sequence[PathNode]] = []

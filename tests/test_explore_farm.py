@@ -2,8 +2,13 @@
 hands pending subtrees to ``explore_shard`` pool tasks; merged results
 must match a serial exploration path for path."""
 
+import os
+import time
+
+from repro import obs
 from repro.dynamics.explore import ExplorationResult, Explorer, PathNode
 from repro.dynamics.driver import Driver, Oracle
+from repro.farm import pool
 from repro.farm.explorestore import ExplorationRecord
 from repro.farm.frontier import explore_farm
 from repro.farm.pool import SweepTask, execute_task
@@ -159,6 +164,32 @@ class TestExploreFarm:
                             spec=ExploreSpec(max_paths=40), jobs=2)
         assert not farm.exhausted
         assert 0 < farm.paths_run < 576    # well short of the space
+
+    def test_lost_shards_are_requeued_not_raised(self, monkeypatch):
+        # A shard whose worker died, and one that overran the hard
+        # timeout, lose their subtrees to the frontier: the merge is
+        # not exhausted and the exploration does not fail (only a
+        # shard whose program raised fails it).  Workers are forked,
+        # so they run the patched shard recipe.
+        real = pool._explore_shard
+
+        def lossy(task):
+            if task.index == 0:
+                os._exit(1)
+            if task.index == 1:
+                time.sleep(60)
+            return real(task)
+
+        monkeypatch.setattr(pool, "_explore_shard", lossy)
+        serial = explore_c(PAIR, model="concrete", max_paths=100_000)
+        with obs.collecting() as registry:
+            farm = explore_farm(PAIR, "concrete",
+                                spec=ExploreSpec(max_paths=100_000),
+                                jobs=2, task_timeout=1.0)
+        assert registry.counters["farm.shard_requeues"] == 2
+        assert registry.counters.get("farm.task_failures", 0) == 0
+        assert not farm.exhausted
+        assert 0 < farm.paths_run < serial.paths_run
 
     def test_entry_threaded_to_shards(self):
         # Shards must explore the same entry procedure the seeding
