@@ -1,7 +1,8 @@
 """Incremental re-exploration throughput: cold sweep vs warm re-sweep
 of an unchanged exploration corpus.
 
-The exploration-record seam (:mod:`repro.farm.explorestore`) is the
+The exploration-record seam
+(:func:`repro.dynamics.explore.explore_space`) is the
 PR-5 scaling lever: a campaign's explorations persist in its one
 artifact store (the sweep's ``store``), so re-sweeping an unchanged
 corpus replays **zero** paths — it deserialises the recorded

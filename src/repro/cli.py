@@ -23,11 +23,11 @@ Farm flags (see :mod:`repro.farm`):
   artifact store, holding every record kind: compiled Core is cached
   on disk, so repeated invocations skip the front end entirely, and
   with ``--exhaustive`` explorations persist as records
-  (:mod:`repro.farm.explorestore`) — an unchanged program is never
-  re-explored, an interrupted exploration resumes from its persisted
-  frontier, and a single-model run prints an ``explore store:`` line
-  read from the invocation's metrics (``farm sweep --store DIR``
-  too);
+  (:func:`repro.dynamics.explore.explore_space`) — an unchanged
+  program is never re-explored, an interrupted exploration resumes
+  from its persisted frontier, and a single-model run prints an
+  ``explore store:`` line read from the invocation's metrics
+  (``farm sweep --store DIR`` too);
 * ``--jobs N`` — N parallel worker processes (N=1 runs in-process):
   one farm task per ``--models`` model (the same lines at any N), or
   the shards of a single-model ``--exhaustive`` frontier;

@@ -50,11 +50,28 @@ from .values import (
 
 
 def format_ub(name, site: str) -> str:
-    """The one printable form of a UB behaviour — shared by
-    :meth:`Outcome.summary` and the farm's IPC-stripped
-    :meth:`repro.farm.pool.Verdict.summary` so serial and farm reports
-    never drift apart."""
+    """The printable form of a UB behaviour (``site`` empty when the
+    location is unknown)."""
     return f"UB[{name} @ {site}]" if site else f"UB[{name}]"
+
+
+def format_behaviour(status: str, exit_code: Optional[int], stdout: str,
+                     ub, site: str, error: str) -> str:
+    """The one printable line of a behaviour — shared by
+    :meth:`Outcome.summary` and the farm's IPC-stripped
+    :meth:`repro.farm.pool.Verdict.summary`, so a run's line and an
+    exploration's line for one behaviour are the same string."""
+    if status == "ub":
+        # The site is part of the behaviour identity (distinct() keys
+        # on it): the same UB name at two program points must not
+        # print as one line.
+        return format_ub(ub, site)
+    if status in ("done", "exit"):
+        return f"exit={exit_code} stdout={stdout!r}"
+    line = f"error: {error}" if status == "error" else status
+    # The stdout tells such behaviours apart (behaviour_key keys on
+    # it), so two of them never print as one line.
+    return f"{line} stdout={stdout!r}" if stdout else line
 
 
 class PathPruned(Exception):
@@ -177,19 +194,10 @@ class Outcome:
         return self.status == "ub"
 
     def summary(self) -> str:
-        if self.status == "ub":
-            # The site is part of the behaviour identity (distinct()
-            # keys on it): the same UB name at two program points must
-            # not print as one line.
-            return format_ub(self.ub,
-                             str(self.loc) if self.loc.line > 0 else "")
-        if self.status in ("done", "exit"):
-            return f"exit={self.exit_code} stdout={self.stdout!r}"
-        line = f"error: {self.error}" if self.status == "error" \
-            else self.status
-        # The stdout tells such behaviours apart (behaviour_key keys
-        # on it), so two of them never print as one line.
-        return f"{line} stdout={self.stdout!r}" if self.stdout else line
+        return format_behaviour(
+            self.status, self.exit_code, self.stdout, self.ub,
+            str(self.loc) if self.is_ub and self.loc.line > 0 else "",
+            self.error)
 
 
 @dataclass
@@ -232,7 +240,8 @@ class Driver:
         self._por_notify = self.oracle.events is not None \
             or bool(self.oracle.sleep)
         self.threads: Dict[int, _Thread] = {}
-        if spec.backend == "compiled":
+        self._compiled = spec.backend == "compiled"
+        if self._compiled:
             from .compile import CompiledEvaluator
             self.evaluator = CompiledEvaluator(
                 program, model, static_prune=static_prune)
@@ -335,30 +344,35 @@ class Driver:
         """Execute one path.  When an observability context is active
         (:func:`repro.obs.active`) the run's step count and wall/CPU
         time are recorded; the disabled-mode cost is one global read —
-        the same gating discipline as ``_por_notify`` above."""
+        the same gating discipline as ``_por_notify`` above.  When the
+        run ends the compiled evaluator lets go of this driver's
+        request service, so a finished run holds no reference cycle
+        and is freed without the cyclic GC."""
         ctx = obs.active()
-        if ctx is None:
-            return self._run(entry, args)
-        w0 = time.perf_counter()
-        c0 = time.process_time()
+        if ctx is not None:
+            w0 = time.perf_counter()
+            c0 = time.process_time()
         try:
             return self._run(entry, args)
         finally:
-            ctx.inc("driver.runs")
-            ctx.inc("driver.steps", self.steps)
-            ctx.observe("driver.run_s", time.perf_counter() - w0)
-            ctx.observe("driver.run_s.cpu", time.process_time() - c0)
-            skips = self.evaluator.static_unseq_skips
-            if skips:
-                ctx.inc("explore.static_prune_skips", skips)
-            # Specialized-call-protocol hit rates (compiled back end
-            # only; the tree evaluator has no such counters).
-            fast = getattr(self.evaluator, "call_fast", 0)
-            if fast:
-                ctx.inc("compile.call_fast", fast)
-            generic = getattr(self.evaluator, "call_generic", 0)
-            if generic:
-                ctx.inc("compile.call_generic", generic)
+            if self._compiled:
+                self.evaluator.handle = None
+            if ctx is not None:
+                ctx.inc("driver.runs")
+                ctx.inc("driver.steps", self.steps)
+                ctx.observe("driver.run_s", time.perf_counter() - w0)
+                ctx.observe("driver.run_s.cpu", time.process_time() - c0)
+                skips = self.evaluator.static_unseq_skips
+                if skips:
+                    ctx.inc("explore.static_prune_skips", skips)
+                # Specialized-call-protocol hit rates (compiled back
+                # end only; the tree evaluator has no such counters).
+                fast = getattr(self.evaluator, "call_fast", 0)
+                if fast:
+                    ctx.inc("compile.call_fast", fast)
+                generic = getattr(self.evaluator, "call_generic", 0)
+                if generic:
+                    ctx.inc("compile.call_generic", generic)
 
     def _run(self, entry: str = "main",
              args: Optional[List[Value]] = None) -> Outcome:

@@ -32,10 +32,12 @@ state-space engine over oracle choice prefixes:
     off mid-flight for farm sharding (:mod:`repro.farm.frontier`).
 
 :mod:`~repro.dynamics.explore.result`
-    :class:`ExplorationResult` — outcome accounting, behaviour
-    deduplication (UB name *and* location), shard merging.  Only the
-    first outcome of each behaviour keeps its choice trace: that
-    behaviour's replayable witness.
+    :class:`ExplorationResult` — the one exploration value: outcome
+    accounting, behaviour deduplication (UB name *and* location),
+    the frontier its walk left, and shard merging.  It is
+    ``exhausted`` exactly when no frontier is left and no subtree was
+    lost.  Only the first outcome of each behaviour keeps its choice
+    trace: that behaviour's replayable witness.
 
 The resume seam
 ===============
@@ -45,27 +47,28 @@ frontier is an exact, picklable cut through the exploration tree —
 so exploration persists and resumes like any other artifact.
 :func:`explore_space` owns the record lifecycle for every exploration,
 in-process or farm-sharded: given an artifact store it serves a
-completed exploration from its stored record
-(:mod:`repro.farm.explorestore`, imported only then) with zero paths
-re-run,
-resumes a partial one from its persisted frontier, and publishes what
-its walk leaves — after a path budget, a wall-clock deadline or a
-process kill, the pending frontier plus the accounting so far.  A
-partial record is always resumed.  With a store a deadline-aborted
-path is requeued (``Explorer(requeue_interrupted=True)``): it goes
-back on the frontier uncounted, so the resumed run's merged behaviour
-set and ``paths_run``/``pruned``/``diverged`` accounting equal an
+completed exploration from its stored ``"exploration"`` record (the
+:meth:`~ExplorationResult.slim` copy of a result, keyed by
+:func:`exploration_key`) with zero paths re-run, resumes a partial
+one from its persisted frontier, and publishes what its walk leaves —
+after a path budget, a wall-clock deadline or a process kill, the
+frontier plus the accounting so far.  A partial record is always
+resumed.  With a store a deadline-aborted path is requeued
+(``Explorer(requeue_interrupted=True)``): it goes back on the
+frontier uncounted, so the resumed run's merged behaviour set and
+``paths_run``/``pruned``/``diverged`` accounting equal an
 uninterrupted serial run's (pinned by ``tests/test_explore_resume.py``
 across every strategy × POR).  ``SearchStrategy.drain`` returns the
 frontier in a *restorable* order — re-pushing it reproduces the
-interrupted pop order.  Without a store nothing reads
-:attr:`Explorer.pending`, so the siblings of a budget-hit path are
-never built.
+interrupted pop order.  A storeless exploration imports no
+:mod:`repro.farm` module.
 """
 
 from __future__ import annotations
 
-from .engine import Explorer, driver_factory, explore_space
+from .engine import (
+    RECORD_KIND, Explorer, driver_factory, exploration_key, explore_space,
+)
 from .por import PathNode
 from .result import ExplorationResult
 from .strategies import (
@@ -74,8 +77,10 @@ from .strategies import (
 )
 
 __all__ = [
+    "RECORD_KIND",
     "Explorer",
     "driver_factory",
+    "exploration_key",
     "explore_space",
     "PathNode",
     "ExplorationResult",

@@ -23,27 +23,29 @@ replay-DFS:
   instead of blowing a farm task budget;
 * mid-flight frontier handoff (``frontier_target``) — the seeding
   phase of farm-sharded exploration stops once the frontier is wide
-  enough and exposes the remaining nodes via :attr:`Explorer.pending`;
+  enough, and its result's ``frontier`` holds the remaining nodes;
 * one record lifecycle (:func:`explore_space`) for every exploration:
-  given an artifact store it serves a complete exploration record
-  (:mod:`repro.farm.explorestore`) with zero paths re-run, resumes a
-  partial one from its persisted frontier, and publishes what the
-  walk leaves — an unchanged program is never re-explored and an
-  interrupted campaign resumes exactly where it stopped
-  (``requeue_interrupted`` puts a deadline-aborted path back on the
-  frontier uncounted, keeping resumed accounting equal to an
-  uninterrupted run's).  The
+  given an artifact store it serves a complete ``"exploration"``
+  record with zero paths re-run, resumes a partial one from its
+  persisted frontier, and publishes what the walk leaves — an
+  unchanged program is never re-explored and an interrupted campaign
+  resumes exactly where it stopped (``requeue_interrupted`` puts a
+  deadline-aborted path back on the frontier uncounted, keeping
+  resumed accounting equal to an uninterrupted run's).  The
   in-process walk (one :class:`Explorer`,
   :meth:`repro.pipeline.CompiledProgram.explore`) and the sharded one
   (:func:`repro.farm.frontier.explore_farm`) differ only in how they
   walk a list of roots.
+
+Every walk returns one :class:`ExplorationResult` carrying the
+frontier it left, so a result is never exhausted while nodes remain.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ... import obs
 from ...spec import ExploreSpec
@@ -51,6 +53,9 @@ from ..driver import Driver, Oracle
 from .por import PathNode, generate_branches
 from .result import ExplorationResult
 from .strategies import make_strategy
+
+#: The record kind folded into every exploration content address.
+RECORD_KIND = "exploration"
 
 
 class Explorer:
@@ -71,30 +76,11 @@ class Explorer:
         # Resumable-interruption mode: a path the wall-clock deadline
         # aborted *mid-run* is put back on the frontier uncounted
         # instead of surfacing as a "timeout" outcome, so a later run
-        # resuming from :attr:`pending` replays it in full and the
-        # merged accounting equals an uninterrupted run's.
+        # resuming from the result's frontier replays it in full and
+        # the merged accounting equals an uninterrupted run's.
         self.requeue_interrupted = requeue_interrupted
-        self._pending: List[PathNode] = []
-        # (node, trace, completed) of a last path whose siblings are
-        # built only when ``pending`` is read.
-        self._deferred: Optional[tuple] = None
         #: The largest frontier of the last :meth:`run`.
         self.frontier_peak = 0
-
-    @property
-    def pending(self) -> List[PathNode]:
-        """Nodes left unexplored after :meth:`run` — empty unless a
-        budget/deadline was hit or ``frontier_target`` stopped the
-        loop for a farm handoff."""
-        if self._deferred is not None:
-            self._push_branches(*self._deferred, None)
-            self._deferred = None
-            self._pending = self.strategy.drain()
-        return self._pending
-
-    @pending.setter
-    def pending(self, nodes: List[PathNode]) -> None:
-        self._pending = nodes
 
     def _push_branches(self, node, log, completed, ctx) -> None:
         points = generate_branches(node, log, self.spec.por, completed)
@@ -145,13 +131,12 @@ class Explorer:
             if result.paths_run >= self.spec.max_paths or \
                     (deadline is not None and
                      time.monotonic() >= deadline):
-                result.exhausted = False
                 break
             if self.frontier_target is not None and \
                     result.paths_run > 0 and \
                     len(self.strategy) >= self.frontier_target:
                 # Wide enough: hand the rest to the caller (the farm
-                # dispatches it across shards), exhausted untouched.
+                # dispatches it across shards).
                 break
             node = self.strategy.pop()
             oracle = Oracle(node.choices, sleep=node.sleep if por else (),
@@ -179,8 +164,7 @@ class Explorer:
                 # unexplored, the exploration permanently
                 # non-exhausted.
                 if result.paths_run > 0:
-                    result.exhausted = False
-                    self.pending = self.strategy.drain_interrupted(node)
+                    result.frontier = self.strategy.drain_interrupted(node)
                     if ctx is not None:
                         ctx.inc("explore.requeued")
                     if tracer is not None and timeline:
@@ -188,7 +172,6 @@ class Explorer:
                     return result
                 result.paths_run += 1
                 result.abandoned += 1
-                result.exhausted = False
                 continue
             result.paths_run += 1
             if tracer is not None:
@@ -202,7 +185,6 @@ class Explorer:
                 # and its subtree is abandoned, so the exploration is
                 # no longer complete.
                 result.diverged += 1
-                result.exhausted = False
                 continue
             if outcome.status == "pruned":
                 result.pruned += 1
@@ -218,25 +200,12 @@ class Explorer:
             # Deepest point first, alternatives in order: under the
             # LIFO dfs strategy the earliest flip pops next — exactly
             # the historical DFS order.
-            completed = outcome.status in ("done", "exit")
-            if result.paths_run >= self.spec.max_paths and not por:
-                # The budget is spent, so this path's siblings only
-                # matter to a reader of ``pending``: build them then.
-                # Without POR every choice point of arity > 1 yields
-                # siblings.
-                self._deferred = (node, oracle.trace, completed)
-                fresh = oracle.trace[node.depth:]
-                if ctx is not None and fresh:
-                    ctx.inc("explore.choice_points", len(fresh))
-                if any(n > 1 for _tag, n, _c in fresh):
-                    result.exhausted = False
-                continue
             self._push_branches(node, oracle.events if por
-                                else oracle.trace, completed, ctx)
+                                else oracle.trace,
+                                outcome.status in ("done", "exit"), ctx)
             if len(self.strategy) > self.frontier_peak:
                 self.frontier_peak = len(self.strategy)
-        if self._deferred is None:
-            self.pending = self.strategy.drain()
+        result.frontier = self.strategy.drain()
         if tracer is not None:
             now = tracer.now()
             if not timeline or timeline[-1][1] != result.paths_run:
@@ -245,69 +214,105 @@ class Explorer:
         return result
 
 
-#: ``walk(spec, roots, requeue)`` explores the subtrees rooted at
-#: ``roots`` (``None``: the whole space) under ``spec``'s path budget
-#: and the caller's wall-clock deadline, requeueing a deadline-aborted
-#: path when ``requeue``.  It returns its result and a thunk for the
-#: frontier it left, which is read only to publish a record.
-Walk = Callable[[ExploreSpec, Optional[List[PathNode]], bool],
-                Tuple[ExplorationResult, Callable[[], List[PathNode]]]]
+#: ``walk(make_driver, spec, deadline_s, roots, requeue)`` explores the
+#: subtrees rooted at ``roots`` (``None``: the whole space) on drivers
+#: from ``make_driver``, within ``spec``'s path budget and the
+#: wall-clock ``deadline_s``, requeueing a deadline-aborted path when
+#: ``requeue``; it returns the result of the walk, frontier included.
+Walk = Callable[[Callable[[Oracle], Driver], ExploreSpec,
+                 Optional[float], Optional[List[PathNode]], bool],
+                ExplorationResult]
 
 
-def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
-                  store=None,
-                  key: Optional[str] = None) -> ExplorationResult:
-    """Explore one space through ``walk`` — the one owner of the
-    exploration-record lifecycle.
+def walk_in_process(make_driver: Callable[[Oracle], Driver],
+                    spec: ExploreSpec, deadline_s: Optional[float],
+                    roots: Optional[List[PathNode]],
+                    requeue: bool) -> ExplorationResult:
+    """The :data:`Walk` of one in-process :class:`Explorer`."""
+    return Explorer(make_driver, spec, deadline_s, roots,
+                    requeue_interrupted=requeue).run()
+
+
+def exploration_key(store, source: str, impl, model: str,
+                    name: str = "<string>",
+                    spec: ExploreSpec = ExploreSpec()) -> str:
+    """The content address of one exploration *space* in ``store``:
+    the program (source, implementation, name — source locations
+    embed it), the memory model, and :meth:`ExploreSpec.key
+    <repro.spec.RunSpec.key>` — every spec field except the path
+    budget.  The budget (like ``deadline_s``) decides how much of the
+    space one invocation walks, and lives in the record as accounting
+    instead.  ``static_prune`` and ``backend`` change which choice
+    points exist and who replays them, so a frontier persisted under
+    one is never resumed under the other."""
+    return store.record_key(RECORD_KIND, source, repr(impl), model,
+                            name, spec.key())
+
+
+def explore_space(program, model: str,
+                  spec: ExploreSpec = ExploreSpec(), *,
+                  store=None, name: str = "<string>",
+                  deadline_s: Optional[float] = None,
+                  walk: Walk = walk_in_process) -> ExplorationResult:
+    """Explore ``program`` (a :class:`~repro.pipeline.CompiledProgram`)
+    under ``model`` and ``spec`` through ``walk`` — the one owner of
+    the exploration-record lifecycle.
 
     Without ``store`` this is one walk of the whole space.  With an
-    :class:`~repro.farm.store.ArtifactStore` handle and the space's
-    ``key`` (:func:`~repro.farm.explorestore.exploration_key`), the
-    enumeration is incremental — this is the only reader and writer
-    of ``"exploration"`` records:
+    :class:`~repro.farm.store.ArtifactStore` handle (or a directory to
+    open one on) the enumeration is incremental under the space's
+    :func:`exploration_key` — this is the only reader and writer of
+    ``"exploration"`` records, each the :meth:`ExplorationResult.slim`
+    copy of a result:
 
-    * a complete record within the budget is returned as-is, **zero**
-      paths re-run;
+    * a complete record (no frontier) within the budget is returned
+      as-is, **zero** paths re-run;
     * a record covering *more* paths than ``spec.max_paths`` is
       ignored (a warm hit would return behaviours a cold bounded run
       cannot see): the request is walked live, and the fuller record
-      is left intact — not clobbered by the smaller result.  A farm
-      record may overshoot its own producing ``budget`` (ceiling
-      split), so the stored budget, not ``paths_run``, decides;
+      is left intact — not clobbered by the smaller result;
     * a partial record is resumed: the walk restarts from its
       persisted frontier with the budget that remains, and the merged
       result (behaviour set *and* accounting) equals an uninterrupted
-      run's.  When the record already spends the budget, its
-      accounting is returned, flagged not-exhausted, exactly like the
-      equivalent cold budget-truncated run;
+      run's.  When the record already spends the budget it is
+      returned as it stands, exactly like the equivalent cold
+      budget-truncated run;
     * whatever was walked is counted (the ``explore.live_paths``
-      metric; a resume ticks ``explore.resumes``) and published —
-      complete, or partial with the walk's frontier.
+      metric; a resume ticks ``explore.resumes``) and published.
 
-    A deadline-aborted path is requeued exactly when a store is given:
-    only a persisted frontier can replay it."""
+    A walk spends at most ``spec.max_paths`` paths.  A deadline-aborted
+    path is requeued exactly when a store is given: only a persisted
+    frontier can replay it.  ``name`` is folded into the record key
+    (source locations embed it)."""
     base: Optional[ExplorationResult] = None
     roots: Optional[List[PathNode]] = None
     publish = store is not None
     ctx = obs.active()
     if store is not None:
-        from ...farm.explorestore import RECORD_KIND, ExplorationRecord
-        rec = store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
-        if rec is not None and rec.paths_run > spec.max_paths and \
-                (rec.budget is None or rec.budget > spec.max_paths):
+        from ...farm.store import as_store
+        store = as_store(store)
+        key = exploration_key(store, program.source, program.impl,
+                              model, name, spec)
+        rec = store.get_record(key, ExplorationResult, kind=RECORD_KIND)
+        if rec is not None and rec.paths_run > spec.max_paths:
             rec, publish = None, False
         if rec is not None:
-            if rec.complete:
-                return rec.to_result()
-            base, roots = rec.to_result(), list(rec.frontier)
-            if base.paths_run >= spec.max_paths:
-                base.exhausted = False
-                return base
+            if not rec.frontier or rec.paths_run >= spec.max_paths:
+                return rec
+            base = rec
+            roots, base.frontier = base.frontier, []
             if ctx is not None:
                 ctx.inc("explore.resumes")
+        if spec.static_prune:
+            # Attach (store-cached) footprint annotations ahead of
+            # the driver factory's own ensure_annotated fallback.
+            program.statics(store, name=name)
+    make_driver = driver_factory(
+        program.core, lambda: program.make_model(model, spec), spec)
     budget = spec if base is None \
         else replace(spec, max_paths=spec.max_paths - base.paths_run)
-    result, frontier = walk(budget, roots, store is not None)
+    result = walk(make_driver, budget, deadline_s, roots,
+                  store is not None)
     if store is None:
         return result
     if ctx is not None:
@@ -315,8 +320,7 @@ def explore_space(walk: Walk, spec: ExploreSpec = ExploreSpec(), *,
     if base is not None:
         result = ExplorationResult.merge([base, result])
     if publish:
-        store.put_record(key, ExplorationRecord.from_result(
-            result, frontier(), budget=spec.max_paths), kind=RECORD_KIND)
+        store.put_record(key, result.slim(), kind=RECORD_KIND)
     return result
 
 

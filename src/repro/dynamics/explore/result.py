@@ -1,4 +1,5 @@
-"""Exploration accounting: every execution found within the budget.
+"""Exploration accounting: every execution found within the budget,
+and the frontier the walk left.
 
 The behaviour key deduplicates on *observable* behaviour — status,
 exit code, stdout, and for undefined behaviour both the UB name and
@@ -8,31 +9,43 @@ is two behaviours, not one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Tuple
 
 from ..driver import Outcome
+from .por import PathNode
 
 
 @dataclass
 class ExplorationResult:
-    """All executions found within the budget.
+    """All executions found within the budget — the one exploration
+    value: what a walk returns, what a store persists and what a farm
+    shard answers with (the last two as its :meth:`slim` copy).
 
     ``paths_run`` counts every driver run launched, including runs the
     sleep-set scheduler aborted as redundant re-orderings (``pruned``),
     runs whose replay prefix no longer matched the choice-point
     arities (``diverged``, discarded from ``outcomes``), and paths a
     wall-clock deadline cut mid-run that no later resume can finish
-    (``abandoned``: no behaviour recorded, subtree unexplored — the
-    exploration is permanently non-exhausted).
+    (``abandoned``: no behaviour recorded, subtree unexplored).
+    ``frontier`` holds the nodes the walk left unexplored (a path
+    budget, a deadline, a farm handoff): an exact cut through the
+    tree, which a later walk resumes from.
     """
 
     outcomes: List[Outcome] = field(default_factory=list)
-    exhausted: bool = True      # False if a budget or deadline was hit
     paths_run: int = 0
     pruned: int = 0             # sleep-set-blocked redundant orders
     diverged: int = 0           # stale replays, detected and discarded
     abandoned: int = 0          # deadline-cut mid-run, unfinishable
+    frontier: List[PathNode] = field(default_factory=list)
+
+    @property
+    def exhausted(self) -> bool:
+        """Every execution was found: nothing is left on the frontier,
+        and no subtree was lost to a diverged replay or an abandoned
+        path (a loss no frontier node can re-mine)."""
+        return not (self.frontier or self.diverged or self.abandoned)
 
     @staticmethod
     def behaviour_key(o: Outcome) -> Tuple:
@@ -49,6 +62,13 @@ class ExplorationResult:
             if key not in seen:
                 seen[key] = o
         return list(seen.values())
+
+    def slim(self) -> "ExplorationResult":
+        """This result with its outcomes deduplicated and their traces
+        stripped (``paths_run`` keeps the full count): the form a store
+        persists and a farm shard ships back."""
+        return replace(self, outcomes=[replace(o, trace=[])
+                                       for o in self.distinct()])
 
     def behaviour_keys(self) -> List[Tuple]:
         """The sorted set of behaviour keys — the canonical form used
@@ -68,8 +88,10 @@ class ExplorationResult:
     @classmethod
     def merge(cls, parts: Iterable["ExplorationResult"]
               ) -> "ExplorationResult":
-        """Combine shard results: outcomes concatenate, counters sum,
-        and the merge is exhausted only if every part was."""
+        """Combine the results of disjoint subtrees: outcomes and
+        frontiers concatenate, counters sum.  A part whose frontier
+        went on to be walked must hand it over first, or it would be
+        counted as unexplored."""
         merged = cls()
         for p in parts:
             merged.outcomes.extend(p.outcomes)
@@ -77,5 +99,5 @@ class ExplorationResult:
             merged.pruned += p.pruned
             merged.diverged += p.diverged
             merged.abandoned += p.abandoned
-            merged.exhausted = merged.exhausted and p.exhausted
+            merged.frontier.extend(p.frontier)
         return merged

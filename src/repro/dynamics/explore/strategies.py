@@ -55,8 +55,8 @@ class SearchStrategy:
         pushing the returned nodes back into a fresh instance of the
         same strategy, in sequence, reproduces the drained frontier's
         pop order — so a persisted frontier
-        (:mod:`repro.farm.explorestore`) resumes where the
-        interrupted exploration stopped.  Queue-shaped strategies are
+        (:func:`~repro.dynamics.explore.explore_space`) resumes where
+        the interrupted exploration stopped.  Queue-shaped strategies are
         restorable as-is; LIFO ``dfs`` overrides this to return its
         stack bottom-first.  ``random`` is inherently a frontier
         *sample* — a fresh instance re-seeds its RNG, so only the

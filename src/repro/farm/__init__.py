@@ -44,30 +44,21 @@ Layers
     its own metrics registry, shipped back with its result — never
     from scans of the store directory.
 
-:mod:`repro.farm.explorestore` — ``ExplorationRecord``
-    :class:`~repro.farm.explorestore.ExplorationRecord` is one
-    persisted exploration — a completed result *or* an
-    interrupted frontier (:class:`~repro.dynamics.explore.PathNode`
-    prefixes + sleep sets) — stored as an ``"exploration"`` record
-    keyed on the exploration space
-    (:func:`~repro.farm.explorestore.exploration_key`).  Its only
-    reader and writer is :func:`repro.dynamics.explore.explore_space`:
-    a warm hit re-runs **zero** paths, and a partial record is always
-    resumed, merging to exactly what an uninterrupted run produces.
-
 :mod:`repro.farm.frontier` — farm-sharded state-space exploration
     :func:`~repro.farm.frontier.explore_farm` splits one program's
     exploration frontier (oracle choice prefixes from a breadth-first
     seeding phase) into subtree shards dispatched across the worker
-    pool, and merges the shard results into a single
-    :class:`~repro.dynamics.explore.ExplorationResult` with correct
-    ``exhausted``/``paths_run`` accounting.  Strategy and sleep-set
-    partial-order reduction settings travel with each shard, and each
-    shard answers with an
-    :class:`~repro.farm.explorestore.ExplorationRecord` — the form
-    the store persists, so a frontier crosses the worker
-    boundary and reaches the store as the same ``PathNode`` values.
-    CLI: ``cerberus-py file.c --exhaustive --jobs N``.
+    pool, deals them the path budget exactly (at most ``max_paths``
+    paths, as a serial walk), and merges the shard results into a
+    single :class:`~repro.dynamics.explore.ExplorationResult` with
+    correct ``exhausted``/``paths_run`` accounting.  Strategy and
+    sleep-set partial-order reduction settings travel with each
+    shard, and each shard answers with the slim copy of its
+    ``ExplorationResult`` — the form the store persists, so a frontier
+    crosses the worker boundary and reaches the store as the same
+    ``PathNode`` values.  Exploration records themselves belong to
+    :func:`repro.dynamics.explore.explore_space`, their only reader
+    and writer.  CLI: ``cerberus-py file.c --exhaustive --jobs N``.
 
 :mod:`repro.farm.server` / :mod:`repro.farm.client` — the daemon
     Semantics-as-a-service: :class:`~repro.farm.server.FarmServer` is

@@ -98,14 +98,11 @@ class Verdict:
                    str(o.loc) if o.ub and o.loc.line > 0 else "")
 
     def summary(self) -> str:
-        if self.status == "ub":
-            from ..dynamics.driver import format_ub
-            return format_ub(self.ub, self.ub_loc)
-        if self.status in ("done", "exit"):
-            return f"exit={self.exit_code} stdout={self.stdout!r}"
-        if self.status == "error":
-            return f"error: {self.error}"
-        return self.status
+        """The behaviour's line, as :meth:`Outcome.summary
+        <repro.dynamics.driver.Outcome.summary>` prints it."""
+        from ..dynamics.driver import format_behaviour
+        return format_behaviour(self.status, self.exit_code, self.stdout,
+                                self.ub, self.ub_loc, self.error)
 
 
 @dataclass
@@ -145,9 +142,9 @@ class SweepTask:
     * ``"explore_shard"`` — explore only the subtree rooted at the
       oracle choice ``prefix`` (with its POR ``sleep`` set) under
       ``models[0]`` — one shard of a farm-split frontier, returning
-      an :class:`~repro.farm.explorestore.ExplorationRecord` (the
-      slimmed result plus the subtree's unexplored remainder, the
-      form the store persists) in ``data["shard"]`` for
+      the slim :class:`~repro.dynamics.explore.ExplorationResult` of
+      the subtree (its unexplored remainder included, the form the
+      store persists) in ``data["shard"]`` for
       :func:`~repro.farm.frontier.explore_farm` to merge;
     * ``"suite"`` — the named de facto test-suite entry across models
       (explored without a store).
@@ -200,8 +197,9 @@ class TaskResult:
     stats: Dict[str, int] = field(default_factory=dict)
     # kind-specific payload: "verdicts" ({model: Verdict}),
     # "explorations" ({model: ExploreSummary}), "shard"
-    # (ExplorationRecord), "results" (List[TestResult]), and for every
-    # executed task "metrics" (its repro.obs snapshot)
+    # (ExplorationResult), "results" (List[TestResult]), "lint"
+    # (finding dicts), and for every executed task "metrics" (its
+    # repro.obs snapshot)
     data: Dict[str, object] = field(default_factory=dict)
 
 
@@ -362,6 +360,8 @@ def _execute_task(task: SweepTask) -> TaskResult:
                                 task.spec, name=task.name)
             result.data["verdicts"] = {
                 m: Verdict.from_outcome(o) for m, o in outcomes.items()}
+            if task.lint:
+                result.data["lint"] = _lint_findings(task)
         elif task.kind == "explore":
             findings = []
             if task.lint:
@@ -424,27 +424,23 @@ def _lint_findings(task: SweepTask):
 def _explore_shard(task: SweepTask):
     """Worker recipe for one frontier shard: compile (store-warm),
     explore the subtree rooted at the task's prefix under
-    ``task.spec``, and answer with the
-    :class:`~repro.farm.explorestore.ExplorationRecord` of the walk —
-    distinct outcomes with traces stripped, plus the nodes a budget or
-    deadline left unexplored, so
-    :func:`~repro.farm.frontier.explore_farm` can merge the result and
-    persist a resumable frontier."""
+    ``task.spec``, and answer with the slim
+    :class:`~repro.dynamics.explore.ExplorationResult` of the walk —
+    distinct outcomes with traces stripped, plus the frontier a budget
+    or deadline left, so :func:`~repro.farm.frontier.explore_farm` can
+    merge the result and persist a resumable frontier."""
     from ..dynamics.explore import Explorer, PathNode, driver_factory
     from ..pipeline import compile_for_model
-    from .explorestore import ExplorationRecord
     model = task.models[0]
     program = compile_for_model(task.source, model, task.impl,
                                 name=task.name)
-    explorer = Explorer(
+    return Explorer(
         driver_factory(program.core,
                        lambda: program.make_model(model, task.spec),
                        task.spec),
         task.spec, task.deadline_s,
         [PathNode(tuple(task.prefix), tuple(task.sleep))],
-        requeue_interrupted=task.requeue_interrupted)
-    return ExplorationRecord.from_result(explorer.run(),
-                                         explorer.pending)
+        requeue_interrupted=task.requeue_interrupted).run().slim()
 
 
 class WorkerPool:

@@ -527,9 +527,9 @@ class FarmServer:
         self._stopped = asyncio.Event()
         # Workers run the module's _execute_job as it is now, so a
         # wrapper installed before start() runs in them; they inherit
-        # the explorer and its record type, so no job imports them.
+        # the explorer, whose result is also the record type, so no
+        # job imports it.
         from ..dynamics import explore  # noqa: F401
-        from . import explorestore  # noqa: F401
         self._pool = WorkerPool(_execute_job, self.workers, self.store)
         try:
             os.unlink(self.socket_path)

@@ -11,8 +11,9 @@ them.
 Beyond compiled artifacts, the store holds derived *records* under
 kind-prefixed content addresses (:meth:`ArtifactStore.record_key` /
 ``get_record`` / ``put_record``): exploration records
-(:mod:`repro.farm.explorestore`), static analyses and the daemon's
-job results share the same durability and eviction machinery.  A
+(:func:`repro.dynamics.explore.explore_space`), static analyses and
+the daemon's job results share the same durability and eviction
+machinery.  A
 process holds one handle: the entry point (the CLI's ``--store``, the
 daemon, :func:`repro.farm.pool.run_tasks` per worker) opens it, every
 seam takes it as one ``store`` argument, and :func:`as_store` is the

@@ -19,8 +19,8 @@ program:
   the compiled artifact against a chosen memory object model in
   single-path or exhaustive mode — any number of times, under any
   number of models, without re-elaborating.  ``explore(store=)``
-  additionally persists exploration results as records in the
-  artifact store (:mod:`repro.farm.explorestore`, through
+  additionally persists exploration results as ``"exploration"``
+  records in the artifact store (through
   :func:`repro.dynamics.explore.explore_space`): unchanged programs
   are never re-explored, and interrupted explorations resume from
   their persisted frontier.  Every ``store`` argument below is one
@@ -199,32 +199,14 @@ class CompiledProgram:
         :class:`~repro.farm.store.ArtifactStore` or a directory path)
         makes exploration incremental: a completed record for this
         ``(source, impl, model, name, spec.key())`` space
-        (:func:`~repro.farm.explorestore.exploration_key`) is returned
+        (:func:`~repro.dynamics.explore.exploration_key`) is returned
         with zero paths re-run, and an interrupted one persists its
         frontier and is resumed by the next call.  ``name`` is folded
         into the record key (source locations embed it)."""
-        from .dynamics.explore import Explorer, driver_factory, explore_space
-        spec = ExploreSpec.build(spec, **knobs)
-        key = None
-        if store is not None:
-            from .farm.explorestore import exploration_key
-            from .farm.store import as_store
-            store = as_store(store)
-            key = exploration_key(store, self.source, self.impl, model,
-                                  name, spec)
-            if spec.static_prune:
-                # Attach (store-cached) footprint annotations ahead of
-                # the driver factory's own ensure_annotated fallback.
-                self.statics(store, name=name)
-        make_driver = driver_factory(
-            self.core, lambda: self.make_model(model, spec), spec)
-
-        def walk(budget, roots, requeue):
-            explorer = Explorer(make_driver, budget, deadline_s,
-                                roots, requeue_interrupted=requeue)
-            return explorer.run(), lambda: explorer.pending
-
-        return explore_space(walk, spec, store=store, key=key)
+        from .dynamics.explore import explore_space
+        return explore_space(self, model, ExploreSpec.build(spec, **knobs),
+                             store=store, name=name,
+                             deadline_s=deadline_s)
 
 
 # -- the content-addressed compile cache --------------------------------------

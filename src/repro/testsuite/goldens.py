@@ -78,8 +78,8 @@ def compute_verdicts(models: Optional[Sequence[str]] = None,
     suite across all registered memory models) under ``spec``.
     ``store`` (an :class:`~repro.farm.store.ArtifactStore`)
     optionally persists the explorations as records
-    (:mod:`repro.farm.explorestore`), so golden regeneration rides the
-    incremental re-exploration seam too."""
+    (:func:`repro.dynamics.explore.explore_space`), so golden
+    regeneration rides the incremental re-exploration seam too."""
     model_list = list(models) if models is not None else list(MODELS)
     out: Verdicts = {}
     for name in (sorted(TESTS) if names is None else names):

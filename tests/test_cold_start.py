@@ -25,8 +25,8 @@ SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 #: The modules a plain run never reaches (prefixes).
 UNREACHED = ("repro.dynamics.explore", "repro.statics", "multiprocessing",
-             "repro.farm.campaign", "repro.farm.explorestore",
-             "repro.farm.frontier", "repro.farm.server")
+             "repro.farm.campaign", "repro.farm.frontier",
+             "repro.farm.server")
 
 #: The classes whose instances the imported modules create as
 #: constants (``INT = Integer(IntKind.INT)``, ``UNIT = VUnit()``, ...).

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.farm.explorestore import exploration_key
+from repro.dynamics.explore import exploration_key
 from repro.farm.pool import task_stats
 from repro.farm.store import ArtifactStore
 from repro import obs
@@ -448,3 +448,33 @@ class TestMainArgs:
             "int main(int argc, char *argv[]) { return argc + 7; }",
             "concrete")
         assert program.run("concrete", backend=backend).exit_code == 7
+
+
+class TestNoCycleAfterARun:
+    """A finished run leaves nothing for the cyclic GC: the compiled
+    evaluator drops the driver's request service when the run ends,
+    so the driver, its evaluator, memory model and contexts are freed
+    by reference counting, whoever made the oracle."""
+
+    @pytest.mark.parametrize("own_oracle", [True, False],
+                             ids=["own-oracle", "passed-oracle"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_finished_run_leaves_no_garbage_cycle(self, backend,
+                                                    own_oracle):
+        import gc
+        from repro.dynamics.driver import Driver, Oracle
+        from repro.spec import RunSpec
+        program = compile_c("int main(void){ int x = 1; return x + 2; }")
+        spec = RunSpec(backend=backend)
+        assert program.run("concrete", spec).exit_code == 3  # warm
+        gc.collect()
+        gc.disable()
+        try:
+            driver = Driver(program.core,
+                            program.make_model("concrete", spec),
+                            None if own_oracle else Oracle(), spec)
+            assert driver.run().exit_code == 3
+            del driver
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

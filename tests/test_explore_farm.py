@@ -9,7 +9,6 @@ from repro import obs
 from repro.dynamics.explore import ExplorationResult, Explorer, PathNode
 from repro.dynamics.driver import Driver, Oracle
 from repro.farm import pool
-from repro.farm.explorestore import ExplorationRecord
 from repro.farm.frontier import explore_farm
 from repro.farm.pool import SweepTask, execute_task
 from repro.pipeline import compile_c, explore_c
@@ -35,9 +34,11 @@ class TestFrontierHandoff:
                       ExploreSpec(max_paths=10_000, strategy="bfs"),
                       frontier_target=4)
         result = ex.run()
-        assert result.exhausted            # handed off, not truncated
-        assert len(ex.pending) >= 4
-        assert all(isinstance(n, PathNode) for n in ex.pending)
+        # Handed off, not truncated: the frontier is left, nothing
+        # was lost.
+        assert result.diverged == result.abandoned == 0
+        assert len(result.frontier) >= 4
+        assert all(isinstance(n, PathNode) for n in result.frontier)
 
     def test_subtrees_partition_the_space(self):
         # Seed-phase paths plus every pending subtree explored
@@ -54,8 +55,9 @@ class TestFrontierHandoff:
                           ExploreSpec(max_paths=100_000, strategy="bfs"),
                           frontier_target=4)
         seed_result = seeder.run()
+        roots, seed_result.frontier = seed_result.frontier, []
         parts = [seed_result]
-        for node in seeder.pending:
+        for node in roots:
             parts.append(Explorer(make_driver,
                                   ExploreSpec(max_paths=100_000),
                                   initial=[node]).run())
@@ -76,8 +78,8 @@ class TestExploreShardTask:
         shard = result.data["shard"]
         # The form the record store persists: a finished subtree is a
         # complete record.
-        assert isinstance(shard, ExplorationRecord)
-        assert shard.complete
+        assert isinstance(shard, ExplorationResult)
+        assert not shard.frontier
         assert shard.exhausted
         assert shard.paths_run >= 1
         # Slimmed for IPC: deduplicated outcomes, traces stripped.
@@ -94,8 +96,8 @@ class TestExploreShardTask:
         result = execute_task(task)
         assert result.ok, result.error
         shard = result.data["shard"]
-        assert isinstance(shard, ExplorationRecord)
-        assert not shard.complete
+        assert isinstance(shard, ExplorationResult)
+        assert not shard.exhausted
         assert shard.paths_run == 3
         assert shard.frontier
         assert all(isinstance(node, PathNode) and node.flip is not None
@@ -157,13 +159,13 @@ class TestExploreFarm:
         assert farm.behaviour_keys() == serial.behaviour_keys()
 
     def test_budget_hit_marks_not_exhausted(self):
-        # The global budget is split across shards (ceiling), so the
-        # merged total stays in the budget's ballpark — and a shard
-        # hitting its slice marks the merge non-exhausted.
+        # The global budget is dealt exactly across shards, so the
+        # merged total is the budget, as in a serial run — and the
+        # subtrees it did not reach leave the merge non-exhausted.
         farm = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=40), jobs=2)
         assert not farm.exhausted
-        assert 0 < farm.paths_run < 576    # well short of the space
+        assert farm.paths_run == 40
 
     def test_lost_shards_are_requeued_not_raised(self, monkeypatch):
         # A shard whose worker died, and one that overran the hard
@@ -205,8 +207,9 @@ class TestExploreFarm:
         assert farm.behaviour_keys() == serial.behaviour_keys()
 
     def test_merge_counters(self):
-        a = ExplorationResult(paths_run=3, pruned=1, exhausted=True)
-        b = ExplorationResult(paths_run=4, diverged=2, exhausted=False)
+        a = ExplorationResult(paths_run=3, pruned=1)
+        b = ExplorationResult(paths_run=4, diverged=2)
+        assert a.exhausted and not b.exhausted
         merged = ExplorationResult.merge([a, b])
         assert merged.paths_run == 7
         assert merged.pruned == 1

@@ -2,12 +2,13 @@
 
 Exploration is a tree of independent subtrees, so a persisted frontier
 is an exact cut through it: an interrupted campaign resumed from its
-:class:`~repro.farm.explorestore.ExplorationRecord` must merge to a
-result *identical* to an uninterrupted serial run — behaviour sets
-(UB name + site), ``paths_run``, ``pruned`` and ``diverged``
-accounting — across every search strategy × POR on/off, whether the
-interruption was a path budget, a wall-clock deadline, or a simulated
-process kill.
+persisted record (the slim
+:class:`~repro.dynamics.explore.ExplorationResult` it left) must
+merge to a result *identical* to an uninterrupted serial run —
+behaviour sets (UB name + site), ``paths_run``, ``pruned`` and
+``diverged`` accounting — across every search strategy × POR on/off,
+whether the interruption was a path budget, a wall-clock deadline, or
+a simulated process kill.
 """
 
 import json
@@ -20,9 +21,8 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
-from repro.dynamics.explore import Explorer
-from repro.farm.explorestore import (
-    RECORD_KIND, ExplorationRecord, exploration_key,
+from repro.dynamics.explore import (
+    RECORD_KIND, ExplorationResult, exploration_key,
 )
 from repro.farm.frontier import explore_farm
 from repro.farm.pool import task_stats
@@ -65,7 +65,7 @@ def serial(program):
 
 
 def _get(store, key):
-    return store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
+    return store.get_record(key, ExplorationResult, kind=RECORD_KIND)
 
 
 def _same(result, reference):
@@ -197,8 +197,7 @@ class TestOneLifecycle:
     """Every exploration runs through one record lifecycle
     (:func:`repro.dynamics.explore.explore_space`): a partial record is
     always resumed, whichever seam meets it, and a storeless
-    exploration neither touches the farm nor builds a frontier nobody
-    will persist."""
+    exploration never touches the farm."""
 
     EXAMPLE = str(ROOT / "examples" / "c" / "unseq_commuting.c")
 
@@ -256,22 +255,6 @@ class TestOneLifecycle:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_frontier_is_read_only_to_publish(self, tmp_path,
-                                              monkeypatch, program):
-        """Without a store nobody reads ``Explorer.pending``, so the
-        siblings of a budget-hit path are never built; with one, the
-        lifecycle reads it once, to publish the record."""
-        reads = []
-        pending = Explorer.pending
-        monkeypatch.setattr(Explorer, "pending", property(
-            lambda self: reads.append(self) or pending.fget(self),
-            pending.fset))
-        program.explore("concrete", max_paths=5)
-        assert reads == []
-        program.explore("concrete", max_paths=5,
-                        store=ArtifactStore(tmp_path / "store"))
-        assert len(reads) == 1
-
 
 class TestRestorableOrder:
     """``drain_interrupted`` puts the mid-run-aborted node where it
@@ -295,47 +278,51 @@ class TestRestorableOrder:
 
 
 class TestPartialRecordShape:
-    def test_partial_record_is_resumable_cut(self, tmp_path, program):
+    def test_partial_record_is_resumable_cut(self, tmp_path, program,
+                                             serial):
         store = ArtifactStore(tmp_path / "store")
         program.explore("concrete", max_paths=50, strategy="dfs",
                         seed=11, store=store)
         key = exploration_key(store, PAIR, program.impl, "concrete",
                               spec=ExploreSpec(strategy="dfs", seed=11))
         rec = _get(store, key)
-        assert isinstance(rec, ExplorationRecord)
-        assert not rec.complete
+        assert isinstance(rec, ExplorationResult)
         assert rec.frontier                 # the cut, ready to resume
         assert rec.paths_run == 50
-        assert rec.exhausted                # neutral under merge
+        assert not rec.exhausted            # its frontier is left
         assert all(o.trace == [] for o in rec.outcomes)  # slimmed
+        # ... and its merge with the resumed rest is the serial run.
+        full = program.explore("concrete", max_paths=BIG,
+                               strategy="dfs", seed=11, store=store)
+        _same(full, serial[("dfs", False)])
 
     def test_diverged_loss_is_permanent_in_partial_records(self):
         """A diverged replay abandons its subtree forever — no
-        frontier node re-mines it — so a partial record must keep
-        ``exhausted=False`` or the resumed merge would falsely claim
-        exhaustion an uninterrupted run denies."""
-        from repro.dynamics.explore import (
-            ExplorationResult, PathNode,
-        )
+        frontier node re-mines it — so a partial record must stay
+        not exhausted once its frontier is resumed, or the merge
+        would falsely claim exhaustion an uninterrupted run denies."""
+        from repro.dynamics.explore import PathNode
+
+        def resumed(part):
+            # The record's frontier is walked to the end: the merge of
+            # what is left of the record and the walk of its frontier.
+            rec = part.slim()
+            assert rec.frontier and not rec.exhausted
+            rec.frontier = []
+            return ExplorationResult.merge(
+                [rec, ExplorationResult(paths_run=3)])
+
         lossy = ExplorationResult(paths_run=5, diverged=1,
-                                  exhausted=False)
-        rec = ExplorationRecord.from_result(lossy, [PathNode((1,))])
-        assert not rec.complete
-        assert not rec.exhausted            # permanent loss survives
-        merged = ExplorationResult.merge(
-            [rec.to_result(),
-             ExplorationResult(paths_run=3, exhausted=True)])
-        assert not merged.exhausted
+                                  frontier=[PathNode((1,))])
+        assert not resumed(lossy).exhausted  # permanent loss survives
         # A deadline-abandoned path is the same kind of permanent
         # loss.
         cut_short = ExplorationResult(paths_run=5, abandoned=1,
-                                      exhausted=False)
-        assert not ExplorationRecord.from_result(
-            cut_short, [PathNode((1,))]).exhausted
-        # ... while a plain budget cut stays merge-neutral.
-        cut = ExplorationResult(paths_run=5, exhausted=False)
-        assert ExplorationRecord.from_result(
-            cut, [PathNode((1,))]).exhausted
+                                      frontier=[PathNode((1,))])
+        assert not resumed(cut_short).exhausted
+        # ... while a plain budget cut leaves only its frontier.
+        cut = ExplorationResult(paths_run=5, frontier=[PathNode((1,))])
+        assert resumed(cut).exhausted
 
     def test_spent_budget_returns_partial_unexhausted(self, tmp_path,
                                                       program, counters):
@@ -529,40 +516,6 @@ class TestFarmResume:
         assert counts["explore_puts"] == 1  # only the original put
         assert counts["explore_live_paths"] == 150
 
-    def test_overshot_record_still_serves_its_own_budget(self,
-                                                         tmp_path,
-                                                         program,
-                                                         serial,
-                                                         counters):
-        """Ceiling-split shards can overshoot the budget, so a farm
-        record's paths_run may exceed the max_paths that produced it.
-        The stored producing budget proves the identical call made
-        it: a repeat under the same budget is served from the record
-        instead of silently re-exploring live every time."""
-        from repro.dynamics.explore import ExplorationResult
-        reference = serial[("dfs", False)]
-        es = ArtifactStore(tmp_path / "store")
-        overshot = ExplorationResult(
-            outcomes=list(reference.outcomes), exhausted=False,
-            paths_run=110)                 # 110 paths from budget 100
-        key = exploration_key(es, PAIR, program.impl, "concrete",
-                              spec=ExploreSpec(strategy="dfs"))
-        es.put_record(key, ExplorationRecord.from_result(
-            overshot, budget=100), kind=RECORD_KIND)
-        again = explore_farm(PAIR, "concrete",
-                             spec=ExploreSpec(max_paths=100),
-                             jobs=2, store=es)
-        assert again.paths_run == 110      # served, not re-explored
-        assert counters()["explore_live_paths"] == 0
-        # ... while a strictly smaller budget still refuses it.
-        small = explore_farm(PAIR, "concrete",
-                             spec=ExploreSpec(max_paths=50),
-                             jobs=2, store=es)
-        assert small.paths_run < 110
-        assert counters()["explore_live_paths"] > 0
-        # ... and did not clobber the fuller record.
-        assert _get(es, key).paths_run == 110
-
     def test_farm_small_budget_leaves_bigger_record_intact(
             self, tmp_path, program, serial, counters):
         """A farm request under a smaller budget than the record
@@ -575,9 +528,8 @@ class TestFarmResume:
                              spec=ExploreSpec(max_paths=60),
                              jobs=2, store=es)
         assert not small.exhausted
-        # Ran live near its budget (the ceiling split can overshoot
-        # by at most one path per shard), not the record's 150.
-        assert small.paths_run < 100
+        # Ran live to exactly its budget, not the record's 150.
+        assert small.paths_run == 60
         assert counters()["explore_puts"] == 1   # record not clobbered
         full = explore_farm(PAIR, "concrete",
                             spec=ExploreSpec(max_paths=BIG),

@@ -5,8 +5,8 @@ processes* (a subprocess round-trip), silent recompilation on
 corrupted or truncated artifacts, LRU eviction under the size bound,
 and invalidation by a change of build (a stand-in ``build=``) — for
 compiled artifacts *and* for every record kind that shares the store:
-exploration records (:mod:`repro.farm.explorestore`), static analyses
-and the daemon's job results.
+exploration records (:func:`repro.dynamics.explore.explore_space`),
+static analyses and the daemon's job results.
 """
 
 import os
@@ -20,8 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.ctypes.implementation import ILP32, LP64
-from repro.farm.explorestore import (
-    RECORD_KIND, ExplorationRecord, exploration_key,
+from repro.dynamics.explore import (
+    RECORD_KIND, ExplorationResult, exploration_key,
 )
 from repro.farm.store import ArtifactStore, code_fingerprint
 from repro.spec import ExploreSpec
@@ -49,7 +49,7 @@ def _entry_paths(s: ArtifactStore):
 
 
 def _get(store: ArtifactStore, key: str):
-    return store.get_record(key, ExplorationRecord, kind=RECORD_KIND)
+    return store.get_record(key, ExplorationResult, kind=RECORD_KIND)
 
 
 def _count(counters, name: str) -> int:

@@ -1,5 +1,7 @@
 """The pipeline facade and command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -480,6 +482,34 @@ class TestSingleModelTask:
             f"{model:12s}    8 paths  timeout stdout='ab' | "
             "timeout stdout='ba'" for model in ("concrete", "strict")]
 
+    def test_a_run_line_is_its_exploration_line(self, tmp_path, capsys,
+                                                farm_in_process):
+        # One formatter: a run's line and an exploration's line for one
+        # behaviour are the same string, through --models and submit.
+        from repro.cli import _render_submit_report
+        from repro.farm.store import ArtifactStore
+        source = ("#include <stdio.h>\n"
+                  "int main(void){ putchar('a'); for(;;); }\n")
+        path = tmp_path / "p.c"
+        path.write_text(source)
+        flags = ["--models", "concrete", "--max-steps", "3000"]
+        assert cli_main([str(path), *flags]) == 3
+        run = capsys.readouterr().out
+        assert run == "concrete     timeout stdout='a'\n"
+        assert cli_main([str(path), *flags, "--exhaustive"]) == 0
+        explored = capsys.readouterr().out
+        assert explored.startswith("concrete ")
+        assert explored.split(" paths  ")[1] == "timeout stdout='a'\n"
+        submit = {"op": "submit", "source": source, "name": str(path),
+                  "models": ["concrete"], "max_steps": 3000}
+        _, replies = farm_in_process(
+            ArtifactStore(tmp_path / "store"),
+            [submit, dict(submit, mode="explore")])
+        for reply, code, lines in zip(replies, (3, 0), (run, explored)):
+            assert _render_submit_report(reply, ["concrete"],
+                                         False) == code
+            assert capsys.readouterr().out == lines
+
     def test_exhaustive_listing_identical_at_any_jobs(self, tmp_path,
                                                       capsys):
         # --jobs 1 runs one explore task, --jobs 2 shards the frontier
@@ -502,6 +532,38 @@ class TestSingleModelTask:
         assert lines[0].endswith(" (complete)")
         assert lines[1:] == ["  exit=0 stdout='1\\n'",
                              "  exit=0 stdout='2\\n'"]
+
+
+class TestJobsBudget:
+    """``--max-paths`` means one thing at every ``--jobs``: a sharded
+    exploration spends exactly the budget a serial one does, and
+    resumes a sharded partial record to what a storeless run prints."""
+
+    EXAMPLE = str(Path(__file__).resolve().parents[1]
+                  / "examples" / "c" / "unseq_commuting.c")
+
+    def _run(self, capsys, *flags):
+        code = cli_main([self.EXAMPLE, "--exhaustive", *flags])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_jobs_2_spends_the_budget_of_jobs_1(self, tmp_path, capsys):
+        for budget, line in (
+                (["--max-paths", "5"], "5 (budget hit)"),
+                ([], "500 (budget hit)"),
+                (["--max-paths", "2000"], "576 (complete)")):
+            _, serial = self._run(capsys, "--jobs", "1", *budget)
+            _, sharded = self._run(capsys, "--jobs", "2", *budget)
+            assert serial[0] == sharded[0] == \
+                f"executions explored: {line}"
+        store = str(tmp_path / "store")
+        self._run(capsys, "--jobs", "2", "--store", store,
+                  "--max-paths", "5")
+        code, resumed = self._run(capsys, "--jobs", "2", "--store", store)
+        assert "explore store: hits=1 resumes=1 live paths=495" \
+            in resumed
+        assert (code, [line for line in resumed
+                       if not line.startswith("explore store:")]) \
+            == self._run(capsys, "--jobs", "2")
 
 
 class TestUnspecifiedOptions:

@@ -26,7 +26,7 @@ import pytest
 
 from repro.errors import CerberusError
 from repro import obs
-from repro.farm.explorestore import exploration_key
+from repro.dynamics.explore import exploration_key
 from repro.farm.pool import SweepTask, execute_task
 from repro.farm.store import ArtifactStore
 from repro.pipeline import (
@@ -450,6 +450,48 @@ class TestFarmLintFilter:
         assert result.data["results"]   # suite still ran
         assert any(f["severity"] == "definite"
                    for f in result.data["lint"])
+
+
+class TestRunTasksCarryLint:
+    """A ``run`` task honours ``lint`` as the ``suite`` recipe does:
+    the findings ride along, and the verdicts and exit codes stay
+    what they were."""
+
+    UNINIT = "int main(void){ int x; return x; }\n"
+
+    def test_farm_sweep_prints_the_findings(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        path = tmp_path / "p.c"
+        path.write_text(self.UNINIT)
+        assert cli_main(["farm", "sweep", str(path), "--models",
+                         "concrete"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert cli_main(["farm", "sweep", str(path), "--models",
+                         "concrete", "--lint"]) == 0
+        linted = capsys.readouterr().out.splitlines()
+        verdict = [line for line in linted
+                   if line.split()[1] == "concrete"]
+        assert verdict == [line for line in plain
+                           if line.split()[1] == "concrete"]
+        findings = [line for line in linted if line.split()[1] == "lint"]
+        assert findings and all(
+            "definite: read of an uninitialized object" in line
+            for line in findings)
+
+    def test_a_daemon_run_job_returns_the_findings(self, tmp_path,
+                                                   farm_in_process):
+        submit = {"op": "submit", "source": self.UNINIT,
+                  "models": ["concrete"]}
+        _, [plain, linted] = farm_in_process(
+            ArtifactStore(tmp_path / "store"),
+            [submit, dict(submit, lint=True)])
+        assert "lint" not in plain["report"]
+        assert linted["report"]["verdicts"] == \
+            plain["report"]["verdicts"]
+        assert [f["severity"] for f in linted["report"]["lint"]] \
+            == ["definite"]
+        assert linted["report"]["lint"][0]["detail"] == \
+            "read of an uninitialized object"
 
 
 class TestExhaustiveShimRemoved:
